@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 
 from .entcore import UnsupportedSystemError, lstar
@@ -204,11 +205,14 @@ def cmd_verify(args) -> int:
     if args.state:
         with open(args.state) as fh:
             saved = json.load(fh)
-        tuples_text = ";".join(",".join(str(x) for x in t) for t in saved["tuples"])
-        spectrum_text = ",".join(repr(float(w)) for w in saved["spectrum"])
-        state, _ = _build_state(
-            saved["dims"], tuples_text, spectrum_text, saved.get("lu_seed")
-        )
+        try:
+            dims, seed = str(saved["dims"]), saved.get("lu_seed")
+            tuples_text = ";".join(",".join(str(x) for x in t) for t in saved["tuples"])
+            spectrum_text = ",".join(repr(float(w)) for w in saved["spectrum"])
+            seed = None if seed is None else operator.index(seed)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"bad state file {args.state}: {exc!r}") from None
+        state, _ = _build_state(dims, tuples_text, spectrum_text, seed)
     elif args.dims and args.tuples and args.spectrum:
         state, _ = _build_state(args.dims, args.tuples, args.spectrum, args.lu_seed)
     else:
@@ -274,6 +278,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     kinds = list(COMPARISON_KINDS) if args.family == "all" else [args.family]
     grid = _parse_grid(args.grid)
     rows = []
@@ -297,13 +303,6 @@ def cmd_validate_examples(args) -> int:
 def _add_common(p, fmt_default="json"):
     p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
     p.add_argument("--out", metavar="PATH", help="write output to PATH")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="W",
-        help="worker-pool hint; results are identical for any value",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -156,6 +156,18 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.vdot(rho.entries, rho.entries).real)
 
 
+def _check_weights(weights, count: int) -> None:
+    """Raise unless there are count >= 1 weights, all finite and positive
+    (NaN passes every `<=` test) and summing to 1 within ATOL."""
+    if count < 1 or len(weights) != count:
+        raise ValueError(f"{len(weights)} weights for {count} states; need one each")
+    if not all(np.isfinite(w) and w > 0 for w in weights):
+        raise ValueError(f"weights must be finite and positive, got {list(weights)}")
+    total = sum(weights)
+    if abs(total - 1.0) > ATOL:
+        raise ValueError(f"weights sum to {total!r}, expected 1")
+
+
 def mix(states, weights) -> DensityMatrix:
     """Convex mixture sum_k w_k |psi_k><psi_k|.
 
@@ -165,17 +177,11 @@ def mix(states, weights) -> DensityMatrix:
     """
     states = list(states)
     weights = [float(w) for w in weights]
-    if not states or len(states) != len(weights):
-        raise ValueError("need equally many states and weights, at least one each")
+    _check_weights(weights, len(states))
     structure = states[0].structure
     for st in states[1:]:
         if st.structure.dims != structure.dims:
             raise ValueError("all states in a mixture must share one structure")
-    if any(w <= 0 for w in weights):
-        raise ValueError("mixture weights must be positive")
-    total = sum(weights)
-    if abs(total - 1.0) > ATOL:
-        raise ValueError(f"mixture weights sum to {total!r}, expected 1")
     mat = np.zeros((structure.n, structure.n), dtype=complex)
     for st, w in zip(states, weights):
         mat += w * np.outer(st.amplitudes, st.amplitudes.conj())

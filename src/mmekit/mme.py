@@ -5,18 +5,22 @@ A set of ME TGX tuples can serve as the eigen-tuples of an MME state
 exactly when, for every mode m, the projections of all their levels onto
 the big side B_m of the extreme bipartition contain no repeats.  Since
 repeats are a pairwise matter, the maximal MME rank is the maximum
-clique of the pairwise-compatibility graph over the ME tuples.
+clique of the pairwise-compatibility graph over the ME tuples.  Both
+read the projections from the level table of `modes`; the search packs
+each tuple's (mode, projection) pairs into one int bitmask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
 from .entcore import lstar
-from .linalg import DensityMatrix, mix
-from .modes import ModeStructure, bipartition, project_level
+from .linalg import DensityMatrix, _check_weights, mix
+from .modes import ModeStructure, _level_table, bipartition
 from .tgx import (
     LocalUnitarySet,
     MeTgxTuple,
@@ -28,32 +32,17 @@ from .tgx import (
 )
 
 
-def _projection_lines(s: ModeStructure, level_sets) -> list[list[tuple[int, ...]]]:
-    """For each mode m, the tuple-wise projections of all levels onto the
-    B_m modes of the extreme bipartition (m | mbar)."""
-    lines = []
-    for m in range(1, s.N + 1):
-        B = bipartition(s, m).B_modes
-        lines.append(
-            [tuple(project_level(s, lvl, B) for lvl in levels) for levels in level_sets]
-        )
-    return lines
-
-
 def _first_conflict(s: ModeStructure, level_sets):
-    """First (mode, projected level) repeated in a mode line, or None."""
-    for m, line in enumerate(_projection_lines(s, level_sets), start=1):
+    """First (mode, projected level) repeated in a mode line, or None;
+    repeats within one tuple count.  Levels must already be validated."""
+    _, proj = _level_table(s)
+    for m in range(s.N):
         seen = set()
-        for proj in line:
-            for p in proj:
-                if p in seen:
-                    return m, p
-                seen.add(p)
+        for p in (proj[lvl][m] for levels in level_sets for lvl in levels):
+            if p in seen:
+                return m + 1, p
+            seen.add(p)
     return None
-
-
-def _lines_ok(s: ModeStructure, level_sets) -> bool:
-    return _first_conflict(s, level_sets) is None
 
 
 def compatible(tuples) -> bool:
@@ -75,7 +64,7 @@ def compatible(tuples) -> bool:
             raise ValueError("tuples come from different structures")
         if t.L != L:
             raise ValueError(f"mixed tuple sizes: {t.L} and {L}")
-    return _lines_ok(s, [t.levels for t in tuples])
+    return _first_conflict(s, [t.levels for t in tuples]) is None
 
 
 def loose_bound(s: ModeStructure) -> int:
@@ -278,12 +267,28 @@ def max_mme_rank(
     return max(reports, key=lambda r: (r.R_MME, -r.L_used))
 
 
-def _tuple_projections(s: ModeStructure, levels):
-    per_mode = []
-    for m in range(1, s.N + 1):
-        B = bipartition(s, m).B_modes
-        per_mode.append(frozenset(project_level(s, lvl, B) for lvl in levels))
-    return per_mode
+def _level_bits(s: ModeStructure) -> list[int]:
+    """bits[lvl] sets bit p * N + m - 1 for the level's projection p onto
+    each B_m; a tuple's mask is the OR over its levels."""
+    return [0] + [sum(1 << (p * s.N + m) for m, p in enumerate(ps))
+                  for ps in _level_table(s)[1][1:]]
+
+
+def _adjacency(masks: list[int]) -> list[int]:
+    """Bitset graph with bit j of adj[i] set iff masks i and j share no
+    bit; one holder set per bit makes it O(K * L * N) big-int ORs."""
+    holders: dict[int, int] = {}
+    for i, mask in enumerate(masks):
+        for b in _set_bits(mask):
+            holders[b] = holders.get(b, 0) | 1 << i
+    full = (1 << len(masks)) - 1
+    return [full & ~reduce(or_, map(holders.get, _set_bits(mask))) for mask in masks]
+
+
+def _set_bits(mask: int):
+    while mask:
+        yield mask & -mask
+        mask &= mask - 1
 
 
 def _search_single_L(s, L, search, budget, seed, restarts) -> MmeRankReport:
@@ -299,21 +304,20 @@ def _search_single_L(s, L, search, budget, seed, restarts) -> MmeRankReport:
     r_tilde = loose_bound(s)
     exhausted = False
 
+    bits = _level_bits(s)
     level_sets = []
-    projs = []
+    masks = []
     lex_clique: list[int] = []
-    lex_proj = [set() for _ in range(s.N)]
+    lex_mask = 0
     try:
         for levels in _me_level_sets(s, L):
             budget.spend()
+            mask = reduce(or_, (bits[lvl] for lvl in levels))
             level_sets.append(levels)
-            pm = _tuple_projections(s, levels)
-            projs.append(pm)
-            i = len(level_sets) - 1
-            if all(pm[m].isdisjoint(lex_proj[m]) for m in range(s.N)):
-                lex_clique.append(i)
-                for m in range(s.N):
-                    lex_proj[m] |= pm[m]
+            masks.append(mask)
+            if not mask & lex_mask:
+                lex_clique.append(len(level_sets) - 1)
+                lex_mask |= mask
                 if len(lex_clique) >= cap:
                     break
     except _BudgetExhausted:
@@ -333,12 +337,7 @@ def _search_single_L(s, L, search, budget, seed, restarts) -> MmeRankReport:
         return report(lex_clique or [0], False, "inconclusive")
 
     K = len(level_sets)
-    adj = [0] * K
-    for i in range(K):
-        for j in range(i + 1, K):
-            if all(projs[i][m].isdisjoint(projs[j][m]) for m in range(s.N)):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = _adjacency(masks)
     rng = np.random.default_rng(seed)
     best = _greedy_restarts(adj, K, rng, restarts if search == "greedy" else 8)
     if len(lex_clique) > len(best):
@@ -405,14 +404,7 @@ def construct(s: ModeStructure, tuples, spectrum, lu: LocalUnitarySet | None = N
             f"tuples are not compatible: mode-{m} line repeats projected level {p}"
         )
     spectrum = tuple(float(w) for w in spectrum)
-    if len(spectrum) != len(ts):
-        raise ValueError(
-            f"{len(spectrum)} weights for {len(ts)} tuples; rank must match"
-        )
-    if any(w <= 0 for w in spectrum):
-        raise ValueError("spectrum entries must be positive")
-    if abs(sum(spectrum) - 1.0) > 1e-12:
-        raise ValueError(f"spectrum sums to {sum(spectrum)!r}, expected 1")
+    _check_weights(spectrum, len(ts))
     state = MmeState(s, ts, spectrum, lu)
     return state, state.matrix()
 
@@ -456,9 +448,9 @@ def validate_example_set(s: ModeStructure, tuples) -> ExampleSetReport:
         )
         level_sets.append(levels)
     me = tuple(is_me_tuple(s, levels) for levels in level_sets)
-    set_ok = _lines_ok(s, level_sets)
+    set_ok = _first_conflict(s, level_sets) is None
     pairs = []
-    for i in range(len(level_sets)):
+    for i, a in enumerate(level_sets):
         for j in range(i + 1, len(level_sets)):
-            pairs.append((i, j, _lines_ok(s, [level_sets[i], level_sets[j]])))
+            pairs.append((i, j, _first_conflict(s, [a, level_sets[j]]) is None))
     return ExampleSetReport(s, tuple(level_sets), me, set_ok, tuple(pairs))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -199,3 +200,15 @@ def project_level(s: ModeStructure, level: int, modes) -> int:
     labels = scalar_to_vector(s, level)
     sub = s.substructure(modes)
     return vector_to_scalar(sub, tuple(labels[m - 1] for m in modes))
+
+
+@lru_cache(maxsize=None)
+def _level_table(s: ModeStructure):
+    """(labels, proj) with labels[lvl] = scalar_to_vector(s, lvl) and
+    proj[lvl][m - 1] = project_level(s, lvl, B_m) for each extreme
+    bipartition; slot 0 is unused, and callers validate levels first."""
+    B = [bipartition(s, m).B_modes for m in range(1, s.N + 1)]
+    levels = range(1, s.n + 1)
+    labels = (None,) + tuple(scalar_to_vector(s, lvl) for lvl in levels)
+    proj = (None,) + tuple(tuple(project_level(s, lvl, b) for b in B) for lvl in levels)
+    return labels, proj

@@ -1,10 +1,10 @@
 """ME TGX tuples: certification, enumeration, and dressed state building.
 
 An ME TGX tuple is a set of L scalar levels whose equal phaseless
-superposition is maximally full-N-partite entangled.  Enumeration is
-generate-and-test: candidates are pruned by two conditions that are
-necessary for maximal entanglement, then certified numerically through
-the ent itself.
+superposition is maximally full-N-partite entangled.  Enumeration is a
+pruned depth-first search over the structure's level table: at L in L*
+its survivors are exactly the ME tuples, and each one is certified once,
+numerically through the ent itself, when its MeTgxTuple is built.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .entcore import ent_pure, lstar
 from .linalg import DensityMatrix, PureStateVector
-from .modes import ModeStructure, scalar_to_vector
+from .modes import ModeStructure, _level_table
 
 # A state is accepted as ME when its ent is within this of 1.  Equal
 # superpositions have exact-rational reduction purities, so this absorbs
@@ -97,14 +97,13 @@ def _me_level_sets(s: ModeStructure, L: int):
       strictly raises its purity above the MPSRP.
 
     Survivors at depth L are balanced with all-diagonal reductions, so
-    the two conditions are also sufficient; certification downstream
-    stays numerical.
+    the two conditions are also sufficient at L in L*.
     """
     dims = s.dims
     N, n = s.N, s.n
     lo = [L // d for d in dims]
     extra = [L % d for d in dims]  # how many labels may sit at lo+1
-    vecs = [None] + [scalar_to_vector(s, lvl) for lvl in range(1, n + 1)]
+    vecs = _level_table(s)[0]
     counts = [[0] * (d + 1) for d in dims]
     at_hi = [0] * N
     chosen: list[int] = []
@@ -165,8 +164,8 @@ def enumerate_me_tuples(s: ModeStructure, L: int) -> list[MeTgxTuple]:
     """All ME TGX tuples of size L, lexicographically sorted.
 
     L must lie in 2..n/n_max.  Values outside L* are permitted for
-    exploration but warned about; no tuple can certify there, so the
-    result is empty.
+    exploration but warned about; no tuple is ME there, so the result is
+    empty.  Each tuple is certified once, by MeTgxTuple.
     """
     L = int(L)
     if not 2 <= L <= s.n_over_max:
@@ -176,13 +175,8 @@ def enumerate_me_tuples(s: ModeStructure, L: int) -> list[MeTgxTuple]:
             f"L={L} is not in L*{lstar(s).values} of {s}; no ME TGX tuples exist there",
             stacklevel=2,
         )
-    # off-L* survivors of the pruned search sit on the per-L purity floor
-    # but not the global one, so they fail certification and are dropped
-    return [
-        MeTgxTuple(s, levels)
-        for levels in _me_level_sets(s, L)
-        if is_me_tuple(s, levels)
-    ]
+        return []
+    return [MeTgxTuple(s, levels) for levels in _me_level_sets(s, L)]
 
 
 def build_tgx_state(t: MeTgxTuple, amplitudes=None, phases=None) -> PureStateVector:

@@ -21,9 +21,9 @@ import numpy as np
 
 from .entcore import ent_pure, lstar, mpsrp_purity
 from .linalg import (
-    ATOL,
     DensityMatrix,
     PureStateVector,
+    _check_weights,
     basis_state,
     mix,
     mode_reduction_of_pure,
@@ -47,12 +47,7 @@ class SpectralState:
     eigenstates: tuple[PureStateVector, ...]
 
     def __post_init__(self):
-        if len(self.spectrum) != len(self.eigenstates):
-            raise ValueError("one eigenvalue per eigenstate")
-        if any(w <= 0 for w in self.spectrum):
-            raise ValueError("spectrum entries must be positive")
-        if abs(sum(self.spectrum) - 1.0) > ATOL:
-            raise ValueError(f"spectrum sums to {sum(self.spectrum)!r}")
+        _check_weights(self.spectrum, len(self.eigenstates))
         for v in self.eigenstates:
             if v.structure.dims != self.structure.dims:
                 raise ValueError("eigenstate structure mismatch")

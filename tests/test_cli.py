@@ -186,6 +186,50 @@ def test_verify_requires_state_or_inline(capsys) -> None:
     assert code == 2
 
 
+@pytest.mark.parametrize("spectrum", ["nan,0.5", "inf,0.5"])
+def test_non_finite_spectrum_exit_code(capsys, spectrum) -> None:
+    for cmd in ("construct", "verify"):
+        code, out, err = _run(
+            capsys, [cmd, "2x5", "--tuples", "1,10;2,8", "--spectrum", spectrum]
+        )
+        assert (code, out) == (2, ""), cmd
+        assert "finite and positive" in err
+
+
+@pytest.mark.parametrize(
+    "saved",
+    [
+        {"dims": "2x5", "tuples": [[1, 10], [2, 8]]},
+        {"dims": "2x5", "spectrum": [0.7, 0.3]},
+        {"tuples": [[1, 10], [2, 8]], "spectrum": [0.7, 0.3]},
+        {"dims": "2x5", "tuples": 5, "spectrum": [0.7, 0.3]},
+        {"dims": "2x5", "tuples": [[1, 10], [2, 8]], "spectrum": [None, 0.3]},
+        {"dims": "2x5", "tuples": [[1, 10], [2, 8]], "spectrum": [0.7, 0.3],
+         "lu_seed": "x"},
+        [1, 2],
+    ],
+)
+def test_verify_bad_state_file_exit_code(capsys, tmp_path, saved) -> None:
+    target = tmp_path / "state.json"
+    target.write_text(json.dumps(saved))
+    code, out, err = _run(capsys, ["verify", "--state", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_sweep_rejects_points_below_one(capsys, points) -> None:
+    code, out, err = _run(capsys, ["sweep", "--points", points])
+    assert (code, out) == (2, "")
+    assert "--points" in err
+
+
+def test_workers_option_rejected(capsys) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(["lstar", "2x2", "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_tables_five(capsys) -> None:
     code, out, _ = _run(capsys, ["tables", "5", "--max-N", "4", "--format", "csv"])
     assert code == 0

@@ -183,6 +183,9 @@ def test_mix_validation() -> None:
         mix([a, b], [0.5, 0.4])  # sums to 0.9
     with pytest.raises(ValueError):
         mix([a, b], [1.2, -0.2])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            mix([a, b], [bad, 0.5])
     other = basis_state(ModeStructure((4,)), 1)
     with pytest.raises(ValueError):
         mix([a, other], [0.5, 0.5])

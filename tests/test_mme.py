@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import itertools
+from functools import reduce
+from operator import or_
+
 import numpy as np
 import pytest
 
 from mmekit.entcore import lstar
 from mmekit.linalg import partial_trace_matrix
 from mmekit.mme import (
+    _adjacency,
+    _level_bits,
     compatible,
     construct,
     loose_bound,
@@ -13,7 +19,7 @@ from mmekit.mme import (
     validate_example_set,
 )
 from mmekit.modes import ModeStructure, bipartition, parse_dims
-from mmekit.tgx import MeTgxTuple, as_me_tuple
+from mmekit.tgx import MeTgxTuple, as_me_tuple, enumerate_me_tuples
 from mmekit.verify import random_lu_set
 
 from reference_values import EXAMPLE_SETS, QUBIT_SETS
@@ -52,6 +58,22 @@ def test_incompatible_pair_shares_a_projected_level() -> None:
     assert not compatible([a, b])
     with pytest.raises(ValueError, match="mode-4 line repeats projected level 1"):
         construct(s, [a, b], (0.5, 0.5))
+
+
+def test_mask_adjacency_matches_compatible() -> None:
+    # 2^6 at min L* has R_MME > 1, so both edge kinds occur
+    s = ModeStructure((2,) * 6)
+    ts = enumerate_me_tuples(s, lstar(s).min)
+    assert len(ts) == 32
+    bits = _level_bits(s)
+    adj = _adjacency([reduce(or_, (bits[lvl] for lvl in t.levels)) for t in ts])
+    verdicts = []
+    for i, j in itertools.combinations(range(len(ts)), 2):
+        ok = compatible([ts[i], ts[j]])
+        assert bool(adj[i] >> j & 1) == bool(adj[j] >> i & 1) == ok, (i, j)
+        verdicts.append(ok)
+    assert (verdicts.count(True), verdicts.count(False)) == (400, 96)
+    assert not any(adj[i] >> i & 1 for i in range(len(ts)))
 
 
 def test_loose_bound_pins() -> None:
@@ -222,6 +244,9 @@ def test_construct_spectrum_validation() -> None:
         construct(s, tuples, (0.7, 0.2, 0.1))
     with pytest.raises(ValueError):
         construct(s, [], (1.0,))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            construct(s, tuples, (bad, 0.5))
 
 
 def test_construct_mixed_L_is_refused() -> None:

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from mmekit.cli import _structures_upto
 from mmekit.modes import (
     Bipartition,
     ModeStructure,
+    _level_table,
     bipartition,
     parse_dims,
     project_level,
@@ -175,3 +177,13 @@ def test_project_level_matches_label_restriction() -> None:
         sub = s.substructure(modes)
         expected = vector_to_scalar(sub, tuple(labels[m - 1] for m in modes))
         assert project_level(s, level, modes) == expected
+
+
+def test_level_table_matches_scalar_path() -> None:
+    for s in _structures_upto(36):
+        labels, proj = _level_table(s)
+        assert len(labels) == len(proj) == s.n + 1
+        B = [bipartition(s, m).B_modes for m in range(1, s.N + 1)]
+        for lvl in range(1, s.n + 1):
+            assert labels[lvl] == scalar_to_vector(s, lvl), (s.dims, lvl)
+            assert proj[lvl] == tuple(project_level(s, lvl, b) for b in B), (s.dims, lvl)

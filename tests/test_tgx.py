@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from mmekit.entcore import ent_pure, hyperspherical
+from mmekit.cli import _structures_upto
+from mmekit.entcore import ent_pure, hyperspherical, lstar
 from mmekit.linalg import DensityMatrix, PureStateVector, basis_state, outer, purity
 from mmekit.modes import ModeStructure
 from mmekit.tgx import (
     LocalUnitarySet,
     MeTgxTuple,
+    _me_level_sets,
     apply_lu,
     as_me_tuple,
     build_tgx_state,
@@ -65,6 +67,22 @@ def test_enumeration_matches_brute_force() -> None:
         s = ModeStructure(dims)
         got = [t.levels for t in enumerate_me_tuples(s, L)]
         assert got == _brute_force_tuples(s, L), (dims, L)
+
+
+def test_level_set_survivors_are_me_exactly_on_lstar() -> None:
+    # enumeration certifies survivors without filtering them, so check
+    # beyond the n <= 16 brute force: ME at min L*, never ME off L*
+    off_lstar = 0
+    for s in _structures_upto(36):
+        values = lstar(s).values
+        for levels in itertools.islice(_me_level_sets(s, min(values)), 16):
+            assert is_me_tuple(s, levels), (s.dims, levels)
+        for L in range(2, s.n_over_max + 1):
+            if L not in values:
+                for levels in itertools.islice(_me_level_sets(s, L), 16):
+                    assert not is_me_tuple(s, levels), (s.dims, L, levels)
+                    off_lstar += 1
+    assert off_lstar > 0
 
 
 def test_enumeration_counts_pinned() -> None:

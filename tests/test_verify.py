@@ -45,6 +45,9 @@ def test_spectral_state_validation() -> None:
         SpectralState(s, (1.3, -0.3), (e1, e4))
     with pytest.raises(ValueError):
         SpectralState(s, (0.7, 0.2), (e1, e4))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SpectralState(s, (bad, 0.3), (e1, e4))
     with pytest.raises(ValueError):
         SpectralState(s, (0.7, 0.3), (e1, e1))
     other = basis_state(ModeStructure((4,)), 2)

@@ -23,7 +23,7 @@ from mmekit import (
 s = ModeStructure((2, 5))
 state, rho = construct(s, [(1, 10), (2, 8)], (0.7, 0.3))
 print(f"structure {s}, rank {state.rank}, spectrum {state.spectrum}")
-print(f"eigenstate ent: {[round(ent_pure(v), 12) for v in state.eigenstates()]}")
+print(f"eigenstate ent: {[round(ent_pure(v), 12) for v in state.eigenstates]}")
 
 nz = np.argwhere(np.abs(rho.entries) > 1e-12)
 print(f"density matrix: {len(nz)} nonzero entries out of {rho.entries.size}")

@@ -55,7 +55,6 @@ from .verify import (
     EntEstimate,
     SpectralState,
     as_spectral,
-    comparison_family,
     comparison_family_spectral,
     decompose,
     haar_unitary,
@@ -89,7 +88,6 @@ __all__ = [
     "basis_state",
     "bipartition",
     "build_tgx_state",
-    "comparison_family",
     "comparison_family_spectral",
     "compatible",
     "construct",

@@ -23,7 +23,10 @@ import json
 import operator
 import sys
 
+import numpy as np
+
 from .entcore import UnsupportedSystemError, lstar
+from .linalg import ATOL
 from .mme import construct, max_mme_rank, validate_example_set
 from .modes import ModeStructure, parse_dims
 from .tgx import enumerate_me_tuples
@@ -210,9 +213,16 @@ def cmd_verify(args) -> int:
             tuples_text = ";".join(",".join(str(x) for x in t) for t in saved["tuples"])
             spectrum_text = ",".join(repr(float(w)) for w in saved["spectrum"])
             seed = None if seed is None else operator.index(seed)
-        except (AttributeError, KeyError, TypeError) as exc:
+            matrix = saved["matrix"]
+            matrix = np.array(matrix["re"], float) + 1j * np.array(matrix["im"], float)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad state file {args.state}: {exc!r}") from None
-        state, _ = _build_state(dims, tuples_text, spectrum_text, seed)
+        state, rho = _build_state(dims, tuples_text, spectrum_text, seed)
+        if matrix.shape != rho.entries.shape or not np.allclose(
+            matrix, rho.entries, atol=ATOL, rtol=0.0
+        ):
+            raise ValueError(f"state file {args.state}: the saved matrix differs "
+                             "from the state its dims, tuples, spectrum and lu_seed build")
     elif args.dims and args.tuples and args.spectrum:
         state, _ = _build_state(args.dims, args.tuples, args.spectrum, args.lu_seed)
     else:

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import PureStateVector, mode_reduction_of_pure
+from .linalg import PureStateVector, mode_purities
 from .modes import ModeStructure
 
 
@@ -109,24 +109,23 @@ def lstar(s: ModeStructure) -> LStarSet:
     return _lstar_cached(s.dims)
 
 
-def ent_pure(v: PureStateVector) -> float:
-    """The ent of a pure state, normalized to [0, 1].
+def ent_rows(s: ModeStructure, amps) -> np.ndarray:
+    """The ent of each row of an (M, n) array of normalized amplitudes.
 
     Computes the mean normalized reduction purity
     E = (1/N) sum_m (n_m P(rho_m) - 1)/(n_m - 1) and returns
     (1 - E)/(1 - M*) clamped to [0, 1]: exactly 0 on product states and
     exactly 1 on maximally full-N-partite entangled states.
     """
-    s = v.structure
     ls = lstar(s)  # raises UnsupportedSystemError for degenerate structures
-    acc = 0.0
-    for m, d in enumerate(s.dims, start=1):
-        red = mode_reduction_of_pure(v, m)
-        p = float(np.vdot(red, red).real)
-        acc += (d * p - 1.0) / (d - 1.0)
-    mean = acc / s.N
-    value = (1.0 - mean) / (1.0 - ls.min_mean)
-    return min(1.0, max(0.0, value))
+    d = np.array(s.dims, dtype=float)
+    mean = ((d * mode_purities(s, amps) - 1.0) / (d - 1.0)).sum(axis=1) / s.N
+    return np.minimum(1.0, np.maximum(0.0, (1.0 - mean) / (1.0 - ls.min_mean)))
+
+
+def ent_pure(v: PureStateVector) -> float:
+    """The ent of a pure state, normalized to [0, 1] (see `ent_rows`)."""
+    return float(ent_rows(v.structure, v.amplitudes)[0])
 
 
 def hyperspherical(angles) -> list[float]:

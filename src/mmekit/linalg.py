@@ -3,7 +3,8 @@
 Everything is a plain numpy array under the hood; the wrapper types pin
 the mode structure to the data and enforce the physical invariants
 (normalization, Hermiticity, unit trace, positive semidefiniteness).
-All target systems have n <= 256, so dense storage is used throughout.
+All target systems have n <= 256 (`modes.MAX_N`), so dense storage is
+used throughout.
 """
 
 from __future__ import annotations
@@ -203,3 +204,20 @@ def mode_reduction_of_pure(v: PureStateVector, m: int) -> np.ndarray:
         raise ValueError(f"mode {m} out of range 1..{v.structure.N}")
     A = v.amplitudes[_mode_gather(v.structure.dims, m)]
     return A @ A.conj().T
+
+
+def mode_purities(structure: ModeStructure, amps) -> np.ndarray:
+    """Mode-reduction purities tr(rho_m^2) of M pure states at once.
+
+    `amps` holds one state per row, shape (M, n); returns (M, N) with
+    column m-1 for mode m.  Each mode costs one gather of all rows into
+    (M, n_m, n/n_m) blocks A, one stacked product rho_m = A A^dagger and
+    one stacked sum of |rho_m[a, b]|^2, which is tr(rho_m^2).
+    """
+    amps = np.asarray(amps).reshape(-1, structure.n)
+    out = np.empty((amps.shape[0], structure.N))
+    for m in range(structure.N):
+        A = np.take(amps, _mode_gather(structure.dims, m + 1), axis=1)
+        red = (A @ A.conj().swapaxes(1, 2)).reshape(len(amps), 1, -1)
+        out[:, m] = (red.conj() @ red.swapaxes(1, 2))[:, 0, 0].real
+    return out

@@ -13,13 +13,13 @@ each tuple's (mode, projection) pairs into one int bitmask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 import numpy as np
 
 from .entcore import lstar
-from .linalg import DensityMatrix, _check_weights, mix
+from .linalg import DensityMatrix, PureStateVector, _check_weights, mix
 from .modes import ModeStructure, _level_table, bipartition
 from .tgx import (
     LocalUnitarySet,
@@ -374,14 +374,16 @@ class MmeState:
     def is_trivial(self) -> bool:
         return self.rank == 1
 
-    def eigenstates(self):
-        states = [build_tgx_state(t) for t in self.tuples]
+    @cached_property
+    def eigenstates(self) -> tuple[PureStateVector, ...]:
+        """The (dressed) eigenstates, built on first use and then kept."""
+        states = (build_tgx_state(t) for t in self.tuples)
         if self.lu is not None:
-            states = [apply_lu(st, self.lu) for st in states]
-        return states
+            states = (apply_lu(st, self.lu) for st in states)
+        return tuple(states)
 
     def matrix(self) -> DensityMatrix:
-        return mix(self.eigenstates(), self.spectrum)
+        return mix(self.eigenstates, self.spectrum)
 
 
 def construct(s: ModeStructure, tuples, spectrum, lu: LocalUnitarySet | None = None):

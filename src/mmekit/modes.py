@@ -13,6 +13,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+# Largest total dimension accepted from text input (parse_dims); the
+# dense linear algebra of `linalg` is sized for n <= 256.
+MAX_N = 256
+
 
 @dataclass(frozen=True)
 class ModeStructure:
@@ -91,6 +95,8 @@ def parse_dims(text: str) -> ModeStructure:
     """Parse a mode structure from text.
 
     Accepts "n1xn2x...xnN" (e.g. "2x2x3") and the qubit shorthand "2^N".
+    Total dimensions above MAX_N are refused: everything downstream is
+    dense, and some searches grow faster than n.
     """
     text = text.strip().lower()
     if not text:
@@ -105,12 +111,16 @@ def parse_dims(text: str) -> ModeStructure:
             raise ValueError("shorthand base^N is only supported for base 2")
         if c < 1:
             raise ValueError("2^N needs N >= 1")
-        return ModeStructure((2,) * c)
-    try:
-        dims = [int(part) for part in text.split("x")]
-    except ValueError:
-        raise ValueError(f"cannot parse mode structure {text!r}") from None
-    return ModeStructure(dims)
+        dims = [2] * min(c, MAX_N.bit_length())  # 2^c > MAX_N from here on
+    else:
+        try:
+            dims = [int(part) for part in text.split("x")]
+        except ValueError:
+            raise ValueError(f"cannot parse mode structure {text!r}") from None
+    s = ModeStructure(dims)
+    if s.n > MAX_N:
+        raise ValueError(f"{text} has total dimension above the limit n <= {MAX_N}")
+    return s
 
 
 def _check_level(s: ModeStructure, level: int) -> int:

@@ -16,21 +16,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby, islice
 
 import numpy as np
 
-from .entcore import ent_pure, lstar, mpsrp_purity
+from .entcore import ent_rows, lstar, mpsrp_purity
 from .linalg import (
     DensityMatrix,
     PureStateVector,
     _check_weights,
     basis_state,
     mix,
-    mode_reduction_of_pure,
+    mode_purities,
 )
 from .modes import ModeStructure
 
 P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
+# Member amplitudes (unitaries x D x n) per stacked block in min_avg_ent:
+# bounds the working set at 256 KiB of members however many are sampled.
+BLOCK_AMPLITUDES = 2**14
 
 
 @dataclass(frozen=True)
@@ -98,49 +102,47 @@ class DecompositionSample:
         return len(self.probabilities)
 
     def average_ent(self) -> float:
-        return float(
-            sum(
-                p * ent_pure(w)
-                for p, w in zip(self.probabilities, self.members)
-                if w is not None
-            )
-        )
+        kept = [(p, w.amplitudes) for p, w in zip(self.probabilities, self.members)
+                if w is not None]
+        probs, amps = zip(*kept)
+        return float(np.dot(probs, ent_rows(self.structure, np.array(amps))))
 
 
-def decompose(state: SpectralState, unitary: np.ndarray) -> DecompositionSample:
-    """Apply a D x D unitary to the eigen-ensemble, D >= rank.
+def _decompose(state: SpectralState, Us: np.ndarray):
+    """Apply a stack of G unitaries, each D x D with D >= rank, to the
+    eigen-ensemble: probabilities (G, D) and members (G, D, n).
 
     Only the first `rank` columns act; p_j uses the formula weights
     while each member is normalized by its true norm, so tiny unitarity
-    slack cannot leak into state validation.
+    slack cannot leak into the members.  Weights below P_FLOOR become 0
+    with an all-zero member.
     """
-    U = np.asarray(unitary, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValueError(f"unitary must be square, got shape {U.shape}")
-    D = U.shape[0]
-    R = state.rank
+    if Us.ndim != 3 or Us.shape[1] != Us.shape[2]:
+        raise ValueError(f"unitary must be square, got shape {Us.shape[1:]}")
+    D, R = Us.shape[1], state.rank
     if D < R:
         raise ValueError(f"D={D} is smaller than the rank {R}")
-    if not np.allclose(U.conj().T @ U, np.eye(D), atol=1e-10):
+    if not np.allclose(Us.conj().swapaxes(1, 2) @ Us, np.eye(D), atol=1e-10):
         raise ValueError("matrix is not unitary within 1e-10")
-
-    roots = np.sqrt(np.asarray(state.spectrum))
-    basis = np.column_stack([v.amplitudes for v in state.eigenstates])
     lam = np.asarray(state.spectrum)
+    basis = np.array([v.amplitudes for v in state.eigenstates])  # (R, n)
+    probs = np.abs(Us[:, :, :R]) ** 2 @ lam
+    raw = (Us[:, :, :R] * np.sqrt(lam)) @ basis
+    kept = probs >= P_FLOOR
+    norms = np.where(kept, np.linalg.norm(raw, axis=2), np.inf)
+    return np.where(kept, probs, 0.0), raw / norms[:, :, None]
 
-    probs = []
-    members: list[PureStateVector | None] = []
-    for j in range(D):
-        p = float(np.sum(np.abs(U[j, :R]) ** 2 * lam))
-        if p < P_FLOOR:
-            probs.append(0.0)
-            members.append(None)
-            continue
-        raw = basis @ (U[j, :R] * roots)
-        raw = raw / np.linalg.norm(raw)
-        probs.append(p)
-        members.append(PureStateVector(state.structure, raw))
-    return DecompositionSample(state.structure, U, tuple(probs), tuple(members))
+
+def decompose(state: SpectralState, unitary: np.ndarray) -> DecompositionSample:
+    """Apply one D x D unitary to the eigen-ensemble, D >= rank; members
+    with p_j < P_FLOOR keep their slot as None."""
+    U = np.asarray(unitary, dtype=complex)
+    probs, members = _decompose(state, U[None])
+    s = state.structure
+    return DecompositionSample(
+        s, U, tuple(float(p) for p in probs[0]),
+        tuple(PureStateVector(s, w) if p else None for p, w in zip(probs[0], members[0])),
+    )
 
 
 def u2(theta: float, chi: float) -> np.ndarray:
@@ -200,11 +202,7 @@ def as_spectral(state) -> tuple[SpectralState, str]:
     if isinstance(state, SpectralState):
         return state, ""
     if isinstance(state, MmeState):
-        return (
-            SpectralState(state.structure, state.spectrum,
-                          tuple(state.eigenstates())),
-            "",
-        )
+        return SpectralState(state.structure, state.spectrum, state.eigenstates), ""
     if isinstance(state, DensityMatrix):
         spec = spectral(state)
         note = ""
@@ -218,14 +216,14 @@ def as_spectral(state) -> tuple[SpectralState, str]:
 @dataclass(frozen=True)
 class EntEstimate:
     """min/argmin of the decomposition-averaged entanglement over the
-    sampled unitaries."""
+    sampled unitaries, with every sampled average in sampling order."""
 
     structure: ModeStructure
     strategy: str
     samples: int
     min_avg: float
     argmin: dict = field(default_factory=dict)
-    averages: tuple[float, ...] | None = None
+    averages: tuple[float, ...] = ()
     notes: str = ""
 
 
@@ -237,7 +235,6 @@ def min_avg_ent(
     Dmax: int | None = None,
     samples: int = 100,
     seed: int = 0,
-    keep_averages: bool = False,
 ) -> EntEstimate:
     """Minimize the decomposition-averaged entanglement over unitaries.
 
@@ -248,27 +245,16 @@ def min_avg_ent(
     strategy "random": Haar unitaries, `samples` per D from Dmin..Dmax
     (defaults: rank .. rank**2), streams keyed by (seed, D, i).
 
-    An MME candidate passes when min_avg stays at 1 within tolerance;
-    any lower value names the violating unitary in `argmin`.
+    The unitaries are evaluated in stacks of equal D holding at most
+    BLOCK_AMPLITUDES member amplitudes.  An MME candidate passes when
+    min_avg stays at 1 within tolerance; any lower value names the
+    violating unitary in `argmin`.
     """
     state, notes = as_spectral(state)
-    best = math.inf
-    argmin: dict = {}
-    avgs: list[float] = []
-    count = 0
-
     if strategy == "grid":
         if state.rank != 2:
             raise ValueError(f"grid strategy needs rank 2, got rank {state.rank}")
-        T, C = grid
-        for theta, chi, U in u2_grid(T, C):
-            avg = decompose(state, U).average_ent()
-            count += 1
-            if keep_averages:
-                avgs.append(avg)
-            if avg < best:
-                best = avg
-                argmin = {"theta": theta, "chi": chi}
+        points = (({"theta": theta, "chi": chi}, U) for theta, chi, U in u2_grid(*grid))
     elif strategy == "random":
         lo = state.rank if Dmin is None else int(Dmin)
         hi = state.rank**2 if Dmax is None else int(Dmax)
@@ -276,29 +262,28 @@ def min_avg_ent(
             raise ValueError(f"Dmin={lo} below rank {state.rank}")
         if hi < lo:
             raise ValueError(f"Dmax={hi} below Dmin={lo}")
-        for D in range(lo, hi + 1):
-            for i in range(samples):
-                rng = np.random.default_rng([seed, D, i])
-                U = haar_unitary(D, rng)
-                avg = decompose(state, U).average_ent()
-                count += 1
-                if keep_averages:
-                    avgs.append(avg)
-                if avg < best:
-                    best = avg
-                    argmin = {"D": D, "index": i, "seed": seed}
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        points = (
+            ({"D": D, "index": i, "seed": seed},
+             haar_unitary(D, np.random.default_rng([seed, D, i])))
+            for D in range(lo, hi + 1)
+            for i in range(samples)
+        )
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    return EntEstimate(
-        state.structure,
-        strategy,
-        count,
-        best,
-        argmin,
-        tuple(avgs) if keep_averages else None,
-        notes,
-    )
+    s = state.structure
+    labels: list[dict] = []
+    avgs: list[float] = []
+    for D, group in groupby(points, key=lambda point: len(point[1])):
+        while block := list(islice(group, max(1, BLOCK_AMPLITUDES // (D * s.n)))):
+            probs, members = _decompose(state, np.array([U for _, U in block]))
+            ents = ent_rows(s, members.reshape(-1, s.n)).reshape(probs.shape)
+            avgs += (probs * ents).sum(axis=1).tolist()
+            labels += [label for label, _ in block]
+    k = int(np.argmin(avgs))
+    return EntEstimate(s, strategy, len(avgs), avgs[k], labels[k], tuple(avgs), notes)
 
 
 @dataclass(frozen=True)
@@ -325,14 +310,8 @@ def reduction_purity_report(
     if L is None:
         L = lstar(s).min
     expected = tuple(mpsrp_purity(d, L) for d in s.dims)
-    worst = 0.0
-    for w in sample.members:
-        if w is None:
-            continue
-        for m in range(1, s.N + 1):
-            red = mode_reduction_of_pure(w, m)
-            p = float(np.vdot(red, red).real)
-            worst = max(worst, abs(p - expected[m - 1]))
+    kept = [w.amplitudes for w in sample.members if w is not None]
+    worst = float(np.abs(mode_purities(s, np.array(kept)) - expected).max())
     return PurityReport(s, L, expected, worst, worst <= tol)
 
 
@@ -349,9 +328,11 @@ def _two_level_state(a: int, b: int, sign: int) -> PureStateVector:
     return PureStateVector(s, amp)
 
 
-def comparison_family(kind: str, spectrum) -> DensityMatrix:
+def comparison_family_spectral(kind: str, spectrum) -> SpectralState:
     """Rank-2 four-qubit reference mixtures sharing a spectrum, for
-    side-by-side certification sweeps.
+    side-by-side certification sweeps, with their defining eigenbasis
+    attached, which keeps sampling well defined when the spectrum is
+    degenerate.
 
     kind "mme": equal superpositions on levels {1,16} and {4,13}, a
     compatible pair, so the mixture stays maximally entangled;
@@ -361,12 +342,6 @@ def comparison_family(kind: str, spectrum) -> DensityMatrix:
     but sharing one subspace, so some mixes lose all entanglement;
     kind "separable": the classical mixture of |1><1| and |16><16|.
     """
-    return comparison_family_spectral(kind, spectrum).matrix()
-
-
-def comparison_family_spectral(kind: str, spectrum) -> SpectralState:
-    """The same families with their defining eigenbasis attached, which
-    keeps sampling well defined when the spectrum is degenerate."""
     s = COMPARISON_STRUCTURE
     spectrum = tuple(float(w) for w in spectrum)
     if len(spectrum) != 2:

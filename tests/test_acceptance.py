@@ -126,7 +126,7 @@ def test_acceptance_figure_certificates() -> None:
         state, _ = construct(ModeStructure(dims), level_sets, (0.7, 0.3))
         spec, _ = as_spectral(state)
 
-        grid = min_avg_ent(spec, strategy="grid", keep_averages=True)
+        grid = min_avg_ent(spec, strategy="grid")
         grid_ok = grid.samples == 400 and all(
             abs(a - 1.0) <= 1e-9 for a in grid.averages
         )

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from mmekit.cli import main
+from mmekit.mme import construct
+from mmekit.modes import ModeStructure
 
 from reference_values import SMALL_SURVEY
 
@@ -34,6 +36,13 @@ def test_bad_dims_exit_code(capsys) -> None:
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    # above the n <= 256 limit: refused at once instead of searched
+    code, out, err = _run(capsys, ["tuples", "2^40"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "256" in err
+    code, out, _ = _run(capsys, ["lstar", "2^8"])
+    assert code == 0
+    assert json.loads(out)["dims"] == "2x2x2x2x2x2x2x2"
 
 
 def test_unsupported_structure_exit_code(capsys) -> None:
@@ -196,6 +205,15 @@ def test_non_finite_spectrum_exit_code(capsys, spectrum) -> None:
         assert "finite and positive" in err
 
 
+def _tampered_state() -> dict:
+    """A construct payload whose saved matrix no longer matches its spec."""
+    _, rho = construct(ModeStructure((2, 5)), [(1, 10), (2, 8)], (0.7, 0.3))
+    matrix = rho.to_json_dict()
+    matrix["re"][0][0] = 5.0
+    return {"dims": "2x5", "tuples": [[1, 10], [2, 8]], "spectrum": [0.7, 0.3],
+            "lu_seed": None, "matrix": matrix}
+
+
 @pytest.mark.parametrize(
     "saved",
     [
@@ -207,6 +225,8 @@ def test_non_finite_spectrum_exit_code(capsys, spectrum) -> None:
         {"dims": "2x5", "tuples": [[1, 10], [2, 8]], "spectrum": [0.7, 0.3],
          "lu_seed": "x"},
         [1, 2],
+        {"dims": "2x5", "tuples": [[1, 10], [2, 8]], "spectrum": [0.7, 0.3]},
+        _tampered_state(),
     ],
 )
 def test_verify_bad_state_file_exit_code(capsys, tmp_path, saved) -> None:

@@ -3,11 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mmekit.cli import _structures_upto
 from mmekit.linalg import (
     DensityMatrix,
     PureStateVector,
     basis_state,
     mix,
+    mode_purities,
     mode_reduction_of_pure,
     outer,
     partial_trace,
@@ -100,6 +102,17 @@ def test_mode_reduction_of_pure_matches_partial_trace() -> None:
             assert np.allclose(red, want, atol=1e-13, rtol=0.0)
     with pytest.raises(ValueError):
         mode_reduction_of_pure(v, 4)
+
+
+def test_mode_purities_match_partial_trace() -> None:
+    rng = np.random.default_rng(11)
+    for s in _structures_upto(36):
+        states = [_random_pure(rng, s) for _ in range(3)]
+        got = mode_purities(s, np.array([v.amplitudes for v in states]))
+        assert got.shape == (3, s.N)
+        for row, v in zip(got, states):
+            want = [purity(partial_trace(outer(v), (m,))) for m in range(1, s.N + 1)]
+            assert np.allclose(row, want, atol=1e-13, rtol=0.0), s.dims
 
 
 def test_pure_state_validation() -> None:

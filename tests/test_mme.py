@@ -230,7 +230,7 @@ def test_construct_two_by_five() -> None:
     # cross entry of the 0.7 branch: 0.7 * (1/sqrt2)^2 between levels 1 and 10
     assert rho.entries[0, 9] == pytest.approx(0.35, abs=1e-12)
     assert rho.entries.shape == (10, 10)
-    assert len(state.eigenstates()) == 2
+    assert len(state.eigenstates) == 2
 
 
 def test_construct_spectrum_validation() -> None:

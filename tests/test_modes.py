@@ -43,9 +43,12 @@ def test_parse_dims_forms() -> None:
     assert parse_dims(" 2X5 ").dims == (2, 5)
     assert parse_dims("2^5").dims == (2, 2, 2, 2, 2)
     assert parse_dims("7").dims == (7,)
+    assert parse_dims("2^8").n == parse_dims("16x16").n == 256
 
 
-@pytest.mark.parametrize("text", ["", "2x", "ax3", "3^2", "2^0", "2xx3", "2,3"])
+@pytest.mark.parametrize(
+    "text", ["", "2x", "ax3", "3^2", "2^0", "2xx3", "2,3", "2^9", "2^40", "16x17"]
+)
 def test_parse_dims_rejects_junk(text: str) -> None:
     with pytest.raises(ValueError):
         parse_dims(text)

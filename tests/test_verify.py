@@ -8,12 +8,12 @@ import pytest
 from mmekit.entcore import ent_pure
 from mmekit.linalg import DensityMatrix, PureStateVector, basis_state, mix, outer
 from mmekit.mme import construct
+from mmekit import verify
 from mmekit.modes import ModeStructure, parse_dims
 from mmekit.verify import (
     COMPARISON_KINDS,
     SpectralState,
     as_spectral,
-    comparison_family,
     comparison_family_spectral,
     decompose,
     haar_unitary,
@@ -25,7 +25,11 @@ from mmekit.verify import (
     u2_grid,
 )
 
-from reference_values import CERTIFICATE_STATES, SPACEWISE_GRID_MIN_BALANCED
+from reference_values import (
+    CERTIFICATE_STATES,
+    EXAMPLE_SETS,
+    SPACEWISE_GRID_MIN_BALANCED,
+)
 
 
 def _certificate(dims: tuple[int, ...]) -> SpectralState:
@@ -204,12 +208,53 @@ def test_as_spectral_paths() -> None:
 
 def test_grid_certificate_holds_for_published_states() -> None:
     for dims in CERTIFICATE_STATES:
-        est = min_avg_ent(_certificate(dims), strategy="grid", keep_averages=True)
+        est = min_avg_ent(_certificate(dims), strategy="grid")
         assert est.samples == 400
         assert est.min_avg >= 1 - 1e-9
         assert set(est.argmin) == {"theta", "chi"}
         assert len(est.averages) == 400
         assert min(est.averages) == est.min_avg
+
+
+def _assert_matches_per_unitary_loop(est, spec, points, argmin_unitary) -> None:
+    """Batched min_avg_ent against one decompose(...).average_ent() per
+    unitary: every average, the sample count and the argmin point."""
+    loop = [decompose(spec, U).average_ent() for U in points]
+    assert est.samples == len(loop) == len(est.averages)
+    assert np.abs(np.array(est.averages) - loop).max() <= 1e-12
+    worst = decompose(spec, argmin_unitary(est.argmin)).average_ent()
+    assert abs(worst - est.min_avg) <= 1e-12
+
+
+def test_batched_grid_matches_per_unitary_loop() -> None:
+    for kind in COMPARISON_KINDS:
+        for lam1 in (0.5, 0.7):
+            spec = comparison_family_spectral(kind, (lam1, 1 - lam1))
+            est = min_avg_ent(spec, strategy="grid", grid=(20, 20))
+            points = [U for _, _, U in u2_grid(20, 20)]
+            _assert_matches_per_unitary_loop(
+                est, spec, points, lambda a: u2(a["theta"], a["chi"])
+            )
+
+
+@pytest.mark.parametrize("block", [verify.BLOCK_AMPLITUDES, 150])
+def test_batched_random_matches_per_unitary_loop(monkeypatch, block) -> None:
+    # 150 amplitudes split D = 4 into stacks of two and leave D = 5, 6
+    # one unitary per stack
+    monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", block)
+    s = ModeStructure((2, 2, 2, 2))
+    state, _ = construct(s, EXAMPLE_SETS[s.dims], (0.4, 0.3, 0.2, 0.1),
+                         random_lu_set(s, 3))
+    spec, _ = as_spectral(state)
+    est = min_avg_ent(spec, strategy="random", Dmin=4, Dmax=6, samples=10, seed=5)
+
+    def haar(D, i):
+        return haar_unitary(D, np.random.default_rng([5, D, i]))
+
+    points = [haar(D, i) for D in (4, 5, 6) for i in range(10)]
+    _assert_matches_per_unitary_loop(
+        est, spec, points, lambda a: haar(a["D"], a["index"])
+    )
 
 
 def test_grid_strategy_needs_rank_two() -> None:
@@ -229,15 +274,17 @@ def test_random_strategy_defaults_and_validation() -> None:
         min_avg_ent(spec, strategy="random", Dmin=1)
     with pytest.raises(ValueError):
         min_avg_ent(spec, strategy="random", Dmin=3, Dmax=2)
+    with pytest.raises(ValueError, match="samples"):
+        min_avg_ent(spec, strategy="random", samples=0)
     with pytest.raises(ValueError):
         min_avg_ent(spec, strategy="annealed")
 
 
 def test_comparison_family_validation() -> None:
     with pytest.raises(ValueError):
-        comparison_family("ghz", (0.5, 0.5))
+        comparison_family_spectral("ghz", (0.5, 0.5)).matrix()
     with pytest.raises(ValueError):
-        comparison_family("mme", (0.5, 0.3, 0.2))
+        comparison_family_spectral("mme", (0.5, 0.3, 0.2)).matrix()
     assert set(COMPARISON_KINDS) == {
         "mme",
         "e_spacewise",
@@ -249,7 +296,7 @@ def test_comparison_family_validation() -> None:
 def test_comparison_mme_matches_construct() -> None:
     s = ModeStructure((2, 2, 2, 2))
     _, rho = construct(s, [(1, 16), (4, 13)], (0.7, 0.3))
-    fam = comparison_family("mme", (0.7, 0.3))
+    fam = comparison_family_spectral("mme", (0.7, 0.3)).matrix()
     assert np.allclose(fam.entries, rho.entries, atol=1e-14)
 
 

@@ -13,7 +13,8 @@ Subcommands:
 All output is deterministic for a fixed argument list (seeds included),
 so identical invocations are byte-identical.  Exit codes: 0 success,
 2 argument/validation error, 3 inconclusive search (budget exhausted),
-4 internal invariant violation.
+4 internal error (any unexpected exception, reported without a
+traceback).
 """
 
 from __future__ import annotations
@@ -444,6 +445,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug, not bad input: name it, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

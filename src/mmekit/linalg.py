@@ -39,7 +39,7 @@ class PureStateVector:
                 f"expected {structure.n} amplitudes for {structure}, got {amps.shape}"
             )
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:  # also refuses nan and inf
             raise ValueError(f"state not normalized: |psi|^2 = {norm2!r}")
         self.structure = structure
         self.amplitudes = amps

@@ -219,7 +219,7 @@ class LocalUnitarySet:
                 raise ValueError("matrix is not unitary within 1e-10")
         self.unitaries = tuple(mats)
 
-    def full_matrix(self, s: ModeStructure) -> np.ndarray:
+    def _check_structure(self, s: ModeStructure) -> None:
         if len(self.unitaries) != s.N:
             raise ValueError(
                 f"{len(self.unitaries)} unitaries for {s.N} modes"
@@ -229,21 +229,36 @@ class LocalUnitarySet:
                 raise ValueError(
                     f"unitary of size {u.shape[0]} does not match mode dimension {d}"
                 )
+
+    def full_matrix(self, s: ModeStructure) -> np.ndarray:
+        self._check_structure(s)
         full = np.eye(1, dtype=complex)
         for u in self.unitaries:
             full = np.kron(full, u)
         return full
 
 
+def _apply_per_axis(mats, t: np.ndarray) -> np.ndarray:
+    """Contract mats[k] into axis k of t, one tensordot per axis."""
+    for k, u in enumerate(mats):
+        t = np.moveaxis(np.tensordot(u, t, axes=(1, k)), 0, k)
+    return t
+
+
 def apply_lu(state, lus: LocalUnitarySet):
     """Apply a tensor product of per-mode unitaries to a pure state or a
     density matrix; returns the same kind.  Norm and trace (and the ent)
-    are preserved."""
+    are preserved.  Works mode by mode on the (n_1, ..., n_N) tensor, so
+    the n x n product `full_matrix` is never formed."""
+    if not isinstance(state, (PureStateVector, DensityMatrix)):
+        raise TypeError(f"cannot apply local unitaries to {type(state).__name__}")
+    s = state.structure
+    lus._check_structure(s)
+    us = lus.unitaries
     if isinstance(state, PureStateVector):
-        full = lus.full_matrix(state.structure)
-        return PureStateVector(state.structure, full @ state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        full = lus.full_matrix(state.structure)
-        out = full @ state.entries @ full.conj().T
-        return DensityMatrix(state.structure, out, validate=False)
-    raise TypeError(f"cannot apply local unitaries to {type(state).__name__}")
+        out = _apply_per_axis(us, state.amplitudes.reshape(s.dims))
+        return PureStateVector(s, out.reshape(s.n))
+    # rho -> F rho F^dagger: U_m on row axis m, conj(U_m) on column axis m
+    mats = us + tuple(u.conj() for u in us)
+    out = _apply_per_axis(mats, state.entries.reshape(s.dims + s.dims))
+    return DensityMatrix(s, out.reshape(s.n, s.n), validate=False)

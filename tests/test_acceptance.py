@@ -104,6 +104,22 @@ def test_acceptance_qubit_ladder() -> None:
     _report("qubit ladder 2^2..2^7", ok, ", ".join(details))
 
 
+def test_acceptance_qubit_2_7_exhaustive() -> None:
+    # the published 2^7 rank is a greedy lower bound; the colouring-bounded
+    # clique search proves it maximal in a few thousand nodes
+    report = max_mme_rank(ModeStructure((2,) * 7), search="exhaustive")
+    bnb_nodes = report.nodes - report.tuple_count
+    ok = report.status == "complete" and report.exhaustive
+    ok = ok and report.R_MME == QUBIT_SURVEY[7][1] and compatible(report.witness)
+    ok = ok and bnb_nodes < 20_000
+    _report(
+        "qubit 2^7 exhaustive",
+        ok,
+        f"R={report.R_MME} ({report.status}) over {report.tuple_count} tuples "
+        f"in {bnb_nodes} search nodes",
+    )
+
+
 def test_acceptance_published_eigen_tuple_sets() -> None:
     checked = 0
     ok = True

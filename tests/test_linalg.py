@@ -121,6 +121,9 @@ def test_pure_state_validation() -> None:
         PureStateVector(s, [1.0, 1.0, 0.0, 0.0])  # not normalized
     with pytest.raises(ValueError):
         PureStateVector(s, [1.0, 0.0])  # wrong length
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            PureStateVector(s, [bad, 0.0, 0.0, 0.0])
     v = PureStateVector(s, [0.0, 1.0, 0.0, 0.0])
     assert v.amplitude(2) == 1.0 + 0.0j
     w = basis_state(s, 3)

@@ -11,7 +11,11 @@ from mmekit.entcore import lstar
 from mmekit.linalg import partial_trace_matrix
 from mmekit.mme import (
     _adjacency,
+    _Budget,
+    _BudgetExhausted,
+    _greedy_clique,
     _level_bits,
+    _max_clique_size,
     compatible,
     construct,
     loose_bound,
@@ -162,6 +166,75 @@ def test_tiny_budget_reports_inconclusive() -> None:
     assert report.status == "inconclusive"
     assert not report.exhaustive
     assert report.R_MME >= 1
+
+
+def _random_graph(rng, K: int, density: float) -> list[int]:
+    adj = [0] * K
+    for i, j in itertools.combinations(range(K), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+def _brute_force_clique_number(adj: list[int]) -> int:
+    # is_clique[mask] over all 2^K vertex subsets, lowest vertex peeled off
+    K = len(adj)
+    is_clique = [True] * (1 << K)
+    best = 0
+    for mask in range(1, 1 << K):
+        low = mask & -mask
+        rest = mask ^ low
+        v = low.bit_length() - 1
+        is_clique[mask] = is_clique[rest] and rest & ~adj[v] == 0
+        if is_clique[mask]:
+            best = max(best, bin(mask).count("1"))
+    return best
+
+
+def _is_clique(adj: list[int], clique: list[int]) -> bool:
+    return len(set(clique)) == len(clique) and all(
+        adj[a] >> b & 1 for a, b in itertools.combinations(clique, 2)
+    )
+
+
+CLIQUE_GRAPHS = [
+    (K, density, seed)
+    for seed, (K, density) in enumerate(
+        itertools.product((1, 6, 11, 16), (0.2, 0.5, 0.7, 0.9))
+    )
+]
+
+
+@pytest.mark.parametrize("K,density,seed", CLIQUE_GRAPHS)
+def test_max_clique_matches_brute_force(K, density, seed) -> None:
+    adj = _random_graph(np.random.default_rng(seed), K, density)
+    omega = _brute_force_clique_number(adj)
+
+    # no incumbent, an upper bound the search cannot reach
+    size, clique = _max_clique_size(adj, K, [], K + 1, _Budget(None))
+    assert size == len(clique) == omega and _is_clique(adj, clique)
+
+    # a greedy incumbent
+    lower = _greedy_clique(adj, range(K))
+    size, clique = _max_clique_size(adj, K, lower, K + 1, _Budget(None))
+    assert size == len(clique) == omega and _is_clique(adj, clique)
+
+    # an upper bound at or below omega stops the search once it is attained
+    for upper in {max(omega - 1, 1), omega}:
+        size, clique = _max_clique_size(adj, K, [], upper, _Budget(None))
+        assert upper <= size == len(clique) <= omega and _is_clique(adj, clique)
+
+    # an incumbent already at the upper bound spends no nodes
+    budget = _Budget(None)
+    assert _max_clique_size(adj, K, lower, len(lower), budget) == (len(lower), lower)
+    assert budget.used == 0
+
+
+def test_max_clique_budget_exhaustion() -> None:
+    adj = _random_graph(np.random.default_rng(3), 16, 0.5)
+    with pytest.raises(_BudgetExhausted):
+        _max_clique_size(adj, 16, [], 17, _Budget(2))
 
 
 def _extra_tuples(dims: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -8,7 +8,14 @@ import pytest
 
 from mmekit.cli import _structures_upto
 from mmekit.entcore import ent_pure, hyperspherical, lstar
-from mmekit.linalg import DensityMatrix, PureStateVector, basis_state, outer, purity
+from mmekit.linalg import (
+    DensityMatrix,
+    PureStateVector,
+    basis_state,
+    mix,
+    outer,
+    purity,
+)
 from mmekit.modes import ModeStructure
 from mmekit.tgx import (
     LocalUnitarySet,
@@ -192,6 +199,25 @@ def test_apply_lu_preserves_ent() -> None:
             assert ent_pure(apply_lu(v, lus)) == pytest.approx(
                 ent_pure(v), abs=1e-12
             )
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2), (3, 3, 3)])
+def test_apply_lu_matches_full_matrix(dims) -> None:
+    s = ModeStructure(dims)
+    rng = np.random.default_rng(len(dims))
+    lus = random_lu_set(s, 11)
+    full = lus.full_matrix(s)
+    raw = rng.standard_normal(s.n) + 1j * rng.standard_normal(s.n)
+    v = PureStateVector(s, raw / np.linalg.norm(raw))
+    moved = apply_lu(v, lus)
+    assert np.abs(moved.amplitudes - full @ v.amplitudes).max() < 1e-12
+    rho = mix([v, build_tgx_state(enumerate_me_tuples(s, lstar(s).min)[0])], (0.3, 0.7))
+    moved_rho = apply_lu(rho, lus)
+    want = full @ rho.entries @ full.conj().T
+    assert np.abs(moved_rho.entries - want).max() < 1e-12
+    bad = LocalUnitarySet(lus.unitaries[:-1])
+    with pytest.raises(ValueError, match="unitaries for"):
+        apply_lu(v, bad)
 
 
 def test_apply_lu_density_matrix_and_type_error() -> None:

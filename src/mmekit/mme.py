@@ -224,13 +224,15 @@ class _UpperReached(Exception):
 
 
 def _lex_min_clique(adj, K, size, budget):
-    """Lexicographically first clique of a given size, by ascending DFS."""
+    """Lexicographically first clique of a given size, by ascending DFS;
+    a node is pruned when the clique so far plus the number of colours
+    of its candidate set (`_colour_classes`) falls short of `size`."""
     cur: list[int] = []
 
     def dfs(cand: int):
         if len(cur) == size:
             return list(cur)
-        if len(cur) + bin(cand).count("1") < size:
+        if not cand or len(cur) + _colour_classes(adj, cand)[-1][1] < size:
             return None
         c = cand
         while c:

@@ -4,18 +4,21 @@ An ME TGX tuple is a set of L scalar levels whose equal phaseless
 superposition is maximally full-N-partite entangled.  Enumeration is a
 pruned depth-first search over the structure's level table: at L in L*
 its survivors are exactly the ME tuples, and each one is certified once,
-numerically through the ent itself, when its MeTgxTuple is built.
+numerically through the ent itself: in blocks by enumerate_me_tuples,
+or when its MeTgxTuple is built.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 import numpy as np
 
-from .entcore import ent_pure, lstar
-from .linalg import DensityMatrix, PureStateVector
+from .entcore import ent_rows, lstar
+from .linalg import BLOCK_AMPLITUDES, DensityMatrix, PureStateVector
 from .modes import ModeStructure, _level_table
 
 # A state is accepted as ME when its ent is within this of 1.  Equal
@@ -34,19 +37,13 @@ def _check_levels(s: ModeStructure, levels) -> tuple[int, ...]:
     return tuple(sorted(levels))
 
 
-def _equal_superposition(s: ModeStructure, levels) -> PureStateVector:
-    amps = np.zeros(s.n, dtype=complex)
-    amps[[lvl - 1 for lvl in levels]] = 1.0 / np.sqrt(len(levels))
-    return PureStateVector(s, amps)
-
-
 def is_me_tuple(s: ModeStructure, levels) -> bool:
     """Whether the equal phaseless superposition of `levels` is maximally
     entangled (ent equal to 1 within 1e-10)."""
     levels = _check_levels(s, levels)
     if len(levels) < 2:
         return False
-    return ent_pure(_equal_superposition(s, levels)) >= 1.0 - ME_TOL
+    return _me_flags(s, [levels])[0]
 
 
 @dataclass(frozen=True)
@@ -64,6 +61,15 @@ class MeTgxTuple:
             raise ValueError(f"{levels} is not an ME TGX tuple of {structure}")
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "levels", levels)
+
+    @classmethod
+    def _certified(cls, structure: ModeStructure, levels: tuple[int, ...]):
+        """An instance from ascending in-range levels that the caller has
+        already certified; skips the check in __init__."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "structure", structure)
+        object.__setattr__(t, "levels", levels)
+        return t
 
     @property
     def L(self) -> int:
@@ -98,66 +104,90 @@ def _me_level_sets(s: ModeStructure, L: int):
 
     Survivors at depth L are balanced with all-diagonal reductions, so
     the two conditions are also sufficient at L in L*.
+
+    The search runs on int bitsets over levels (bit lvl for level lvl).
+    Each node carries its candidates: the later levels still admissible
+    under both conditions.  Placing a level drops its one-flip
+    neighbours and every label that became full: a label at lo+1 and,
+    once mod(L, n_m) labels of mode m sit at lo+1, every label at lo,
+    where lo = floor(L/n_m).  A node with fewer candidates than levels
+    still needed is abandoned.  No per-mode room bound is needed: each
+    admissible placement lowers a mode's remaining room by exactly one,
+    so it always equals the levels still needed.  The rank search's
+    streamed lex-greedy cap relies on the yield order.
     """
     dims = s.dims
     N, n = s.N, s.n
     lo = [L // d for d in dims]
     extra = [L % d for d in dims]  # how many labels may sit at lo+1
     vecs = _level_table(s)[0]
+    # label_bits[m][a]: the levels whose mode-m label is a
+    label_bits = [[0] * (d + 1) for d in dims]
+    for lvl in range(1, n + 1):
+        for m, a in enumerate(vecs[lvl]):
+            label_bits[m][a] |= 1 << lvl
+    # flips[lvl]: the levels that differ from lvl in exactly one mode
+    flips = [0]
+    for lvl in range(1, n + 1):
+        rows = [label_bits[m][a] for m, a in enumerate(vecs[lvl])]
+        line = 0
+        for m in range(N):
+            line |= reduce(and_, rows[:m] + rows[m + 1:], -1)
+        flips.append(line & ~(1 << lvl))
     counts = [[0] * (d + 1) for d in dims]
     at_hi = [0] * N
     chosen: list[int] = []
 
-    def room(m: int) -> int:
-        # largest number of further levels mode m can absorb
-        lom = lo[m]
-        free = sum(max(0, lom - c) for c in counts[m][1:])
-        return free + (extra[m] - at_hi[m])
-
-    def admissible(lvl: int) -> bool:
-        v = vecs[lvl]
-        for m in range(N):
-            c = counts[m][v[m]] + 1
-            cap = lo[m] + (1 if extra[m] else 0)
-            if c > cap:
-                return False
-            if c == lo[m] + 1 and at_hi[m] + 1 > extra[m]:
-                return False
-        for other in chosen:
-            w = vecs[other]
-            diff = sum(1 for m in range(N) if v[m] != w[m])
-            if diff == 1:
-                return False
-        return True
-
-    def place(lvl: int, sign: int) -> None:
-        v = vecs[lvl]
-        for m in range(N):
-            if sign > 0:
-                counts[m][v[m]] += 1
-                if counts[m][v[m]] == lo[m] + 1:
-                    at_hi[m] += 1
-            else:
-                if counts[m][v[m]] == lo[m] + 1:
-                    at_hi[m] -= 1
-                counts[m][v[m]] -= 1
-
-    def dfs(start: int):
-        need = L - len(chosen)
-        if need == 0:
-            yield tuple(chosen)
-            return
-        for lvl in range(start, n - need + 2):
-            if not admissible(lvl):
+    def dfs(cand: int, need: int):
+        left = cand.bit_count()
+        while left >= need:
+            bit = cand & -cand
+            cand ^= bit
+            left -= 1
+            lvl = bit.bit_length() - 1
+            if need == 1:
+                yield (*chosen, lvl)
                 continue
-            place(lvl, +1)
+            sub = cand & ~flips[lvl]
+            for m, a in enumerate(vecs[lvl]):
+                cm = counts[m]
+                cm[a] += 1
+                if cm[a] > lo[m]:
+                    at_hi[m] += 1
+                    sub &= ~label_bits[m][a]
+                    if at_hi[m] == extra[m]:
+                        for b in range(1, len(cm)):
+                            if cm[b] == lo[m]:
+                                sub &= ~label_bits[m][b]
+                elif cm[a] == lo[m] and at_hi[m] == extra[m]:
+                    sub &= ~label_bits[m][a]
             chosen.append(lvl)
-            if all(room(m) >= L - len(chosen) for m in range(N)):
-                yield from dfs(lvl + 1)
+            yield from dfs(sub, need - 1)
             chosen.pop()
-            place(lvl, -1)
+            for m, a in enumerate(vecs[lvl]):
+                if counts[m][a] > lo[m]:
+                    at_hi[m] -= 1
+                counts[m][a] -= 1
 
-    yield from dfs(1)
+    yield from dfs((1 << (n + 1)) - 2, L)
+
+
+def _me_flags(s: ModeStructure, level_sets) -> list[bool]:
+    """Whether the equal phaseless superposition of each level set (all
+    of one size, at least 2) is maximally entangled: ent within ME_TOL
+    of 1.  Rows go through `ent_rows` in blocks of at most
+    BLOCK_AMPLITUDES amplitudes."""
+    if not level_sets:
+        return []
+    idx = np.asarray(level_sets, dtype=np.intp) - 1
+    rows = max(1, BLOCK_AMPLITUDES // s.n)
+    flags: list[bool] = []
+    for i in range(0, len(idx), rows):
+        block = idx[i:i + rows]
+        amps = np.zeros((len(block), s.n), dtype=complex)
+        amps[np.arange(len(block))[:, None], block] = 1.0 / np.sqrt(idx.shape[1])
+        flags.extend((ent_rows(s, amps) >= 1.0 - ME_TOL).tolist())
+    return flags
 
 
 def enumerate_me_tuples(s: ModeStructure, L: int) -> list[MeTgxTuple]:
@@ -165,7 +195,9 @@ def enumerate_me_tuples(s: ModeStructure, L: int) -> list[MeTgxTuple]:
 
     L must lie in 2..n/n_max.  Values outside L* are permitted for
     exploration but warned about; no tuple is ME there, so the result is
-    empty.  Each tuple is certified once, by MeTgxTuple.
+    empty.  The search survivors are certified once each, numerically
+    and in blocks (`_me_flags`); a survivor that is not ME raises
+    ValueError.
     """
     L = int(L)
     if not 2 <= L <= s.n_over_max:
@@ -176,7 +208,11 @@ def enumerate_me_tuples(s: ModeStructure, L: int) -> list[MeTgxTuple]:
             stacklevel=2,
         )
         return []
-    return [MeTgxTuple(s, levels) for levels in _me_level_sets(s, L)]
+    level_sets = list(_me_level_sets(s, L))
+    for levels, ok in zip(level_sets, _me_flags(s, level_sets)):
+        if not ok:
+            raise ValueError(f"{levels} is not an ME TGX tuple of {s}")
+    return [MeTgxTuple._certified(s, levels) for levels in level_sets]
 
 
 def build_tgx_state(t: MeTgxTuple, amplitudes=None, phases=None) -> PureStateVector:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .entcore import ent_rows, lstar, mpsrp_purity
 from .linalg import (
+    BLOCK_AMPLITUDES,
     DensityMatrix,
     PureStateVector,
     _check_weights,
@@ -32,9 +33,6 @@ from .linalg import (
 from .modes import ModeStructure
 
 P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
-# Member amplitudes (unitaries x D x n) per stacked block in min_avg_ent:
-# bounds the working set at 256 KiB of members however many are sampled.
-BLOCK_AMPLITUDES = 2**14
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ from mmekit.linalg import (
     partial_trace_matrix,
     purity,
 )
+from mmekit.mme import construct, max_mme_rank
 from mmekit.modes import ModeStructure
+from mmekit.verify import random_lu_set
 
 _LETTERS = "abcdefghijklmnopqrstuvwx"
 
@@ -186,6 +188,22 @@ def test_mix_spectrum_of_orthonormal_states() -> None:
     assert evals[0] == pytest.approx(0.7, abs=1e-14)
     assert evals[1] == pytest.approx(0.3, abs=1e-14)
     assert purity(rho) == pytest.approx(0.7**2 + 0.3**2, abs=1e-14)
+
+
+@pytest.mark.parametrize("dims,lu_seed", [((4, 4, 4, 4), 7), ((2, 2, 2, 2), None)])
+def test_mix_matches_outer_product_sum(dims, lu_seed) -> None:
+    s = ModeStructure(dims)
+    state = max_mme_rank(s).witness
+    lu = None if lu_seed is None else random_lu_set(s, lu_seed)
+    weights = np.arange(1.0, len(state) + 1)
+    weights /= weights.sum()
+    mme_state, rho = construct(s, state, weights, lu)
+    want = sum(
+        w * np.outer(v.amplitudes, v.amplitudes.conj())
+        for v, w in zip(mme_state.eigenstates, weights)
+    )
+    assert len(state) > 1
+    assert np.abs(rho.entries - want).max() < 1e-14
 
 
 def test_mix_validation() -> None:

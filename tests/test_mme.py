@@ -15,6 +15,7 @@ from mmekit.mme import (
     _BudgetExhausted,
     _greedy_clique,
     _level_bits,
+    _lex_min_clique,
     _max_clique_size,
     compatible,
     construct,
@@ -229,6 +230,18 @@ def test_max_clique_matches_brute_force(K, density, seed) -> None:
     budget = _Budget(None)
     assert _max_clique_size(adj, K, lower, len(lower), budget) == (len(lower), lower)
     assert budget.used == 0
+
+
+@pytest.mark.parametrize("K,density,seed", CLIQUE_GRAPHS)
+def test_lex_min_clique_matches_brute_force(K, density, seed) -> None:
+    adj = _random_graph(np.random.default_rng(seed), K, density)
+    omega = _brute_force_clique_number(adj)
+    for size in range(1, omega + 2):
+        want = next(
+            (list(c) for c in itertools.combinations(range(K), size) if _is_clique(adj, list(c))),
+            None,
+        )
+        assert _lex_min_clique(adj, K, size, _Budget(None)) == want, size
 
 
 def test_max_clique_budget_exhaustion() -> None:

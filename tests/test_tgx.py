@@ -16,7 +16,8 @@ from mmekit.linalg import (
     outer,
     purity,
 )
-from mmekit.modes import ModeStructure
+from mmekit import tgx
+from mmekit.modes import ModeStructure, _level_table, parse_dims
 from mmekit.tgx import (
     LocalUnitarySet,
     MeTgxTuple,
@@ -90,6 +91,105 @@ def test_level_set_survivors_are_me_exactly_on_lstar() -> None:
                     assert not is_me_tuple(s, levels), (s.dims, L, levels)
                     off_lstar += 1
     assert off_lstar > 0
+
+
+def _scalar_level_sets(s: ModeStructure, L: int):
+    """Reference enumeration: the scalar depth-first search the bitset
+    search replaced, with per-candidate admissibility and room checks."""
+    dims = s.dims
+    N, n = s.N, s.n
+    lo = [L // d for d in dims]
+    extra = [L % d for d in dims]
+    vecs = _level_table(s)[0]
+    counts = [[0] * (d + 1) for d in dims]
+    at_hi = [0] * N
+    chosen: list[int] = []
+
+    def room(m: int) -> int:
+        free = sum(max(0, lo[m] - c) for c in counts[m][1:])
+        return free + (extra[m] - at_hi[m])
+
+    def admissible(lvl: int) -> bool:
+        v = vecs[lvl]
+        for m in range(N):
+            c = counts[m][v[m]] + 1
+            if c > lo[m] + (1 if extra[m] else 0):
+                return False
+            if c == lo[m] + 1 and at_hi[m] + 1 > extra[m]:
+                return False
+        for other in chosen:
+            if sum(1 for m in range(N) if v[m] != vecs[other][m]) == 1:
+                return False
+        return True
+
+    def place(lvl: int, sign: int) -> None:
+        for m, a in enumerate(vecs[lvl]):
+            if sign > 0:
+                counts[m][a] += 1
+                if counts[m][a] == lo[m] + 1:
+                    at_hi[m] += 1
+            else:
+                if counts[m][a] == lo[m] + 1:
+                    at_hi[m] -= 1
+                counts[m][a] -= 1
+
+    def dfs(start: int):
+        need = L - len(chosen)
+        if need == 0:
+            yield tuple(chosen)
+            return
+        for lvl in range(start, n - need + 2):
+            if not admissible(lvl):
+                continue
+            place(lvl, +1)
+            chosen.append(lvl)
+            if all(room(m) >= L - len(chosen) for m in range(N)):
+                yield from dfs(lvl + 1)
+            chosen.pop()
+            place(lvl, -1)
+
+    yield from dfs(1)
+
+
+# Every structure with n <= 36 at every L in 2..n/n_max, on and off L*,
+# where the scalar reference stays cheap (C(n, L) <= 2e5 candidate
+# sets), plus three large structures at min L*.
+ORACLE_CASES = [
+    (str(s), L)
+    for s in _structures_upto(36)
+    for L in range(2, s.n_over_max + 1)
+    if math.comb(s.n, L) <= 200_000
+] + [("2^7", 2), ("3x3x3x3", 3), ("4x4x4x4", 4)]
+
+
+@pytest.mark.parametrize("dims,L", ORACLE_CASES)
+def test_level_sets_match_scalar_reference(dims, L) -> None:
+    s = parse_dims(dims)
+    assert list(_me_level_sets(s, L)) == list(_scalar_level_sets(s, L))
+
+
+def test_enumeration_is_certified_tuples() -> None:
+    s = ModeStructure((2, 2, 3, 3))
+    got = enumerate_me_tuples(s, 6)
+    want = [MeTgxTuple(s, levels) for levels in _me_level_sets(s, 6)]
+    assert got == want and len(got) == 1440
+
+
+def test_enumeration_certifies_in_blocks(monkeypatch) -> None:
+    s = ModeStructure((2, 2, 3, 3))
+    whole = enumerate_me_tuples(s, 6)
+    monkeypatch.setattr(tgx, "BLOCK_AMPLITUDES", 5 * s.n + 1)  # 5 rows per block
+    assert enumerate_me_tuples(s, 6) == whole
+    level_sets = [t.levels for t in whole[:7]] + [(1, 2, 3, 4, 5, 6)]
+    assert tgx._me_flags(s, level_sets) == [True] * 7 + [False]
+
+
+def test_enumeration_refuses_a_survivor_that_is_not_me(monkeypatch) -> None:
+    s = ModeStructure((2, 2, 3, 3))
+    good = next(_me_level_sets(s, 6))
+    monkeypatch.setattr(tgx, "_me_level_sets", lambda s, L: iter([good, (1, 2, 3, 4, 5, 6)]))
+    with pytest.raises(ValueError, match="not an ME TGX tuple"):
+        enumerate_me_tuples(s, 6)
 
 
 def test_enumeration_counts_pinned() -> None:

@@ -63,7 +63,6 @@ from .verify import (
     reduction_purity_report,
     spectral,
     u2,
-    u2_grid,
 )
 
 __version__ = "0.1.0"
@@ -113,7 +112,6 @@ __all__ = [
     "scalar_to_vector",
     "spectral",
     "u2",
-    "u2_grid",
     "validate_example_set",
     "vector_to_scalar",
 ]

@@ -114,9 +114,9 @@ def _structures_upto(max_n: int):
 def _rank_row(s: ModeStructure, args) -> dict:
     report = max_mme_rank(
         s,
-        search=getattr(args, "search", "auto"),
-        budget_nodes=getattr(args, "budget_nodes", None),
-        seed=getattr(args, "seed", 0),
+        search=args.search,
+        budget_nodes=args.budget_nodes,
+        seed=args.seed,
     )
     return {
         "n": s.n,

@@ -122,7 +122,7 @@ class _Budget:
 
 
 class _BudgetExhausted(Exception):
-    pass
+    incumbent: list[int] = []  # set by _max_clique_size to its best clique
 
 
 def _greedy_clique(adj, order) -> list[int]:
@@ -140,17 +140,10 @@ def _greedy_clique(adj, order) -> list[int]:
 
 def _greedy_restarts(adj, K, rng, restarts) -> list[int]:
     """Best clique over deterministic and randomized greedy orders."""
-    best: list[int] = []
-    orders = [list(range(K))]
-    degs = [bin(a).count("1") for a in adj]
-    orders.append(sorted(range(K), key=lambda v: (-degs[v], v)))
-    for _ in range(restarts):
-        orders.append([int(v) for v in rng.permutation(K)])
-    for order in orders:
-        c = _greedy_clique(adj, order)
-        if len(c) > len(best):
-            best = c
-    return best
+    degs = [a.bit_count() for a in adj]
+    orders = [range(K), sorted(range(K), key=lambda v: (-degs[v], v))]
+    orders += [rng.permutation(K).tolist() for _ in range(restarts)]
+    return max((_greedy_clique(adj, order) for order in orders), key=len)
 
 
 def _colour_classes(adj, cand: int) -> list[tuple[int, int]]:
@@ -182,7 +175,7 @@ def _max_clique_size(adj, K, lower, upper, budget) -> tuple[int, list[int]]:
     as soon as len(cur) + c cannot beat the incumbent.  Starts from the
     `lower` incumbent, stops immediately if `upper` is attained (the
     bound proves optimality), and spends one budget unit per search
-    node.
+    node; an exhausted budget raises with the best clique as `incumbent`.
     """
     best_size = 0
     best: list[int] = []
@@ -216,6 +209,9 @@ def _max_clique_size(adj, K, lower, upper, budget) -> tuple[int, list[int]]:
             expand(full)
     except _UpperReached:
         pass
+    except _BudgetExhausted as exc:
+        exc.incumbent = best
+        raise
     return best_size, best
 
 
@@ -270,8 +266,9 @@ def max_mme_rank(
 
     `search="auto"` runs exhaustively up to n = 64 and greedily beyond,
     where the exhaustive search outgrows a desk budget; greedy results
-    are lower bounds flagged `exhaustive=False`.  An exhausted node
-    budget yields status "inconclusive" carrying the best set found.
+    are lower bounds flagged `exhaustive=False`; `seed` and `restarts`
+    act only there.  An exhausted node budget yields status
+    "inconclusive" carrying the best set found.
     """
     if search not in ("auto", "exhaustive", "greedy"):
         raise ValueError(f"unknown search mode {search!r}")
@@ -326,7 +323,8 @@ def _search_single_L(s, L, search, budget, seed, restarts) -> MmeRankReport:
     stops as soon as the per-L cap min_m(n_B_m) // L is filled: a
     cap-sized clique is maximum, and the lex-greedy one is then also
     the lex-least.  Only when the stream ends below the cap is the
-    full adjacency built for branch and bound.
+    full adjacency built, for `restarts` seeded greedy orders in greedy
+    mode, else for branch and bound from the lex-stream clique.
     """
     cap = min(bipartition(s, m).n_B for m in range(1, s.N + 1)) // L
     r_tilde = loose_bound(s)
@@ -366,21 +364,16 @@ def _search_single_L(s, L, search, budget, seed, restarts) -> MmeRankReport:
 
     K = len(level_sets)
     adj = _adjacency(masks)
-    rng = np.random.default_rng(seed)
-    best = _greedy_restarts(adj, K, rng, restarts if search == "greedy" else 8)
-    if len(lex_clique) > len(best):
-        best = lex_clique
-
     if search == "greedy":
-        return report(best, False, "greedy")
+        best = _greedy_restarts(adj, K, np.random.default_rng(seed), restarts)
+        return report(max(best, lex_clique, key=len), False, "greedy")
 
+    found = lex_clique
     try:
-        size, found = _max_clique_size(adj, K, best, cap, budget)
-        lex = _lex_min_clique(adj, K, size, budget)
-        if lex is not None:
-            found = lex
-    except _BudgetExhausted:
-        return report(best, False, "inconclusive")
+        size, found = _max_clique_size(adj, K, lex_clique, cap, budget)
+        found = _lex_min_clique(adj, K, size, budget) or found
+    except _BudgetExhausted as exc:
+        return report(max(exc.incumbent, found, key=len), False, "inconclusive")
     return report(found, True, "complete")
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby, islice
 
 import numpy as np
 
@@ -151,17 +150,17 @@ def u2(theta: float, chi: float) -> np.ndarray:
     return np.array([[a, b], [-np.conj(b), np.conj(a)]], dtype=complex)
 
 
-def u2_grid(theta_steps: int, chi_steps: int):
-    """Half-open grid over theta in [0, pi/2) and chi in [0, 2 pi),
-    yielding (theta, chi, U).  theta = k pi/2 / T puts pi/4 on the grid
-    whenever T is even."""
+def _u2_stack(theta_steps: int, chi_steps: int):
+    """Half-open grid over theta in [0, pi/2) and chi in [0, 2 pi): the
+    angles and one theta-major stack, entry i*C + k = u2(theta[i], chi[k]).
+    theta = k pi/2 / T puts pi/4 on the grid whenever T is even."""
     if theta_steps < 1 or chi_steps < 1:
         raise ValueError("grid needs at least one step per axis")
-    for i in range(theta_steps):
-        theta = (math.pi / 2) * i / theta_steps
-        for k in range(chi_steps):
-            chi = 2 * math.pi * k / chi_steps
-            yield theta, chi, u2(theta, chi)
+    theta = np.pi / 2 * np.arange(theta_steps) / theta_steps
+    chi = 2 * np.pi * np.arange(chi_steps) / chi_steps
+    a = np.repeat(np.cos(theta), chi_steps)
+    b = np.outer(np.sin(theta), np.cos(chi) + 1j * np.sin(chi)).ravel()
+    return theta, chi, np.stack([a, b, -b.conj(), a], axis=1).reshape(-1, 2, 2)
 
 
 def haar_unitary(D: int, rng: np.random.Generator) -> np.ndarray:
@@ -244,15 +243,21 @@ def min_avg_ent(
     (defaults: rank .. rank**2), streams keyed by (seed, D, i).
 
     The unitaries are evaluated in stacks of equal D holding at most
-    BLOCK_AMPLITUDES member amplitudes.  An MME candidate passes when
-    min_avg stays at 1 within tolerance; any lower value names the
-    violating unitary in `argmin`.
+    BLOCK_AMPLITUDES member amplitudes, Haar stacks drawn one at a time.
+    An MME candidate passes when min_avg stays at 1 within tolerance;
+    any lower value names the violating unitary in `argmin`.
     """
     state, notes = as_spectral(state)
+    s = state.structure
+
+    def block(D: int) -> int:
+        return max(1, BLOCK_AMPLITUDES // (D * s.n))
+
     if strategy == "grid":
         if state.rank != 2:
             raise ValueError(f"grid strategy needs rank 2, got rank {state.rank}")
-        points = (({"theta": theta, "chi": chi}, U) for theta, chi, U in u2_grid(*grid))
+        theta, chi, Us = _u2_stack(*grid)
+        stacks = (Us[a:a + block(2)] for a in range(0, len(Us), block(2)))
     elif strategy == "random":
         lo = state.rank if Dmin is None else int(Dmin)
         hi = state.rank**2 if Dmax is None else int(Dmax)
@@ -262,26 +267,26 @@ def min_avg_ent(
             raise ValueError(f"Dmax={hi} below Dmin={lo}")
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
-        points = (
-            ({"D": D, "index": i, "seed": seed},
-             haar_unitary(D, np.random.default_rng([seed, D, i])))
+        stacks = (
+            np.array([haar_unitary(D, np.random.default_rng([seed, D, i]))
+                      for i in range(a, min(a + block(D), samples))])
             for D in range(lo, hi + 1)
-            for i in range(samples)
+            for a in range(0, samples, block(D))
         )
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    s = state.structure
-    labels: list[dict] = []
-    avgs: list[float] = []
-    for D, group in groupby(points, key=lambda point: len(point[1])):
-        while block := list(islice(group, max(1, BLOCK_AMPLITUDES // (D * s.n)))):
-            probs, members = _decompose(state, np.array([U for _, U in block]))
-            ents = ent_rows(s, members.reshape(-1, s.n)).reshape(probs.shape)
-            avgs += (probs * ents).sum(axis=1).tolist()
-            labels += [label for label, _ in block]
+    avgs = []
+    for Us in stacks:
+        probs, members = _decompose(state, Us)
+        ents = ent_rows(s, members.reshape(-1, s.n)).reshape(probs.shape)
+        avgs += (probs * ents).sum(axis=1).tolist()
     k = int(np.argmin(avgs))
-    return EntEstimate(s, strategy, len(avgs), avgs[k], labels[k], tuple(avgs), notes)
+    if strategy == "grid":
+        argmin = {"theta": float(theta[k // len(chi)]), "chi": float(chi[k % len(chi)])}
+    else:
+        argmin = {"D": lo + k // samples, "index": k % samples, "seed": seed}
+    return EntEstimate(s, strategy, len(avgs), avgs[k], argmin, tuple(avgs), notes)
 
 
 @dataclass(frozen=True)

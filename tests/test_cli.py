@@ -1,14 +1,12 @@
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-import mmekit
 from mmekit.cli import main
 from mmekit.mme import construct
 from mmekit.modes import ModeStructure
@@ -364,17 +362,12 @@ def test_unexpected_exception_exit_code(capsys, monkeypatch) -> None:
     assert "Traceback" not in err
 
 
-def test_module_invocation_smoke() -> None:
-    # the child imports the package under test, also when only pytest's
-    # `pythonpath` setting (not the environment) put it on sys.path
-    src = os.path.dirname(os.path.dirname(mmekit.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+def test_module_invocation_smoke(child_env) -> None:
     proc = subprocess.run(
         [sys.executable, "-m", "mmekit.cli", "lstar", "2x4"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["Lstar"] == [2]

@@ -169,6 +169,16 @@ def test_tiny_budget_reports_inconclusive() -> None:
     assert report.R_MME >= 1
 
 
+def test_budget_spent_in_clique_search_reports_its_incumbent() -> None:
+    # 2^7 runs out of nodes inside the colouring branch and bound, which
+    # by then holds a maximum clique (22) that it has not yet proved
+    report = max_mme_rank(ModeStructure((2,) * 7), search="exhaustive", budget_nodes=100)
+    assert report.status == "inconclusive"
+    assert not report.exhaustive
+    assert report.R_MME == len(report.witness) == 22
+    assert compatible(report.witness)
+
+
 def _random_graph(rng, K: int, density: float) -> list[int]:
     adj = [0] * K
     for i, j in itertools.combinations(range(K), 2):

@@ -22,7 +22,6 @@ from mmekit.verify import (
     reduction_purity_report,
     spectral,
     u2,
-    u2_grid,
 )
 
 from reference_values import (
@@ -144,18 +143,23 @@ def test_u2_values() -> None:
 
 
 def test_u2_grid_shape_and_coverage() -> None:
-    pts = list(u2_grid(20, 20))
-    assert len(pts) == 400
-    thetas = {t for t, _, _ in pts}
-    chis = {c for _, c, _ in pts}
+    thetas, chis, stack = verify._u2_stack(20, 20)
+    assert stack.shape == (400, 2, 2)
+    for i in range(20):
+        for k in range(20):
+            theta, chi = math.pi / 2 * i / 20, 2 * math.pi * k / 20
+            assert (thetas[i], chis[k]) == (theta, chi)
+            # theta-major, each entry exactly the scalar u2 of its angles
+            assert np.array_equal(stack[i * 20 + k], u2(theta, chi))
     assert math.pi / 4 in thetas  # even theta_steps lands exactly on pi/4
-    assert 0.0 in chis
+    assert 0.0 in thetas and 0.0 in chis
     assert max(thetas) < math.pi / 2
     assert max(chis) < 2 * math.pi
+    spec = comparison_family_spectral("mme", (0.7, 0.3))
     with pytest.raises(ValueError):
-        list(u2_grid(0, 20))
+        min_avg_ent(spec, strategy="grid", grid=(0, 20))
     with pytest.raises(ValueError):
-        list(u2_grid(20, 0))
+        min_avg_ent(spec, strategy="grid", grid=(20, 0))
 
 
 def test_haar_unitary_deterministic_and_unitary() -> None:
@@ -231,7 +235,8 @@ def test_batched_grid_matches_per_unitary_loop() -> None:
         for lam1 in (0.5, 0.7):
             spec = comparison_family_spectral(kind, (lam1, 1 - lam1))
             est = min_avg_ent(spec, strategy="grid", grid=(20, 20))
-            points = [U for _, _, U in u2_grid(20, 20)]
+            points = [u2(math.pi / 2 * i / 20, 2 * math.pi * k / 20)
+                      for i in range(20) for k in range(20)]
             _assert_matches_per_unitary_loop(
                 est, spec, points, lambda a: u2(a["theta"], a["chi"])
             )

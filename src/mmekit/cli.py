@@ -10,8 +10,11 @@ Subcommands:
   sweep              spectrum sweeps of the comparison families
   validate-examples  certify a published eigen-tuple set
 
-All output is deterministic for a fixed argument list (seeds included),
-so identical invocations are byte-identical.  Exit codes: 0 success,
+Each handler returns its output text and exit code; `main` writes the
+text to stdout or `--out`.  `tuples`, `rank` and `tables` write JSON or
+CSV (`--format`); `sweep` writes CSV and the rest JSON.  All output is
+deterministic for a fixed argument list (seeds included), so identical
+invocations are byte-identical.  Exit codes: 0 success,
 2 argument/validation error, 3 inconclusive search (budget exhausted),
 4 internal error (any unexpected exception, reported without a
 traceback).
@@ -20,6 +23,7 @@ traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import sys
@@ -69,14 +73,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return t, c
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -111,55 +107,30 @@ def _structures_upto(max_n: int):
             yield ModeStructure(dims)
 
 
-def _rank_row(s: ModeStructure, args) -> dict:
-    report = max_mme_rank(
-        s,
-        search=args.search,
-        budget_nodes=args.budget_nodes,
-        seed=args.seed,
-    )
-    return {
-        "n": s.n,
-        "dims": str(s),
-        "minLstar": lstar(s).min,
-        "r_tilde": report.r_tilde,
-        "R_MME": report.R_MME,
-        "status": report.status,
-    }
+def _rank_row(s: ModeStructure, report) -> list:
+    """The TABLE_HEADER columns of a rank report, then its status."""
+    return [s.n, str(s), lstar(s).min, report.r_tilde, report.R_MME, report.status]
 
 
 TABLE_HEADER = ["n", "dims", "minLstar", "r_tilde", "R_MME"]
 
 
-def cmd_lstar(args) -> int:
+def cmd_lstar(args) -> tuple[str, int]:
     s = parse_dims(args.dims)
-    _emit(_json(lstar(s).to_json_dict(str(s))), args.out)
-    return EXIT_OK
+    return _json(lstar(s).to_json_dict(str(s))), EXIT_OK
 
 
-def cmd_tuples(args) -> int:
+def cmd_tuples(args) -> tuple[str, int]:
     s = parse_dims(args.dims)
     L = args.L if args.L is not None else lstar(s).min
-    tuples = enumerate_me_tuples(s, L)
+    levels = [list(t.levels) for t in enumerate_me_tuples(s, L)]
     if args.format == "csv":
-        header = [f"level{i + 1}" for i in range(L)]
-        _emit(_csv([list(t.levels) for t in tuples], header), args.out)
-    else:
-        _emit(
-            _json(
-                {
-                    "dims": str(s),
-                    "L": L,
-                    "count": len(tuples),
-                    "tuples": [list(t.levels) for t in tuples],
-                }
-            ),
-            args.out,
-        )
-    return EXIT_OK
+        return _csv(levels, [f"level{i + 1}" for i in range(L)]), EXIT_OK
+    payload = {"dims": str(s), "L": L, "count": len(levels), "tuples": levels}
+    return _json(payload), EXIT_OK
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> tuple[str, int]:
     s = parse_dims(args.dims)
     report = max_mme_rank(
         s,
@@ -169,12 +140,10 @@ def cmd_rank(args) -> int:
         budget_nodes=args.budget_nodes,
         seed=args.seed,
     )
+    code = EXIT_INCONCLUSIVE if report.status == "inconclusive" else EXIT_OK
     if args.format == "csv":
-        row = [s.n, str(s), lstar(s).min, report.r_tilde, report.R_MME]
-        _emit(_csv([row], TABLE_HEADER), args.out)
-    else:
-        _emit(_json(report.to_json_dict()), args.out)
-    return EXIT_INCONCLUSIVE if report.status == "inconclusive" else EXIT_OK
+        return _csv([_rank_row(s, report)[:-1]], TABLE_HEADER), code
+    return _json(report.to_json_dict()), code
 
 
 def _build_state(dims: str, tuples_text: str, spectrum_text: str, lu_seed):
@@ -185,7 +154,7 @@ def _build_state(dims: str, tuples_text: str, spectrum_text: str, lu_seed):
     return construct(s, tuples, spectrum, lus)
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple[str, int]:
     state, rho = _build_state(args.dims, args.tuples, args.spectrum, args.lu_seed)
     payload = {
         "dims": str(state.structure),
@@ -201,11 +170,10 @@ def cmd_construct(args) -> int:
         },
         "matrix": rho.to_json_dict(),
     }
-    _emit(_json(payload), args.out)
-    return EXIT_OK
+    return _json(payload), EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     if args.state:
         with open(args.state) as fh:
             saved = json.load(fh)
@@ -237,58 +205,40 @@ def cmd_verify(args) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    _emit(
-        _json(
-            {
-                "dims": str(estimate.structure),
-                "strategy": estimate.strategy,
-                "samples": estimate.samples,
-                "min_avg": estimate.min_avg,
-                "argmin": estimate.argmin,
-                "notes": estimate.notes,
-            }
-        ),
-        args.out,
-    )
-    return EXIT_OK
+    payload = {
+        "dims": str(estimate.structure),
+        "strategy": estimate.strategy,
+        "samples": estimate.samples,
+        "min_avg": estimate.min_avg,
+        "argmin": estimate.argmin,
+        "notes": estimate.notes,
+    }
+    return _json(payload), EXIT_OK
 
 
-def cmd_tables(args) -> int:
-    rows = []
-    status_worst = EXIT_OK
-    if args.which in (1, 3):
-        max_n = args.max_n if args.max_n is not None else (28 if args.which == 1 else 36)
-        for s in _structures_upto(max_n):
-            if args.which == 3 and s.N < 3:
-                continue
-            row = _rank_row(s, args)
-            if args.which == 3 and s.n < 29 and row["R_MME"] < 2:
-                continue  # below n=29 the survey keeps only MME-hosting systems
-            rows.append(row)
-    else:
+def cmd_tables(args) -> tuple[str, int]:
+    if args.which == 5:
         max_N = args.max_N if args.max_N is not None else 6
-        for N in range(2, max_N + 1):
-            rows.append(_rank_row(ModeStructure((2,) * N), args))
-    if any(r["status"] == "inconclusive" for r in rows):
-        status_worst = EXIT_INCONCLUSIVE
-    if args.format == "json":
-        if args.which != 5:
-            for r in rows:
-                r.pop("status", None)
-        _emit(_json(rows), args.out)
+        structures = [ModeStructure((2,) * N) for N in range(2, max_N + 1)]
     else:
-        header = TABLE_HEADER + (["status"] if args.which == 5 else [])
-        table = []
-        for r in rows:
-            row = [r["n"], r["dims"], r["minLstar"], r["r_tilde"], r["R_MME"]]
-            if args.which == 5:
-                row.append(r["status"])
-            table.append(row)
-        _emit(_csv(table, header), args.out)
-    return status_worst
+        max_n = args.max_n if args.max_n is not None else (28 if args.which == 1 else 36)
+        structures = [s for s in _structures_upto(max_n) if args.which == 1 or s.N >= 3]
+    rows = []
+    for s in structures:
+        report = max_mme_rank(s, search=args.search, budget_nodes=args.budget_nodes,
+                              seed=args.seed)
+        if args.which == 3 and s.n < 29 and report.R_MME < 2:
+            continue  # below n=29 the survey keeps only MME-hosting systems
+        rows.append(_rank_row(s, report))
+    code = EXIT_INCONCLUSIVE if any(r[-1] == "inconclusive" for r in rows) else EXIT_OK
+    header = TABLE_HEADER + ["status"] if args.which == 5 else TABLE_HEADER
+    rows = [r[:len(header)] for r in rows]
+    if args.format == "json":
+        return _json([dict(zip(header, r)) for r in rows]), code
+    return _csv(rows, header), code
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[str, int]:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     kinds = list(COMPARISON_KINDS) if args.family == "all" else [args.family]
@@ -300,23 +250,27 @@ def cmd_sweep(args) -> int:
             state = comparison_family_spectral(kind, (lam1, 1.0 - lam1))
             est = min_avg_ent(state, strategy="grid", grid=grid)
             rows.append([kind, repr(lam1), repr(est.min_avg)])
-    _emit(_csv(rows, ["family", "lambda1", "min_avg"]), args.out)
-    return EXIT_OK
+    return _csv(rows, ["family", "lambda1", "min_avg"]), EXIT_OK
 
 
-def cmd_validate_examples(args) -> int:
+def cmd_validate_examples(args) -> tuple[str, int]:
     s = parse_dims(args.dims)
     report = validate_example_set(s, _parse_tuples(args.tuples))
-    _emit(_json(report.to_json_dict()), args.out)
-    return EXIT_OK
+    return _json(report.to_json_dict()), EXIT_OK
 
 
-def _add_common(p, fmt_default="json"):
-    p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
-    p.add_argument("--out", metavar="PATH", help="write output to PATH")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH", help="write output to PATH")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--search", choices=("auto", "exhaustive", "greedy"),
+                        default="auto")
+    search.add_argument("--budget-nodes", type=int, metavar="B",
+                        help="abort after B search nodes (exit 3)")
+    search.add_argument("--seed", type=int, default=0)
+
     parser = argparse.ArgumentParser(
         prog="mmekit",
         description=(
@@ -326,46 +280,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lstar", help="ME level counts L* and purity floor")
+    p = sub.add_parser("lstar", parents=[out],
+                       help="ME level counts L* and purity floor")
     p.add_argument("dims", help='mode structure, e.g. "2x3x4" or "2^5"')
-    _add_common(p)
     p.set_defaults(handler=cmd_lstar)
 
-    p = sub.add_parser("tuples", help="enumerate ME TGX tuples")
+    p = sub.add_parser("tuples", parents=[out], help="enumerate ME TGX tuples")
     p.add_argument("dims")
     p.add_argument("--L", type=int, help="levels per tuple (default: min L*)")
-    _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=cmd_tuples)
 
     p = sub.add_parser(
         "rank",
+        parents=[out, search],
         help="maximal MME rank search",
         description="CSV schema: n,dims,minLstar,r_tilde,R_MME",
     )
     p.add_argument("dims")
-    p.add_argument("--search", choices=("auto", "exhaustive", "greedy"),
-                   default="auto")
     p.add_argument("--L", type=int, help="fix the tuple size (must lie in L*)")
     p.add_argument("--all-lstar", action="store_true",
                    help="search every L in L* and report the best")
-    p.add_argument("--budget-nodes", type=int, metavar="B",
-                   help="abort after B search nodes (exit 3)")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=cmd_rank)
 
-    p = sub.add_parser("construct", help="build an MME state from tuples")
+    p = sub.add_parser("construct", parents=[out],
+                       help="build an MME state from tuples")
     p.add_argument("dims")
     p.add_argument("--tuples", required=True,
                    help='";"-separated level tuples, e.g. "1,16;4,13"')
     p.add_argument("--spectrum", required=True, help='e.g. "0.7,0.3"')
     p.add_argument("--lu-seed", type=int, dest="lu_seed",
                    help="dress with seeded random local unitaries")
-    _add_common(p)
     p.set_defaults(handler=cmd_construct)
 
     p = sub.add_parser(
         "verify",
+        parents=[out],
         help="decomposition-sampling certificate",
         description=(
             "Reads a construct output via --state, or an inline dims/tuples/"
@@ -384,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Dmin", type=int)
     p.add_argument("--Dmax", type=int)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser(
         "tables",
+        parents=[out, search],
         help="regenerate the rank survey tables",
         description=(
             "1: all multipartite systems, n <= 28.  3: N >= 3 systems, "
@@ -402,15 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tables 1/3: largest total dimension")
     p.add_argument("--max-N", type=int, dest="max_N",
                    help="table 5: largest qubit count (default 6)")
-    p.add_argument("--search", choices=("auto", "exhaustive", "greedy"),
-                   default="auto")
-    p.add_argument("--budget-nodes", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p, fmt_default="csv")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(handler=cmd_tables)
 
     p = sub.add_parser(
         "sweep",
+        parents=[out],
         help="spectrum sweeps of the four-qubit comparison families",
         description=(
             "Sweeps lambda1 from 0.5 (inclusive) to 1 (exclusive) and "
@@ -422,24 +370,27 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--points", type=int, default=500)
     p.add_argument("--grid", default="20,20", metavar="T,C")
-    _add_common(p, fmt_default="csv")
     p.set_defaults(handler=cmd_sweep)
 
-    p = sub.add_parser("validate-examples",
+    p = sub.add_parser("validate-examples", parents=[out],
                        help="certify a published eigen-tuple set")
     p.add_argument("dims")
     p.add_argument("--tuples", required=True)
-    _add_common(p)
     p.set_defaults(handler=cmd_validate_examples)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        text, code = args.handler(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (UnsupportedSystemError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

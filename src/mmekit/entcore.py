@@ -88,8 +88,13 @@ def _objective_fraction(s: ModeStructure, L: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _lstar_cached(dims: tuple[int, ...]) -> LStarSet:
-    s = ModeStructure(dims)
+def lstar(s: ModeStructure) -> LStarSet:
+    """All L in 2..n/n_max minimizing the mean normalized reduction purity.
+
+    Argmin ties are exact (the objective is evaluated in rational
+    arithmetic).  Bipartite systems always give values = {n_S}.
+    Cached per structure.
+    """
     if s.n_over_max < 2:
         raise UnsupportedSystemError(
             f"{s} has n/n_max = {s.n_over_max}; no entanglement is possible"
@@ -98,15 +103,6 @@ def _lstar_cached(dims: tuple[int, ...]) -> LStarSet:
     best = min(table.values())
     values = tuple(sorted(L for L, v in table.items() if v == best))
     return LStarSet(values, float(best), {L: float(v) for L, v in table.items()})
-
-
-def lstar(s: ModeStructure) -> LStarSet:
-    """All L in 2..n/n_max minimizing the mean normalized reduction purity.
-
-    Argmin ties are exact (the objective is evaluated in rational
-    arithmetic).  Bipartite systems always give values = {n_S}.
-    """
-    return _lstar_cached(s.dims)
 
 
 def ent_rows(s: ModeStructure, amps) -> np.ndarray:

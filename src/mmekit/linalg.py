@@ -9,12 +9,12 @@ used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .modes import ModeStructure, strides
+from .modes import ModeStructure
 
 # 1e-12 for algebraic identities on exactly representable inputs,
 # 1e-10 of slack for eigenvalues of constructed density matrices.
@@ -95,8 +95,8 @@ class DensityMatrix:
         """Row-major {dims, re, im} form used by the CLI."""
         return {
             "dims": str(self.structure),
-            "re": [[float(x) for x in row] for row in self.entries.real],
-            "im": [[float(x) for x in row] for row in self.entries.imag],
+            "re": self.entries.real.tolist(),
+            "im": self.entries.imag.tolist(),
         }
 
 
@@ -107,31 +107,14 @@ def outer(v: PureStateVector) -> DensityMatrix:
 
 
 @lru_cache(maxsize=None)
-def _trace_groups(dims: tuple[int, ...], keep: tuple[int, ...]):
-    """Index bookkeeping for a partial trace.
-
-    Returns (kept substructure dims product, array `pos` of shape
-    (n_keep, n_drop) with pos[a, b] = the 0-based scalar index whose kept
-    labels decode to a and dropped labels to b).
-    """
-    s = ModeStructure(dims)
-    st = strides(s)
-    keep_strides = [st[m - 1] for m in keep]
-    keep_dims = [dims[m - 1] for m in keep]
-    drop = [m for m in range(1, s.N + 1) if m not in keep]
-    drop_strides = [st[m - 1] for m in drop]
-    drop_dims = [dims[m - 1] for m in drop]
-
-    def offsets(sub_dims, sub_strides):
-        out = np.zeros(1, dtype=np.intp)
-        for d, stride in zip(sub_dims, sub_strides):
-            out = (out[:, None] + stride * np.arange(d, dtype=np.intp)[None, :]).reshape(-1)
-        return out
-
-    ka = offsets(keep_dims, keep_strides)
-    kb = offsets(drop_dims, drop_strides)
-    pos = ka[:, None] + kb[None, :]
-    return int(np.prod(keep_dims, dtype=np.intp)) if keep_dims else 1, pos
+def _trace_groups(dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    """Index array `pos` of shape (n_keep, n_drop) for a partial trace
+    onto the 1-based modes `keep`: pos[a, b] is the 0-based scalar index
+    whose kept labels decode to a and dropped labels to b."""
+    drop = tuple(m for m in range(1, len(dims) + 1) if m not in keep)
+    n_keep = math.prod(dims[m - 1] for m in keep)
+    levels = np.arange(math.prod(dims), dtype=np.intp).reshape(dims)
+    return levels.transpose([m - 1 for m in keep + drop]).reshape(n_keep, -1)
 
 
 def partial_trace_matrix(mat: np.ndarray, structure: ModeStructure, keep) -> np.ndarray:
@@ -143,7 +126,7 @@ def partial_trace_matrix(mat: np.ndarray, structure: ModeStructure, keep) -> np.
     """
     keep = tuple(int(m) for m in keep)
     structure.substructure(keep)  # validates the mode list
-    _, pos = _trace_groups(structure.dims, keep)
+    pos = _trace_groups(structure.dims, keep)
     # out[a, b] = sum over the diagonal of the dropped indices
     return mat[pos[:, None, :], pos[None, :, :]].sum(axis=-1)
 
@@ -195,20 +178,11 @@ def mix(states, weights) -> DensityMatrix:
     return DensityMatrix(structure, np.einsum("ik,jk->ij", B, B.conj()), validate=False)
 
 
-@lru_cache(maxsize=None)
-def _mode_gather(dims: tuple[int, ...], m: int):
-    """Index matrix G with G[a, b] = 0-based level having mode-m label a+1
-    and remaining labels unraveled as b; used for single-mode reductions
-    of pure states."""
-    _, pos = _trace_groups(dims, (m,))
-    return pos
-
-
 def mode_reduction_of_pure(v: PureStateVector, m: int) -> np.ndarray:
     """Mode-m reduced density matrix of a pure state (n_m x n_m array)."""
     if not 1 <= m <= v.structure.N:
         raise ValueError(f"mode {m} out of range 1..{v.structure.N}")
-    A = v.amplitudes[_mode_gather(v.structure.dims, m)]
+    A = v.amplitudes[_trace_groups(v.structure.dims, (m,))]
     return A @ A.conj().T
 
 
@@ -223,7 +197,7 @@ def mode_purities(structure: ModeStructure, amps) -> np.ndarray:
     amps = np.asarray(amps).reshape(-1, structure.n)
     out = np.empty((amps.shape[0], structure.N))
     for m in range(structure.N):
-        A = np.take(amps, _mode_gather(structure.dims, m + 1), axis=1)
+        A = np.take(amps, _trace_groups(structure.dims, (m + 1,)), axis=1)
         red = (A @ A.conj().swapaxes(1, 2)).reshape(len(amps), 1, -1)
         out[:, m] = (red.conj() @ red.swapaxes(1, 2))[:, 0, 0].real
     return out

@@ -12,8 +12,10 @@ each tuple's (mode, projection) pairs into one int bitmask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
+from itertools import chain
 from operator import or_
 
 import numpy as np
@@ -30,6 +32,10 @@ from .tgx import (
     build_tgx_state,
     is_me_tuple,
 )
+
+# Seeded random greedy orders tried by `search="greedy"`, after the
+# natural and the degree order.
+GREEDY_RESTARTS = 2000
 
 
 def _first_conflict(s: ModeStructure, level_sets):
@@ -79,8 +85,8 @@ def loose_bound(s: ModeStructure) -> int:
 class MmeRankReport:
     """Outcome of a maximal-MME-rank search.
 
-    `exhaustive` is False when the result is only a lower bound (greedy
-    search, or an exhausted node budget; see `status`).
+    `status` is "complete" for a proven maximum, "greedy" for a greedy
+    lower bound and "inconclusive" when a node budget ran out first.
     """
 
     structure: ModeStructure
@@ -88,10 +94,14 @@ class MmeRankReport:
     r_tilde: int
     R_MME: int
     witness: tuple[MeTgxTuple, ...]
-    exhaustive: bool
     status: str  # "complete" | "greedy" | "inconclusive"
     nodes: int = 0
     tuple_count: int = 0
+
+    @property
+    def exhaustive(self) -> bool:
+        """Whether R_MME is proven maximal, not only a lower bound."""
+        return self.status == "complete"
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,12 +148,21 @@ def _greedy_clique(adj, order) -> list[int]:
     return sorted(clique) if clique else []
 
 
-def _greedy_restarts(adj, K, rng, restarts) -> list[int]:
-    """Best clique over deterministic and randomized greedy orders."""
+def _greedy_restarts(adj, K, rng, cap) -> list[int]:
+    """First longest clique over the natural order, the degree order and
+    GREEDY_RESTARTS random orders; stops at the first of `cap` vertices,
+    which no clique can beat."""
     degs = [a.bit_count() for a in adj]
-    orders = [range(K), sorted(range(K), key=lambda v: (-degs[v], v))]
-    orders += [rng.permutation(K).tolist() for _ in range(restarts)]
-    return max((_greedy_clique(adj, order) for order in orders), key=len)
+    orders = chain([range(K), sorted(range(K), key=lambda v: (-degs[v], v))],
+                   (rng.permutation(K).tolist() for _ in range(GREEDY_RESTARTS)))
+    best: list[int] = []
+    for order in orders:
+        clique = _greedy_clique(adj, order)
+        if len(clique) > len(best):
+            best = clique
+            if len(best) >= cap:
+                break
+    return best
 
 
 def _colour_classes(adj, cand: int) -> list[tuple[int, int]]:
@@ -252,7 +271,6 @@ def max_mme_rank(
     all_lstar: bool = False,
     budget_nodes: int | None = None,
     seed: int = 0,
-    restarts: int = 2000,
 ) -> MmeRankReport:
     """Maximal MME rank of a structure.
 
@@ -265,13 +283,17 @@ def max_mme_rank(
     found; this proves R_MME(2^7) = 22 in a few thousand nodes.
 
     `search="auto"` runs exhaustively up to n = 64 and greedily beyond,
-    where the exhaustive search outgrows a desk budget; greedy results
-    are lower bounds flagged `exhaustive=False`; `seed` and `restarts`
-    act only there.  An exhausted node budget yields status
-    "inconclusive" carrying the best set found.
+    where the exhaustive search outgrows a desk budget.  Greedy mode
+    tries GREEDY_RESTARTS seeded orders (`seed` acts only there) and
+    reports a lower bound with status "greedy".  `budget_nodes`, at
+    least 1, caps the search nodes over all L; once it runs out the L
+    loop stops and the best set found so far is reported with status
+    "inconclusive".
     """
     if search not in ("auto", "exhaustive", "greedy"):
         raise ValueError(f"unknown search mode {search!r}")
+    if budget_nodes is not None and budget_nodes < 1:
+        raise ValueError(f"budget_nodes must be at least 1, got {budget_nodes}")
     ls = lstar(s)
     if search == "auto":
         search = "exhaustive" if s.n <= 64 else "greedy"
@@ -287,9 +309,15 @@ def max_mme_rank(
 
     budget = _Budget(budget_nodes)
     reports = []
-    for Lv in L_values:
-        reports.append(_search_single_L(s, Lv, search, budget, seed, restarts))
-    return max(reports, key=lambda r: (r.R_MME, -r.L_used))
+    with suppress(_BudgetExhausted):  # spent before an L's first tuple
+        for Lv in L_values:
+            reports.append(_search_single_L(s, Lv, search, budget, seed))
+            if reports[-1].status == "inconclusive":
+                break
+    best = max(reports, key=lambda r: (r.R_MME, -r.L_used))
+    if len(reports) < len(L_values) or reports[-1].status == "inconclusive":
+        best = replace(best, status="inconclusive")
+    return best
 
 
 def _level_bits(s: ModeStructure) -> list[int]:
@@ -316,15 +344,16 @@ def _set_bits(mask: int):
         mask &= mask - 1
 
 
-def _search_single_L(s, L, search, budget, seed, restarts) -> MmeRankReport:
+def _search_single_L(s, L, search, budget, seed) -> MmeRankReport:
     """One rank search at a fixed tuple size.
 
     Streams the enumeration through a lexicographic greedy clique and
     stops as soon as the per-L cap min_m(n_B_m) // L is filled: a
     cap-sized clique is maximum, and the lex-greedy one is then also
     the lex-least.  Only when the stream ends below the cap is the
-    full adjacency built, for `restarts` seeded greedy orders in greedy
-    mode, else for branch and bound from the lex-stream clique.
+    full adjacency built, for seeded greedy orders in greedy mode, else
+    for branch and bound from the lex-stream clique.  A budget that runs
+    out before the first tuple propagates: there is nothing to report.
     """
     cap = min(bipartition(s, m).n_B for m in range(1, s.N + 1)) // L
     r_tilde = loose_bound(s)
@@ -347,34 +376,36 @@ def _search_single_L(s, L, search, budget, seed, restarts) -> MmeRankReport:
                 if len(lex_clique) >= cap:
                     break
     except _BudgetExhausted:
+        if not level_sets:
+            raise
         exhausted = True
 
     if not level_sets:
         raise RuntimeError(f"no ME TGX tuples found for {s} at L={L}")
 
-    def report(indices, exhaustive, status):
+    def report(indices, status):
         witness = tuple(MeTgxTuple(s, level_sets[i]) for i in indices)
-        return MmeRankReport(s, L, r_tilde, len(indices), witness, exhaustive,
-                             status, budget.used, len(level_sets))
+        return MmeRankReport(s, L, r_tilde, len(indices), witness, status,
+                             budget.used, len(level_sets))
 
     if len(lex_clique) >= cap and not exhausted:
-        return report(lex_clique, True, "complete")
+        return report(lex_clique, "complete")
     if exhausted:
-        return report(lex_clique or [0], False, "inconclusive")
+        return report(lex_clique, "inconclusive")
 
     K = len(level_sets)
     adj = _adjacency(masks)
     if search == "greedy":
-        best = _greedy_restarts(adj, K, np.random.default_rng(seed), restarts)
-        return report(max(best, lex_clique, key=len), False, "greedy")
+        best = _greedy_restarts(adj, K, np.random.default_rng(seed), cap)
+        return report(max(best, lex_clique, key=len), "greedy")
 
     found = lex_clique
     try:
         size, found = _max_clique_size(adj, K, lex_clique, cap, budget)
         found = _lex_min_clique(adj, K, size, budget) or found
     except _BudgetExhausted as exc:
-        return report(max(exc.incumbent, found, key=len), False, "inconclusive")
-    return report(found, True, "complete")
+        return report(max(exc.incumbent, found, key=len), "inconclusive")
+    return report(found, "complete")
 
 
 @dataclass(frozen=True)

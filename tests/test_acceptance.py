@@ -158,7 +158,7 @@ def test_acceptance_figure_certificates() -> None:
 
 
 def test_acceptance_family_sweep(capsys) -> None:
-    rows = _table_rows(capsys, ["sweep", "--format", "csv"])
+    rows = _table_rows(capsys, ["sweep"])
     by_family: dict[str, list[tuple[float, float]]] = {}
     for family, lam1, min_avg in rows:
         by_family.setdefault(family, []).append((float(lam1), float(min_avg)))

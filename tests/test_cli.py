@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import argparse
+import inspect
 import json
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from mmekit.cli import main
+from mmekit.cli import TABLE_HEADER, build_parser, main
 from mmekit.mme import construct
 from mmekit.modes import ModeStructure
 
@@ -83,6 +86,23 @@ def test_rank_budget_exhaustion_exit_code(capsys) -> None:
     assert code == 3
     d = json.loads(out)
     assert d["status"] == "inconclusive"
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_rank_budget_below_one_exit_code(capsys, budget) -> None:
+    code, out, err = _run(capsys, ["rank", "2^4", "--budget-nodes", budget])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "budget_nodes" in err
+
+
+def test_rank_all_lstar_budget_exhaustion_exit_code(capsys) -> None:
+    # L* = (6, 12): the budget runs out at L = 6, so L = 12 is never searched
+    code, out, err = _run(
+        capsys, ["rank", "2x2x3x3", "--all-lstar", "--budget-nodes", "5"]
+    )
+    assert (code, err) == (3, "")
+    d = json.loads(out)
+    assert (d["status"], d["exhaustive"], d["L_used"]) == ("inconclusive", False, 6)
 
 
 def test_rank_rejects_L_outside_lstar(capsys) -> None:
@@ -244,6 +264,40 @@ def test_sweep_rejects_points_below_one(capsys, points) -> None:
     assert "--points" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lstar", "2x4"],
+        ["construct", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3"],
+        ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3"],
+        ["sweep", "--points", "1"],
+        ["validate-examples", "2^4", "--tuples", "1,16;4,13"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_format_rejected_by_single_format_subcommands(capsys, argv) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+def test_every_option_is_read() -> None:
+    """Each subcommand option is read as `args.<dest>` by its handler;
+    `out` is read by `main`, which writes every handler's output."""
+    parser = build_parser()
+    assert build_parser() is parser
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    main_source = inspect.getsource(main)
+    for name, p in sub.choices.items():
+        handler_source = inspect.getsource(p.get_default("handler"))
+        for action in p._actions:
+            if action.dest == "help":
+                continue
+            source = main_source if action.dest == "out" else handler_source
+            assert re.search(rf"\bargs\.{action.dest}\b", source), (name, action.dest)
+
+
 def test_workers_option_rejected(capsys) -> None:
     with pytest.raises(SystemExit) as exc:
         main(["lstar", "2x2", "--workers", "2"])
@@ -281,6 +335,23 @@ def test_tables_three_filter(capsys) -> None:
     assert [r.split(",")[1] for r in rows] == ["2x2x2x2", "3x3x3", "2x3x5"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["1", "--max-n", "12"], ["3", "--max-n", "30"], ["5", "--max-N", "4"]]
+)
+def test_tables_json_matches_csv(capsys, argv) -> None:
+    code, out, _ = _run(capsys, ["tables", *argv, "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    code, out, _ = _run(capsys, ["tables", *argv])
+    assert code == 0
+    header, *csv_rows = [line.split(",") for line in out.strip().splitlines()]
+    assert header == TABLE_HEADER + (["status"] if argv[0] == "5" else [])
+    assert len(rows) == len(csv_rows) > 0
+    for row, cells in zip(rows, csv_rows):
+        assert list(row) == header
+        assert [str(v) for v in row.values()] == cells
+
+
 def test_sweep_selfspace_closed_form(capsys) -> None:
     code, out, _ = _run(
         capsys,
@@ -292,8 +363,6 @@ def test_sweep_selfspace_closed_form(capsys) -> None:
             "4",
             "--grid",
             "8,8",
-            "--format",
-            "csv",
         ],
     )
     assert code == 0

@@ -10,10 +10,12 @@ import pytest
 from mmekit.entcore import lstar
 from mmekit.linalg import partial_trace_matrix
 from mmekit.mme import (
+    GREEDY_RESTARTS,
     _adjacency,
     _Budget,
     _BudgetExhausted,
     _greedy_clique,
+    _greedy_restarts,
     _level_bits,
     _lex_min_clique,
     _max_clique_size,
@@ -179,6 +181,20 @@ def test_budget_spent_in_clique_search_reports_its_incumbent() -> None:
     assert compatible(report.witness)
 
 
+def test_budget_spent_before_a_later_L_reports_inconclusive() -> None:
+    # L* = (6, 12): a budget that L = 6 uses up leaves L = 12 unsearched,
+    # so the proven rank at L = 6 is only a lower bound over L*
+    s = ModeStructure((2, 2, 3, 3))
+    nodes = max_mme_rank(s, L=6).nodes
+    report = max_mme_rank(s, all_lstar=True, budget_nodes=nodes)
+    assert (report.status, report.exhaustive) == ("inconclusive", False)
+    assert (report.L_used, report.R_MME) == (6, 2)
+    assert max_mme_rank(s, all_lstar=True, budget_nodes=10**6).status == "complete"
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="budget_nodes"):
+            max_mme_rank(s, budget_nodes=budget)
+
+
 def _random_graph(rng, K: int, density: float) -> list[int]:
     adj = [0] * K
     for i, j in itertools.combinations(range(K), 2):
@@ -215,6 +231,18 @@ CLIQUE_GRAPHS = [
         itertools.product((1, 6, 11, 16), (0.2, 0.5, 0.7, 0.9))
     )
 ]
+
+
+@pytest.mark.parametrize("K,density,seed", CLIQUE_GRAPHS[-4:])
+def test_greedy_restarts_stop_at_cap_keeps_first_longest(K, density, seed) -> None:
+    adj = _random_graph(np.random.default_rng(seed), K, density)
+    rng = np.random.default_rng(seed)
+    degs = [a.bit_count() for a in adj]
+    orders = [range(K), sorted(range(K), key=lambda v: (-degs[v], v))]
+    orders += [rng.permutation(K).tolist() for _ in range(GREEDY_RESTARTS)]
+    want = max((_greedy_clique(adj, order) for order in orders), key=len)
+    for cap in (_brute_force_clique_number(adj), K + 1):
+        assert _greedy_restarts(adj, K, np.random.default_rng(seed), cap) == want
 
 
 @pytest.mark.parametrize("K,density,seed", CLIQUE_GRAPHS)

@@ -33,7 +33,7 @@ import numpy as np
 from .entcore import UnsupportedSystemError, lstar
 from .linalg import ATOL
 from .mme import construct, max_mme_rank, validate_example_set
-from .modes import ModeStructure, parse_dims
+from .modes import MAX_N, ModeStructure, parse_dims
 from .tgx import enumerate_me_tuples
 from .verify import (
     COMPARISON_KINDS,
@@ -219,18 +219,24 @@ def cmd_verify(args) -> tuple[str, int]:
 def cmd_tables(args) -> tuple[str, int]:
     if args.which == 5:
         max_N = args.max_N if args.max_N is not None else 6
+        if max_N >= MAX_N.bit_length():  # 2^max_N > MAX_N
+            raise ValueError(f"--max-N {max_N}: 2^{max_N} is above the limit n <= {MAX_N}")
         structures = [ModeStructure((2,) * N) for N in range(2, max_N + 1)]
     else:
         max_n = args.max_n if args.max_n is not None else (28 if args.which == 1 else 36)
+        if max_n > MAX_N:
+            raise ValueError(f"--max-n {max_n} is above the limit n <= {MAX_N}")
         structures = [s for s in _structures_upto(max_n) if args.which == 1 or s.N >= 3]
     rows = []
+    code = EXIT_OK
     for s in structures:
         report = max_mme_rank(s, search=args.search, budget_nodes=args.budget_nodes,
                               seed=args.seed)
+        if report.status == "inconclusive":
+            code = EXIT_INCONCLUSIVE  # dropped rows count too
         if args.which == 3 and s.n < 29 and report.R_MME < 2:
             continue  # below n=29 the survey keeps only MME-hosting systems
         rows.append(_rank_row(s, report))
-    code = EXIT_INCONCLUSIVE if any(r[-1] == "inconclusive" for r in rows) else EXIT_OK
     header = TABLE_HEADER + ["status"] if args.which == 5 else TABLE_HEADER
     rows = [r[:len(header)] for r in rows]
     if args.format == "json":

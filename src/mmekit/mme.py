@@ -5,9 +5,10 @@ A set of ME TGX tuples can serve as the eigen-tuples of an MME state
 exactly when, for every mode m, the projections of all their levels onto
 the big side B_m of the extreme bipartition contain no repeats.  Since
 repeats are a pairwise matter, the maximal MME rank is the maximum
-clique of the pairwise-compatibility graph over the ME tuples.  Both
-read the projections from the level table of `modes`; the search packs
-each tuple's (mode, projection) pairs into one int bitmask.
+clique of the pairwise-compatibility graph over the ME tuples, found by
+one branch and bound that also returns the lex-least maximum clique.
+Both read the projections from the level table of `modes`; the search
+packs each tuple's (mode, projection) pairs into one int bitmask.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ class _Budget:
 
 
 class _BudgetExhausted(Exception):
-    incumbent: list[int] = []  # set by _max_clique_size to its best clique
+    """Raised by `_Budget.spend`; `_max_clique` sets `incumbent` to its
+    best clique before it re-raises."""
 
 
 def _greedy_clique(adj, order) -> list[int]:
@@ -165,103 +167,66 @@ def _greedy_restarts(adj, K, rng, cap) -> list[int]:
     return best
 
 
-def _colour_classes(adj, cand: int) -> list[tuple[int, int]]:
-    """Sequential greedy colouring of the bitset `cand`, vertices taken
-    in natural order: each colour class is an independent set, so a
-    clique holds at most one vertex per class.  Returns (vertex, colour)
-    pairs with colours ascending."""
-    out: list[tuple[int, int]] = []
-    colour = 0
+def _colour_tops(adj, cand: int) -> int:
+    """Sequential greedy colouring of the bitset `cand`, each class swept
+    from its highest vertex down: a class is an independent set, so a
+    clique holds at most one vertex per class.  Returns the bitset of
+    the classes' top vertices."""
+    tops = 0
     while cand:
-        colour += 1
         q = cand
+        tops |= 1 << (q.bit_length() - 1)
         while q:
-            bit = q & -q
-            v = bit.bit_length() - 1
+            v = q.bit_length() - 1
+            bit = 1 << v
             q &= ~(adj[v] | bit)
-            cand &= ~bit
-            out.append((v, colour))
-    return out
+            cand ^= bit
+    return tops
 
 
-def _max_clique_size(adj, K, lower, upper, budget) -> tuple[int, list[int]]:
-    """Branch and bound for the maximum clique with a greedy-colouring
-    bound (MCQ, Tomita & Seki 2003, on int bitsets as in BBMC).
+def _max_clique(adj, K, lower, upper, budget) -> list[int]:
+    """Lexicographically least maximum clique, by branch and bound over
+    vertices in ascending order (after Östergård 2002) with a greedy-
+    colouring bound (Tomita & Seki 2003) on int bitsets.
 
-    At every node the candidate set is coloured greedily; a vertex of
-    colour c can extend the current clique by at most c vertices, so
-    the search branches over vertices in reverse colour order and prunes
-    as soon as len(cur) + c cannot beat the incumbent.  Starts from the
-    `lower` incumbent, stops immediately if `upper` is attained (the
-    bound proves optimality), and spends one budget unit per search
-    node; an exhausted budget raises with the best clique as `incumbent`.
+    Each node colours its candidates (`_colour_tops`); a clique through
+    vertex v and later candidates holds at most one vertex per class
+    whose top vertex is >= v, so v and every vertex after it are cut
+    once len(cur) plus that class count cannot beat the best clique.
+    The best clique is replaced only by a strictly larger one, so the
+    first clique of the final size is the lex-least.  The search starts
+    from the `lower` incumbent, which must be the lex-least clique of
+    its own size, and caps the bound at `upper`, so it stops once a
+    clique of `upper` vertices is found.  The result is the lex-least
+    clique of size min(upper, omega), or `lower` if that is larger.
+    One budget unit is spent per search node; an exhausted budget
+    re-raises with the best clique as `incumbent`.
     """
-    best_size = 0
-    best: list[int] = []
+    best = list(lower)
     cur: list[int] = []
 
     def expand(cand: int):
-        nonlocal best_size, best
-        for v, colour in reversed(_colour_classes(adj, cand)):
-            if len(cur) + colour <= best_size:
+        nonlocal best
+        tops = _colour_tops(adj, cand)
+        while cand:
+            bit = cand & -cand
+            v = bit.bit_length() - 1
+            if min(len(cur) + (tops >> v).bit_count(), upper) <= len(best):
                 return
-            cand &= ~(1 << v)
+            cand ^= bit
             budget.spend()
             cur.append(v)
-            sub = cand & adj[v]
-            if len(cur) > best_size:
-                best_size = len(cur)
+            if len(cur) > len(best):
                 best = list(cur)
-                if best_size >= upper:
-                    cur.pop()
-                    raise _UpperReached
-            if sub:
-                expand(sub)
+            expand(cand & adj[v])
             cur.pop()
 
-    full = (1 << K) - 1
-    if lower:
-        best_size = len(lower)
-        best = list(lower)
     try:
-        if best_size < upper:
-            expand(full)
-    except _UpperReached:
-        pass
+        expand((1 << K) - 1)
     except _BudgetExhausted as exc:
         exc.incumbent = best
         raise
-    return best_size, best
-
-
-class _UpperReached(Exception):
-    pass
-
-
-def _lex_min_clique(adj, K, size, budget):
-    """Lexicographically first clique of a given size, by ascending DFS;
-    a node is pruned when the clique so far plus the number of colours
-    of its candidate set (`_colour_classes`) falls short of `size`."""
-    cur: list[int] = []
-
-    def dfs(cand: int):
-        if len(cur) == size:
-            return list(cur)
-        if not cand or len(cur) + _colour_classes(adj, cand)[-1][1] < size:
-            return None
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            budget.spend()
-            cur.append(v)
-            found = dfs(c & adj[v])
-            cur.pop()
-            if found is not None:
-                return found
-        return None
-
-    return dfs((1 << K) - 1)
+    return best
 
 
 def max_mme_rank(
@@ -276,11 +241,13 @@ def max_mme_rank(
 
     Enumerates ME TGX tuples at L = min L* (or the given L; with
     `all_lstar` the search repeats per L* value and the best report
-    wins) and finds the largest compatible set by branch and bound,
-    exiting early when the per-L cap is attained.  The branch and bound
-    colours each node's candidate set greedily and prunes a branch once
-    the clique so far plus the colour count cannot beat the best clique
-    found; this proves R_MME(2^7) = 22 in a few thousand nodes.
+    wins) and finds the largest compatible set, exiting early when the
+    per-L cap is attained.  One clique search (`_max_clique`) proves the
+    maximum and returns the lex-least witness: it tries vertices in
+    ascending order, colours each node's candidates greedily and cuts
+    once the clique so far plus the colours left cannot beat the best
+    clique; this proves R_MME(2^7) = 22 in a few thousand nodes.  An L
+    without ME tuples has R_MME 0, a complete report with no witness.
 
     `search="auto"` runs exhaustively up to n = 64 and greedily beyond,
     where the exhaustive search outgrows a desk budget.  Greedy mode
@@ -350,10 +317,12 @@ def _search_single_L(s, L, search, budget, seed) -> MmeRankReport:
     Streams the enumeration through a lexicographic greedy clique and
     stops as soon as the per-L cap min_m(n_B_m) // L is filled: a
     cap-sized clique is maximum, and the lex-greedy one is then also
-    the lex-least.  Only when the stream ends below the cap is the
-    full adjacency built, for seeded greedy orders in greedy mode, else
-    for branch and bound from the lex-stream clique.  A budget that runs
-    out before the first tuple propagates: there is nothing to report.
+    the lex-least.  A stream without tuples proves R_MME = 0 at this L.
+    Only when the stream ends below the cap is the full adjacency built,
+    for seeded greedy orders in greedy mode, else for the one clique
+    search from the lex-stream clique, which returns the lex-least
+    maximum clique.  A budget that runs out before the first tuple
+    propagates: there is nothing to report.
     """
     cap = min(bipartition(s, m).n_B for m in range(1, s.N + 1)) // L
     r_tilde = loose_bound(s)
@@ -380,18 +349,15 @@ def _search_single_L(s, L, search, budget, seed) -> MmeRankReport:
             raise
         exhausted = True
 
-    if not level_sets:
-        raise RuntimeError(f"no ME TGX tuples found for {s} at L={L}")
-
     def report(indices, status):
         witness = tuple(MeTgxTuple(s, level_sets[i]) for i in indices)
         return MmeRankReport(s, L, r_tilde, len(indices), witness, status,
                              budget.used, len(level_sets))
 
-    if len(lex_clique) >= cap and not exhausted:
-        return report(lex_clique, "complete")
     if exhausted:
         return report(lex_clique, "inconclusive")
+    if len(lex_clique) >= cap or not level_sets:
+        return report(lex_clique, "complete")
 
     K = len(level_sets)
     adj = _adjacency(masks)
@@ -399,13 +365,10 @@ def _search_single_L(s, L, search, budget, seed) -> MmeRankReport:
         best = _greedy_restarts(adj, K, np.random.default_rng(seed), cap)
         return report(max(best, lex_clique, key=len), "greedy")
 
-    found = lex_clique
     try:
-        size, found = _max_clique_size(adj, K, lex_clique, cap, budget)
-        found = _lex_min_clique(adj, K, size, budget) or found
+        return report(_max_clique(adj, K, lex_clique, cap, budget), "complete")
     except _BudgetExhausted as exc:
-        return report(max(exc.incumbent, found, key=len), "inconclusive")
-    return report(found, "complete")
+        return report(exc.incumbent, "inconclusive")
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,16 @@ def test_rank_all_lstar_budget_exhaustion_exit_code(capsys) -> None:
     assert (d["status"], d["exhaustive"], d["L_used"]) == ("inconclusive", False, 6)
 
 
+@pytest.mark.parametrize("argv,L_used,rank", [(["--L", "14"], 14, 0), (["--all-lstar"], 2, 5)])
+def test_rank_L_without_me_tuples(capsys, argv, L_used, rank) -> None:
+    # L* of 2^5 includes 14, where no ME TGX tuple exists: R_MME is 0 there
+    code, out, err = _run(capsys, ["rank", "2^5", *argv])
+    assert (code, err) == (0, "")
+    d = json.loads(out)
+    assert (d["status"], d["L_used"], d["R_MME"], len(d["witness"])) == (
+        "complete", L_used, rank, rank)
+
+
 def test_rank_rejects_L_outside_lstar(capsys) -> None:
     code, _, err = _run(capsys, ["rank", "2^4", "--L", "3"])
     assert code == 2
@@ -350,6 +360,21 @@ def test_tables_json_matches_csv(capsys, argv) -> None:
     for row, cells in zip(rows, csv_rows):
         assert list(row) == header
         assert [str(v) for v in row.values()] == cells
+
+
+def test_tables_exit_code_covers_dropped_rows(capsys) -> None:
+    # every search runs out of budget, and table 3 drops every row below n = 29
+    code, out, err = _run(capsys, ["tables", "3", "--max-n", "28", "--budget-nodes", "1"])
+    assert (code, out, err) == (3, ",".join(TABLE_HEADER) + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv", [["1", "--max-n", "257"], ["3", "--max-n", "257"], ["5", "--max-N", "9"]]
+)
+def test_tables_refuse_structures_above_max_n(capsys, argv) -> None:
+    code, out, err = _run(capsys, ["tables", *argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "256" in err
 
 
 def test_sweep_selfspace_closed_form(capsys) -> None:

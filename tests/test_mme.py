@@ -6,6 +6,8 @@ from operator import or_
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmekit.entcore import lstar
 from mmekit.linalg import partial_trace_matrix
@@ -17,8 +19,7 @@ from mmekit.mme import (
     _greedy_clique,
     _greedy_restarts,
     _level_bits,
-    _lex_min_clique,
-    _max_clique_size,
+    _max_clique,
     compatible,
     construct,
     loose_bound,
@@ -129,6 +130,39 @@ def test_qubit_witnesses_match_published_sets() -> None:
         assert report.status == "complete"
 
 
+BELOW_CAP_WITNESSES = [
+    ("2^5", 2, 5, [(1, 32), (4, 29), (6, 27), (10, 23), (15, 18)]),
+    ("2^5", 4, 4, [(1, 4, 30, 31), (6, 7, 25, 28), (10, 11, 21, 24), (13, 16, 18, 19)]),
+    ("2^5", 6, 1, [(1, 4, 6, 27, 29, 32)]),
+    ("2^7", None, 22, [(1, 128), (4, 125), (6, 123), (7, 122), (10, 119), (11, 118),
+                       (13, 116), (18, 111), (19, 110), (21, 108), (25, 104), (32, 97),
+                       (34, 95), (35, 94), (37, 92), (41, 88), (48, 81), (49, 80),
+                       (56, 73), (60, 69), (62, 67), (63, 66)]),
+    ("3x3x3x3", None, 9, [(1, 41, 81), (5, 45, 73), (9, 37, 77), (11, 51, 61),
+                          (15, 52, 56), (16, 47, 60), (21, 31, 71), (22, 35, 66),
+                          (26, 30, 67)]),
+]
+
+
+@pytest.mark.parametrize("dims,L,rank,witness", BELOW_CAP_WITNESSES)
+def test_exhaustive_witness_pins(dims, L, rank, witness) -> None:
+    # the lex-least maximum compatible set, below the per-L cap except 3^4
+    report = max_mme_rank(parse_dims(dims), search="exhaustive", L=L)
+    assert (report.R_MME, report.status) == (rank, "complete")
+    assert [t.levels for t in report.witness] == witness
+
+
+@pytest.mark.parametrize("search", ["auto", "exhaustive", "greedy"])
+def test_L_without_me_tuples_has_rank_zero(search) -> None:
+    # L* of 2^5 includes 14, where no ME TGX tuple exists
+    s = ModeStructure((2,) * 5)
+    assert 14 in lstar(s).values
+    report = max_mme_rank(s, search=search, L=14)
+    assert (report.R_MME, report.witness, report.status) == (0, (), "complete")
+    assert report.tuple_count == 0
+    assert max_mme_rank(s, search=search, all_lstar=True).L_used == 2
+
+
 def test_all_lstar_picks_best_L() -> None:
     s = ModeStructure((3, 3, 3))
     report = max_mme_rank(s, all_lstar=True)
@@ -172,13 +206,16 @@ def test_tiny_budget_reports_inconclusive() -> None:
 
 
 def test_budget_spent_in_clique_search_reports_its_incumbent() -> None:
-    # 2^7 runs out of nodes inside the colouring branch and bound, which
-    # by then holds a maximum clique (22) that it has not yet proved
+    # 2^7 streams its 64 tuples into a lex-greedy clique of 16; the last
+    # 36 nodes go to the branch and bound, whose incumbent has grown to
+    # 19 by then (it reaches the maximum, 22, at its 72nd node)
     report = max_mme_rank(ModeStructure((2,) * 7), search="exhaustive", budget_nodes=100)
     assert report.status == "inconclusive"
     assert not report.exhaustive
-    assert report.R_MME == len(report.witness) == 22
+    assert report.R_MME == len(report.witness) == 19
     assert compatible(report.witness)
+    stream = max_mme_rank(ModeStructure((2,) * 7), search="exhaustive", budget_nodes=64)
+    assert (stream.R_MME, stream.nodes) == (16, 65)
 
 
 def test_budget_spent_before_a_later_L_reports_inconclusive() -> None:
@@ -245,47 +282,59 @@ def test_greedy_restarts_stop_at_cap_keeps_first_longest(K, density, seed) -> No
         assert _greedy_restarts(adj, K, np.random.default_rng(seed), cap) == want
 
 
+def _lex_least_clique(adj: list[int], size: int) -> list[int] | None:
+    return next((list(c) for c in itertools.combinations(range(len(adj)), size)
+                 if _is_clique(adj, list(c))), None)
+
+
 @pytest.mark.parametrize("K,density,seed", CLIQUE_GRAPHS)
 def test_max_clique_matches_brute_force(K, density, seed) -> None:
     adj = _random_graph(np.random.default_rng(seed), K, density)
     omega = _brute_force_clique_number(adj)
+    want = _lex_least_clique(adj, omega)
 
-    # no incumbent, an upper bound the search cannot reach
-    size, clique = _max_clique_size(adj, K, [], K + 1, _Budget(None))
-    assert size == len(clique) == omega and _is_clique(adj, clique)
-
-    # a greedy incumbent
+    # no incumbent, then a greedy one; an upper bound the search cannot reach
+    budget = _Budget(None)
+    assert _max_clique(adj, K, [], K + 1, budget) == want
     lower = _greedy_clique(adj, range(K))
-    size, clique = _max_clique_size(adj, K, lower, K + 1, _Budget(None))
-    assert size == len(clique) == omega and _is_clique(adj, clique)
+    assert _max_clique(adj, K, lower, K + 1, _Budget(None)) == want
 
-    # an upper bound at or below omega stops the search once it is attained
-    for upper in {max(omega - 1, 1), omega}:
-        size, clique = _max_clique_size(adj, K, [], upper, _Budget(None))
-        assert upper <= size == len(clique) <= omega and _is_clique(adj, clique)
+    # an upper bound stops the search at the lex-least clique of that size
+    for upper in range(1, omega + 2):
+        got = _max_clique(adj, K, [], upper, _Budget(None))
+        assert got == _lex_least_clique(adj, min(upper, omega)), upper
 
     # an incumbent already at the upper bound spends no nodes
-    budget = _Budget(None)
-    assert _max_clique_size(adj, K, lower, len(lower), budget) == (len(lower), lower)
-    assert budget.used == 0
+    spent = _Budget(None)
+    assert _max_clique(adj, K, lower, len(lower), spent) == lower
+    assert spent.used == 0
+
+    # a budget one node short raises with a clique as its incumbent
+    with pytest.raises(_BudgetExhausted) as exc:
+        _max_clique(adj, K, [], K + 1, _Budget(budget.used - 1))
+    assert _is_clique(adj, exc.value.incumbent)
 
 
-@pytest.mark.parametrize("K,density,seed", CLIQUE_GRAPHS)
-def test_lex_min_clique_matches_brute_force(K, density, seed) -> None:
-    adj = _random_graph(np.random.default_rng(seed), K, density)
-    omega = _brute_force_clique_number(adj)
-    for size in range(1, omega + 2):
-        want = next(
-            (list(c) for c in itertools.combinations(range(K), size) if _is_clique(adj, list(c))),
-            None,
-        )
-        assert _lex_min_clique(adj, K, size, _Budget(None)) == want, size
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_max_clique_property(data) -> None:
+    K = data.draw(st.integers(0, 12), label="K")
+    density = data.draw(st.floats(0, 1), label="density")
+    adj = _random_graph(np.random.default_rng(data.draw(st.integers(0, 2**32))), K, density)
+    lower = data.draw(st.sampled_from([[], _greedy_clique(adj, range(K))]), label="lower")
+    upper = data.draw(st.integers(1, K + 1), label="upper")
+    limit = data.draw(st.integers(1, 40), label="budget")
 
-
-def test_max_clique_budget_exhaustion() -> None:
-    adj = _random_graph(np.random.default_rng(3), 16, 0.5)
-    with pytest.raises(_BudgetExhausted):
-        _max_clique_size(adj, 16, [], 17, _Budget(2))
+    # `lower` is the lex-least clique of its size, so the result is the
+    # lex-least clique of the larger of that size and min(upper, omega)
+    size = max(len(lower), min(upper, _brute_force_clique_number(adj)))
+    want = _lex_least_clique(adj, size)
+    assert _max_clique(adj, K, lower, upper, _Budget(None)) == want
+    try:
+        assert _max_clique(adj, K, lower, upper, _Budget(limit)) == want
+    except _BudgetExhausted as exc:
+        assert _is_clique(adj, exc.incumbent)
+        assert len(exc.incumbent) >= len(lower)
 
 
 def _extra_tuples(dims: tuple[int, ...]) -> list[tuple[int, ...]]:

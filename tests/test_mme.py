@@ -299,11 +299,6 @@ def test_max_clique_matches_brute_force(K, density, seed) -> None:
     lower = _greedy_clique(adj, range(K))
     assert _max_clique(adj, K, lower, K + 1, _Budget(None)) == want
 
-    # an upper bound stops the search at the lex-least clique of that size
-    for upper in range(1, omega + 2):
-        got = _max_clique(adj, K, [], upper, _Budget(None))
-        assert got == _lex_least_clique(adj, min(upper, omega)), upper
-
     # an incumbent already at the upper bound spends no nodes
     spent = _Budget(None)
     assert _max_clique(adj, K, lower, len(lower), spent) == lower
@@ -313,6 +308,24 @@ def test_max_clique_matches_brute_force(K, density, seed) -> None:
     with pytest.raises(_BudgetExhausted) as exc:
         _max_clique(adj, K, [], K + 1, _Budget(budget.used - 1))
     assert _is_clique(adj, exc.value.incumbent)
+
+
+@pytest.mark.parametrize("K,density,seed", CLIQUE_GRAPHS)
+def test_lex_min_clique_matches_brute_force(K, density, seed) -> None:
+    # an upper bound stops the search at the lex-least clique of that size;
+    # above omega no clique of that size exists and omega's is returned
+    adj = _random_graph(np.random.default_rng(seed), K, density)
+    omega = _brute_force_clique_number(adj)
+    assert _lex_least_clique(adj, omega + 1) is None
+    for size in range(1, omega + 2):
+        got = _max_clique(adj, K, [], size, _Budget(None))
+        assert got == _lex_least_clique(adj, min(size, omega)), size
+
+
+def test_max_clique_budget_exhaustion() -> None:
+    adj = _random_graph(np.random.default_rng(3), 16, 0.5)
+    with pytest.raises(_BudgetExhausted):
+        _max_clique(adj, 16, [], 17, _Budget(2))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

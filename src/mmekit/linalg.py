@@ -9,12 +9,9 @@ used throughout.
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
 import numpy as np
 
-from .modes import ModeStructure
+from .modes import ModeStructure, _trace_groups
 
 # 1e-12 for algebraic identities on exactly representable inputs,
 # 1e-10 of slack for eigenvalues of constructed density matrices.
@@ -104,17 +101,6 @@ def outer(v: PureStateVector) -> DensityMatrix:
     """Rank-1 projector |v><v|."""
     mat = np.outer(v.amplitudes, v.amplitudes.conj())
     return DensityMatrix(v.structure, mat, validate=False)
-
-
-@lru_cache(maxsize=None)
-def _trace_groups(dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Index array `pos` of shape (n_keep, n_drop) for a partial trace
-    onto the 1-based modes `keep`: pos[a, b] is the 0-based scalar index
-    whose kept labels decode to a and dropped labels to b."""
-    drop = tuple(m for m in range(1, len(dims) + 1) if m not in keep)
-    n_keep = math.prod(dims[m - 1] for m in keep)
-    levels = np.arange(math.prod(dims), dtype=np.intp).reshape(dims)
-    return levels.transpose([m - 1 for m in keep + drop]).reshape(n_keep, -1)
 
 
 def partial_trace_matrix(mat: np.ndarray, structure: ModeStructure, keep) -> np.ndarray:

@@ -7,32 +7,37 @@ the big side B_m of the extreme bipartition contain no repeats.  Since
 repeats are a pairwise matter, the maximal MME rank is the maximum
 clique of the pairwise-compatibility graph over the ME tuples, found by
 one branch and bound that also returns the lex-least maximum clique.
-Both read the projections from the level table of `modes`; the search
-packs each tuple's (mode, projection) pairs into one int bitmask.
+Compatibility has one test: the level table of `modes` gives each
+level one int bitmask with a bit per (mode, B_m projection), and a
+projected level repeats iff two masks share a bit.  The predicate folds
+level masks, and the search ORs each tuple's masks into one.  An
+MmeState is the SpectralState of its dressed TGX eigenstates, so the
+certifier reads it directly.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 from operator import or_
 
 import numpy as np
 
 from .entcore import lstar
-from .linalg import DensityMatrix, PureStateVector, _check_weights, mix
 from .modes import ModeStructure, _level_table, bipartition
 from .tgx import (
     LocalUnitarySet,
     MeTgxTuple,
+    _certify,
     _me_level_sets,
     apply_lu,
     as_me_tuple,
     build_tgx_state,
     is_me_tuple,
 )
+from .verify import SpectralState
 
 # Seeded random greedy orders tried by `search="greedy"`, after the
 # natural and the degree order.
@@ -40,16 +45,18 @@ GREEDY_RESTARTS = 2000
 
 
 def _first_conflict(s: ModeStructure, level_sets):
-    """First (mode, projected level) repeated in a mode line, or None;
-    repeats within one tuple count.  Levels must already be validated."""
-    _, proj = _level_table(s)
-    for m in range(s.N):
-        seen = set()
-        for p in (proj[lvl][m] for levels in level_sets for lvl in levels):
-            if p in seen:
-                return m + 1, p
-            seen.add(p)
-    return None
+    """Lowest (mode, projected level) repeated in a mode line, or None;
+    repeats within one tuple count.  Folds the levels' table masks, so a
+    bit set twice is a repeat.  Levels must already be validated."""
+    _, masks, W = _level_table(s)
+    seen = repeats = 0
+    for lvl in chain.from_iterable(level_sets):
+        repeats |= seen & masks[lvl]
+        seen |= masks[lvl]
+    if not repeats:
+        return None
+    m, p = divmod((repeats & -repeats).bit_length() - 1, W)
+    return m + 1, p
 
 
 def compatible(tuples) -> bool:
@@ -287,13 +294,6 @@ def max_mme_rank(
     return best
 
 
-def _level_bits(s: ModeStructure) -> list[int]:
-    """bits[lvl] sets bit p * N + m - 1 for the level's projection p onto
-    each B_m; a tuple's mask is the OR over its levels."""
-    return [0] + [sum(1 << (p * s.N + m) for m, p in enumerate(ps))
-                  for ps in _level_table(s)[1][1:]]
-
-
 def _adjacency(masks: list[int]) -> list[int]:
     """Bitset graph with bit j of adj[i] set iff masks i and j share no
     bit; one holder set per bit makes it O(K * L * N) big-int ORs."""
@@ -328,7 +328,7 @@ def _search_single_L(s, L, search, budget, seed) -> MmeRankReport:
     r_tilde = loose_bound(s)
     exhausted = False
 
-    bits = _level_bits(s)
+    level_masks = _level_table(s)[1]
     level_sets = []
     masks = []
     lex_clique: list[int] = []
@@ -336,7 +336,7 @@ def _search_single_L(s, L, search, budget, seed) -> MmeRankReport:
     try:
         for levels in _me_level_sets(s, L):
             budget.spend()
-            mask = reduce(or_, (bits[lvl] for lvl in levels))
+            mask = reduce(or_, (level_masks[lvl] for lvl in levels))
             level_sets.append(levels)
             masks.append(mask)
             if not mask & lex_mask:
@@ -350,7 +350,7 @@ def _search_single_L(s, L, search, budget, seed) -> MmeRankReport:
         exhausted = True
 
     def report(indices, status):
-        witness = tuple(MeTgxTuple(s, level_sets[i]) for i in indices)
+        witness = tuple(_certify(s, [level_sets[i] for i in indices]))
         return MmeRankReport(s, L, r_tilde, len(indices), witness, status,
                              budget.used, len(level_sets))
 
@@ -372,41 +372,26 @@ def _search_single_L(s, L, search, budget, seed) -> MmeRankReport:
 
 
 @dataclass(frozen=True)
-class MmeState:
-    """Spectrum plus compatible ME TGX eigen-tuples, optionally dressed by
-    local unitaries; rank 1 is the trivial pure-ME edge case."""
+class MmeState(SpectralState):
+    """An MME state: its eigenstates are the TGX states of compatible ME
+    tuples, optionally dressed by local unitaries; rank 1 is the trivial
+    pure-ME edge case."""
 
-    structure: ModeStructure
     tuples: tuple[MeTgxTuple, ...]
-    spectrum: tuple[float, ...]
     lu: LocalUnitarySet | None = None
-
-    @property
-    def rank(self) -> int:
-        return len(self.tuples)
 
     @property
     def is_trivial(self) -> bool:
         return self.rank == 1
-
-    @cached_property
-    def eigenstates(self) -> tuple[PureStateVector, ...]:
-        """The (dressed) eigenstates, built on first use and then kept."""
-        states = (build_tgx_state(t) for t in self.tuples)
-        if self.lu is not None:
-            states = (apply_lu(st, self.lu) for st in states)
-        return tuple(states)
-
-    def matrix(self) -> DensityMatrix:
-        return mix(self.eigenstates, self.spectrum)
 
 
 def construct(s: ModeStructure, tuples, spectrum, lu: LocalUnitarySet | None = None):
     """Build an MME state from compatible ME TGX tuples and a spectrum.
 
     Returns (MmeState, DensityMatrix).  Incompatible tuples are refused
-    with the failing mode line; the spectrum must be positive and sum
-    to 1 with one weight per tuple.
+    with the lowest repeated projected level of the lowest failing mode
+    line; the spectrum must be positive and sum to 1 with one weight per
+    tuple.
     """
     ts = tuple(as_me_tuple(s, t) for t in tuples)
     if not ts:
@@ -420,9 +405,10 @@ def construct(s: ModeStructure, tuples, spectrum, lu: LocalUnitarySet | None = N
         raise ValueError(
             f"tuples are not compatible: mode-{m} line repeats projected level {p}"
         )
-    spectrum = tuple(float(w) for w in spectrum)
-    _check_weights(spectrum, len(ts))
-    state = MmeState(s, ts, spectrum, lu)
+    states = [build_tgx_state(t) for t in ts]
+    if lu is not None:
+        states = [apply_lu(st, lu) for st in states]
+    state = MmeState(s, tuple(float(w) for w in spectrum), tuple(states), ts, lu)
     return state, state.matrix()
 
 

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 # Largest total dimension accepted from text input (parse_dims); the
 # dense linear algebra of `linalg` is sized for n <= 256.
 MAX_N = 256
@@ -142,16 +144,6 @@ def _check_modes(s: ModeStructure, modes) -> tuple[int, ...]:
     return modes
 
 
-def strides(s: ModeStructure) -> tuple[int, ...]:
-    """Place values of each mode in the scalar encoding (mode 1 largest)."""
-    out = []
-    acc = 1
-    for d in reversed(s.dims):
-        out.append(acc)
-        acc *= d
-    return tuple(reversed(out))
-
-
 def scalar_to_vector(s: ModeStructure, level: int) -> tuple[int, ...]:
     """Decompose a scalar level 1..n into its per-mode labels.
 
@@ -213,12 +205,33 @@ def project_level(s: ModeStructure, level: int, modes) -> int:
 
 
 @lru_cache(maxsize=None)
+def _trace_groups(dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    """Index array `pos` of shape (n_keep, n_drop) for the 1-based modes
+    `keep`: pos[a, b] is the 0-based scalar index whose kept labels
+    decode to a and dropped labels to b."""
+    drop = tuple(m for m in range(1, len(dims) + 1) if m not in keep)
+    n_keep = math.prod(dims[m - 1] for m in keep)
+    levels = np.arange(math.prod(dims), dtype=np.intp).reshape(dims)
+    return levels.transpose([m - 1 for m in keep + drop]).reshape(n_keep, -1)
+
+
+@lru_cache(maxsize=None)
 def _level_table(s: ModeStructure):
-    """(labels, proj) with labels[lvl] = scalar_to_vector(s, lvl) and
-    proj[lvl][m - 1] = project_level(s, lvl, B_m) for each extreme
-    bipartition; slot 0 is unused, and callers validate levels first."""
-    B = [bipartition(s, m).B_modes for m in range(1, s.N + 1)]
-    levels = range(1, s.n + 1)
-    labels = (None,) + tuple(scalar_to_vector(s, lvl) for lvl in levels)
-    proj = (None,) + tuple(tuple(project_level(s, lvl, b) for b in B) for lvl in levels)
-    return labels, proj
+    """(labels, masks, W) for every level, read off `_trace_groups`.
+
+    labels[lvl] = scalar_to_vector(s, lvl).  masks[lvl] sets bit
+    m * W + p for the level's projection p = project_level(s, lvl, B_{m+1})
+    onto the big side of each extreme bipartition, mode-major, with
+    W = max_m n_B + 1: two levels repeat a projection iff their masks
+    share a bit.  Slot 0 is unused, and callers validate levels first.
+    """
+    bips = [bipartition(s, m) for m in range(1, s.N + 1)]
+    keeps = [(m,) for m in range(1, s.N + 1)] + [b.B_modes for b in bips]
+    proj = np.empty((s.n, 2 * s.N), dtype=np.intp)  # 0-based projections
+    for j, keep in enumerate(keeps):
+        pos = _trace_groups(s.dims, keep)
+        proj[pos, j] = np.arange(len(pos))[:, None]
+    W = max(b.n_B for b in bips) + 1
+    labels = (None,) + tuple(map(tuple, (proj[:, :s.N] + 1).tolist()))
+    bits = proj[:, s.N:] + 1 + W * np.arange(s.N)
+    return labels, (0,) + tuple(sum(1 << b for b in row) for row in bits.tolist()), W

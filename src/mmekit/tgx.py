@@ -4,8 +4,9 @@ An ME TGX tuple is a set of L scalar levels whose equal phaseless
 superposition is maximally full-N-partite entangled.  Enumeration is a
 pruned depth-first search over the structure's level table: at L in L*
 its survivors are exactly the ME tuples, and each one is certified once,
-numerically through the ent itself: in blocks by enumerate_me_tuples,
-or when its MeTgxTuple is built.
+numerically through the ent itself: in blocks (`_certify`) for
+enumerate_me_tuples and rank witnesses, or when an MeTgxTuple is built
+from raw levels.
 """
 
 from __future__ import annotations
@@ -61,15 +62,6 @@ class MeTgxTuple:
             raise ValueError(f"{levels} is not an ME TGX tuple of {structure}")
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "levels", levels)
-
-    @classmethod
-    def _certified(cls, structure: ModeStructure, levels: tuple[int, ...]):
-        """An instance from ascending in-range levels that the caller has
-        already certified; skips the check in __init__."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "structure", structure)
-        object.__setattr__(t, "levels", levels)
-        return t
 
     @property
     def L(self) -> int:
@@ -190,6 +182,21 @@ def _me_flags(s: ModeStructure, level_sets) -> list[bool]:
     return flags
 
 
+def _certify(s: ModeStructure, level_sets) -> list[MeTgxTuple]:
+    """MeTgxTuples of ascending in-range level sets of one size, at least
+    2, certified in `_me_flags` blocks; the first set that is not ME
+    raises ValueError."""
+    tuples = []
+    for levels, ok in zip(level_sets, _me_flags(s, level_sets)):
+        if not ok:
+            raise ValueError(f"{levels} is not an ME TGX tuple of {s}")
+        t = object.__new__(MeTgxTuple)  # certified here, so skip __init__
+        object.__setattr__(t, "structure", s)
+        object.__setattr__(t, "levels", levels)
+        tuples.append(t)
+    return tuples
+
+
 def enumerate_me_tuples(s: ModeStructure, L: int) -> list[MeTgxTuple]:
     """All ME TGX tuples of size L, lexicographically sorted.
 
@@ -208,11 +215,7 @@ def enumerate_me_tuples(s: ModeStructure, L: int) -> list[MeTgxTuple]:
             stacklevel=2,
         )
         return []
-    level_sets = list(_me_level_sets(s, L))
-    for levels, ok in zip(level_sets, _me_flags(s, level_sets)):
-        if not ok:
-            raise ValueError(f"{levels} is not an ME TGX tuple of {s}")
-    return [MeTgxTuple._certified(s, levels) for levels in level_sets]
+    return _certify(s, list(_me_level_sets(s, L)))
 
 
 def build_tgx_state(t: MeTgxTuple, amplitudes=None, phases=None) -> PureStateVector:

@@ -30,6 +30,7 @@ from .linalg import (
     mode_purities,
 )
 from .modes import ModeStructure
+from .tgx import LocalUnitarySet
 
 P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
 
@@ -178,8 +179,6 @@ def random_lu_set(s: ModeStructure, seed: int):
     """Independent Haar local unitaries, one per mode; the per-mode rng
     streams are keyed by (seed, mode) so results do not depend on call
     order."""
-    from .tgx import LocalUnitarySet
-
     us = []
     for m, d in enumerate(s.dims, start=1):
         rng = np.random.default_rng([seed, m])
@@ -190,16 +189,13 @@ def random_lu_set(s: ModeStructure, seed: int):
 def as_spectral(state) -> tuple[SpectralState, str]:
     """Coerce to SpectralState plus a provenance note.
 
-    MmeState and SpectralState carry their eigenbasis; a raw
-    DensityMatrix is eigen-decomposed, which leaves the basis
-    arbitrary inside any degenerate eigenspace (noted when it happens).
+    A SpectralState, an MmeState included, is returned as it is, with its
+    eigenbasis; a raw DensityMatrix is eigen-decomposed, which leaves the
+    basis arbitrary inside any degenerate eigenspace (noted when it
+    happens).
     """
-    from .mme import MmeState
-
     if isinstance(state, SpectralState):
         return state, ""
-    if isinstance(state, MmeState):
-        return SpectralState(state.structure, state.spectrum, state.eigenstates), ""
     if isinstance(state, DensityMatrix):
         spec = spectral(state)
         note = ""
@@ -235,8 +231,8 @@ def min_avg_ent(
 ) -> EntEstimate:
     """Minimize the decomposition-averaged entanglement over unitaries.
 
-    `state` may be a SpectralState, an MmeState, or a DensityMatrix
-    (eigen-decomposed on the fly).
+    `state` may be a SpectralState (an MmeState is one) or a
+    DensityMatrix (eigen-decomposed on the fly).
 
     strategy "grid": rank must be 2; sweeps the u2 half-open grid.
     strategy "random": Haar unitaries, `samples` per D from Dmin..Dmax

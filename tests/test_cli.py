@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import re
 import shutil
@@ -9,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmekit.cli import TABLE_HEADER, build_parser, main
 from mmekit.mme import construct
@@ -454,6 +458,34 @@ def test_unexpected_exception_exit_code(capsys, monkeypatch) -> None:
     assert code == 4
     assert err == "internal error: KeyError: 'lost key'\n"
     assert "Traceback" not in err
+
+
+# One argv per parser of outside text; verify runs the random strategy
+# with one sample per D, so a grid that parses is checked, not swept.
+PARSER_ARGVS = {
+    "lstar-dims": lambda text: ["lstar", "--", text],
+    "construct-tuples": lambda text: ["construct", "2^4", f"--tuples={text}",
+                                      "--spectrum=0.5,0.5"],
+    "construct-spectrum": lambda text: ["construct", "2^4", "--tuples=1,16;4,13",
+                                        f"--spectrum={text}"],
+    "validate-tuples": lambda text: ["validate-examples", "2^4", f"--tuples={text}"],
+    "verify-grid": lambda text: ["verify", "2^4", "--tuples=1,16;4,13",
+                                 "--spectrum=0.5,0.5", "--strategy=random",
+                                 "--samples=1", f"--grid={text}"],
+}
+
+
+@pytest.mark.parametrize("parser", sorted(PARSER_ARGVS))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(text=st.text() | st.text(alphabet="0123456789,;.x^-+e _"))
+def test_parsers_exit_0_or_2(parser, text) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(PARSER_ARGVS[parser](text))
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    assert code in (0, 2), (code, err.getvalue())
 
 
 def test_module_invocation_smoke(child_env) -> None:

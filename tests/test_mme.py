@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmekit.cli import _structures_upto
 from mmekit.entcore import lstar
 from mmekit.linalg import partial_trace_matrix
 from mmekit.mme import (
@@ -16,9 +17,9 @@ from mmekit.mme import (
     _adjacency,
     _Budget,
     _BudgetExhausted,
+    _first_conflict,
     _greedy_clique,
     _greedy_restarts,
-    _level_bits,
     _max_clique,
     compatible,
     construct,
@@ -26,9 +27,15 @@ from mmekit.mme import (
     max_mme_rank,
     validate_example_set,
 )
-from mmekit.modes import ModeStructure, bipartition, parse_dims
+from mmekit.modes import (
+    ModeStructure,
+    _level_table,
+    bipartition,
+    parse_dims,
+    project_level,
+)
 from mmekit.tgx import MeTgxTuple, as_me_tuple, enumerate_me_tuples
-from mmekit.verify import random_lu_set
+from mmekit.verify import SpectralState, as_spectral, random_lu_set
 
 from reference_values import EXAMPLE_SETS, QUBIT_SETS
 
@@ -73,8 +80,8 @@ def test_mask_adjacency_matches_compatible() -> None:
     s = ModeStructure((2,) * 6)
     ts = enumerate_me_tuples(s, lstar(s).min)
     assert len(ts) == 32
-    bits = _level_bits(s)
-    adj = _adjacency([reduce(or_, (bits[lvl] for lvl in t.levels)) for t in ts])
+    masks = _level_table(s)[1]
+    adj = _adjacency([reduce(or_, (masks[lvl] for lvl in t.levels)) for t in ts])
     verdicts = []
     for i, j in itertools.combinations(range(len(ts)), 2):
         ok = compatible([ts[i], ts[j]])
@@ -82,6 +89,31 @@ def test_mask_adjacency_matches_compatible() -> None:
         verdicts.append(ok)
     assert (verdicts.count(True), verdicts.count(False)) == (400, 96)
     assert not any(adj[i] >> i & 1 for i in range(len(ts)))
+
+
+def _scan_conflict(s: ModeStructure, level_sets):
+    """Set-scan oracle for `_first_conflict`: the first mode whose line
+    repeats a projected level, with its lowest repeated level."""
+    for m in range(1, s.N + 1):
+        B = bipartition(s, m).B_modes
+        seen, repeated = set(), set()
+        for lvl in itertools.chain.from_iterable(level_sets):
+            p = project_level(s, lvl, B)
+            (repeated if p in seen else seen).add(p)
+        if repeated:
+            return m, min(repeated)
+    return None
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_first_conflict_matches_set_scan(data) -> None:
+    # raw level sets, ME or not, may repeat a projection inside one set
+    s = data.draw(st.sampled_from(list(_structures_upto(36))), label="structure")
+    levels = st.lists(st.integers(1, s.n), min_size=1, max_size=6, unique=True)
+    level_sets = data.draw(st.lists(levels.map(sorted).map(tuple), min_size=1,
+                                    max_size=5), label="level_sets")
+    assert _first_conflict(s, level_sets) == _scan_conflict(s, level_sets)
 
 
 def test_loose_bound_pins() -> None:
@@ -450,6 +482,17 @@ def test_construct_lu_dressing_keeps_spectrum() -> None:
     ev_b = np.linalg.eigvalsh(dressed.entries)
     assert np.allclose(ev_a, ev_b, atol=1e-12)
     assert not np.allclose(plain.entries, dressed.entries, atol=1e-6)
+
+
+def test_mme_state_is_its_own_spectral_state() -> None:
+    s = parse_dims("2^4")
+    lu = random_lu_set(s, 3)
+    state, rho = construct(s, [(1, 16), (4, 13)], (0.7, 0.3), lu)
+    assert isinstance(state, SpectralState)
+    spec, note = as_spectral(state)
+    assert spec is state and note == ""
+    assert state.lu is lu and state.rank == 2
+    assert np.array_equal(state.matrix().entries, rho.entries)
 
 
 def test_construct_trivial_single_tuple() -> None:

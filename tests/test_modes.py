@@ -14,7 +14,6 @@ from mmekit.modes import (
     parse_dims,
     project_level,
     scalar_to_vector,
-    strides,
     vector_to_scalar,
 )
 
@@ -52,11 +51,6 @@ def test_parse_dims_forms() -> None:
 def test_parse_dims_rejects_junk(text: str) -> None:
     with pytest.raises(ValueError):
         parse_dims(text)
-
-
-def test_strides_mode_one_most_significant() -> None:
-    assert strides(ModeStructure((2, 3, 4))) == (12, 4, 1)
-    assert strides(ModeStructure((5,))) == (1,)
 
 
 def test_scalar_vector_known_pairs() -> None:
@@ -184,9 +178,11 @@ def test_project_level_matches_label_restriction() -> None:
 
 def test_level_table_matches_scalar_path() -> None:
     for s in _structures_upto(36):
-        labels, proj = _level_table(s)
-        assert len(labels) == len(proj) == s.n + 1
+        labels, masks, W = _level_table(s)
+        assert len(labels) == len(masks) == s.n + 1
         B = [bipartition(s, m).B_modes for m in range(1, s.N + 1)]
+        assert W == max(bipartition(s, m).n_B for m in range(1, s.N + 1)) + 1
         for lvl in range(1, s.n + 1):
             assert labels[lvl] == scalar_to_vector(s, lvl), (s.dims, lvl)
-            assert proj[lvl] == tuple(project_level(s, lvl, b) for b in B), (s.dims, lvl)
+            want = sum(1 << (m * W + project_level(s, lvl, b)) for m, b in enumerate(B))
+            assert masks[lvl] == want, (s.dims, lvl)

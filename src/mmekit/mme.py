@@ -26,16 +26,18 @@ from operator import or_
 import numpy as np
 
 from .entcore import lstar
+from .linalg import PureStateVector
 from .modes import ModeStructure, _level_table, bipartition
 from .tgx import (
     LocalUnitarySet,
     MeTgxTuple,
+    _apply_per_axis,
     _certify,
+    _check_levels,
+    _me_flags,
     _me_level_sets,
-    apply_lu,
-    as_me_tuple,
-    build_tgx_state,
-    is_me_tuple,
+    _superpositions,
+    _tuple_levels,
 )
 from .verify import SpectralState
 
@@ -388,27 +390,40 @@ class MmeState(SpectralState):
 def construct(s: ModeStructure, tuples, spectrum, lu: LocalUnitarySet | None = None):
     """Build an MME state from compatible ME TGX tuples and a spectrum.
 
-    Returns (MmeState, DensityMatrix).  Incompatible tuples are refused
-    with the lowest repeated projected level of the lowest failing mode
-    line; the spectrum must be positive and sum to 1 with one weight per
-    tuple.
+    Returns (MmeState, DensityMatrix).  Tuples are raw levels or
+    MeTgxTuples of `s`; refusals name the first offending tuple, in this
+    order: bad levels (duplicate or out of range) or a foreign
+    MeTgxTuple, a size other than the first tuple's, then a tuple that
+    is not ME (all tuples are certified in one `_certify` block), and
+    incompatible tuples, named by the lowest repeated projected level of
+    the lowest failing mode line.  The spectrum must be positive and sum
+    to 1 with one weight per tuple.  The eigenstates are built as one
+    (R, n) stack of equal superpositions and dressed by `lu` with one
+    tensordot per mode over the whole stack.
     """
-    ts = tuple(as_me_tuple(s, t) for t in tuples)
-    if not ts:
+    level_sets = [_tuple_levels(s, t) for t in tuples]
+    if not level_sets:
         raise ValueError("need at least one tuple")
-    Lset = {t.L for t in ts}
-    if len(Lset) != 1:
-        raise ValueError(f"mixed tuple sizes {sorted(Lset)}; eigen-tuples must share L")
-    conflict = _first_conflict(s, [t.levels for t in ts])
+    first = level_sets[0]
+    for levels in level_sets:
+        if len(levels) != len(first):
+            raise ValueError(
+                f"mixed tuple sizes: {levels} has L={len(levels)} but {first} has "
+                f"L={len(first)}; eigen-tuples must share L"
+            )
+    ts = tuple(_certify(s, level_sets))
+    conflict = _first_conflict(s, level_sets)
     if conflict is not None:
         m, p = conflict
         raise ValueError(
             f"tuples are not compatible: mode-{m} line repeats projected level {p}"
         )
-    states = [build_tgx_state(t) for t in ts]
+    amps = _superpositions(s.n, level_sets)
     if lu is not None:
-        states = [apply_lu(st, lu) for st in states]
-    state = MmeState(s, tuple(float(w) for w in spectrum), tuple(states), ts, lu)
+        lu._check_structure(s)
+        amps = _apply_per_axis(lu.unitaries, amps, s.dims)
+    states = tuple(PureStateVector(s, row) for row in amps)
+    state = MmeState(s, tuple(float(w) for w in spectrum), states, ts, lu)
     return state, state.matrix()
 
 
@@ -442,15 +457,17 @@ class ExampleSetReport:
 
 
 def validate_example_set(s: ModeStructure, tuples) -> ExampleSetReport:
-    """Certify each tuple (is_me_tuple) and the set and all pairs
-    (projection lines); failures are reported, not raised."""
-    level_sets = []
-    for t in tuples:
-        levels = t.levels if isinstance(t, MeTgxTuple) else tuple(
-            sorted(int(x) for x in t)
-        )
-        level_sets.append(levels)
-    me = tuple(is_me_tuple(s, levels) for levels in level_sets)
+    """Certify each tuple (one `_me_flags` call per tuple size) and the
+    set and all pairs (projection lines); failures are reported, not
+    raised.  Levels out of range or repeated raise ValueError."""
+    level_sets = [
+        _check_levels(s, t.levels if isinstance(t, MeTgxTuple) else t) for t in tuples
+    ]
+    flags = {}
+    for size in {len(levels) for levels in level_sets}:
+        group = [levels for levels in level_sets if len(levels) == size]
+        flags.update(zip(group, _me_flags(s, group)))
+    me = tuple(flags[levels] for levels in level_sets)
     set_ok = _first_conflict(s, level_sets) is None
     pairs = []
     for i, a in enumerate(level_sets):

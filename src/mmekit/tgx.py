@@ -3,10 +3,12 @@
 An ME TGX tuple is a set of L scalar levels whose equal phaseless
 superposition is maximally full-N-partite entangled.  Enumeration is a
 pruned depth-first search over the structure's level table: at L in L*
-its survivors are exactly the ME tuples, and each one is certified once,
-numerically through the ent itself: in blocks (`_certify`) for
-enumerate_me_tuples and rank witnesses, or when an MeTgxTuple is built
-from raw levels.
+its survivors are exactly the ME tuples.  Each tuple is certified once,
+numerically through the ent itself, in `_me_flags` blocks of equal
+superpositions: `_certify` for enumerate_me_tuples, rank witnesses and
+the eigen-tuples of `mme.construct`; a lone MeTgxTuple built from raw
+levels is the one-row case.  Local unitaries dress stacks of states
+with one tensordot per mode (`_apply_per_axis`).
 """
 
 from __future__ import annotations
@@ -34,17 +36,14 @@ def _check_levels(s: ModeStructure, levels) -> tuple[int, ...]:
         raise ValueError(f"levels contain duplicates: {levels}")
     for lvl in levels:
         if not 1 <= lvl <= s.n:
-            raise ValueError(f"level {lvl} out of range 1..{s.n} for {s}")
+            raise ValueError(f"level {lvl} of {levels} out of range 1..{s.n} for {s}")
     return tuple(sorted(levels))
 
 
 def is_me_tuple(s: ModeStructure, levels) -> bool:
     """Whether the equal phaseless superposition of `levels` is maximally
     entangled (ent equal to 1 within 1e-10)."""
-    levels = _check_levels(s, levels)
-    if len(levels) < 2:
-        return False
-    return _me_flags(s, [levels])[0]
+    return _me_flags(s, [_check_levels(s, levels)])[0]
 
 
 @dataclass(frozen=True)
@@ -71,11 +70,20 @@ class MeTgxTuple:
         return "{" + ",".join(str(x) for x in self.levels) + "}"
 
 
+def _tuple_levels(s: ModeStructure, t) -> tuple[int, ...]:
+    """Ascending levels of raw levels (validated) or of an MeTgxTuple,
+    which must belong to `s`."""
+    if isinstance(t, MeTgxTuple):
+        if t.structure.dims != s.dims:
+            raise ValueError(f"tuple {t} belongs to {t.structure}, not {s}")
+        return t.levels
+    return _check_levels(s, t)
+
+
 def as_me_tuple(s: ModeStructure, levels) -> MeTgxTuple:
     """Coerce raw levels (or pass through an MeTgxTuple) with certification."""
     if isinstance(levels, MeTgxTuple):
-        if levels.structure.dims != s.dims:
-            raise ValueError("tuple belongs to a different structure")
+        _tuple_levels(s, levels)
         return levels
     return MeTgxTuple(s, levels)
 
@@ -164,27 +172,33 @@ def _me_level_sets(s: ModeStructure, L: int):
     yield from dfs((1 << (n + 1)) - 2, L)
 
 
+def _superpositions(n: int, level_sets) -> np.ndarray:
+    """Equal phaseless superpositions of level sets of one size, one
+    per row of an (M, n) complex array."""
+    idx = np.asarray(level_sets, dtype=np.intp) - 1
+    amps = np.zeros((len(idx), n), dtype=complex)
+    amps[np.arange(len(idx))[:, None], idx] = 1.0 / np.sqrt(idx.shape[1])
+    return amps
+
+
 def _me_flags(s: ModeStructure, level_sets) -> list[bool]:
     """Whether the equal phaseless superposition of each level set (all
-    of one size, at least 2) is maximally entangled: ent within ME_TOL
-    of 1.  Rows go through `ent_rows` in blocks of at most
-    BLOCK_AMPLITUDES amplitudes."""
-    if not level_sets:
-        return []
-    idx = np.asarray(level_sets, dtype=np.intp) - 1
+    of one size) is maximally entangled: ent within ME_TOL of 1.  Sets
+    of fewer than 2 levels are not.  Rows go through `ent_rows` in
+    blocks of at most BLOCK_AMPLITUDES amplitudes."""
+    if not level_sets or len(level_sets[0]) < 2:
+        return [False] * len(level_sets)
     rows = max(1, BLOCK_AMPLITUDES // s.n)
     flags: list[bool] = []
-    for i in range(0, len(idx), rows):
-        block = idx[i:i + rows]
-        amps = np.zeros((len(block), s.n), dtype=complex)
-        amps[np.arange(len(block))[:, None], block] = 1.0 / np.sqrt(idx.shape[1])
+    for i in range(0, len(level_sets), rows):
+        amps = _superpositions(s.n, level_sets[i:i + rows])
         flags.extend((ent_rows(s, amps) >= 1.0 - ME_TOL).tolist())
     return flags
 
 
 def _certify(s: ModeStructure, level_sets) -> list[MeTgxTuple]:
-    """MeTgxTuples of ascending in-range level sets of one size, at least
-    2, certified in `_me_flags` blocks; the first set that is not ME
+    """MeTgxTuples of ascending in-range level sets of one size,
+    certified in `_me_flags` blocks; the first set that is not ME
     raises ValueError."""
     tuples = []
     for levels, ok in zip(level_sets, _me_flags(s, level_sets)):
@@ -277,27 +291,31 @@ class LocalUnitarySet:
         return full
 
 
-def _apply_per_axis(mats, t: np.ndarray) -> np.ndarray:
-    """Contract mats[k] into axis k of t, one tensordot per axis."""
-    for k, u in enumerate(mats):
+def _apply_per_axis(mats, rows: np.ndarray, dims) -> np.ndarray:
+    """Contract mats[k] into axis k of each row of an (M, prod(dims))
+    stack viewed as (M, *dims): one tensordot per axis for the whole
+    stack.  Returns the (M, prod(dims)) result."""
+    t = rows.reshape((len(rows),) + tuple(dims))
+    for k, u in enumerate(mats, start=1):
         t = np.moveaxis(np.tensordot(u, t, axes=(1, k)), 0, k)
-    return t
+    return t.reshape(len(rows), -1)
 
 
 def apply_lu(state, lus: LocalUnitarySet):
     """Apply a tensor product of per-mode unitaries to a pure state or a
     density matrix; returns the same kind.  Norm and trace (and the ent)
     are preserved.  Works mode by mode on the (n_1, ..., n_N) tensor, so
-    the n x n product `full_matrix` is never formed."""
+    the n x n product `full_matrix` is never formed; the state is the
+    one-row case of the stacked contraction `_apply_per_axis`, which
+    `mme.construct` runs on all its eigenstates at once."""
     if not isinstance(state, (PureStateVector, DensityMatrix)):
         raise TypeError(f"cannot apply local unitaries to {type(state).__name__}")
     s = state.structure
     lus._check_structure(s)
     us = lus.unitaries
     if isinstance(state, PureStateVector):
-        out = _apply_per_axis(us, state.amplitudes.reshape(s.dims))
-        return PureStateVector(s, out.reshape(s.n))
+        return PureStateVector(s, _apply_per_axis(us, state.amplitudes[None], s.dims))
     # rho -> F rho F^dagger: U_m on row axis m, conj(U_m) on column axis m
     mats = us + tuple(u.conj() for u in us)
-    out = _apply_per_axis(mats, state.entries.reshape(s.dims + s.dims))
+    out = _apply_per_axis(mats, state.entries.reshape(1, -1), s.dims + s.dims)
     return DensityMatrix(s, out.reshape(s.n, s.n), validate=False)

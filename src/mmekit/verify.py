@@ -164,26 +164,37 @@ def _u2_stack(theta_steps: int, chi_steps: int):
     return theta, chi, np.stack([a, b, -b.conj(), a], axis=1).reshape(-1, 2, 2)
 
 
+def _haar_stack(D: int, rngs) -> np.ndarray:
+    """(G, D, D) Haar unitaries, one per generator: each draws its
+    complex Gaussian, then one stacked QR and one phase fix serve the
+    whole stack (Mezzadri 2007).  Stacked QR runs LAPACK per matrix, so
+    each entry is bitwise equal to its own `haar_unitary` call."""
+    z = np.array([rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+                  for rng in rngs])
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def haar_unitary(D: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed D x D unitary: QR of a complex Gaussian with the
-    R-diagonal phases factored out."""
+    R-diagonal phases factored out; the one-matrix case of the stacks
+    `min_avg_ent` draws."""
     if D < 1:
         raise ValueError("D must be positive")
-    z = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_stack(D, [rng])[0]
 
 
 def random_lu_set(s: ModeStructure, seed: int):
     """Independent Haar local unitaries, one per mode; the per-mode rng
     streams are keyed by (seed, mode) so results do not depend on call
-    order."""
-    us = []
-    for m, d in enumerate(s.dims, start=1):
-        rng = np.random.default_rng([seed, m])
-        us.append(haar_unitary(d, rng))
-    return LocalUnitarySet(tuple(us))
+    order.  Modes of one dimension share one `_haar_stack` draw."""
+    us = {}
+    for d in set(s.dims):
+        modes = [m for m, dm in enumerate(s.dims, start=1) if dm == d]
+        us.update(zip(modes, _haar_stack(d, [np.random.default_rng([seed, m])
+                                             for m in modes])))
+    return LocalUnitarySet(tuple(us[m] for m in range(1, s.N + 1)))
 
 
 def as_spectral(state) -> tuple[SpectralState, str]:
@@ -239,7 +250,9 @@ def min_avg_ent(
     (defaults: rank .. rank**2), streams keyed by (seed, D, i).
 
     The unitaries are evaluated in stacks of equal D holding at most
-    BLOCK_AMPLITUDES member amplitudes, Haar stacks drawn one at a time.
+    BLOCK_AMPLITUDES member amplitudes.  A Haar stack is drawn when it
+    is due, with one stacked QR; its unitaries are bitwise those of
+    per-unitary `haar_unitary` calls on the same streams.
     An MME candidate passes when min_avg stays at 1 within tolerance;
     any lower value names the violating unitary in `argmin`.
     """
@@ -264,8 +277,8 @@ def min_avg_ent(
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         stacks = (
-            np.array([haar_unitary(D, np.random.default_rng([seed, D, i]))
-                      for i in range(a, min(a + block(D), samples))])
+            _haar_stack(D, [np.random.default_rng([seed, D, i])
+                            for i in range(a, min(a + block(D), samples))])
             for D in range(lo, hi + 1)
             for a in range(0, samples, block(D))
         )

@@ -171,6 +171,24 @@ def test_construct_refuses_incompatible(capsys) -> None:
     assert "mode-4 line repeats projected level 1" in err
 
 
+@pytest.mark.parametrize("tuples,message", [
+    ("1,16;1,2;2,3", "(1, 2) is not an ME TGX tuple of 2x2x2x2"),
+    ("3;5", "(3,) is not an ME TGX tuple of 2x2x2x2"),
+    ("1,16;4,4;6,6", "duplicates: (4, 4)"),
+    ("1,16;4,17;0,13", "level 17 of (4, 17) out of range 1..16"),
+    ("1,16;1,4,13,16;6", "mixed tuple sizes: (1, 4, 13, 16) has L=4"),
+])
+def test_construct_refuses_bad_tuples(capsys, tuples, message) -> None:
+    R = tuples.count(";") + 1
+    spectrum = ",".join([repr(1 / R)] * R)
+    code, out, err = _run(
+        capsys, ["construct", "2^4", "--tuples", tuples, "--spectrum", spectrum]
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_construct_verify_round_trip(capsys, tmp_path) -> None:
     target = tmp_path / "state.json"
     _run(

@@ -34,10 +34,22 @@ from mmekit.modes import (
     parse_dims,
     project_level,
 )
-from mmekit.tgx import MeTgxTuple, as_me_tuple, enumerate_me_tuples
+from mmekit.tgx import (
+    MeTgxTuple,
+    apply_lu,
+    as_me_tuple,
+    build_tgx_state,
+    enumerate_me_tuples,
+    is_me_tuple,
+)
 from mmekit.verify import SpectralState, as_spectral, random_lu_set
 
-from reference_values import EXAMPLE_SETS, QUBIT_SETS
+from reference_values import (
+    EXAMPLE_SETS,
+    EXAMPLE_SETS_LARGER,
+    QUBIT_SETS,
+    WITNESS_4X4X4X4,
+)
 
 
 def _tuples(dims: tuple[int, ...], sets) -> list[MeTgxTuple]:
@@ -473,6 +485,58 @@ def test_construct_mixed_L_is_refused() -> None:
         construct(s, [(1, 16), (1, 4, 13, 16)], (0.5, 0.5))
 
 
+# (tuples on 2^4, message naming the first offending tuple); each list
+# holds a second offender after the first
+CONSTRUCT_REFUSALS = [
+    ([(1, 16), (1, 2), (2, 3)], r"\(1, 2\) is not an ME TGX tuple of 2x2x2x2"),
+    ([(3,), (5,)], r"\(3,\) is not an ME TGX tuple of 2x2x2x2"),
+    ([(1, 16), (4, 4), (6, 6)], r"duplicates: \(4, 4\)"),
+    ([(1, 16), (4, 17), (0, 13)], r"level 17 of \(4, 17\) out of range 1\.\.16"),
+    ([(1, 16), (1, 4, 13, 16), (6,)],
+     r"mixed tuple sizes: \(1, 4, 13, 16\) has L=4 but \(1, 16\) has L=2"),
+]
+
+
+@pytest.mark.parametrize("tuples,match", CONSTRUCT_REFUSALS)
+def test_construct_refuses_bad_tuples(tuples, match) -> None:
+    s = ModeStructure((2, 2, 2, 2))
+    weights = (1 / len(tuples),) * len(tuples)
+    with pytest.raises(ValueError, match=match):
+        construct(s, tuples, weights)
+
+
+def test_construct_refuses_tuple_of_another_structure() -> None:
+    s = ModeStructure((2, 2, 2, 2))
+    foreign = MeTgxTuple(ModeStructure((2, 8)), (1, 16))
+    with pytest.raises(ValueError, match=r"tuple \{1,16\} belongs to 2x8, not 2x2x2x2"):
+        construct(s, [(1, 16), foreign, (4, 13)], (0.5, 0.25, 0.25))
+    with pytest.raises(ValueError, match="belongs to 2x8"):
+        as_me_tuple(s, foreign)
+
+
+DRESSING_SETS = [
+    ((2, 3, 2), ((1, 4, 8, 11),)),
+    ((2, 2, 2, 2), EXAMPLE_SETS[(2, 2, 2, 2)]),
+    ((3, 3, 3), EXAMPLE_SETS[(3, 3, 3)]),
+    ((2, 2, 3, 3), EXAMPLE_SETS_LARGER[(2, 2, 3, 3)]),
+    ((2,) * 6, QUBIT_SETS[6]),
+    ((4, 4, 4, 4), WITNESS_4X4X4X4),
+]
+
+
+@pytest.mark.parametrize("dims,tuples", DRESSING_SETS)
+def test_construct_stacked_dressing_matches_per_state(dims, tuples) -> None:
+    s = ModeStructure(dims)
+    lu = random_lu_set(s, 29)
+    full = lu.full_matrix(s)
+    state, _ = construct(s, tuples, (1 / len(tuples),) * len(tuples), lu)
+    plain, _ = construct(s, tuples, (1 / len(tuples),) * len(tuples))
+    for t, v, bare in zip(state.tuples, state.eigenstates, plain.eigenstates):
+        assert np.array_equal(bare.amplitudes, build_tgx_state(t).amplitudes)
+        assert np.abs(v.amplitudes - apply_lu(bare, lu).amplitudes).max() <= 1e-14
+        assert np.abs(v.amplitudes - full @ bare.amplitudes).max() <= 1e-14
+
+
 def test_construct_lu_dressing_keeps_spectrum() -> None:
     s = parse_dims("2x5")
     tuples = [(1, 10), (2, 8)]
@@ -531,6 +595,30 @@ def test_validate_example_set_failure_shapes() -> None:
     d = not_me.to_json_dict()
     assert d["me"] == [True, False]
     assert d["all_pass"] is False
+
+
+VALIDATION_SETS = [
+    *EXAMPLE_SETS.items(),
+    *EXAMPLE_SETS_LARGER.items(),
+    *(((2,) * N, levels) for N, levels in QUBIT_SETS.items()),
+    ((2, 2, 2, 2), ((1, 16), (2, 3), (4, 13), (1, 2))),  # not all ME
+    ((2, 2, 2, 2), ((1, 16), (5,), (1, 4, 13, 16), (2, 3), (7,), (6, 11))),
+]
+
+
+@pytest.mark.parametrize("dims,tuples", VALIDATION_SETS)
+def test_validate_example_set_me_matches_per_tuple(dims, tuples) -> None:
+    s = ModeStructure(dims)
+    report = validate_example_set(s, tuples)
+    assert report.me == tuple(is_me_tuple(s, t) for t in tuples)
+
+
+def test_validate_example_set_refuses_bad_levels() -> None:
+    s = ModeStructure((2, 2, 2, 2))
+    for bad in ([(1, 16), (4, 4)], [(1, 16), (0, 13)], [(1, 17)]):
+        with pytest.raises(ValueError):
+            validate_example_set(s, bad)
+    assert validate_example_set(s, [(5,), (1, 16)]).me == (False, True)
 
 
 def test_searched_L_respects_lstar_choice() -> None:

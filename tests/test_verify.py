@@ -242,6 +242,35 @@ def test_batched_grid_matches_per_unitary_loop() -> None:
             )
 
 
+def _haar_per_unitary(D, rng):
+    """The per-matrix Haar draw: one QR of one complex Gaussian, then the
+    phases of R's diagonal factored out."""
+    z = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_haar_stack_is_bitwise_per_unitary(seed) -> None:
+    for D in range(1, 19):
+        stack = verify._haar_stack(
+            D, [np.random.default_rng([seed, D, i]) for i in range(5)]
+        )
+        assert stack.shape == (5, D, D)
+        for i, U in enumerate(stack):
+            assert np.array_equal(U, haar_unitary(D, np.random.default_rng([seed, D, i])))
+            oracle = _haar_per_unitary(D, np.random.default_rng([seed, D, i]))
+            assert np.array_equal(U, oracle)
+
+
+def test_random_lu_set_is_bitwise_per_mode() -> None:
+    s = ModeStructure((2, 3, 2, 3, 4))
+    lus = random_lu_set(s, 41)
+    for m, (d, U) in enumerate(zip(s.dims, lus.unitaries), start=1):
+        assert np.array_equal(U, haar_unitary(d, np.random.default_rng([41, m])))
+
+
 @pytest.mark.parametrize("block", [verify.BLOCK_AMPLITUDES, 150])
 def test_batched_random_matches_per_unitary_loop(monkeypatch, block) -> None:
     # 150 amplitudes split D = 4 into stacks of two and leave D = 5, 6
@@ -260,6 +289,12 @@ def test_batched_random_matches_per_unitary_loop(monkeypatch, block) -> None:
     _assert_matches_per_unitary_loop(
         est, spec, points, lambda a: haar(a["D"], a["index"])
     )
+    # the same evaluation fed one per-unitary draw at a time is bitwise equal
+    monkeypatch.setattr(verify, "_haar_stack", lambda D, rngs: np.array(
+        [_haar_per_unitary(D, rng) for rng in rngs]))
+    oracle = min_avg_ent(spec, strategy="random", Dmin=4, Dmax=6, samples=10, seed=5)
+    assert oracle.averages == est.averages
+    assert oracle.argmin == est.argmin and oracle.samples == est.samples
 
 
 def test_grid_strategy_needs_rank_two() -> None:

@@ -271,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", metavar="PATH", help="write output to PATH")
     search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--search", choices=("auto", "exhaustive", "greedy"),
-                        default="auto")
+    search.add_argument("--search", choices=("auto", "exhaustive"), default="auto",
+                        help="auto: exhaustive up to n = 64, greedy orders beyond")
     search.add_argument("--budget-nodes", type=int, metavar="B",
                         help="abort after B search nodes (exit 3)")
     search.add_argument("--seed", type=int, default=0)
@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="20,20", metavar="T,C")
     p.add_argument("--samples", type=int, default=100, metavar="K",
                    help="random strategy: samples per dimension D")
-    p.add_argument("--Dmin", type=int)
-    p.add_argument("--Dmax", type=int)
+    p.add_argument("--Dmin", type=int, help="random strategy: least D (default rank)")
+    p.add_argument("--Dmax", type=int, help="random strategy: top D (default rank + 2)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_verify)
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .modes import ModeStructure, _trace_groups
+from .modes import ModeStructure, _check_level, _check_modes, _trace_groups
 
 # 1e-12 for algebraic identities on exactly representable inputs,
-# 1e-10 of slack for eigenvalues of constructed density matrices.
+# 1e-10 of slack for eigenvalues of constructed density matrices and for
+# the entries of A^dagger A in the isometry test.
 ATOL = 1e-12
 PSD_SLACK = 1e-10
+ISOMETRY_TOL = 1e-10
 # Amplitudes per call when stacked pure states go through the batched
 # kernels (`mode_purities` and its callers): bounds their working set at
 # 256 KiB of amplitudes however many states are fed.
@@ -54,10 +56,8 @@ class PureStateVector:
 
 def basis_state(structure: ModeStructure, level: int) -> PureStateVector:
     """The computational basis state |level> (1-based)."""
-    if not 1 <= level <= structure.n:
-        raise ValueError(f"level {level} out of range 1..{structure.n}")
     amps = np.zeros(structure.n, dtype=complex)
-    amps[level - 1] = 1.0
+    amps[_check_level(structure, level) - 1] = 1.0
     return PureStateVector(structure, amps)
 
 
@@ -130,6 +130,17 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.vdot(rho.entries, rho.entries).real)
 
 
+def _check_isometry(what: str, A) -> None:
+    """Raise unless the columns of A, or of each matrix in a stack A, are
+    orthonormal: A^dagger A = I within ISOMETRY_TOL entry by entry.  A
+    square A passes iff it is unitary."""
+    gram = A.conj().swapaxes(-1, -2) @ A
+    dev = float(np.abs(gram - np.eye(A.shape[-1])).max())
+    if not dev <= ISOMETRY_TOL:  # also refuses nan
+        raise ValueError(f"{what}: columns not orthonormal within {ISOMETRY_TOL:g}, "
+                         f"|A^dagger A - I| reaches {dev:.1e}")
+
+
 def _check_weights(weights, count: int) -> None:
     """Raise unless there are count >= 1 weights, all finite and positive
     (NaN passes every `<=` test) and summing to 1 within ATOL."""
@@ -166,9 +177,7 @@ def mix(states, weights) -> DensityMatrix:
 
 def mode_reduction_of_pure(v: PureStateVector, m: int) -> np.ndarray:
     """Mode-m reduced density matrix of a pure state (n_m x n_m array)."""
-    if not 1 <= m <= v.structure.N:
-        raise ValueError(f"mode {m} out of range 1..{v.structure.N}")
-    A = v.amplitudes[_trace_groups(v.structure.dims, (m,))]
+    A = v.amplitudes[_trace_groups(v.structure.dims, _check_modes(v.structure, (m,)))]
     return A @ A.conj().T
 
 

@@ -6,7 +6,9 @@ exactly when, for every mode m, the projections of all their levels onto
 the big side B_m of the extreme bipartition contain no repeats.  Since
 repeats are a pairwise matter, the maximal MME rank is the maximum
 clique of the pairwise-compatibility graph over the ME tuples, found by
-one branch and bound that also returns the lex-least maximum clique.
+one branch and bound that also returns the lex-least maximum clique
+(past n = 64, `search="auto"` runs seeded greedy orders instead and
+reports a lower bound with status "greedy").
 Compatibility has one test: the level table of `modes` gives each
 level one int bitmask with a bit per (mode, B_m projection), and a
 projected level repeats iff two masks share a bit.  The predicate folds
@@ -17,7 +19,6 @@ certifier reads it directly.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import chain
@@ -33,7 +34,6 @@ from .tgx import (
     MeTgxTuple,
     _apply_per_axis,
     _certify,
-    _check_levels,
     _me_flags,
     _me_level_sets,
     _superpositions,
@@ -41,8 +41,8 @@ from .tgx import (
 )
 from .verify import SpectralState
 
-# Seeded random greedy orders tried by `search="greedy"`, after the
-# natural and the degree order.
+# Seeded random greedy orders tried past n = 64 by `search="auto"`, after
+# the natural and the degree order.
 GREEDY_RESTARTS = 2000
 
 
@@ -83,20 +83,25 @@ def compatible(tuples) -> bool:
     return _first_conflict(s, [t.levels for t in tuples]) is None
 
 
+def _min_nB(s: ModeStructure) -> int:
+    """min_m n_B_m: no mode line holds more distinct projections."""
+    return min(bipartition(s, m).n_B for m in range(1, s.N + 1))
+
+
 def loose_bound(s: ModeStructure) -> int:
     """Loose upper limit on the maximal MME rank:
     floor(min_m n_B_m / min L*).  For bipartite systems this is
     floor(n_B / n_S)."""
-    min_nB = min(bipartition(s, m).n_B for m in range(1, s.N + 1))
-    return min_nB // lstar(s).min
+    return _min_nB(s) // lstar(s).min
 
 
 @dataclass(frozen=True)
 class MmeRankReport:
     """Outcome of a maximal-MME-rank search.
 
-    `status` is "complete" for a proven maximum, "greedy" for a greedy
-    lower bound and "inconclusive" when a node budget ran out first.
+    `status` is "complete" for a proven maximum, "greedy" for the
+    lower bound that `search="auto"` reports past n = 64, and
+    "inconclusive" when a node budget ran out first.
     """
 
     structure: ModeStructure
@@ -258,21 +263,19 @@ def max_mme_rank(
     clique; this proves R_MME(2^7) = 22 in a few thousand nodes.  An L
     without ME tuples has R_MME 0, a complete report with no witness.
 
-    `search="auto"` runs exhaustively up to n = 64 and greedily beyond,
-    where the exhaustive search outgrows a desk budget.  Greedy mode
-    tries GREEDY_RESTARTS seeded orders (`seed` acts only there) and
-    reports a lower bound with status "greedy".  `budget_nodes`, at
-    least 1, caps the search nodes over all L; once it runs out the L
-    loop stops and the best set found so far is reported with status
-    "inconclusive".
+    `search` is "exhaustive" or "auto".  "auto" runs the clique search
+    up to n = 64 and greedy orders beyond: GREEDY_RESTARTS seeded orders
+    (`seed` acts only there), reported as a lower bound with status
+    "greedy".  `budget_nodes`, at least 1, caps the search nodes over
+    all L; once it runs out the L loop stops and the best set found so
+    far is reported with status "inconclusive".
     """
-    if search not in ("auto", "exhaustive", "greedy"):
+    if search not in ("auto", "exhaustive"):
         raise ValueError(f"unknown search mode {search!r}")
     if budget_nodes is not None and budget_nodes < 1:
         raise ValueError(f"budget_nodes must be at least 1, got {budget_nodes}")
     ls = lstar(s)
-    if search == "auto":
-        search = "exhaustive" if s.n <= 64 else "greedy"
+    greedy = search == "auto" and s.n > 64
     if all_lstar:
         L_values = list(ls.values)
     elif L is not None:
@@ -285,13 +288,12 @@ def max_mme_rank(
 
     budget = _Budget(budget_nodes)
     reports = []
-    with suppress(_BudgetExhausted):  # spent before an L's first tuple
-        for Lv in L_values:
-            reports.append(_search_single_L(s, Lv, search, budget, seed))
-            if reports[-1].status == "inconclusive":
-                break
+    for Lv in L_values:
+        reports.append(_search_single_L(s, Lv, greedy, budget, seed))
+        if reports[-1].status == "inconclusive":
+            break
     best = max(reports, key=lambda r: (r.R_MME, -r.L_used))
-    if len(reports) < len(L_values) or reports[-1].status == "inconclusive":
+    if reports[-1].status == "inconclusive":
         best = replace(best, status="inconclusive")
     return best
 
@@ -313,7 +315,7 @@ def _set_bits(mask: int):
         mask &= mask - 1
 
 
-def _search_single_L(s, L, search, budget, seed) -> MmeRankReport:
+def _search_single_L(s, L, greedy, budget, seed) -> MmeRankReport:
     """One rank search at a fixed tuple size.
 
     Streams the enumeration through a lexicographic greedy clique and
@@ -321,20 +323,25 @@ def _search_single_L(s, L, search, budget, seed) -> MmeRankReport:
     cap-sized clique is maximum, and the lex-greedy one is then also
     the lex-least.  A stream without tuples proves R_MME = 0 at this L.
     Only when the stream ends below the cap is the full adjacency built,
-    for seeded greedy orders in greedy mode, else for the one clique
+    for seeded greedy orders when `greedy` (the natural order first,
+    which rebuilds the lex-stream clique), else for the one clique
     search from the lex-stream clique, which returns the lex-least
-    maximum clique.  A budget that runs out before the first tuple
-    propagates: there is nothing to report.
+    maximum clique.  A budget that runs out reports the clique so far
+    as "inconclusive", R_MME 0 if it ran out before the first tuple.
     """
-    cap = min(bipartition(s, m).n_B for m in range(1, s.N + 1)) // L
-    r_tilde = loose_bound(s)
-    exhausted = False
-
+    min_nB = _min_nB(s)
+    cap, r_tilde = min_nB // L, min_nB // lstar(s).min
     level_masks = _level_table(s)[1]
     level_sets = []
     masks = []
     lex_clique: list[int] = []
     lex_mask = 0
+
+    def report(indices, status):
+        witness = tuple(_certify(s, [level_sets[i] for i in indices]))
+        return MmeRankReport(s, L, r_tilde, len(indices), witness, status,
+                             budget.used, len(level_sets))
+
     try:
         for levels in _me_level_sets(s, L):
             budget.spend()
@@ -347,25 +354,15 @@ def _search_single_L(s, L, search, budget, seed) -> MmeRankReport:
                 if len(lex_clique) >= cap:
                     break
     except _BudgetExhausted:
-        if not level_sets:
-            raise
-        exhausted = True
-
-    def report(indices, status):
-        witness = tuple(_certify(s, [level_sets[i] for i in indices]))
-        return MmeRankReport(s, L, r_tilde, len(indices), witness, status,
-                             budget.used, len(level_sets))
-
-    if exhausted:
         return report(lex_clique, "inconclusive")
     if len(lex_clique) >= cap or not level_sets:
         return report(lex_clique, "complete")
 
     K = len(level_sets)
     adj = _adjacency(masks)
-    if search == "greedy":
+    if greedy:
         best = _greedy_restarts(adj, K, np.random.default_rng(seed), cap)
-        return report(max(best, lex_clique, key=len), "greedy")
+        return report(best, "greedy")
 
     try:
         return report(_max_clique(adj, K, lex_clique, cap, budget), "complete")
@@ -459,10 +456,9 @@ class ExampleSetReport:
 def validate_example_set(s: ModeStructure, tuples) -> ExampleSetReport:
     """Certify each tuple (one `_me_flags` call per tuple size) and the
     set and all pairs (projection lines); failures are reported, not
-    raised.  Levels out of range or repeated raise ValueError."""
-    level_sets = [
-        _check_levels(s, t.levels if isinstance(t, MeTgxTuple) else t) for t in tuples
-    ]
+    raised.  Tuples are read as by `construct`: levels out of range or
+    repeated, or an MeTgxTuple of another structure, raise ValueError."""
+    level_sets = [_tuple_levels(s, t) for t in tuples]
     flags = {}
     for size in {len(levels) for levels in level_sets}:
         group = [levels for levels in level_sets if len(levels) == size]

@@ -179,9 +179,7 @@ def bipartition(s: ModeStructure, m: int) -> Bipartition:
     The bigger side has dimension n_B = max(n_m, n/n_m).  On ties the
     focal mode is kept on the S side, i.e. B_modes = mbar.
     """
-    m = int(m)
-    if not 1 <= m <= s.N:
-        raise ValueError(f"mode {m} out of range 1..{s.N}")
+    (m,) = _check_modes(s, (m,))
     mbar = tuple(k for k in range(1, s.N + 1) if k != m)
     n_m = s.dims[m - 1]
     n_mbar = s.n // n_m

@@ -21,7 +21,7 @@ from operator import and_
 import numpy as np
 
 from .entcore import ent_rows, lstar
-from .linalg import BLOCK_AMPLITUDES, DensityMatrix, PureStateVector
+from .linalg import BLOCK_AMPLITUDES, DensityMatrix, PureStateVector, _check_isometry
 from .modes import ModeStructure, _level_table
 
 # A state is accepted as ME when its ent is within this of 1.  Equal
@@ -57,7 +57,7 @@ class MeTgxTuple:
 
     def __init__(self, structure: ModeStructure, levels):
         levels = _check_levels(structure, levels)
-        if not is_me_tuple(structure, levels):
+        if not _me_flags(structure, [levels])[0]:
             raise ValueError(f"{levels} is not an ME TGX tuple of {structure}")
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "levels", levels)
@@ -78,14 +78,6 @@ def _tuple_levels(s: ModeStructure, t) -> tuple[int, ...]:
             raise ValueError(f"tuple {t} belongs to {t.structure}, not {s}")
         return t.levels
     return _check_levels(s, t)
-
-
-def as_me_tuple(s: ModeStructure, levels) -> MeTgxTuple:
-    """Coerce raw levels (or pass through an MeTgxTuple) with certification."""
-    if isinstance(levels, MeTgxTuple):
-        _tuple_levels(s, levels)
-        return levels
-    return MeTgxTuple(s, levels)
 
 
 def _me_level_sets(s: ModeStructure, L: int):
@@ -237,7 +229,8 @@ def build_tgx_state(t: MeTgxTuple, amplitudes=None, phases=None) -> PureStateVec
 
     Defaults to the equal phaseless superposition.  `amplitudes` (length
     L, unit norm, e.g. from hyperspherical coordinates) and `phases`
-    (length L, radians) dress the state.
+    (length L, radians) dress the state; the PureStateVector it builds
+    refuses a norm off 1.
     """
     L = t.L
     if amplitudes is None:
@@ -251,9 +244,6 @@ def build_tgx_state(t: MeTgxTuple, amplitudes=None, phases=None) -> PureStateVec
         if ph.shape != (L,):
             raise ValueError(f"expected {L} phases, got {ph.shape}")
         x = x * np.exp(1j * ph)
-    norm2 = float(np.vdot(x, x).real)
-    if abs(norm2 - 1.0) > 1e-12:
-        raise ValueError(f"amplitudes not normalized: sum of squares = {norm2!r}")
     amps = np.zeros(t.structure.n, dtype=complex)
     amps[[lvl - 1 for lvl in t.levels]] = x
     return PureStateVector(t.structure, amps)
@@ -267,9 +257,7 @@ class LocalUnitarySet:
         for u in mats:
             if u.ndim != 2 or u.shape[0] != u.shape[1]:
                 raise ValueError(f"local unitary must be square, got shape {u.shape}")
-            eye = np.eye(u.shape[0])
-            if not np.allclose(u.conj().T @ u, eye, atol=1e-10, rtol=0.0):
-                raise ValueError("matrix is not unitary within 1e-10")
+            _check_isometry("local unitary", u)
         self.unitaries = tuple(mats)
 
     def _check_structure(self, s: ModeStructure) -> None:

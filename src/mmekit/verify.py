@@ -21,9 +21,11 @@ import numpy as np
 
 from .entcore import ent_rows, lstar, mpsrp_purity
 from .linalg import (
+    ATOL,
     BLOCK_AMPLITUDES,
     DensityMatrix,
     PureStateVector,
+    _check_isometry,
     _check_weights,
     basis_state,
     mix,
@@ -33,6 +35,7 @@ from .modes import ModeStructure
 from .tgx import LocalUnitarySet
 
 P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
+PURITY_TOL = 1e-9  # a member reduction this close to its floor is clean
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,8 @@ class SpectralState:
         for v in self.eigenstates:
             if v.structure.dims != self.structure.dims:
                 raise ValueError("eigenstate structure mismatch")
-        g = np.column_stack([v.amplitudes for v in self.eigenstates])
-        if not np.allclose(g.conj().T @ g, np.eye(g.shape[1]), atol=1e-10):
-            raise ValueError("eigenstates are not orthonormal")
+        _check_isometry("eigenstates",
+                        np.column_stack([v.amplitudes for v in self.eigenstates]))
 
     @property
     def rank(self) -> int:
@@ -65,15 +67,15 @@ class SpectralState:
         return mix(list(self.eigenstates), self.spectrum)
 
 
-def spectral(rho: DensityMatrix, tol: float = 1e-12) -> SpectralState:
+def spectral(rho: DensityMatrix) -> SpectralState:
     """Eigen-decomposition of a density matrix, eigenvalues descending,
-    zeros (below tol) dropped."""
+    zeros (at most ATOL) dropped."""
     vals, vecs = np.linalg.eigh(rho.entries)
     order = np.argsort(vals)[::-1]
     spectrum = []
     states = []
     for k in order:
-        if vals[k] <= tol:
+        if vals[k] <= ATOL:
             continue
         spectrum.append(float(vals[k]))
         amp = vecs[:, k]
@@ -120,8 +122,7 @@ def _decompose(state: SpectralState, Us: np.ndarray):
     D, R = Us.shape[1], state.rank
     if D < R:
         raise ValueError(f"D={D} is smaller than the rank {R}")
-    if not np.allclose(Us.conj().swapaxes(1, 2) @ Us, np.eye(D), atol=1e-10):
-        raise ValueError("matrix is not unitary within 1e-10")
+    _check_isometry("unitary", Us)
     lam = np.asarray(state.spectrum)
     basis = np.array([v.amplitudes for v in state.eigenstates])  # (R, n)
     probs = np.abs(Us[:, :, :R]) ** 2 @ lam
@@ -247,7 +248,7 @@ def min_avg_ent(
 
     strategy "grid": rank must be 2; sweeps the u2 half-open grid.
     strategy "random": Haar unitaries, `samples` per D from Dmin..Dmax
-    (defaults: rank .. rank**2), streams keyed by (seed, D, i).
+    (defaults: rank .. rank + 2), streams keyed by (seed, D, i).
 
     The unitaries are evaluated in stacks of equal D holding at most
     BLOCK_AMPLITUDES member amplitudes.  A Haar stack is drawn when it
@@ -269,7 +270,7 @@ def min_avg_ent(
         stacks = (Us[a:a + block(2)] for a in range(0, len(Us), block(2)))
     elif strategy == "random":
         lo = state.rank if Dmin is None else int(Dmin)
-        hi = state.rank**2 if Dmax is None else int(Dmax)
+        hi = state.rank + 2 if Dmax is None else int(Dmax)
         if lo < state.rank:
             raise ValueError(f"Dmin={lo} below rank {state.rank}")
         if hi < lo:
@@ -310,13 +311,13 @@ class PurityReport:
 
 
 def reduction_purity_report(
-    sample: DecompositionSample, L: int | None = None, tol: float = 1e-9
+    sample: DecompositionSample, L: int | None = None
 ) -> PurityReport:
     """Check every member's mode reductions against the minimal
     single-mode purity floor at L (default: min L* of the structure).
 
     For genuine MME decompositions every reduction sits exactly on the
-    floor, so max_deviation ~ 0 and clean is True.
+    floor, so max_deviation ~ 0 and clean is True (within PURITY_TOL).
     """
     s = sample.structure
     if L is None:
@@ -324,7 +325,7 @@ def reduction_purity_report(
     expected = tuple(mpsrp_purity(d, L) for d in s.dims)
     kept = [w.amplitudes for w in sample.members if w is not None]
     worst = float(np.abs(mode_purities(s, np.array(kept)) - expected).max())
-    return PurityReport(s, L, expected, worst, worst <= tol)
+    return PurityReport(s, L, expected, worst, worst <= PURITY_TOL)
 
 
 COMPARISON_STRUCTURE = ModeStructure((2, 2, 2, 2))

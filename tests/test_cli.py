@@ -330,6 +330,14 @@ def test_every_option_is_read() -> None:
             assert re.search(rf"\bargs\.{action.dest}\b", source), (name, action.dest)
 
 
+@pytest.mark.parametrize("argv", [["rank", "2^4"], ["tables", "1"]])
+def test_explicit_greedy_search_rejected(capsys, argv) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--search", "greedy"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'greedy'" in capsys.readouterr().err
+
+
 def test_workers_option_rejected(capsys) -> None:
     with pytest.raises(SystemExit) as exc:
         main(["lstar", "2x2", "--workers", "2"])

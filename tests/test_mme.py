@@ -37,7 +37,6 @@ from mmekit.modes import (
 from mmekit.tgx import (
     MeTgxTuple,
     apply_lu,
-    as_me_tuple,
     build_tgx_state,
     enumerate_me_tuples,
     is_me_tuple,
@@ -196,7 +195,7 @@ def test_exhaustive_witness_pins(dims, L, rank, witness) -> None:
     assert [t.levels for t in report.witness] == witness
 
 
-@pytest.mark.parametrize("search", ["auto", "exhaustive", "greedy"])
+@pytest.mark.parametrize("search", ["auto", "exhaustive"])
 def test_L_without_me_tuples_has_rank_zero(search) -> None:
     # L* of 2^5 includes 14, where no ME TGX tuple exists
     s = ModeStructure((2,) * 5)
@@ -220,6 +219,9 @@ def test_rank_L_validation() -> None:
         max_mme_rank(s, L=3)  # not in L*
     with pytest.raises(ValueError):
         max_mme_rank(s, search="quantum")
+    # greedy orders run only where `auto` goes past n = 64
+    with pytest.raises(ValueError, match="unknown search mode 'greedy'"):
+        max_mme_rank(s, search="greedy")
 
 
 def test_report_json_shape() -> None:
@@ -418,7 +420,7 @@ def test_compatibility_equals_vanishing_cross_reductions() -> None:
         tuples = _tuples(dims, EXAMPLE_SETS[dims])
         seen = {x.levels for x in tuples}
         pool = tuples + [
-            as_me_tuple(s, lv) for lv in _extra_tuples(dims) if tuple(lv) not in seen
+            MeTgxTuple(s, lv) for lv in _extra_tuples(dims) if tuple(lv) not in seen
         ]
         for i in range(len(pool)):
             for j in range(i + 1, len(pool)):
@@ -511,7 +513,7 @@ def test_construct_refuses_tuple_of_another_structure() -> None:
     with pytest.raises(ValueError, match=r"tuple \{1,16\} belongs to 2x8, not 2x2x2x2"):
         construct(s, [(1, 16), foreign, (4, 13)], (0.5, 0.25, 0.25))
     with pytest.raises(ValueError, match="belongs to 2x8"):
-        as_me_tuple(s, foreign)
+        validate_example_set(s, [foreign])
 
 
 DRESSING_SETS = [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import mmekit
@@ -15,3 +16,38 @@ def test_no_imports_inside_functions() -> None:
                 found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _layer_functions() -> list[tuple[str, str]]:
+    tree = ast.parse((BENCH / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYER_FUNCTIONS" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/run.py defines no LAYER_FUNCTIONS")
+
+
+def _mk_chains(name: str) -> set[tuple[str, str]]:
+    # every `mk.<module>.<name>` attribute chain in a benchmark script
+    return {(node.value.attr, node.attr)
+            for node in ast.walk(ast.parse((BENCH / name).read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and isinstance(node.value.value, ast.Name) and node.value.value.id == "mk"}
+
+
+def test_benchmark_entry_points_exist() -> None:
+    # the benchmark reaches the package by these names, read without
+    # importing its scripts; a deleted one crashes its traced run
+    targets = set(_layer_functions()) | _mk_chains("run.py") | _mk_chains("workloads.py")
+    assert ("tgx", "is_me_tuple") in targets and ("mme", "construct") in targets
+    missing = []
+    for module, name in sorted(targets):
+        owner = importlib.import_module(f"mmekit.{module}")
+        if (module, name) == ("verify", "average_ent"):
+            owner = owner.DecompositionSample
+        if not callable(getattr(owner, name, None)):
+            missing.append(f"{module}.{name}")
+    assert missing == []

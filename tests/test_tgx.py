@@ -23,7 +23,6 @@ from mmekit.tgx import (
     MeTgxTuple,
     _me_level_sets,
     apply_lu,
-    as_me_tuple,
     build_tgx_state,
     enumerate_me_tuples,
     is_me_tuple,
@@ -227,10 +226,6 @@ def test_tuple_certification_and_coercion() -> None:
     assert str(t) == "{1,8}"
     with pytest.raises(ValueError):
         MeTgxTuple(s, (1, 5))
-    assert as_me_tuple(s, t) is t
-    assert as_me_tuple(s, [2, 7]).levels == (2, 7)
-    with pytest.raises(ValueError):
-        as_me_tuple(ModeStructure((4, 2)), t)  # structure mismatch
 
 
 def test_build_tgx_state_default_equal_superposition() -> None:
@@ -272,6 +267,8 @@ def test_build_tgx_state_validation() -> None:
 def test_local_unitary_set_validation() -> None:
     with pytest.raises(ValueError):
         LocalUnitarySet([np.ones((2, 2))])
+    with pytest.raises(ValueError, match="columns not orthonormal within 1e-10"):
+        LocalUnitarySet([np.diag([1 + 4e-6, 1])])  # the check `decompose` runs
     with pytest.raises(ValueError):
         LocalUnitarySet([np.ones((2, 3))])
     lus = LocalUnitarySet([np.eye(2), np.eye(3)])

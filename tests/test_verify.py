@@ -130,6 +130,10 @@ def test_decompose_validation() -> None:
         decompose(spec, np.eye(1))
     with pytest.raises(ValueError):
         decompose(spec, np.ones((2, 2)))
+    # entry by entry within 1e-10, no relative slack: these probabilities
+    # would sum to 1.0000056
+    with pytest.raises(ValueError, match="unitary: columns not orthonormal within 1e-10"):
+        decompose(spec, np.diag([1 + 4e-6, 1]))
 
 
 def test_u2_values() -> None:
@@ -310,6 +314,11 @@ def test_random_strategy_defaults_and_validation() -> None:
     assert est.samples == 15  # D in 2..4, five draws each
     assert est.min_avg >= 1 - 1e-9
     assert set(est.argmin) == {"D", "index", "seed"}
+    rank3, _ = construct(ModeStructure((3, 3, 3)), EXAMPLE_SETS[(3, 3, 3)],
+                         (0.5, 0.3, 0.2))
+    est = min_avg_ent(rank3, strategy="random", samples=2)
+    assert est.samples == 6  # D in rank..rank + 2 = 3..5, not 3..9
+    assert est.min_avg >= 1 - 1e-9
     with pytest.raises(ValueError):
         min_avg_ent(spec, strategy="random", Dmin=1)
     with pytest.raises(ValueError):

@@ -456,9 +456,12 @@ class ExampleSetReport:
 def validate_example_set(s: ModeStructure, tuples) -> ExampleSetReport:
     """Certify each tuple (one `_me_flags` call per tuple size) and the
     set and all pairs (projection lines); failures are reported, not
-    raised.  Tuples are read as by `construct`: levels out of range or
-    repeated, or an MeTgxTuple of another structure, raise ValueError."""
+    raised.  Tuples are read as by `construct`: an empty set, levels
+    out of range or repeated, or an MeTgxTuple of another structure,
+    raise ValueError."""
     level_sets = [_tuple_levels(s, t) for t in tuples]
+    if not level_sets:
+        raise ValueError("need at least one tuple")
     flags = {}
     for size in {len(levels) for levels in level_sets}:
         group = [levels for levels in level_sets if len(levels) == size]

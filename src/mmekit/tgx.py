@@ -103,10 +103,21 @@ def _me_level_sets(s: ModeStructure, L: int):
     neighbours and every label that became full: a label at lo+1 and,
     once mod(L, n_m) labels of mode m sit at lo+1, every label at lo,
     where lo = floor(L/n_m).  A node with fewer candidates than levels
-    still needed is abandoned.  No per-mode room bound is needed: each
-    admissible placement lowers a mode's remaining room by exactly one,
-    so it always equals the levels still needed.  The rank search's
-    streamed lex-greedy cap relies on the yield order.
+    still needed is abandoned, and so is a node that fails the floor
+    bound: some label whose placed count plus its candidates falls
+    short of lo.  The bound is necessary: a balanced set has every
+    count at most lo+1, at most mod(L, n_m) of them at lo+1, and L in
+    all, so every label holds at least lo levels.  Both prunes cut only
+    subtrees that yield nothing, so the yield order is that of the
+    unpruned search; the rank search's streamed lex-greedy cap relies
+    on it.
+
+    No per-mode room counter is kept: each admissible placement lowers
+    a mode's remaining room by exactly one, so it always equals the
+    levels still needed.  Nor is the quota-sum bound (per mode, the sum
+    over labels of min(quota, candidates) at least the levels still
+    needed): it cut no frame beyond the floor bound on 4x4x4x4,
+    2x2x2x2x3, 2x3x3x3 or 2x2x3x3.
     """
     dims = s.dims
     N, n = s.N, s.n
@@ -128,9 +139,20 @@ def _me_level_sets(s: ModeStructure, L: int):
         flips.append(line & ~(1 << lvl))
     counts = [[0] * (d + 1) for d in dims]
     at_hi = [0] * N
+    # floors: every label that must end with lo >= 1 levels
+    floors = [(counts[m], a, lo[m], label_bits[m][a])
+              for m, d in enumerate(dims) if lo[m] for a in range(1, d + 1)]
+    # placing[lvl]: per mode, the label lvl takes, its counts row and bitset
+    placing = [()] + [tuple((m, a, counts[m], label_bits[m][a])
+                            for m, a in enumerate(vecs[lvl]))
+                      for lvl in range(1, n + 1)]
     chosen: list[int] = []
 
     def dfs(cand: int, need: int):
+        if need > 1:
+            for cm, a, floor, bits in floors:
+                if cm[a] + (cand & bits).bit_count() < floor:
+                    return
         left = cand.bit_count()
         while left >= need:
             bit = cand & -cand
@@ -141,25 +163,25 @@ def _me_level_sets(s: ModeStructure, L: int):
                 yield (*chosen, lvl)
                 continue
             sub = cand & ~flips[lvl]
-            for m, a in enumerate(vecs[lvl]):
-                cm = counts[m]
+            place = placing[lvl]
+            for m, a, cm, bits in place:
                 cm[a] += 1
                 if cm[a] > lo[m]:
                     at_hi[m] += 1
-                    sub &= ~label_bits[m][a]
+                    sub &= ~bits
                     if at_hi[m] == extra[m]:
                         for b in range(1, len(cm)):
                             if cm[b] == lo[m]:
                                 sub &= ~label_bits[m][b]
                 elif cm[a] == lo[m] and at_hi[m] == extra[m]:
-                    sub &= ~label_bits[m][a]
+                    sub &= ~bits
             chosen.append(lvl)
             yield from dfs(sub, need - 1)
             chosen.pop()
-            for m, a in enumerate(vecs[lvl]):
-                if counts[m][a] > lo[m]:
+            for m, a, cm, _ in place:
+                if cm[a] > lo[m]:
                     at_hi[m] -= 1
-                counts[m][a] -= 1
+                cm[a] -= 1
 
     yield from dfs((1 << (n + 1)) - 2, L)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import signal
 
 import pytest
 
@@ -15,3 +16,26 @@ def child_env() -> dict[str, str]:
     src = os.path.dirname(os.path.dirname(mmekit.__file__))
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+@pytest.fixture
+def deadline():
+    """`deadline(seconds)` fails the test once that much wall time has
+    passed, instead of letting a stalled search hang the suite.  Calling
+    it again re-arms the timer.  Uses SIGALRM, so the test must run in
+    the main thread; the old handler is restored afterwards."""
+    armed = []
+
+    def on_alarm(signum, frame):
+        pytest.fail(f"deadline of {armed[-1]} s passed", pytrace=False)
+
+    def arm(seconds: float) -> None:
+        armed.append(seconds)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+
+    old = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        yield arm
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

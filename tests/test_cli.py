@@ -119,6 +119,13 @@ def test_rank_L_without_me_tuples(capsys, argv, L_used, rank) -> None:
         "complete", L_used, rank, rank)
 
 
+def test_rank_finds_a_first_tuple_at_n_150(capsys, deadline) -> None:
+    deadline(10)
+    code, out, err = _run(capsys, ["rank", "2x3x5x5"])
+    d = json.loads(out)
+    assert (code, err, d["status"], d["R_MME"]) == (0, "", "complete", 1)
+
+
 def test_rank_rejects_L_outside_lstar(capsys) -> None:
     code, _, err = _run(capsys, ["rank", "2^4", "--L", "3"])
     assert code == 2

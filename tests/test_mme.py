@@ -621,6 +621,8 @@ def test_validate_example_set_refuses_bad_levels() -> None:
         with pytest.raises(ValueError):
             validate_example_set(s, bad)
     assert validate_example_set(s, [(5,), (1, 16)]).me == (False, True)
+    with pytest.raises(ValueError, match="need at least one tuple"):
+        validate_example_set(s, [])
 
 
 def test_searched_L_respects_lstar_choice() -> None:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmekit.cli import _structures_upto
 from mmekit.entcore import ent_pure, hyperspherical, lstar
@@ -165,6 +168,54 @@ ORACLE_CASES = [
 def test_level_sets_match_scalar_reference(dims, L) -> None:
     s = parse_dims(dims)
     assert list(_me_level_sets(s, L)) == list(_scalar_level_sets(s, L))
+
+
+# Past the oracle's reach: the count and sha256 of the repr of the full
+# yield, order included, recorded from the search before the floor bound.
+LEVEL_SET_DIGESTS = [
+    ("2x2x2x2x3", 6, 8496, "b4ab9d57ccc17bf8f52fa3c717df6b28be0e30ac3fb5a5e5a8a71acb910fafc8"),
+    ("2x3x3x3", 6, 10224, "dee2f4889f5789ce91d0e2d9254992e221889e01f74eb51d927959da750f268a"),
+]
+
+
+@pytest.mark.parametrize("dims,L,count,digest", LEVEL_SET_DIGESTS)
+def test_level_sets_pinned_past_the_oracle(dims, L, count, digest) -> None:
+    sets = list(_me_level_sets(parse_dims(dims), L))
+    assert len(sets) == count
+    assert hashlib.sha256(repr(sets).encode()).hexdigest() == digest
+
+
+def test_first_level_set_found_without_stalling(deadline) -> None:
+    # without the floor bound the search opened millions of dead frames
+    # here before its first yield
+    deadline(5)
+    s = parse_dims("2x3x5x5")
+    first = next(_me_level_sets(s, 30))
+    assert first == (1, 7, 13, 19, 25, 27, 31, 39, 45, 48, 53, 59, 65, 66, 72,
+                     77, 81, 89, 95, 98, 101, 107, 113, 119, 125, 129, 135, 137, 143, 146)
+    assert is_me_tuple(s, first)
+
+
+LARGE_STRUCTURES = [s for s in _structures_upto(120) if s.N >= 3 and s.n >= 37]
+
+
+@settings(derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(s=st.sampled_from(LARGE_STRUCTURES))
+def test_first_level_sets_of_larger_structures(deadline, s) -> None:
+    deadline(10)
+    L = lstar(s).min
+    sets = list(itertools.islice(_me_level_sets(s, L), 20))
+    assert len(sets) == 20
+    assert all(a < b for a, b in zip(sets, sets[1:]))
+    assert tgx._me_flags(s, sets) == [True] * 20
+    labels = _level_table(s)[0]
+    for levels in sets:
+        for m, d in enumerate(s.dims):
+            counts = [0] * d
+            for lvl in levels:
+                counts[labels[lvl][m] - 1] += 1
+            assert set(counts) <= {L // d, L // d + 1}, (s.dims, levels, m)
 
 
 def test_enumeration_is_certified_tuples() -> None:

@@ -24,16 +24,14 @@ def deadline():
     passed, instead of letting a stalled search hang the suite.  Calling
     it again re-arms the timer.  Uses SIGALRM, so the test must run in
     the main thread; the old handler is restored afterwards."""
-    armed = []
-
-    def on_alarm(signum, frame):
-        pytest.fail(f"deadline of {armed[-1]} s passed", pytrace=False)
-
     def arm(seconds: float) -> None:
-        armed.append(seconds)
+        def on_alarm(signum, frame):
+            pytest.fail(f"deadline of {seconds} s passed", pytrace=False)
+
+        signal.signal(signal.SIGALRM, on_alarm)
         signal.setitimer(signal.ITIMER_REAL, seconds)
 
-    old = signal.signal(signal.SIGALRM, on_alarm)
+    old = signal.getsignal(signal.SIGALRM)
     try:
         yield arm
     finally:

@@ -146,16 +146,14 @@ def cmd_rank(args) -> tuple[str, int]:
     return _json(report.to_json_dict()), code
 
 
-def _build_state(dims: str, tuples_text: str, spectrum_text: str, lu_seed):
-    s = parse_dims(dims)
-    tuples = _parse_tuples(tuples_text)
-    spectrum = _parse_floats(spectrum_text)
+def _build_state(s: ModeStructure, tuples, spectrum, lu_seed):
     lus = random_lu_set(s, lu_seed) if lu_seed is not None else None
     return construct(s, tuples, spectrum, lus)
 
 
 def cmd_construct(args) -> tuple[str, int]:
-    state, rho = _build_state(args.dims, args.tuples, args.spectrum, args.lu_seed)
+    state, rho = _build_state(parse_dims(args.dims), _parse_tuples(args.tuples),
+                              _parse_floats(args.spectrum), args.lu_seed)
     payload = {
         "dims": str(state.structure),
         "tuples": [list(t.levels) for t in state.tuples],
@@ -179,21 +177,22 @@ def cmd_verify(args) -> tuple[str, int]:
             saved = json.load(fh)
         try:
             dims, seed = str(saved["dims"]), saved.get("lu_seed")
-            tuples_text = ";".join(",".join(str(x) for x in t) for t in saved["tuples"])
-            spectrum_text = ",".join(repr(float(w)) for w in saved["spectrum"])
+            tuples = [[operator.index(x) for x in t] for t in saved["tuples"]]
+            spectrum = [float(w) for w in saved["spectrum"]]
             seed = None if seed is None else operator.index(seed)
             matrix = saved["matrix"]
             matrix = np.array(matrix["re"], float) + 1j * np.array(matrix["im"], float)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad state file {args.state}: {exc!r}") from None
-        state, rho = _build_state(dims, tuples_text, spectrum_text, seed)
+        state, rho = _build_state(parse_dims(dims), tuples, spectrum, seed)
         if matrix.shape != rho.entries.shape or not np.allclose(
             matrix, rho.entries, atol=ATOL, rtol=0.0
         ):
             raise ValueError(f"state file {args.state}: the saved matrix differs "
                              "from the state its dims, tuples, spectrum and lu_seed build")
     elif args.dims and args.tuples and args.spectrum:
-        state, _ = _build_state(args.dims, args.tuples, args.spectrum, args.lu_seed)
+        state, _ = _build_state(parse_dims(args.dims), _parse_tuples(args.tuples),
+                                _parse_floats(args.spectrum), args.lu_seed)
     else:
         raise ValueError("give --state FILE, or dims with --tuples and --spectrum")
     estimate = min_avg_ent(
@@ -218,11 +217,15 @@ def cmd_verify(args) -> tuple[str, int]:
 
 def cmd_tables(args) -> tuple[str, int]:
     if args.which == 5:
+        if args.max_n is not None:
+            raise ValueError("table 5 takes --max-N, not --max-n")
         max_N = args.max_N if args.max_N is not None else 6
         if max_N >= MAX_N.bit_length():  # 2^max_N > MAX_N
             raise ValueError(f"--max-N {max_N}: 2^{max_N} is above the limit n <= {MAX_N}")
         structures = [ModeStructure((2,) * N) for N in range(2, max_N + 1)]
     else:
+        if args.max_N is not None:
+            raise ValueError(f"table {args.which} takes --max-n, not --max-N")
         max_n = args.max_n if args.max_n is not None else (28 if args.which == 1 else 36)
         if max_n > MAX_N:
             raise ValueError(f"--max-n {max_n} is above the limit n <= {MAX_N}")
@@ -293,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tuples", parents=[out], help="enumerate ME TGX tuples")
     p.add_argument("dims")
-    p.add_argument("--L", type=int, help="levels per tuple (default: min L*)")
+    p.add_argument("--L", type=int, help="levels per tuple, in L* (default: min L*)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=cmd_tuples)
 
@@ -304,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="CSV schema: n,dims,minLstar,r_tilde,R_MME",
     )
     p.add_argument("dims")
-    p.add_argument("--L", type=int, help="fix the tuple size (must lie in L*)")
-    p.add_argument("--all-lstar", action="store_true",
-                   help="search every L in L* and report the best")
+    sizes = p.add_mutually_exclusive_group()
+    sizes.add_argument("--L", type=int, help="fix the tuple size (must lie in L*)")
+    sizes.add_argument("--all-lstar", action="store_true",
+                       help="search every L in L* and report the best")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=cmd_rank)
 

@@ -105,6 +105,14 @@ def lstar(s: ModeStructure) -> LStarSet:
     return LStarSet(values, float(best), {L: float(v) for L, v in table.items()})
 
 
+def _check_L(s: ModeStructure, L) -> int:
+    """int(L), refused unless in L*: the only sizes of ME TGX tuples."""
+    L, values = int(L), lstar(s).values
+    if L not in values:
+        raise ValueError(f"L={L} is not in L*{values} of {s}")
+    return L
+
+
 def ent_rows(s: ModeStructure, amps) -> np.ndarray:
     """The ent of each row of an (M, n) array of normalized amplitudes.
 

@@ -26,7 +26,7 @@ from operator import or_
 
 import numpy as np
 
-from .entcore import lstar
+from .entcore import _check_L, lstar
 from .linalg import PureStateVector
 from .modes import ModeStructure, _level_table, bipartition
 from .tgx import (
@@ -61,26 +61,35 @@ def _first_conflict(s: ModeStructure, level_sets):
     return m + 1, p
 
 
+def _read_tuple_set(s: ModeStructure, tuples, one_size: bool = True):
+    """`tgx._tuple_levels` of each tuple; refuses an empty set and, with
+    `one_size`, a size other than the first tuple's."""
+    level_sets = [_tuple_levels(s, t) for t in tuples]
+    if not level_sets:
+        raise ValueError("need at least one tuple")
+    first = level_sets[0]
+    if one_size:
+        for levels in level_sets:
+            if len(levels) != len(first):
+                raise ValueError(
+                    f"mixed tuple sizes: {levels} has L={len(levels)} but {first} "
+                    f"has L={len(first)}; eigen-tuples must share L"
+                )
+    return level_sets
+
+
 def compatible(tuples) -> bool:
     """Whether a set of ME TGX tuples can coexist as MME eigen-tuples.
 
     True iff for every mode m no projected level repeats along the mode
-    line, repeats within a single tuple included.  All tuples must share
-    one structure and one L.
+    line, repeats within a single tuple included.  The MeTgxTuples are
+    read as by `construct`: one structure, one L, at least one tuple.
     """
     tuples = list(tuples)
-    if not tuples:
-        raise ValueError("need at least one tuple")
-    s = tuples[0].structure
-    L = tuples[0].L
-    for t in tuples:
-        if not isinstance(t, MeTgxTuple):
-            raise ValueError("compatible() expects certified MeTgxTuple inputs")
-        if t.structure.dims != s.dims:
-            raise ValueError("tuples come from different structures")
-        if t.L != L:
-            raise ValueError(f"mixed tuple sizes: {t.L} and {L}")
-    return _first_conflict(s, [t.levels for t in tuples]) is None
+    if not all(isinstance(t, MeTgxTuple) for t in tuples):
+        raise ValueError("compatible() expects certified MeTgxTuple inputs")
+    s = tuples[0].structure if tuples else None
+    return _first_conflict(s, _read_tuple_set(s, tuples)) is None
 
 
 def _min_nB(s: ModeStructure) -> int:
@@ -164,20 +173,21 @@ def _greedy_clique(adj, order) -> list[int]:
     return sorted(clique) if clique else []
 
 
-def _greedy_restarts(adj, K, rng, cap) -> list[int]:
-    """First longest clique over the natural order, the degree order and
-    GREEDY_RESTARTS random orders; stops at the first of `cap` vertices,
-    which no clique can beat."""
+def _greedy_restarts(adj, start, rng, cap) -> list[int]:
+    """First longest clique of `start` (the lex stream's clique), the
+    degree order and GREEDY_RESTARTS random orders; stops at the first
+    of `cap` vertices, which no clique can beat."""
+    K = len(adj)
     degs = [a.bit_count() for a in adj]
-    orders = chain([range(K), sorted(range(K), key=lambda v: (-degs[v], v))],
+    orders = chain([sorted(range(K), key=lambda v: (-degs[v], v))],
                    (rng.permutation(K).tolist() for _ in range(GREEDY_RESTARTS)))
-    best: list[int] = []
+    best = start
     for order in orders:
+        if len(best) >= cap:
+            break
         clique = _greedy_clique(adj, order)
         if len(clique) > len(best):
             best = clique
-            if len(best) >= cap:
-                break
     return best
 
 
@@ -253,10 +263,10 @@ def max_mme_rank(
 ) -> MmeRankReport:
     """Maximal MME rank of a structure.
 
-    Enumerates ME TGX tuples at L = min L* (or the given L; with
-    `all_lstar` the search repeats per L* value and the best report
-    wins) and finds the largest compatible set, exiting early when the
-    per-L cap is attained.  One clique search (`_max_clique`) proves the
+    Enumerates ME TGX tuples at L = min L* (or the given L in L*; with
+    `all_lstar`, not with L, the search repeats per L* value and the
+    best report wins) and finds the largest compatible set, exiting
+    early when the per-L cap is attained.  One clique search (`_max_clique`) proves the
     maximum and returns the lex-least witness: it tries vertices in
     ascending order, colours each node's candidates greedily and cuts
     once the clique so far plus the colours left cannot beat the best
@@ -274,17 +284,11 @@ def max_mme_rank(
         raise ValueError(f"unknown search mode {search!r}")
     if budget_nodes is not None and budget_nodes < 1:
         raise ValueError(f"budget_nodes must be at least 1, got {budget_nodes}")
+    if all_lstar and L is not None:
+        raise ValueError(f"give L or all_lstar, not both (L={L})")
     ls = lstar(s)
     greedy = search == "auto" and s.n > 64
-    if all_lstar:
-        L_values = list(ls.values)
-    elif L is not None:
-        L = int(L)
-        if L not in ls.values:
-            raise ValueError(f"L={L} is not in L*{ls.values} of {s}")
-        L_values = [L]
-    else:
-        L_values = [ls.min]
+    L_values = ls.values if all_lstar else [ls.min if L is None else _check_L(s, L)]
 
     budget = _Budget(budget_nodes)
     reports = []
@@ -323,11 +327,12 @@ def _search_single_L(s, L, greedy, budget, seed) -> MmeRankReport:
     cap-sized clique is maximum, and the lex-greedy one is then also
     the lex-least.  A stream without tuples proves R_MME = 0 at this L.
     Only when the stream ends below the cap is the full adjacency built,
-    for seeded greedy orders when `greedy` (the natural order first,
-    which rebuilds the lex-stream clique), else for the one clique
-    search from the lex-stream clique, which returns the lex-least
-    maximum clique.  A budget that runs out reports the clique so far
-    as "inconclusive", R_MME 0 if it ran out before the first tuple.
+    for seeded greedy orders when `greedy`, else for the one clique
+    search, which returns the lex-least maximum clique.  Both start
+    from the lex-stream clique: the natural-order greedy clique, as the
+    stream takes each tuple whose mask misses all masks taken.  A
+    budget that runs out reports the clique so far as "inconclusive",
+    R_MME 0 if it ran out before the first tuple.
     """
     min_nB = _min_nB(s)
     cap, r_tilde = min_nB // L, min_nB // lstar(s).min
@@ -358,14 +363,13 @@ def _search_single_L(s, L, greedy, budget, seed) -> MmeRankReport:
     if len(lex_clique) >= cap or not level_sets:
         return report(lex_clique, "complete")
 
-    K = len(level_sets)
     adj = _adjacency(masks)
     if greedy:
-        best = _greedy_restarts(adj, K, np.random.default_rng(seed), cap)
+        best = _greedy_restarts(adj, lex_clique, np.random.default_rng(seed), cap)
         return report(best, "greedy")
 
     try:
-        return report(_max_clique(adj, K, lex_clique, cap, budget), "complete")
+        return report(_max_clique(adj, len(adj), lex_clique, cap, budget), "complete")
     except _BudgetExhausted as exc:
         return report(exc.incumbent, "inconclusive")
 
@@ -398,16 +402,7 @@ def construct(s: ModeStructure, tuples, spectrum, lu: LocalUnitarySet | None = N
     (R, n) stack of equal superpositions and dressed by `lu` with one
     tensordot per mode over the whole stack.
     """
-    level_sets = [_tuple_levels(s, t) for t in tuples]
-    if not level_sets:
-        raise ValueError("need at least one tuple")
-    first = level_sets[0]
-    for levels in level_sets:
-        if len(levels) != len(first):
-            raise ValueError(
-                f"mixed tuple sizes: {levels} has L={len(levels)} but {first} has "
-                f"L={len(first)}; eigen-tuples must share L"
-            )
+    level_sets = _read_tuple_set(s, tuples)
     ts = tuple(_certify(s, level_sets))
     conflict = _first_conflict(s, level_sets)
     if conflict is not None:
@@ -456,12 +451,9 @@ class ExampleSetReport:
 def validate_example_set(s: ModeStructure, tuples) -> ExampleSetReport:
     """Certify each tuple (one `_me_flags` call per tuple size) and the
     set and all pairs (projection lines); failures are reported, not
-    raised.  Tuples are read as by `construct`: an empty set, levels
-    out of range or repeated, or an MeTgxTuple of another structure,
-    raise ValueError."""
-    level_sets = [_tuple_levels(s, t) for t in tuples]
-    if not level_sets:
-        raise ValueError("need at least one tuple")
+    raised.  Tuples are read as by `construct` but may differ in size:
+    an empty set, bad levels or a foreign MeTgxTuple raise ValueError."""
+    level_sets = _read_tuple_set(s, tuples, one_size=False)
     flags = {}
     for size in {len(levels) for levels in level_sets}:
         group = [levels for levels in level_sets if len(levels) == size]

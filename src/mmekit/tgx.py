@@ -1,9 +1,9 @@
 """ME TGX tuples: certification, enumeration, and dressed state building.
 
-An ME TGX tuple is a set of L scalar levels whose equal phaseless
-superposition is maximally full-N-partite entangled.  Enumeration is a
-pruned depth-first search over the structure's level table: at L in L*
-its survivors are exactly the ME tuples.  Each tuple is certified once,
+An ME TGX tuple is a set of L scalar levels, L in L*, whose equal
+phaseless superposition is maximally full-N-partite entangled.
+Enumeration is a pruned depth-first search over the structure's level
+table: its survivors are exactly the ME tuples.  Each tuple is certified once,
 numerically through the ent itself, in `_me_flags` blocks of equal
 superpositions: `_certify` for enumerate_me_tuples, rank witnesses and
 the eigen-tuples of `mme.construct`; a lone MeTgxTuple built from raw
@@ -13,14 +13,13 @@ with one tensordot per mode (`_apply_per_axis`).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
 import numpy as np
 
-from .entcore import ent_rows, lstar
+from .entcore import _check_L, ent_rows
 from .linalg import BLOCK_AMPLITUDES, DensityMatrix, PureStateVector, _check_isometry
 from .modes import ModeStructure, _level_table
 
@@ -228,21 +227,11 @@ def _certify(s: ModeStructure, level_sets) -> list[MeTgxTuple]:
 def enumerate_me_tuples(s: ModeStructure, L: int) -> list[MeTgxTuple]:
     """All ME TGX tuples of size L, lexicographically sorted.
 
-    L must lie in 2..n/n_max.  Values outside L* are permitted for
-    exploration but warned about; no tuple is ME there, so the result is
-    empty.  The search survivors are certified once each, numerically
-    and in blocks (`_me_flags`); a survivor that is not ME raises
-    ValueError.
+    L must lie in L* (ValueError otherwise).  The search survivors are
+    certified once each, numerically and in blocks (`_me_flags`); a
+    survivor that is not ME raises ValueError.
     """
-    L = int(L)
-    if not 2 <= L <= s.n_over_max:
-        raise ValueError(f"L={L} outside 2..{s.n_over_max} for {s}")
-    if L not in lstar(s).values:
-        warnings.warn(
-            f"L={L} is not in L*{lstar(s).values} of {s}; no ME TGX tuples exist there",
-            stacklevel=2,
-        )
-        return []
+    L = _check_L(s, L)
     return _certify(s, list(_me_level_sets(s, L)))
 
 

@@ -15,7 +15,7 @@ pulling <E> below 1 refutes the candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .linalg import (
     mode_purities,
 )
 from .modes import ModeStructure
-from .tgx import LocalUnitarySet
+from .tgx import ME_TOL, LocalUnitarySet
 
 P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
 PURITY_TOL = 1e-9  # a member reduction this close to its floor is clean
@@ -221,13 +221,14 @@ def as_spectral(state) -> tuple[SpectralState, str]:
 @dataclass(frozen=True)
 class EntEstimate:
     """min/argmin of the decomposition-averaged entanglement over the
-    sampled unitaries, with every sampled average in sampling order."""
+    sampled unitaries, with every sampled average in sampling order;
+    `argmin` is None when the certificate passes."""
 
     structure: ModeStructure
     strategy: str
     samples: int
     min_avg: float
-    argmin: dict = field(default_factory=dict)
+    argmin: dict | None = None
     averages: tuple[float, ...] = ()
     notes: str = ""
 
@@ -254,8 +255,9 @@ def min_avg_ent(
     BLOCK_AMPLITUDES member amplitudes.  A Haar stack is drawn when it
     is due, with one stacked QR; its unitaries are bitwise those of
     per-unitary `haar_unitary` calls on the same streams.
-    An MME candidate passes when min_avg stays at 1 within tolerance;
-    any lower value names the violating unitary in `argmin`.
+    An MME candidate passes when min_avg is at least 1 - ME_TOL (the ME
+    tolerance), and `argmin` is then None: roundoff names no violator.
+    A lower min_avg names its first violating unitary in `argmin`.
     """
     state, notes = as_spectral(state)
     s = state.structure
@@ -292,7 +294,9 @@ def min_avg_ent(
         ents = ent_rows(s, members.reshape(-1, s.n)).reshape(probs.shape)
         avgs += (probs * ents).sum(axis=1).tolist()
     k = int(np.argmin(avgs))
-    if strategy == "grid":
+    if avgs[k] >= 1.0 - ME_TOL:
+        argmin = None
+    elif strategy == "grid":
         argmin = {"theta": float(theta[k // len(chi)]), "chi": float(chi[k % len(chi)])}
     else:
         argmin = {"D": lo + k // samples, "index": k % samples, "seed": seed}

@@ -6,9 +6,11 @@ import inspect
 import io
 import json
 import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,19 @@ def test_rank_rejects_L_outside_lstar(capsys) -> None:
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["tuples", "rank"])
+def test_tuples_and_rank_share_the_lstar_refusal(capsys, command) -> None:
+    code, out, err = _run(capsys, [command, "2x2x3x3", "--L", "3"])
+    assert (code, out, err) == (2, "", "error: L=3 is not in L*(6, 12) of 2x2x3x3\n")
+
+
+def test_rank_L_and_all_lstar_exclude_each_other(capsys) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "2x2x3x3", "--L", "12", "--all-lstar"])
+    assert exc.value.code == 2
+    assert "--all-lstar: not allowed with argument --L" in capsys.readouterr().err
+
+
 def test_construct_payload_and_out_file(capsys, tmp_path) -> None:
     code, out, _ = _run(
         capsys,
@@ -243,7 +258,22 @@ def test_verify_inline_random(capsys) -> None:
     d = json.loads(out)
     assert d["samples"] == 5
     assert d["min_avg"] == pytest.approx(1.0, abs=1e-9)
-    assert set(d["argmin"]) == {"D", "index", "seed"}
+    assert d["argmin"] is None
+
+
+def test_verify_roundoff_minimum_names_no_argmin(capsys) -> None:
+    # every average is 1 within about 1e-15 here, so the first minimum
+    # is roundoff: the passing certificate prints "argmin": null
+    code, out, err = _run(capsys, [
+        "verify", "3x3x3", "--tuples", "1,14,27;6,16,20;8,12,22",
+        "--spectrum", f"{1 / 6!r},{1 / 3!r},0.5", "--strategy", "random",
+        "--samples", "7", "--seed", "5", "--Dmax", "20", "--lu-seed", "3",
+    ])
+    assert (code, err) == (0, "")
+    d = json.loads(out)
+    assert d["samples"] == 18 * 7  # D = 3..20
+    assert d["min_avg"] == pytest.approx(1.0, abs=1e-12) and d["argmin"] is None
+    assert '"argmin": null' in out
 
 
 def test_verify_requires_state_or_inline(capsys) -> None:
@@ -264,13 +294,19 @@ def test_non_finite_spectrum_exit_code(capsys, spectrum) -> None:
         assert "finite and positive" in err
 
 
+def _saved_state(level=8) -> dict:
+    """The construct payload of 2x5 with tuples 1,10;2,8 and spectrum
+    0.7,0.3, its last saved level replaced by `level`."""
+    _, rho = construct(ModeStructure((2, 5)), [(1, 10), (2, 8)], (0.7, 0.3))
+    return {"dims": "2x5", "tuples": [[1, 10], [2, level]], "spectrum": [0.7, 0.3],
+            "lu_seed": None, "matrix": rho.to_json_dict()}
+
+
 def _tampered_state() -> dict:
     """A construct payload whose saved matrix no longer matches its spec."""
-    _, rho = construct(ModeStructure((2, 5)), [(1, 10), (2, 8)], (0.7, 0.3))
-    matrix = rho.to_json_dict()
-    matrix["re"][0][0] = 5.0
-    return {"dims": "2x5", "tuples": [[1, 10], [2, 8]], "spectrum": [0.7, 0.3],
-            "lu_seed": None, "matrix": matrix}
+    saved = _saved_state()
+    saved["matrix"]["re"][0][0] = 5.0
+    return saved
 
 
 @pytest.mark.parametrize(
@@ -283,6 +319,8 @@ def _tampered_state() -> dict:
         {"dims": "2x5", "tuples": [[1, 10], [2, 8]], "spectrum": [None, 0.3]},
         {"dims": "2x5", "tuples": [[1, 10], [2, 8]], "spectrum": [0.7, 0.3],
          "lu_seed": "x"},
+        _saved_state(1.5),  # saved levels are strict integers
+        _saved_state(8.0),
         [1, 2],
         {"dims": "2x5", "tuples": [[1, 10], [2, 8]], "spectrum": [0.7, 0.3]},
         _tampered_state(),
@@ -397,6 +435,17 @@ def test_tables_json_matches_csv(capsys, argv) -> None:
     for row, cells in zip(rows, csv_rows):
         assert list(row) == header
         assert [str(v) for v in row.values()] == cells
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["5", "--max-n", "10"], "--max-N"),
+    (["1", "--max-N", "3"], "--max-n"),
+    (["3", "--max-N", "3"], "--max-n"),
+])
+def test_tables_refuse_the_other_tables_size_option(capsys, argv, option) -> None:
+    code, out, err = _run(capsys, ["tables", *argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"takes {option}" in err
 
 
 def test_tables_exit_code_covers_dropped_rows(capsys) -> None:
@@ -539,3 +588,46 @@ def test_console_script_smoke() -> None:
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["Lstar"] == [2]
+
+
+def _readme_commands() -> list[list[str]]:
+    """Argv of each `mmekit` command in README's "Command line" block:
+    backslash continuations joined, `#` comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [argv[1:] for argv in (shlex.split(line, comments=True) for line in lines)
+            if argv and argv[0] == "mmekit"]
+
+
+def test_readme_commands_parse() -> None:
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        build_parser().parse_args(argv)  # parse only; argparse exits on a bad one
+
+
+REFUSALS = [
+    ["tuples", "2x2x3x3", "--L", "3"],
+    ["rank", "2x2x3x3", "--L", "3"],
+    ["rank", "2x2x3x3", "--L", "12", "--all-lstar"],
+    ["tables", "5", "--max-n", "10"],
+    ["tables", "1", "--max-N", "3"],
+    ["lstar", "2xx3"],
+    ["rank", "2^40"],
+    ["verify", "--state", "{bad_state}"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSALS, ids=" ".join)
+def test_refusals_exit_2_without_source_paths(child_env, tmp_path, argv) -> None:
+    # a child process, so a warning or traceback would reach stderr as a user sees it
+    bad_state = tmp_path / "state.json"
+    bad_state.write_text(json.dumps(_saved_state(1.5)))
+    argv = [a.format(bad_state=bad_state) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "mmekit.cli", *argv],
+                          capture_output=True, text=True, env=child_env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "error:" in proc.stderr
+    assert ".py:" not in proc.stderr and "Warning" not in proc.stderr

@@ -67,13 +67,15 @@ def test_compatible_validation() -> None:
     t = MeTgxTuple(s, (1, 8))
     with pytest.raises(ValueError):
         compatible([t, (2, 7)])  # raw tuples are refused
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="MeTgxTuple"):
+        compatible([(1, 16), (4, 13)])  # ... also first, before .structure is read
+    with pytest.raises(ValueError, match="need at least one tuple"):
         compatible([])
     other = MeTgxTuple(ModeStructure((4, 2)), (1, 8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="belongs to 4x2, not 2x4"):
         compatible([t, other])
     s4 = ModeStructure((2, 2, 2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eigen-tuples must share L"):
         compatible([MeTgxTuple(s4, (1, 16)), MeTgxTuple(s4, (1, 4, 13, 16))])
 
 
@@ -100,6 +102,21 @@ def test_mask_adjacency_matches_compatible() -> None:
         verdicts.append(ok)
     assert (verdicts.count(True), verdicts.count(False)) == (400, 96)
     assert not any(adj[i] >> i & 1 for i in range(len(ts)))
+
+
+@pytest.mark.parametrize("dims,L", [("2^5", 2), ("2^5", 4), ("2^7", 2)])
+def test_lex_stream_clique_is_the_natural_order_greedy_clique(dims, L) -> None:
+    # the greedy orders start from the stream's clique instead of
+    # rebuilding it from the full graph in natural order
+    s = parse_dims(dims)
+    ts = enumerate_me_tuples(s, L)
+    masks = _level_table(s)[1]
+    adj = _adjacency([reduce(or_, (masks[lvl] for lvl in t.levels)) for t in ts])
+    natural = [ts[i].levels for i in _greedy_clique(adj, range(len(ts)))]
+    # one node per tuple: the budget runs out right after the stream
+    report = max_mme_rank(s, search="exhaustive", L=L, budget_nodes=len(ts))
+    assert (report.status, report.tuple_count) == ("inconclusive", len(ts))
+    assert [t.levels for t in report.witness] == natural
 
 
 def _scan_conflict(s: ModeStructure, level_sets):
@@ -215,8 +232,10 @@ def test_all_lstar_picks_best_L() -> None:
 
 def test_rank_L_validation() -> None:
     s = ModeStructure((2, 2, 2, 2))
-    with pytest.raises(ValueError):
-        max_mme_rank(s, L=3)  # not in L*
+    with pytest.raises(ValueError, match=r"L=3 is not in L\*\(2, 4, 6, 8\) of 2x2x2x2"):
+        max_mme_rank(s, L=3)
+    with pytest.raises(ValueError, match="not both"):
+        max_mme_rank(ModeStructure((2, 2, 3, 3)), L=12, all_lstar=True)
     with pytest.raises(ValueError):
         max_mme_rank(s, search="quantum")
     # greedy orders run only where `auto` goes past n = 64
@@ -324,8 +343,9 @@ def test_greedy_restarts_stop_at_cap_keeps_first_longest(K, density, seed) -> No
     orders = [range(K), sorted(range(K), key=lambda v: (-degs[v], v))]
     orders += [rng.permutation(K).tolist() for _ in range(GREEDY_RESTARTS)]
     want = max((_greedy_clique(adj, order) for order in orders), key=len)
+    start = _greedy_clique(adj, range(K))  # the lex stream's clique
     for cap in (_brute_force_clique_number(adj), K + 1):
-        assert _greedy_restarts(adj, K, np.random.default_rng(seed), cap) == want
+        assert _greedy_restarts(adj, start, np.random.default_rng(seed), cap) == want
 
 
 def _lex_least_clique(adj: list[int], size: int) -> list[int] | None:

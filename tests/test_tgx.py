@@ -254,11 +254,10 @@ def test_enumeration_sorted_and_distinct() -> None:
     assert all(levels == tuple(sorted(levels)) for levels in tuples)
 
 
-def test_enumeration_off_lstar_warns_and_is_empty() -> None:
+def test_enumeration_refuses_L_off_lstar() -> None:
     s = ModeStructure((2, 2, 2, 2))
-    with pytest.warns(UserWarning, match="not in L"):
-        out = enumerate_me_tuples(s, 3)
-    assert out == []
+    with pytest.raises(ValueError, match=r"L=3 is not in L\*\(2, 4, 6, 8\) of 2x2x2x2"):
+        enumerate_me_tuples(s, 3)
 
 
 def test_enumeration_range_errors() -> None:

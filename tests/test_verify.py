@@ -10,6 +10,7 @@ from mmekit.linalg import DensityMatrix, PureStateVector, basis_state, mix, oute
 from mmekit.mme import construct
 from mmekit import verify
 from mmekit.modes import ModeStructure, parse_dims
+from mmekit.tgx import ME_TOL
 from mmekit.verify import (
     COMPARISON_KINDS,
     SpectralState,
@@ -219,19 +220,22 @@ def test_grid_certificate_holds_for_published_states() -> None:
         est = min_avg_ent(_certificate(dims), strategy="grid")
         assert est.samples == 400
         assert est.min_avg >= 1 - 1e-9
-        assert set(est.argmin) == {"theta", "chi"}
+        assert est.argmin is None  # a passing certificate names no violator
         assert len(est.averages) == 400
         assert min(est.averages) == est.min_avg
 
 
 def _assert_matches_per_unitary_loop(est, spec, points, argmin_unitary) -> None:
     """Batched min_avg_ent against one decompose(...).average_ent() per
-    unitary: every average, the sample count and the argmin point."""
+    unitary: every average, the sample count and, on a failing state,
+    the argmin point; a passing state names none."""
     loop = [decompose(spec, U).average_ent() for U in points]
     assert est.samples == len(loop) == len(est.averages)
     assert np.abs(np.array(est.averages) - loop).max() <= 1e-12
-    worst = decompose(spec, argmin_unitary(est.argmin)).average_ent()
-    assert abs(worst - est.min_avg) <= 1e-12
+    assert (est.argmin is None) == (est.min_avg >= 1 - ME_TOL)
+    if est.argmin is not None:
+        worst = decompose(spec, argmin_unitary(est.argmin)).average_ent()
+        assert abs(worst - est.min_avg) <= 1e-12
 
 
 def test_batched_grid_matches_per_unitary_loop() -> None:
@@ -284,21 +288,27 @@ def test_batched_random_matches_per_unitary_loop(monkeypatch, block) -> None:
     state, _ = construct(s, EXAMPLE_SETS[s.dims], (0.4, 0.3, 0.2, 0.1),
                          random_lu_set(s, 3))
     spec, _ = as_spectral(state)
-    est = min_avg_ent(spec, strategy="random", Dmin=4, Dmax=6, samples=10, seed=5)
+    # the MME state passes; the look-alike fails, so its argmin is checked
+    failing = comparison_family_spectral("e_spacewise", (0.6, 0.4))
 
     def haar(D, i):
         return haar_unitary(D, np.random.default_rng([5, D, i]))
 
     points = [haar(D, i) for D in (4, 5, 6) for i in range(10)]
-    _assert_matches_per_unitary_loop(
-        est, spec, points, lambda a: haar(a["D"], a["index"])
-    )
+    ests = [min_avg_ent(x, strategy="random", Dmin=4, Dmax=6, samples=10, seed=5)
+            for x in (spec, failing)]
+    for est, x in zip(ests, (spec, failing)):
+        _assert_matches_per_unitary_loop(
+            est, x, points, lambda a: haar(a["D"], a["index"])
+        )
+    assert ests[1].argmin is not None
     # the same evaluation fed one per-unitary draw at a time is bitwise equal
     monkeypatch.setattr(verify, "_haar_stack", lambda D, rngs: np.array(
         [_haar_per_unitary(D, rng) for rng in rngs]))
-    oracle = min_avg_ent(spec, strategy="random", Dmin=4, Dmax=6, samples=10, seed=5)
-    assert oracle.averages == est.averages
-    assert oracle.argmin == est.argmin and oracle.samples == est.samples
+    for est, x in zip(ests, (spec, failing)):
+        oracle = min_avg_ent(x, strategy="random", Dmin=4, Dmax=6, samples=10, seed=5)
+        assert oracle.averages == est.averages
+        assert oracle.argmin == est.argmin and oracle.samples == est.samples
 
 
 def test_grid_strategy_needs_rank_two() -> None:
@@ -313,7 +323,7 @@ def test_random_strategy_defaults_and_validation() -> None:
     est = min_avg_ent(spec, strategy="random", samples=5)
     assert est.samples == 15  # D in 2..4, five draws each
     assert est.min_avg >= 1 - 1e-9
-    assert set(est.argmin) == {"D", "index", "seed"}
+    assert est.argmin is None
     rank3, _ = construct(ModeStructure((3, 3, 3)), EXAMPLE_SETS[(3, 3, 3)],
                          (0.5, 0.3, 0.2))
     est = min_avg_ent(rank3, strategy="random", samples=2)

@@ -73,8 +73,30 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return t, c
 
 
+@functools.cache
+def _flat_encoder(pad: str):
+    """The stdlib's C encoder, one list item per line at `pad`."""
+    return json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
+
+
+def _indented(obj, pad: str) -> str:
+    """`json.dumps(obj, indent=2)` opened at `pad`, byte for byte (string keys).
+    With `indent` the stdlib encodes in pure Python; scalar lists use its C one."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = [f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return json.dumps(obj)
+    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
+        body = (",\n" + inner).join(_indented(x, inner) for x in obj)
+    else:
+        body = _flat_encoder(inner)(obj)[1:-1]
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return _indented(obj, "") + "\n"
 
 
 def _csv(rows: list[list], header: list[str]) -> str:

@@ -15,6 +15,7 @@ M* anchors the normalization of the ent.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -106,8 +107,12 @@ def lstar(s: ModeStructure) -> LStarSet:
 
 
 def _check_L(s: ModeStructure, L) -> int:
-    """int(L), refused unless in L*: the only sizes of ME TGX tuples."""
-    L, values = int(L), lstar(s).values
+    """L as an int, refused unless an integer in L*: the only ME TGX tuple sizes."""
+    try:
+        L = operator.index(L)
+    except TypeError:
+        raise ValueError(f"L={L!r} is not an integer") from None
+    values = lstar(s).values
     if L not in values:
         raise ValueError(f"L={L} is not in L*{values} of {s}")
     return L

@@ -13,14 +13,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mmekit import cli
 from mmekit.cli import TABLE_HEADER, build_parser, main
 from mmekit.mme import construct
 from mmekit.modes import ModeStructure
 
-from reference_values import SMALL_SURVEY
+from reference_values import EXAMPLE_SETS, QUBIT_SETS, SMALL_SURVEY
 
 
 def _run(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -519,6 +520,70 @@ def test_output_is_byte_deterministic(capsys, tmp_path) -> None:
     code, out, _ = _run(capsys, argv + ["--out", str(target)])
     assert code == 0
     assert target.read_text() == first
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e308, -(10**30)])
+    | st.text()
+)
+_JSON_KEYS = st.text() | st.sampled_from(["\u00e9t\u00e9", 'say "hi"', "two words", "\\\n\t", ""])
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_JSON_KEYS, inner, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(obj=_JSON_VALUES | st.lists(st.booleans() | st.integers() | st.floats()))
+@example(obj=[-0.0, 5e-324, 1e308, -(10**30), True, False, None, 'q"\u2603\n'])
+@example(obj={"\u00e9 \"k\"": {"a b": [[], {}, (), [1, [True]], [[0.5], {"x": None}]]}})
+def test_json_matches_stdlib_indent(obj) -> None:
+    assert cli._json(obj) == _stdlib_json(obj)
+
+
+PUBLISHED_SETS = {**EXAMPLE_SETS, **{(2,) * N: levels for N, levels in QUBIT_SETS.items()}}
+
+
+@pytest.mark.parametrize("lu_seed", [None, 7])
+@pytest.mark.parametrize("dims", PUBLISHED_SETS, ids=lambda dims: "x".join(map(str, dims)))
+def test_construct_payload_matches_stdlib_indent(capsys, monkeypatch, dims, lu_seed) -> None:
+    # the real payload object, dressed and undressed, not its parsed stdout
+    levels, payloads = PUBLISHED_SETS[dims], []
+    monkeypatch.setattr(cli, "_json", lambda obj: payloads.append(obj) or _stdlib_json(obj))
+    R = len(levels)  # a decreasing spectrum that sums to 1
+    argv = ["construct", "x".join(map(str, dims)),
+            "--tuples", ";".join(",".join(map(str, t)) for t in levels),
+            "--spectrum", ",".join(repr(2 * (R - k) / (R * (R + 1))) for k in range(R))]
+    argv += [] if lu_seed is None else ["--lu-seed", str(lu_seed)]
+    assert _run(capsys, argv)[0] == 0
+    (payload,) = payloads
+    monkeypatch.undo()
+    assert cli._json(payload) == _stdlib_json(payload)
+
+
+@pytest.mark.parametrize("argv", [
+    ["lstar", "2x2x3x3"],
+    ["tuples", "2x4"],
+    ["rank", "2^4"],
+    ["construct", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3", "--lu-seed", "5"],
+    ["verify", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3", "--grid", "3,3"],
+    ["tables", "5", "--max-N", "4", "--format", "json"],
+    ["validate-examples", "2^4", "--tuples", "1,16;4,13;6,11;7,10"],
+], ids=lambda argv: argv[0])
+def test_json_stdout_round_trips_through_the_stdlib(capsys, argv) -> None:
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out == _stdlib_json(json.loads(out))
 
 
 def test_internal_error_exit_code(capsys, monkeypatch) -> None:

@@ -236,6 +236,10 @@ def test_rank_L_validation() -> None:
         max_mme_rank(s, L=3)
     with pytest.raises(ValueError, match="not both"):
         max_mme_rank(ModeStructure((2, 2, 3, 3)), L=12, all_lstar=True)
+    # a non-integer L is refused, not truncated to the L = 6 below it
+    with pytest.raises(ValueError, match="L=6.9 is not an integer"):
+        max_mme_rank(ModeStructure((2, 2, 3, 3)), L=6.9)
+    assert max_mme_rank(ModeStructure((2, 2, 3, 3)), L=np.int64(6)).L_used == 6
     with pytest.raises(ValueError):
         max_mme_rank(s, search="quantum")
     # greedy orders run only where `auto` goes past n = 64

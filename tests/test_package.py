@@ -51,3 +51,16 @@ def test_benchmark_entry_points_exist() -> None:
         if not callable(getattr(owner, name, None)):
             missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def test_cli_handlers_write_json_only_through_one_writer() -> None:
+    # every JSON payload goes through cli._json, which the byte-identity
+    # tests in test_cli.py compare against json.dumps(obj, indent=2)
+    tree = ast.parse((Path(mmekit.__file__).parent / "cli.py").read_text())
+    handlers = [fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")]
+    assert len(handlers) == 8
+    found = [f"{fn.name}: json.{node.attr}" for fn in handlers for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "json" and node.attr in ("dump", "dumps", "JSONEncoder")]
+    assert found == []

@@ -258,6 +258,10 @@ def test_enumeration_refuses_L_off_lstar() -> None:
     s = ModeStructure((2, 2, 2, 2))
     with pytest.raises(ValueError, match=r"L=3 is not in L\*\(2, 4, 6, 8\) of 2x2x2x2"):
         enumerate_me_tuples(s, 3)
+    s = ModeStructure((2, 2, 3, 3))
+    with pytest.raises(ValueError, match="L=6.9 is not an integer"):
+        enumerate_me_tuples(s, 6.9)
+    assert len(enumerate_me_tuples(s, np.int64(6))) == 1440
 
 
 def test_enumeration_range_errors() -> None:

@@ -15,7 +15,6 @@ M* anchors the normalization of the ent.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import PureStateVector, mode_purities
-from .modes import ModeStructure
+from .modes import ModeStructure, _check_int
 
 
 class UnsupportedSystemError(ValueError):
@@ -72,7 +71,7 @@ def mpsrp_purity(n_m: int, L: int) -> float:
 
     Exact rational internally; the float is correctly rounded.
     """
-    n_m, L = int(n_m), int(L)
+    n_m, L = _check_int("n_m", n_m), _check_int("L", L)
     if n_m < 2:
         raise ValueError(f"mode dimension must be >= 2, got {n_m}")
     if L < 1:
@@ -108,18 +107,15 @@ def lstar(s: ModeStructure) -> LStarSet:
 
 def _check_L(s: ModeStructure, L) -> int:
     """L as an int, refused unless an integer in L*: the only ME TGX tuple sizes."""
-    try:
-        L = operator.index(L)
-    except TypeError:
-        raise ValueError(f"L={L!r} is not an integer") from None
+    L = _check_int("L", L)
     values = lstar(s).values
     if L not in values:
         raise ValueError(f"L={L} is not in L*{values} of {s}")
     return L
 
 
-def ent_rows(s: ModeStructure, amps) -> np.ndarray:
-    """The ent of each row of an (M, n) array of normalized amplitudes.
+def _ent_of_purities(s: ModeStructure, purities) -> np.ndarray:
+    """The ent of each row of an (M, N) array of mode purities P(rho_m).
 
     Computes the mean normalized reduction purity
     E = (1/N) sum_m (n_m P(rho_m) - 1)/(n_m - 1) and returns
@@ -128,8 +124,14 @@ def ent_rows(s: ModeStructure, amps) -> np.ndarray:
     """
     ls = lstar(s)  # raises UnsupportedSystemError for degenerate structures
     d = np.array(s.dims, dtype=float)
-    mean = ((d * mode_purities(s, amps) - 1.0) / (d - 1.0)).sum(axis=1) / s.N
+    mean = ((d * purities - 1.0) / (d - 1.0)).sum(axis=1) / s.N
     return np.minimum(1.0, np.maximum(0.0, (1.0 - mean) / (1.0 - ls.min_mean)))
+
+
+def ent_rows(s: ModeStructure, amps) -> np.ndarray:
+    """The ent of each row of an (M, n) array of normalized amplitudes
+    (see `_ent_of_purities`)."""
+    return _ent_of_purities(s, mode_purities(s, amps))
 
 
 def ent_pure(v: PureStateVector) -> float:

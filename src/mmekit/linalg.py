@@ -110,8 +110,7 @@ def partial_trace_matrix(mat: np.ndarray, structure: ModeStructure, keep) -> np.
     Hermitian) can be traced as well; index arithmetic only, no tensor
     reshape of the matrix itself.
     """
-    keep = tuple(int(m) for m in keep)
-    structure.substructure(keep)  # validates the mode list
+    keep = _check_modes(structure, keep)
     pos = _trace_groups(structure.dims, keep)
     # out[a, b] = sum over the diagonal of the dropped indices
     return mat[pos[:, None, :], pos[None, :, :]].sum(axis=-1)
@@ -119,7 +118,7 @@ def partial_trace_matrix(mat: np.ndarray, structure: ModeStructure, keep) -> np.
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all modes not in `keep`; preserves trace and Hermiticity."""
-    keep = tuple(int(m) for m in keep)
+    keep = _check_modes(rho.structure, keep)
     sub = rho.structure.substructure(keep)
     out = partial_trace_matrix(rho.entries, rho.structure, keep)
     return DensityMatrix(sub, out, validate=False)

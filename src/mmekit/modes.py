@@ -10,6 +10,7 @@ encoding, and all labels start at 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,6 +19,15 @@ import numpy as np
 # Largest total dimension accepted from text input (parse_dims); the
 # dense linear algebra of `linalg` is sized for n <= 256.
 MAX_N = 256
+
+
+def _check_int(what: str, value) -> int:
+    """`value` as an int, refused unless it is an integer: numpy integers
+    pass, a float (even 6.0) is a ValueError naming it, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what}={value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -44,7 +54,7 @@ class ModeStructure:
     dims: tuple[int, ...]
 
     def __init__(self, dims):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(_check_int("mode dimension", d) for d in dims)
         if len(dims) < 1:
             raise ValueError("a mode structure needs at least one mode")
         for d in dims:
@@ -126,14 +136,14 @@ def parse_dims(text: str) -> ModeStructure:
 
 
 def _check_level(s: ModeStructure, level: int) -> int:
-    level = int(level)
+    level = _check_int("level", level)
     if not 1 <= level <= s.n:
         raise ValueError(f"level {level} out of range 1..{s.n} for {s}")
     return level
 
 
 def _check_modes(s: ModeStructure, modes) -> tuple[int, ...]:
-    modes = tuple(int(m) for m in modes)
+    modes = tuple(_check_int("mode", m) for m in modes)
     if not modes:
         raise ValueError("mode list must be nonempty")
     if list(modes) != sorted(set(modes)):
@@ -162,7 +172,7 @@ def scalar_to_vector(s: ModeStructure, level: int) -> tuple[int, ...]:
 def vector_to_scalar(s: ModeStructure, labels) -> int:
     """Recombine per-mode labels into the scalar level (inverse of
     scalar_to_vector)."""
-    labels = tuple(int(v) for v in labels)
+    labels = tuple(_check_int("label", v) for v in labels)
     if len(labels) != s.N:
         raise ValueError(f"expected {s.N} labels, got {len(labels)}")
     level = 0

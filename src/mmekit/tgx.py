@@ -21,7 +21,7 @@ import numpy as np
 
 from .entcore import _check_L, ent_rows
 from .linalg import BLOCK_AMPLITUDES, DensityMatrix, PureStateVector, _check_isometry
-from .modes import ModeStructure, _level_table
+from .modes import ModeStructure, _check_int, _level_table
 
 # A state is accepted as ME when its ent is within this of 1.  Equal
 # superpositions have exact-rational reduction purities, so this absorbs
@@ -30,7 +30,7 @@ ME_TOL = 1e-10
 
 
 def _check_levels(s: ModeStructure, levels) -> tuple[int, ...]:
-    levels = tuple(int(x) for x in levels)
+    levels = tuple(_check_int("level", x) for x in levels)
     if len(set(levels)) != len(levels):
         raise ValueError(f"levels contain duplicates: {levels}")
     for lvl in levels:

@@ -10,16 +10,29 @@ any D x D unitary U,
 Certifying an MME candidate means showing the decomposition-averaged
 entanglement <E> stays at 1 over many such unitaries; a single unitary
 pulling <E> below 1 refutes the candidate.
+
+Each member's mode reductions follow from the eigenstates' cross
+reductions X_m^{kl} = tr_{not m} |Phi_k><Phi_l| (Hughston, Jozsa and
+Wootters 1993): with c_k = U_jk sqrt(lambda_k),
+
+    p_j rho_m(w_j) = sum_{k,l} c_k conj(c_l) X_m^{kl}.
+
+`min_avg_ent` computes X once per state (`_cross_reductions`) and reads
+every member's reductions off it, one product per stack of unitaries,
+as long as no mode's block of X is larger than the (R, n) eigenbasis
+(R n_m^2 <= n); a higher-rank state builds its members' amplitudes
+(`_decompose`) as `decompose` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .entcore import ent_rows, lstar, mpsrp_purity
+from .entcore import _ent_of_purities, ent_rows, lstar, mpsrp_purity
 from .linalg import (
     ATOL,
     BLOCK_AMPLITUDES,
@@ -31,7 +44,7 @@ from .linalg import (
     mix,
     mode_purities,
 )
-from .modes import ModeStructure
+from .modes import ModeStructure, _check_int, _trace_groups
 from .tgx import ME_TOL, LocalUnitarySet
 
 P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
@@ -108,14 +121,14 @@ class DecompositionSample:
         return float(np.dot(probs, ent_rows(self.structure, np.array(amps))))
 
 
-def _decompose(state: SpectralState, Us: np.ndarray):
-    """Apply a stack of G unitaries, each D x D with D >= rank, to the
-    eigen-ensemble: probabilities (G, D) and members (G, D, n).
+def _coefficients(state: SpectralState, Us: np.ndarray):
+    """Check a stack of G unitaries, each D x D with D >= rank, and apply
+    it to the eigen-ensemble: probabilities (G, D) and coefficients
+    c = U[:, :, :rank] sqrt(lambda), (G, D, rank), of the unnormalized
+    members sum_k c_k |Phi_k>.
 
-    Only the first `rank` columns act; p_j uses the formula weights
-    while each member is normalized by its true norm, so tiny unitarity
-    slack cannot leak into the members.  Weights below P_FLOOR become 0
-    with an all-zero member.
+    Only the first `rank` columns act; p_j uses the formula weights, and
+    weights below P_FLOOR become 0.
     """
     if Us.ndim != 3 or Us.shape[1] != Us.shape[2]:
         raise ValueError(f"unitary must be square, got shape {Us.shape[1:]}")
@@ -124,12 +137,19 @@ def _decompose(state: SpectralState, Us: np.ndarray):
         raise ValueError(f"D={D} is smaller than the rank {R}")
     _check_isometry("unitary", Us)
     lam = np.asarray(state.spectrum)
-    basis = np.array([v.amplitudes for v in state.eigenstates])  # (R, n)
     probs = np.abs(Us[:, :, :R]) ** 2 @ lam
-    raw = (Us[:, :, :R] * np.sqrt(lam)) @ basis
-    kept = probs >= P_FLOOR
-    norms = np.where(kept, np.linalg.norm(raw, axis=2), np.inf)
-    return np.where(kept, probs, 0.0), raw / norms[:, :, None]
+    return np.where(probs >= P_FLOOR, probs, 0.0), Us[:, :, :R] * np.sqrt(lam)
+
+
+def _decompose(state: SpectralState, Us: np.ndarray):
+    """`_coefficients` with the members built: probabilities (G, D) and
+    members (G, D, n).  Each member is normalized by its true norm, so
+    tiny unitarity slack cannot leak into it; a 0 weight gets an
+    all-zero member."""
+    probs, coeffs = _coefficients(state, Us)
+    raw = coeffs @ np.array([v.amplitudes for v in state.eigenstates])
+    norms = np.where(probs > 0, np.linalg.norm(raw, axis=2), np.inf)
+    return probs, raw / norms[:, :, None]
 
 
 def decompose(state: SpectralState, unitary: np.ndarray) -> DecompositionSample:
@@ -144,6 +164,53 @@ def decompose(state: SpectralState, unitary: np.ndarray) -> DecompositionSample:
     )
 
 
+def _cross_reductions(state: SpectralState) -> np.ndarray:
+    """The mode reductions of every eigenstate pair, (R*R, sum_m n_m^2):
+    row k*R + l holds X_m^{kl} = tr_{not m} |Phi_k><Phi_l| for m = 1..N
+    side by side, each n_m x n_m block row-major.  Per mode, one product
+    of the (R n_m, n/n_m) eigenstate gather with its adjoint."""
+    s, R = state.structure, state.rank
+    basis = np.array([v.amplitudes for v in state.eigenstates])
+    blocks = []
+    for m, d in enumerate(s.dims, start=1):
+        A = basis[:, _trace_groups(s.dims, (m,))].reshape(R * d, -1)
+        X = (A @ A.conj().T).reshape(R, d, R, d).swapaxes(1, 2)
+        blocks.append(X.reshape(R * R, d * d))
+    return np.concatenate(blocks, axis=1)
+
+
+@lru_cache(maxsize=None)
+def _block_sums(dims: tuple[int, ...]):
+    """(sum_m n_m^2, N) 0/1 matrices that sum, per mode, all entries and
+    the diagonal entries of row-major n_m x n_m blocks laid side by side."""
+    mode = np.repeat(np.arange(len(dims)), [d * d for d in dims])
+    entries = (mode[:, None] == np.arange(len(dims))).astype(float)
+    return entries, entries * np.concatenate([np.eye(d).ravel() for d in dims])[:, None]
+
+
+def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray,
+                     kept: np.ndarray) -> np.ndarray:
+    """Mode purities (M, N) of the M members with coefficients c (M, R),
+    read off the cross reductions X of `_cross_reductions`.
+
+    The unnormalized reductions are the coefficient pairs c_k conj(c_l)
+    times X, formed in row blocks of at most BLOCK_AMPLITUDES pairs, which
+    bounds the working set as the member stacks are.  Each mode's block
+    is normalized by its own trace, the member's squared norm; rows not
+    `kept` divide by 1, so no 0/0 appears.
+    """
+    M, R = c.shape
+    step = max(1, BLOCK_AMPLITUDES // (R * R))
+    red = np.empty((M, X.shape[1]), dtype=complex)
+    for a in range(0, M, step):
+        b = c[a:a + step]
+        np.matmul((b[:, :, None] * b[:, None, :].conj()).reshape(len(b), R * R), X,
+                  out=red[a:a + step])
+    entries, diagonal = _block_sums(s.dims)
+    tr = np.where(kept[:, None], red.real @ diagonal, 1.0)
+    return (red.real ** 2 + red.imag ** 2) @ entries / tr ** 2
+
+
 def u2(theta: float, chi: float) -> np.ndarray:
     """One-parameter-pair 2x2 unitary [[a, b], [-conj(b), conj(a)]] with
     a = cos(theta), b = sin(theta) e^{i chi}."""
@@ -156,6 +223,8 @@ def _u2_stack(theta_steps: int, chi_steps: int):
     """Half-open grid over theta in [0, pi/2) and chi in [0, 2 pi): the
     angles and one theta-major stack, entry i*C + k = u2(theta[i], chi[k]).
     theta = k pi/2 / T puts pi/4 on the grid whenever T is even."""
+    theta_steps = _check_int("theta_steps", theta_steps)
+    chi_steps = _check_int("chi_steps", chi_steps)
     if theta_steps < 1 or chi_steps < 1:
         raise ValueError("grid needs at least one step per axis")
     theta = np.pi / 2 * np.arange(theta_steps) / theta_steps
@@ -181,7 +250,7 @@ def haar_unitary(D: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed D x D unitary: QR of a complex Gaussian with the
     R-diagonal phases factored out; the one-matrix case of the stacks
     `min_avg_ent` draws."""
-    if D < 1:
+    if _check_int("D", D) < 1:
         raise ValueError("D must be positive")
     return _haar_stack(D, [rng])[0]
 
@@ -249,12 +318,20 @@ def min_avg_ent(
 
     strategy "grid": rank must be 2; sweeps the u2 half-open grid.
     strategy "random": Haar unitaries, `samples` per D from Dmin..Dmax
-    (defaults: rank .. rank + 2), streams keyed by (seed, D, i).
+    (defaults: rank .. rank + 2), streams keyed by (seed, D, i).  Grid
+    steps, Dmin, Dmax, samples and seed must be integers.
 
     The unitaries are evaluated in stacks of equal D holding at most
     BLOCK_AMPLITUDES member amplitudes.  A Haar stack is drawn when it
     is due, with one stacked QR; its unitaries are bitwise those of
-    per-unitary `haar_unitary` calls on the same streams.
+    per-unitary `haar_unitary` calls on the same streams.  Every stack
+    is checked for unitarity.  When R n_m^2 <= n for every mode, the
+    state's cross reductions (`_cross_reductions`) are computed once and
+    each stack's member reductions are its coefficient pairs
+    c_k conj(c_l) times them (`_member_purities`); no member amplitude is
+    built.  A higher-rank state builds its members as `decompose` does.
+    Either way every average agrees with `decompose(...).average_ent()`
+    to roundoff.
     An MME candidate passes when min_avg is at least 1 - ME_TOL (the ME
     tolerance), and `argmin` is then None: roundoff names no violator.
     A lower min_avg names its first violating unitary in `argmin`.
@@ -271,8 +348,9 @@ def min_avg_ent(
         theta, chi, Us = _u2_stack(*grid)
         stacks = (Us[a:a + block(2)] for a in range(0, len(Us), block(2)))
     elif strategy == "random":
-        lo = state.rank if Dmin is None else int(Dmin)
-        hi = state.rank + 2 if Dmax is None else int(Dmax)
+        lo = state.rank if Dmin is None else _check_int("Dmin", Dmin)
+        hi = state.rank + 2 if Dmax is None else _check_int("Dmax", Dmax)
+        samples, seed = _check_int("samples", samples), _check_int("seed", seed)
         if lo < state.rank:
             raise ValueError(f"Dmin={lo} below rank {state.rank}")
         if hi < lo:
@@ -288,11 +366,20 @@ def min_avg_ent(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
+    R = state.rank
+    # Each mode's block of the cross reductions costs R^2 n_m^2 per member,
+    # no more than the R n of building the member, while R n_m^2 <= n.
+    X = _cross_reductions(state) if all(R * d * d <= s.n for d in s.dims) else None
     avgs = []
     for Us in stacks:
-        probs, members = _decompose(state, Us)
-        ents = ent_rows(s, members.reshape(-1, s.n)).reshape(probs.shape)
-        avgs += (probs * ents).sum(axis=1).tolist()
+        if X is None:
+            probs, members = _decompose(state, Us)
+            ents = ent_rows(s, members.reshape(-1, s.n))
+        else:
+            probs, c = _coefficients(state, Us)
+            ents = _ent_of_purities(
+                s, _member_purities(s, c.reshape(-1, R), X, probs.reshape(-1) > 0))
+        avgs += (probs * ents.reshape(probs.shape)).sum(axis=1).tolist()
     k = int(np.argmin(avgs))
     if avgs[k] >= 1.0 - ME_TOL:
         argmin = None

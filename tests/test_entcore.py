@@ -41,6 +41,11 @@ def test_mpsrp_validation() -> None:
         mpsrp_purity(1, 2)
     with pytest.raises(ValueError):
         mpsrp_purity(2, 0)
+    with pytest.raises(ValueError, match=r"L=2\.5 is not an integer"):
+        mpsrp_purity(2, 2.5)
+    with pytest.raises(ValueError, match=r"n_m=2\.0 is not an integer"):
+        mpsrp_purity(2.0, 2)
+    assert mpsrp_purity(np.int64(2), np.int64(3)) == mpsrp_purity(2, 3)
 
 
 def test_lstar_matches_brute_force_oracle() -> None:

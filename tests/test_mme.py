@@ -520,6 +520,7 @@ CONSTRUCT_REFUSALS = [
     ([(1, 16), (4, 17), (0, 13)], r"level 17 of \(4, 17\) out of range 1\.\.16"),
     ([(1, 16), (1, 4, 13, 16), (6,)],
      r"mixed tuple sizes: \(1, 4, 13, 16\) has L=4 but \(1, 16\) has L=2"),
+    ([(1.5, 16.2), (4, 13)], r"level=1\.5 is not an integer"),
 ]
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from mmekit.cli import _structures_upto
@@ -35,6 +36,22 @@ def test_structure_rejects_degenerate_dims() -> None:
         ModeStructure((2, 1))
     with pytest.raises(ValueError):
         ModeStructure((0, 3))
+
+
+def test_non_integers_are_refused_not_truncated() -> None:
+    with pytest.raises(ValueError, match=r"mode dimension=2\.9 is not an integer"):
+        ModeStructure((2.9, 4))
+    s = ModeStructure((np.int64(2), 3))
+    assert s.dims == (2, 3) and all(type(d) is int for d in s.dims)
+    with pytest.raises(ValueError, match=r"level=2\.0 is not an integer"):
+        scalar_to_vector(s, 2.0)
+    with pytest.raises(ValueError, match=r"label=1\.5 is not an integer"):
+        vector_to_scalar(s, (1.5, 1))
+    with pytest.raises(ValueError, match=r"mode=1\.0 is not an integer"):
+        s.substructure((1.0,))
+    assert scalar_to_vector(s, np.int64(6)) == (2, 3)
+    assert vector_to_scalar(s, (np.int64(2), 3)) == 6
+    assert s.substructure((np.int64(2),)).dims == (3,)
 
 
 def test_parse_dims_forms() -> None:

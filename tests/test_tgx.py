@@ -62,6 +62,10 @@ def test_is_me_tuple_validation() -> None:
         is_me_tuple(s, (0, 8))
     with pytest.raises(ValueError):
         is_me_tuple(s, (1, 9))
+    s = ModeStructure((2, 2, 2, 2))
+    with pytest.raises(ValueError, match=r"level=1\.5 is not an integer"):
+        is_me_tuple(s, (1.5, 16.2))
+    assert is_me_tuple(s, (np.int64(1), np.int64(16)))
 
 
 def test_enumeration_matches_brute_force() -> None:

@@ -4,9 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mmekit.cli import _structures_upto
 from mmekit.entcore import ent_pure
-from mmekit.linalg import DensityMatrix, PureStateVector, basis_state, mix, outer
+from mmekit.linalg import (
+    DensityMatrix,
+    PureStateVector,
+    basis_state,
+    mix,
+    mode_reduction_of_pure,
+    outer,
+    partial_trace_matrix,
+)
 from mmekit.mme import construct
 from mmekit import verify
 from mmekit.modes import ModeStructure, parse_dims
@@ -30,6 +41,7 @@ from reference_values import (
     EXAMPLE_SETS,
     SPACEWISE_GRID_MIN_BALANCED,
 )
+from test_linalg import _einsum_partial_trace
 
 
 def _certificate(dims: tuple[int, ...]) -> SpectralState:
@@ -175,6 +187,9 @@ def test_haar_unitary_deterministic_and_unitary() -> None:
     assert haar_unitary(1, np.random.default_rng(0)).shape == (1, 1)
     with pytest.raises(ValueError):
         haar_unitary(0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="D=2.0 is not an integer"):
+        haar_unitary(2.0, np.random.default_rng(0))
+    assert haar_unitary(np.int64(2), np.random.default_rng(0)).shape == (2, 2)
 
 
 def test_haar_unitary_first_moment() -> None:
@@ -279,10 +294,11 @@ def test_random_lu_set_is_bitwise_per_mode() -> None:
         assert np.array_equal(U, haar_unitary(d, np.random.default_rng([41, m])))
 
 
-@pytest.mark.parametrize("block", [verify.BLOCK_AMPLITUDES, 150])
+@pytest.mark.parametrize("block", [verify.BLOCK_AMPLITUDES, 150, 40])
 def test_batched_random_matches_per_unitary_loop(monkeypatch, block) -> None:
     # 150 amplitudes split D = 4 into stacks of two and leave D = 5, 6
-    # one unitary per stack
+    # one unitary per stack; 40 also splits the rank-4 coefficient pairs
+    # of each stack into row blocks of two members
     monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", block)
     s = ModeStructure((2, 2, 2, 2))
     state, _ = construct(s, EXAMPLE_SETS[s.dims], (0.4, 0.3, 0.2, 0.1),
@@ -309,6 +325,71 @@ def test_batched_random_matches_per_unitary_loop(monkeypatch, block) -> None:
         oracle = min_avg_ent(x, strategy="random", Dmin=4, Dmax=6, samples=10, seed=5)
         assert oracle.averages == est.averages
         assert oracle.argmin == est.argmin and oracle.samples == est.samples
+
+    # D = R + 2 unitaries padded with an identity block: the last two
+    # members get weight exactly 0, and no 0/0 reaches the averages
+    def padded(D, rngs):
+        Us = np.array([np.eye(D, dtype=complex) for _ in rngs])
+        Us[:, :D - 2, :D - 2] = [_haar_per_unitary(D - 2, rng) for rng in rngs]
+        return Us
+
+    monkeypatch.setattr(verify, "_haar_stack", padded)
+    for x in (spec, failing):
+        D = x.rank + 2
+        points = padded(D, [np.random.default_rng([5, D, i]) for i in range(3)])
+        assert decompose(x, points[0]).members[-2:] == (None, None)
+        est = min_avg_ent(x, strategy="random", Dmin=D, Dmax=D, samples=3, seed=5)
+        assert not np.isnan(est.averages).any()
+        _assert_matches_per_unitary_loop(est, x, points, lambda a: points[a["index"]])
+
+
+def _random_spectral(rng, s: ModeStructure, R: int) -> SpectralState:
+    """R random orthonormal eigenstates (the first columns of a Haar
+    unitary) with a random positive spectrum."""
+    basis = haar_unitary(s.n, rng)[:, :R]
+    w = rng.random(R) + 0.05
+    return SpectralState(s, tuple(w / w.sum()),
+                         tuple(PureStateVector(s, v) for v in basis.T))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 6), (2, 3, 2), (2, 2, 3, 3)])
+def test_cross_reductions_are_the_pair_partial_traces(dims) -> None:
+    s = ModeStructure(dims)
+    R = 3
+    spec = _random_spectral(np.random.default_rng(s.n), s, R)
+    X = verify._cross_reductions(spec)
+    assert X.shape == (R * R, sum(d * d for d in dims))
+    a = 0
+    for m, d in enumerate(dims, start=1):
+        for k, phi in enumerate(spec.eigenstates):
+            for l, psi in enumerate(spec.eigenstates):
+                block = X[k * R + l, a:a + d * d].reshape(d, d)
+                cross = np.outer(phi.amplitudes, psi.amplitudes.conj())
+                want = partial_trace_matrix(cross, s, (m,))
+                assert np.abs(want - _einsum_partial_trace(cross, dims, (m,))).max() < 1e-14
+                assert np.abs(block - want).max() < 1e-14, (m, k, l)
+            diag = X[k * R + k, a:a + d * d].reshape(d, d)
+            assert np.abs(diag - mode_reduction_of_pure(phi, m)).max() < 1e-14
+        a += d * d
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_sampled_averages_match_decompose_on_both_sides_of_the_rule(data) -> None:
+    # R <= n / n_m^2 for every mode reads the cross-reduction tensor; a
+    # larger R, up to full rank, builds the member amplitudes
+    s = data.draw(st.sampled_from(list(_structures_upto(36))), label="structure")
+    edge = min(s.n // (d * d) for d in s.dims)
+    R = data.draw(st.sampled_from(sorted({1, max(edge, 1), edge + 1, s.n}))
+                  | st.integers(1, s.n), label="rank")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    spec = _random_spectral(np.random.default_rng(seed), s, R)
+    est = min_avg_ent(spec, strategy="random", samples=2, seed=seed)
+    points = [haar_unitary(D, np.random.default_rng([seed, D, i]))
+              for D in range(R, R + 3) for i in range(2)]
+    _assert_matches_per_unitary_loop(
+        est, spec, points, lambda a: points[(a["D"] - R) * 2 + a["index"]]
+    )
 
 
 def test_grid_strategy_needs_rank_two() -> None:
@@ -337,6 +418,24 @@ def test_random_strategy_defaults_and_validation() -> None:
         min_avg_ent(spec, strategy="random", samples=0)
     with pytest.raises(ValueError):
         min_avg_ent(spec, strategy="annealed")
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"strategy": "random", "Dmin": 2.7}, "Dmin=2.7"),
+    ({"strategy": "random", "Dmin": 2, "Dmax": 3.9}, "Dmax=3.9"),
+    ({"strategy": "random", "samples": 2.5}, "samples=2.5"),
+    ({"strategy": "random", "samples": 2, "seed": 1.0}, "seed=1.0"),
+    ({"strategy": "grid", "grid": (20.5, 20)}, "theta_steps=20.5"),
+    ({"strategy": "grid", "grid": (20, 20.0)}, "chi_steps=20.0"),
+])
+def test_sampler_counts_are_refused_unless_integers(kwargs, name) -> None:
+    spec = comparison_family_spectral("mme", (0.7, 0.3))
+    with pytest.raises(ValueError, match=f"{name} is not an integer"):
+        min_avg_ent(spec, **kwargs)
+    ints = {k: (tuple(map(np.int64, v)) if k == "grid" else np.int64(round(v)))
+            for k, v in kwargs.items() if k != "strategy"}
+    est = min_avg_ent(spec, strategy=kwargs["strategy"], **ints)
+    assert est.min_avg >= 1 - 1e-9
 
 
 def test_comparison_family_validation() -> None:

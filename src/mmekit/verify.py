@@ -18,17 +18,15 @@ Wootters 1993): with c_k = U_jk sqrt(lambda_k),
     p_j rho_m(w_j) = sum_{k,l} c_k conj(c_l) X_m^{kl}.
 
 `min_avg_ent` computes X once per state (`_cross_reductions`) and reads
-every member's reductions off it, one product per stack of unitaries,
-as long as no mode's block of X is larger than the (R, n) eigenbasis
-(R n_m^2 <= n); a higher-rank state builds its members' amplitudes
-(`_decompose`) as `decompose` does.
+every member's reductions off it, one product per stack of unitaries;
+no member amplitude is built.  `decompose` builds the members
+(`_decompose`) and is the reference the sampler is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -179,15 +177,6 @@ def _cross_reductions(state: SpectralState) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-@lru_cache(maxsize=None)
-def _block_sums(dims: tuple[int, ...]):
-    """(sum_m n_m^2, N) 0/1 matrices that sum, per mode, all entries and
-    the diagonal entries of row-major n_m x n_m blocks laid side by side."""
-    mode = np.repeat(np.arange(len(dims)), [d * d for d in dims])
-    entries = (mode[:, None] == np.arange(len(dims))).astype(float)
-    return entries, entries * np.concatenate([np.eye(d).ravel() for d in dims])[:, None]
-
-
 def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray,
                      kept: np.ndarray) -> np.ndarray:
     """Mode purities (M, N) of the M members with coefficients c (M, R),
@@ -197,7 +186,8 @@ def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray,
     times X, formed in row blocks of at most BLOCK_AMPLITUDES pairs, which
     bounds the working set as the member stacks are.  Each mode's block
     is normalized by its own trace, the member's squared norm; rows not
-    `kept` divide by 1, so no 0/0 appears.
+    `kept` divide by 1, so no 0/0 appears.  Two products with 0/1
+    matrices sum each mode's diagonal and squared entries.
     """
     M, R = c.shape
     step = max(1, BLOCK_AMPLITUDES // (R * R))
@@ -206,7 +196,8 @@ def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray,
         b = c[a:a + step]
         np.matmul((b[:, :, None] * b[:, None, :].conj()).reshape(len(b), R * R), X,
                   out=red[a:a + step])
-    entries, diagonal = _block_sums(s.dims)
+    entries = np.repeat(np.eye(s.N), [d * d for d in s.dims], axis=0)
+    diagonal = entries * np.concatenate([np.eye(d).ravel() for d in s.dims])[:, None]
     tr = np.where(kept[:, None], red.real @ diagonal, 1.0)
     return (red.real ** 2 + red.imag ** 2) @ entries / tr ** 2
 
@@ -325,13 +316,14 @@ def min_avg_ent(
     BLOCK_AMPLITUDES member amplitudes.  A Haar stack is drawn when it
     is due, with one stacked QR; its unitaries are bitwise those of
     per-unitary `haar_unitary` calls on the same streams.  Every stack
-    is checked for unitarity.  When R n_m^2 <= n for every mode, the
-    state's cross reductions (`_cross_reductions`) are computed once and
-    each stack's member reductions are its coefficient pairs
-    c_k conj(c_l) times them (`_member_purities`); no member amplitude is
-    built.  A higher-rank state builds its members as `decompose` does.
-    Either way every average agrees with `decompose(...).average_ent()`
-    to roundoff.
+    is checked for unitarity.  The state's cross reductions
+    (`_cross_reductions`) are computed once, and each stack's member
+    reductions are its coefficient pairs c_k conj(c_l) times them
+    (`_member_purities`); no member amplitude is built.  That costs
+    R^2 sum_m n_m^2 per member against about R n to build the member:
+    cheaper at low rank, several times dearer near full rank (ROADMAP,
+    "Measured").  Every average agrees with
+    `decompose(...).average_ent()` to roundoff.
     An MME candidate passes when min_avg is at least 1 - ME_TOL (the ME
     tolerance), and `argmin` is then None: roundoff names no violator.
     A lower min_avg names its first violating unitary in `argmin`.
@@ -366,19 +358,12 @@ def min_avg_ent(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    R = state.rank
-    # Each mode's block of the cross reductions costs R^2 n_m^2 per member,
-    # no more than the R n of building the member, while R n_m^2 <= n.
-    X = _cross_reductions(state) if all(R * d * d <= s.n for d in s.dims) else None
+    X = _cross_reductions(state)
     avgs = []
     for Us in stacks:
-        if X is None:
-            probs, members = _decompose(state, Us)
-            ents = ent_rows(s, members.reshape(-1, s.n))
-        else:
-            probs, c = _coefficients(state, Us)
-            ents = _ent_of_purities(
-                s, _member_purities(s, c.reshape(-1, R), X, probs.reshape(-1) > 0))
+        probs, c = _coefficients(state, Us)
+        ents = _ent_of_purities(
+            s, _member_purities(s, c.reshape(-1, state.rank), X, probs.reshape(-1) > 0))
         avgs += (probs * ents.reshape(probs.shape)).sum(axis=1).tolist()
     k = int(np.argmin(avgs))
     if avgs[k] >= 1.0 - ME_TOL:

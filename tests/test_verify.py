@@ -375,9 +375,9 @@ def test_cross_reductions_are_the_pair_partial_traces(dims) -> None:
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.data())
-def test_sampled_averages_match_decompose_on_both_sides_of_the_rule(data) -> None:
-    # R <= n / n_m^2 for every mode reads the cross-reduction tensor; a
-    # larger R, up to full rank, builds the member amplitudes
+def test_sampled_averages_match_decompose_at_every_rank(data) -> None:
+    # ranks from 1 to full, with the tensor both smaller (R n_m^2 <= n)
+    # and larger than the eigenbasis
     s = data.draw(st.sampled_from(list(_structures_upto(36))), label="structure")
     edge = min(s.n // (d * d) for d in s.dims)
     R = data.draw(st.sampled_from(sorted({1, max(edge, 1), edge + 1, s.n}))

@@ -183,23 +183,31 @@ def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray,
     read off the cross reductions X of `_cross_reductions`.
 
     The unnormalized reductions are the coefficient pairs c_k conj(c_l)
-    times X, formed in row blocks of at most BLOCK_AMPLITUDES pairs, which
-    bounds the working set as the member stacks are.  Each mode's block
-    is normalized by its own trace, the member's squared norm; rows not
+    times X, formed in row blocks of k to 2k - 1 members, k =
+    BLOCK_AMPLITUDES // R^2 (all M members if M < 2k), which bounds the
+    working set as the member stacks are.  Each mode's block is
+    normalized by its own trace, the member's squared norm; rows not
     `kept` divide by 1, so no 0/0 appears.  Two products with 0/1
     matrices sum each mode's diagonal and squared entries.
+
+    A member's purities do not depend on M or on its row, so how the
+    members fall into stacks moves no bit.  On OpenBLAS 0.3.31 (x86-64,
+    AVX-512) that held for complex products of at least 2 rows and real
+    ones of at least 4 columns: hence no 1-row block (numpy sends it to
+    gemv, which rounds differently) unless k = 1, and the summing
+    matrices' zero columns, without which 2x8 averages moved.
     """
     M, R = c.shape
-    step = max(1, BLOCK_AMPLITUDES // (R * R))
+    blocks = max(1, M // max(1, BLOCK_AMPLITUDES // (R * R)))
     red = np.empty((M, X.shape[1]), dtype=complex)
-    for a in range(0, M, step):
-        b = c[a:a + step]
-        np.matmul((b[:, :, None] * b[:, None, :].conj()).reshape(len(b), R * R), X,
-                  out=red[a:a + step])
-    entries = np.repeat(np.eye(s.N), [d * d for d in s.dims], axis=0)
+    for i in range(blocks):
+        a, z = i * M // blocks, (i + 1) * M // blocks
+        np.matmul((c[a:z, :, None] * c[a:z, None, :].conj()).reshape(z - a, R * R), X,
+                  out=red[a:z])
+    entries = np.repeat(np.eye(s.N, max(s.N, 4)), [d * d for d in s.dims], axis=0)
     diagonal = entries * np.concatenate([np.eye(d).ravel() for d in s.dims])[:, None]
-    tr = np.where(kept[:, None], red.real @ diagonal, 1.0)
-    return (red.real ** 2 + red.imag ** 2) @ entries / tr ** 2
+    tr = np.where(kept[:, None], (red.real @ diagonal)[:, :s.N], 1.0)
+    return ((red.real ** 2 + red.imag ** 2) @ entries)[:, :s.N] / tr ** 2
 
 
 def u2(theta: float, chi: float) -> np.ndarray:
@@ -313,10 +321,11 @@ def min_avg_ent(
     steps, Dmin, Dmax, samples and seed must be integers.
 
     The unitaries are evaluated in stacks of equal D holding at most
-    BLOCK_AMPLITUDES member amplitudes.  A Haar stack is drawn when it
-    is due, with one stacked QR; its unitaries are bitwise those of
-    per-unitary `haar_unitary` calls on the same streams.  Every stack
-    is checked for unitarity.  The state's cross reductions
+    BLOCK_AMPLITUDES member reduction entries, D sum_m n_m^2 a unitary
+    (one unitary at least); how they fall into stacks moves no bit of
+    any average.  A Haar stack is drawn when it is due, with one stacked
+    QR; its unitaries are bitwise those of per-unitary `haar_unitary`
+    calls on the same streams.  Every stack is checked for unitarity.  The state's cross reductions
     (`_cross_reductions`) are computed once, and each stack's member
     reductions are its coefficient pairs c_k conj(c_l) times them
     (`_member_purities`); no member amplitude is built.  That costs
@@ -332,7 +341,7 @@ def min_avg_ent(
     s = state.structure
 
     def block(D: int) -> int:
-        return max(1, BLOCK_AMPLITUDES // (D * s.n))
+        return max(1, BLOCK_AMPLITUDES // (D * sum(d * d for d in s.dims)))
 
     if strategy == "grid":
         if state.rank != 2:
@@ -360,8 +369,8 @@ def min_avg_ent(
 
     X = _cross_reductions(state)
     avgs = []
-    for Us in stacks:
-        probs, c = _coefficients(state, Us)
+    for stack in stacks:
+        probs, c = _coefficients(state, stack)
         ents = _ent_of_purities(
             s, _member_purities(s, c.reshape(-1, state.rank), X, probs.reshape(-1) > 0))
         avgs += (probs * ents.reshape(probs.shape)).sum(axis=1).tolist()

@@ -16,12 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmekit import cli
+from mmekit import cli, verify
 from mmekit.cli import TABLE_HEADER, build_parser, main
+from mmekit.linalg import DensityMatrix
 from mmekit.mme import construct
 from mmekit.modes import ModeStructure
 
 from reference_values import EXAMPLE_SETS, QUBIT_SETS, SMALL_SURVEY
+from test_linalg import _einsum_mix
 
 
 def _run(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -233,6 +235,37 @@ def test_construct_verify_round_trip(capsys, tmp_path) -> None:
     assert d["strategy"] == "grid"
     assert d["samples"] == 400
     assert d["min_avg"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_construct_by_the_einsum_oracle_passes_verify(capsys, tmp_path, monkeypatch) -> None:
+    # a state file written before `mix` moved from einsum to BLAS still
+    # verifies: the two matrices agree far inside the file check's ATOL
+    argv = ["construct", "2x2x3x3", "--tuples", "1,5,9,28,32,36;11,15,16,20,24,25",
+            "--spectrum", "0.7,0.3", "--lu-seed", "4"]
+    target = tmp_path / "state.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "mix", lambda states, weights: DensityMatrix(
+            states[0].structure, _einsum_mix(states, weights), validate=False))
+        assert _run(capsys, argv + ["--out", str(target)]) == (0, "", "")
+    code, out, err = _run(capsys, ["verify", "--state", str(target)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["argmin"] is None
+
+
+@pytest.mark.parametrize("dims,tuples", [("2^5", "1,32;4,29"), ("3x7", "1,9,17;4,12,20")])
+def test_verify_grid_above_n_20(capsys, monkeypatch, dims, tuples) -> None:
+    # the default 400-point grid takes several stacks once n > 20 (2^5
+    # with 2^11 amplitudes a stack, 3x7 at the default too); it once
+    # exited 2 on a zero-size array
+    argv = ["verify", dims, "--tuples", tuples, "--spectrum", "0.7,0.3", "--strategy", "grid"]
+    monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", 2**40)
+    code, one, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    for block in (2**14, 2**11):
+        monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", block)
+        assert _run(capsys, argv) == (0, one, "")
+    d = json.loads(one)
+    assert d["samples"] == 400 and d["argmin"] is None
 
 
 def test_verify_inline_random(capsys) -> None:

@@ -5,6 +5,7 @@ import pytest
 
 from mmekit.cli import _structures_upto
 from mmekit.linalg import (
+    ATOL,
     DensityMatrix,
     PureStateVector,
     basis_state,
@@ -204,6 +205,39 @@ def test_mix_matches_outer_product_sum(dims, lu_seed) -> None:
     )
     assert len(state) > 1
     assert np.abs(rho.entries - want).max() < 1e-14
+
+
+def _einsum_mix(states, weights) -> np.ndarray:
+    """sum_k w_k |psi_k><psi_k| as the einsum `mix` once used."""
+    B = np.column_stack([st.amplitudes for st in states]) * np.sqrt(weights)
+    return np.einsum("ik,jk->ij", B, B.conj())
+
+
+@pytest.mark.parametrize("dims,R", [((3, 3, 3, 3), 9), ((4, 4, 4, 4), 16)])
+def test_mix_matches_einsum_oracle(dims, R) -> None:
+    s = ModeStructure(dims)
+    rng = np.random.default_rng(R)
+    for _ in range(3):
+        g = rng.standard_normal((s.n, R)) + 1j * rng.standard_normal((s.n, R))
+        states = [PureStateVector(s, v) for v in np.linalg.qr(g)[0].T]
+        weights = rng.random(R) + 0.05
+        weights /= weights.sum()
+        rho = mix(states, weights).entries
+        assert np.abs(rho - _einsum_mix(states, weights)).max() <= 1e-15
+        assert abs(np.trace(rho) - 1.0) <= ATOL
+        # BLAS need not mirror the two triangles bit for bit
+        assert np.abs(rho - rho.conj().T).max() <= ATOL
+        assert not np.diagonal(rho).imag.any()
+
+
+def test_mix_of_real_states_prints_no_negative_zero() -> None:
+    # BLAS leaves -0.0 in the imaginary parts of a real product; `mix`
+    # returns +0.0 there, as the einsum did, so `construct` prints 0.0
+    s = ModeStructure((2, 5))
+    state, rho = construct(s, [(1, 10), (2, 8)], (0.7, 0.3))
+    assert not np.signbit(rho.entries.imag).any()
+    assert not np.signbit(rho.entries.real[rho.entries.real == 0]).any()
+    assert np.array_equal(rho.entries, _einsum_mix(state.eigenstates, (0.7, 0.3)))
 
 
 def test_mix_validation() -> None:

@@ -18,7 +18,7 @@ from mmekit.linalg import (
     outer,
     partial_trace_matrix,
 )
-from mmekit.mme import construct
+from mmekit.mme import construct, max_mme_rank
 from mmekit import verify
 from mmekit.modes import ModeStructure, parse_dims
 from mmekit.tgx import ME_TOL
@@ -40,6 +40,7 @@ from reference_values import (
     CERTIFICATE_STATES,
     EXAMPLE_SETS,
     SPACEWISE_GRID_MIN_BALANCED,
+    WITNESS_4X4X4X4,
 )
 from test_linalg import _einsum_partial_trace
 
@@ -298,7 +299,7 @@ def test_random_lu_set_is_bitwise_per_mode() -> None:
 def test_batched_random_matches_per_unitary_loop(monkeypatch, block) -> None:
     # 150 amplitudes split D = 4 into stacks of two and leave D = 5, 6
     # one unitary per stack; 40 also splits the rank-4 coefficient pairs
-    # of each stack into row blocks of two members
+    # of each stack into row blocks of two or three members
     monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", block)
     s = ModeStructure((2, 2, 2, 2))
     state, _ = construct(s, EXAMPLE_SETS[s.dims], (0.4, 0.3, 0.2, 0.1),
@@ -341,6 +342,77 @@ def test_batched_random_matches_per_unitary_loop(monkeypatch, block) -> None:
         est = min_avg_ent(x, strategy="random", Dmin=D, Dmax=D, samples=3, seed=5)
         assert not np.isnan(est.averages).any()
         _assert_matches_per_unitary_loop(est, x, points, lambda a: points[a["index"]])
+
+
+def _stack_sizes(monkeypatch) -> list[int]:
+    """Record the number of unitaries in every stack `min_avg_ent` feeds
+    to `_coefficients`."""
+    sizes = []
+    coefficients = verify._coefficients
+
+    def spy(state, Us):
+        sizes.append(len(Us))
+        return coefficients(state, Us)
+
+    monkeypatch.setattr(verify, "_coefficients", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("dims,tuples", [
+    ((2,) * 5, ((1, 32), (4, 29))),
+    ((3, 7), ((1, 9, 17), (4, 12, 20))),
+])
+def test_grid_in_several_stacks_matches_one_stack(monkeypatch, dims, tuples) -> None:
+    # the default grid once crashed for every n > 20, where its 400
+    # unitaries took more than one stack: the stack loop rebound the name
+    # the lazy slicing read
+    state, _ = construct(ModeStructure(dims), tuples, (0.7, 0.3))
+    sizes = _stack_sizes(monkeypatch)
+    monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", 2**40)
+    one = min_avg_ent(state, strategy="grid")
+    assert sizes == [400]
+    for block in (2**14, 2**11):  # the default; 17-51 unitaries per stack
+        monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", block)
+        sizes.clear()
+        est = min_avg_ent(state, strategy="grid")
+        assert sum(sizes) == 400 and (block == 2**14 or len(sizes) > 2)
+        assert est.averages == one.averages and est.samples == 400
+        assert est.min_avg >= 1 - ME_TOL and est.argmin is None
+
+
+def _witness_3333() -> tuple[tuple[int, ...], ...]:
+    return tuple(t.levels for t in max_mme_rank(ModeStructure((3, 3, 3, 3))).witness)
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 4, 4), (3, 3, 3, 3), (2, 8)])
+def test_stack_splits_change_no_bit(monkeypatch, dims) -> None:
+    # sum_m n_m^2 > n on all three; 2x8 has two modes, whose 0/1 summing
+    # products once moved the last bits when the stacks changed
+    s = ModeStructure(dims)
+    tuples = {(4, 4, 4, 4): WITNESS_4X4X4X4, (3, 3, 3, 3): _witness_3333(),
+              (2, 8): EXAMPLE_SETS[(2, 8)]}[dims]
+    R, S = len(tuples), sum(d * d for d in dims)
+    lam = np.arange(1.0, R + 1) / (R * (R + 1) / 2)
+    mme_state, _ = construct(s, tuples, lam, random_lu_set(s, 3))
+    states = [as_spectral(mme_state)[0], _random_spectral(np.random.default_rng(4), s, R)]
+    sizes = _stack_sizes(monkeypatch)
+    # one stack per D (the reference), two of three unitaries, six of one;
+    # every row block of coefficient pairs keeps at least two members
+    for block, want in ((2**40, [6, 6]), (3 * (R + 1) * S, [3] * 4), ((R + 1) * S, [1] * 12)):
+        monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", block)
+        runs = []
+        for x in states:
+            sizes.clear()
+            runs.append(min_avg_ent(x, strategy="random", Dmin=R, Dmax=R + 1,
+                                    samples=6, seed=2))
+            assert sizes == want
+        if block == 2**40:
+            ref = runs
+            assert ref[0].argmin is None and ref[1].argmin is not None
+        for est, oracle in zip(runs, ref):
+            assert est.averages == oracle.averages
+            assert est.samples == oracle.samples == 12
+            assert est.argmin == oracle.argmin
 
 
 def _random_spectral(rng, s: ModeStructure, R: int) -> SpectralState:

@@ -325,8 +325,9 @@ def min_avg_ent(
     (one unitary at least); how they fall into stacks moves no bit of
     any average.  A Haar stack is drawn when it is due, with one stacked
     QR; its unitaries are bitwise those of per-unitary `haar_unitary`
-    calls on the same streams.  Every stack is checked for unitarity.  The state's cross reductions
-    (`_cross_reductions`) are computed once, and each stack's member
+    calls on the same streams.  Every stack is checked for unitarity.
+    The state's cross reductions (`_cross_reductions`) are computed
+    once, and each stack's member
     reductions are its coefficient pairs c_k conj(c_l) times them
     (`_member_purities`); no member amplitude is built.  That costs
     R^2 sum_m n_m^2 per member against about R n to build the member:

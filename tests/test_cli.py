@@ -238,8 +238,8 @@ def test_construct_verify_round_trip(capsys, tmp_path) -> None:
 
 
 def test_construct_by_the_einsum_oracle_passes_verify(capsys, tmp_path, monkeypatch) -> None:
-    # a state file written before `mix` moved from einsum to BLAS still
-    # verifies: the two matrices agree far inside the file check's ATOL
+    # a state file whose matrix an einsum built still verifies: it agrees
+    # with `mix` far inside the file check's ATOL
     argv = ["construct", "2x2x3x3", "--tuples", "1,5,9,28,32,36;11,15,16,20,24,25",
             "--spectrum", "0.7,0.3", "--lu-seed", "4"]
     target = tmp_path / "state.json"
@@ -254,9 +254,8 @@ def test_construct_by_the_einsum_oracle_passes_verify(capsys, tmp_path, monkeypa
 
 @pytest.mark.parametrize("dims,tuples", [("2^5", "1,32;4,29"), ("3x7", "1,9,17;4,12,20")])
 def test_verify_grid_above_n_20(capsys, monkeypatch, dims, tuples) -> None:
-    # the default 400-point grid takes several stacks once n > 20 (2^5
-    # with 2^11 amplitudes a stack, 3x7 at the default too); it once
-    # exited 2 on a zero-size array
+    # the 400-point grid in several stacks (2^5 at BLOCK_AMPLITUDES =
+    # 2^11, 3x7 at the default too) once exited 2 on a zero-size array
     argv = ["verify", dims, "--tuples", tuples, "--spectrum", "0.7,0.3", "--strategy", "grid"]
     monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", 2**40)
     code, one, err = _run(capsys, argv)

@@ -208,7 +208,7 @@ def test_mix_matches_outer_product_sum(dims, lu_seed) -> None:
 
 
 def _einsum_mix(states, weights) -> np.ndarray:
-    """sum_k w_k |psi_k><psi_k| as the einsum `mix` once used."""
+    """sum_k w_k |psi_k><psi_k| by einsum, the oracle for `mix`."""
     B = np.column_stack([st.amplitudes for st in states]) * np.sqrt(weights)
     return np.einsum("ik,jk->ij", B, B.conj())
 
@@ -231,8 +231,9 @@ def test_mix_matches_einsum_oracle(dims, R) -> None:
 
 
 def test_mix_of_real_states_prints_no_negative_zero() -> None:
-    # BLAS leaves -0.0 in the imaginary parts of a real product; `mix`
-    # returns +0.0 there, as the einsum did, so `construct` prints 0.0
+    # a conjugated BLAS product has -0.0 in the imaginary parts of a real
+    # state; `mix` returns +0.0 there, as the einsum does, and so
+    # `construct` prints 0.0
     s = ModeStructure((2, 5))
     state, rho = construct(s, [(1, 10), (2, 8)], (0.7, 0.3))
     assert not np.signbit(rho.entries.imag).any()

@@ -380,17 +380,16 @@ def test_grid_in_several_stacks_matches_one_stack(monkeypatch, dims, tuples) -> 
         assert est.min_avg >= 1 - ME_TOL and est.argmin is None
 
 
-def _witness_3333() -> tuple[tuple[int, ...], ...]:
-    return tuple(t.levels for t in max_mme_rank(ModeStructure((3, 3, 3, 3))).witness)
-
-
-@pytest.mark.parametrize("dims", [(4, 4, 4, 4), (3, 3, 3, 3), (2, 8)])
-def test_stack_splits_change_no_bit(monkeypatch, dims) -> None:
-    # sum_m n_m^2 > n on all three; 2x8 has two modes, whose 0/1 summing
-    # products once moved the last bits when the stacks changed
+@pytest.mark.parametrize("dims,tuples", [
+    ((4, 4, 4, 4), WITNESS_4X4X4X4),
+    ((3, 3, 3, 3), None),  # the witness `max_mme_rank` finds
+    ((2, 8), EXAMPLE_SETS[(2, 8)]),
+])
+def test_stack_splits_change_no_bit(monkeypatch, dims, tuples) -> None:
+    # sum_m n_m^2 > n on all three; on 2x8, with two modes, unpadded 0/1
+    # summing products moved the last bits when the stacks changed
     s = ModeStructure(dims)
-    tuples = {(4, 4, 4, 4): WITNESS_4X4X4X4, (3, 3, 3, 3): _witness_3333(),
-              (2, 8): EXAMPLE_SETS[(2, 8)]}[dims]
+    tuples = tuples or max_mme_rank(s).witness
     R, S = len(tuples), sum(d * d for d in dims)
     lam = np.arange(1.0, R + 1) / (R * (R + 1) / 2)
     mme_state, _ = construct(s, tuples, lam, random_lu_set(s, 3))

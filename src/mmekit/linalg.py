@@ -20,10 +20,10 @@ ATOL = 1e-12
 PSD_SLACK = 1e-10
 ISOMETRY_TOL = 1e-10
 # Complex entries per call of the batched kernels: member amplitudes in
-# `tgx._me_flags` blocks, member reductions (D sum_m n_m^2 a unitary) in
-# `verify.min_avg_ent` stacks and coefficient pairs in the row blocks of
-# `verify._member_purities`.  Bounds each working set at 256 KiB however
-# many states are fed.
+# `tgx._me_flags` blocks, member reductions (D times the tensor width of
+# `verify._cross_reductions` a unitary) in `verify.min_avg_ent` stacks and
+# coefficient pairs in `verify._member_purities` row blocks.  Bounds each
+# working set at 256 KiB however many states are fed.
 BLOCK_AMPLITUDES = 2**14
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .entcore import _check_L, lstar
 from .linalg import PureStateVector
-from .modes import ModeStructure, _level_table, bipartition
+from .modes import ModeStructure, _check_int, _level_table, bipartition
 from .tgx import (
     LocalUnitarySet,
     MeTgxTuple,
@@ -282,7 +282,7 @@ def max_mme_rank(
     """
     if search not in ("auto", "exhaustive"):
         raise ValueError(f"unknown search mode {search!r}")
-    if budget_nodes is not None and budget_nodes < 1:
+    if budget_nodes is not None and _check_int("budget_nodes", budget_nodes) < 1:
         raise ValueError(f"budget_nodes must be at least 1, got {budget_nodes}")
     if all_lstar and L is not None:
         raise ValueError(f"give L or all_lstar, not both (L={L})")
@@ -290,7 +290,7 @@ def max_mme_rank(
     greedy = search == "auto" and s.n > 64
     L_values = ls.values if all_lstar else [ls.min if L is None else _check_L(s, L)]
 
-    budget = _Budget(budget_nodes)
+    budget, seed = _Budget(budget_nodes), _check_int("seed", seed)
     reports = []
     for Lv in L_values:
         reports.append(_search_single_L(s, Lv, greedy, budget, seed))
@@ -334,8 +334,7 @@ def _search_single_L(s, L, greedy, budget, seed) -> MmeRankReport:
     budget that runs out reports the clique so far as "inconclusive",
     R_MME 0 if it ran out before the first tuple.
     """
-    min_nB = _min_nB(s)
-    cap, r_tilde = min_nB // L, min_nB // lstar(s).min
+    cap, r_tilde = _min_nB(s) // L, loose_bound(s)
     level_masks = _level_table(s)[1]
     level_sets = []
     masks = []

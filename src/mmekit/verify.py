@@ -11,11 +11,15 @@ Certifying an MME candidate means showing the decomposition-averaged
 entanglement <E> stays at 1 over many such unitaries; a single unitary
 pulling <E> below 1 refutes the candidate.
 
-Each member's mode reductions follow from the eigenstates' cross
-reductions X_m^{kl} = tr_{not m} |Phi_k><Phi_l| (Hughston, Jozsa and
-Wootters 1993): with c_k = U_jk sqrt(lambda_k),
+Each member's reductions follow from the eigenstates' cross reductions
+X_m^{kl} = tr_{B_m} |Phi_k><Phi_l| onto the small side S_m of mode m's
+extreme bipartition (Hughston, Jozsa and Wootters 1993): with
+c_k = U_jk sqrt(lambda_k),
 
-    p_j rho_m(w_j) = sum_{k,l} c_k conj(c_l) X_m^{kl}.
+    p_j rho_{S_m}(w_j) = sum_{k,l} c_k conj(c_l) X_m^{kl}.
+
+A pure member has one purity on both sides of a bipartition (Schmidt),
+and on S_m the cross blocks of a compatible set vanish (`mme.compatible`).
 
 `min_avg_ent` computes X once per state (`_cross_reductions`) and reads
 every member's reductions off it, one product per stack of unitaries;
@@ -42,7 +46,7 @@ from .linalg import (
     mix,
     mode_purities,
 )
-from .modes import ModeStructure, _check_int, _trace_groups
+from .modes import ModeStructure, _check_int, _trace_groups, bipartition
 from .tgx import ME_TOL, LocalUnitarySet
 
 P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
@@ -162,33 +166,41 @@ def decompose(state: SpectralState, unitary: np.ndarray) -> DecompositionSample:
     )
 
 
-def _cross_reductions(state: SpectralState) -> np.ndarray:
-    """The mode reductions of every eigenstate pair, (R*R, sum_m n_m^2):
-    row k*R + l holds X_m^{kl} = tr_{not m} |Phi_k><Phi_l| for m = 1..N
-    side by side, each n_m x n_m block row-major.  Per mode, one product
-    of the (R n_m, n/n_m) eigenstate gather with its adjoint."""
+def _cross_reductions(state: SpectralState):
+    """The reductions of every eigenstate pair onto the small side S_m of
+    each mode's extreme bipartition `bipartition(s, m)`: X, (R*R,
+    sum_m n_S^2), whose row k*R + l holds X_m^{kl} = tr_{B_m} |Phi_k><Phi_l|
+    for m = 1..N side by side, each n_S x n_S block row-major (per mode,
+    one product of the (R n_S, n_B) eigenstate gather with its adjoint);
+    and the 0/1 matrices, (sum_m n_S^2, max(N, 4)), that sum each block's
+    diagonal and all its entries into its mode's column."""
     s, R = state.structure, state.rank
     basis = np.array([v.amplitudes for v in state.eigenstates])
-    blocks = []
-    for m, d in enumerate(s.dims, start=1):
-        A = basis[:, _trace_groups(s.dims, (m,))].reshape(R * d, -1)
-        X = (A @ A.conj().T).reshape(R, d, R, d).swapaxes(1, 2)
-        blocks.append(X.reshape(R * R, d * d))
-    return np.concatenate(blocks, axis=1)
+    blocks, diagonals = [], []
+    for m in range(1, s.N + 1):
+        b = bipartition(s, m)
+        S = tuple(k for k in range(1, s.N + 1) if k not in b.B_modes)
+        A = basis[:, _trace_groups(s.dims, S)].reshape(R * b.n_S, -1)
+        X = (A @ A.conj().T).reshape(R, b.n_S, R, b.n_S).swapaxes(1, 2)
+        blocks.append(X.reshape(R * R, -1))
+        diagonals.append(np.eye(b.n_S).ravel())
+    entries = np.repeat(np.eye(s.N, max(s.N, 4)), list(map(len, diagonals)), axis=0)
+    diagonal = entries * np.concatenate(diagonals)[:, None]
+    return np.concatenate(blocks, axis=1), (diagonal, entries)
 
 
-def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray,
+def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray, sums,
                      kept: np.ndarray) -> np.ndarray:
     """Mode purities (M, N) of the M members with coefficients c (M, R),
-    read off the cross reductions X of `_cross_reductions`.
+    read off the cross reductions X and the summing matrices `sums` of
+    `_cross_reductions`.
 
     The unnormalized reductions are the coefficient pairs c_k conj(c_l)
     times X, formed in row blocks of k to 2k - 1 members, k =
     BLOCK_AMPLITUDES // R^2 (all M members if M < 2k), which bounds the
     working set as the member stacks are.  Each mode's block is
     normalized by its own trace, the member's squared norm; rows not
-    `kept` divide by 1, so no 0/0 appears.  Two products with 0/1
-    matrices sum each mode's diagonal and squared entries.
+    `kept` divide by 1, so no 0/0 appears.
 
     A member's purities do not depend on M or on its row, so how the
     members fall into stacks moves no bit.  On OpenBLAS 0.3.31 (x86-64,
@@ -204,8 +216,7 @@ def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray,
         a, z = i * M // blocks, (i + 1) * M // blocks
         np.matmul((c[a:z, :, None] * c[a:z, None, :].conj()).reshape(z - a, R * R), X,
                   out=red[a:z])
-    entries = np.repeat(np.eye(s.N, max(s.N, 4)), [d * d for d in s.dims], axis=0)
-    diagonal = entries * np.concatenate([np.eye(d).ravel() for d in s.dims])[:, None]
+    diagonal, entries = sums
     tr = np.where(kept[:, None], (red.real @ diagonal)[:, :s.N], 1.0)
     return ((red.real ** 2 + red.imag ** 2) @ entries)[:, :s.N] / tr ** 2
 
@@ -258,7 +269,7 @@ def random_lu_set(s: ModeStructure, seed: int):
     """Independent Haar local unitaries, one per mode; the per-mode rng
     streams are keyed by (seed, mode) so results do not depend on call
     order.  Modes of one dimension share one `_haar_stack` draw."""
-    us = {}
+    seed, us = _check_int("seed", seed), {}
     for d in set(s.dims):
         modes = [m for m, dm in enumerate(s.dims, start=1) if dm == d]
         us.update(zip(modes, _haar_stack(d, [np.random.default_rng([seed, m])
@@ -320,29 +331,29 @@ def min_avg_ent(
     (defaults: rank .. rank + 2), streams keyed by (seed, D, i).  Grid
     steps, Dmin, Dmax, samples and seed must be integers.
 
-    The unitaries are evaluated in stacks of equal D holding at most
-    BLOCK_AMPLITUDES member reduction entries, D sum_m n_m^2 a unitary
-    (one unitary at least); how they fall into stacks moves no bit of
-    any average.  A Haar stack is drawn when it is due, with one stacked
-    QR; its unitaries are bitwise those of per-unitary `haar_unitary`
-    calls on the same streams.  Every stack is checked for unitarity.
-    The state's cross reductions (`_cross_reductions`) are computed
-    once, and each stack's member
-    reductions are its coefficient pairs c_k conj(c_l) times them
-    (`_member_purities`); no member amplitude is built.  That costs
-    R^2 sum_m n_m^2 per member against about R n to build the member:
-    cheaper at low rank, several times dearer near full rank (ROADMAP,
-    "Measured").  Every average agrees with
-    `decompose(...).average_ent()` to roundoff.
+    The state's cross reductions X (`_cross_reductions`) are computed
+    once.  The unitaries are evaluated in stacks of equal D holding at
+    most BLOCK_AMPLITUDES member reduction entries, D times the width of
+    X a unitary (one unitary at least); how they fall into stacks moves
+    no bit of any average.  A Haar stack is drawn when it is due, with
+    one stacked QR; its unitaries are bitwise those of per-unitary
+    `haar_unitary` calls on the same streams.  Every stack is checked for
+    unitarity.  Each stack's member reductions are its coefficient pairs
+    c_k conj(c_l) times X (`_member_purities`); no member amplitude is
+    built.  That costs R^2 times the width of X, sum_m n_S^2, per member
+    against about R n to build the member: cheaper at low rank, several
+    times dearer near full rank (ROADMAP, "Measured").  Every average
+    agrees with `decompose(...).average_ent()` to roundoff.
     An MME candidate passes when min_avg is at least 1 - ME_TOL (the ME
     tolerance), and `argmin` is then None: roundoff names no violator.
     A lower min_avg names its first violating unitary in `argmin`.
     """
     state, notes = as_spectral(state)
     s = state.structure
+    X, sums = _cross_reductions(state)
 
     def block(D: int) -> int:
-        return max(1, BLOCK_AMPLITUDES // (D * sum(d * d for d in s.dims)))
+        return max(1, BLOCK_AMPLITUDES // (D * X.shape[1]))
 
     if strategy == "grid":
         if state.rank != 2:
@@ -368,12 +379,11 @@ def min_avg_ent(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    X = _cross_reductions(state)
     avgs = []
     for stack in stacks:
         probs, c = _coefficients(state, stack)
-        ents = _ent_of_purities(
-            s, _member_purities(s, c.reshape(-1, state.rank), X, probs.reshape(-1) > 0))
+        ents = _ent_of_purities(s, _member_purities(
+            s, c.reshape(-1, state.rank), X, sums, probs.reshape(-1) > 0))
         avgs += (probs * ents.reshape(probs.shape)).sum(axis=1).tolist()
     k = int(np.argmin(avgs))
     if avgs[k] >= 1.0 - ME_TOL:

@@ -240,6 +240,14 @@ def test_rank_L_validation() -> None:
     with pytest.raises(ValueError, match="L=6.9 is not an integer"):
         max_mme_rank(ModeStructure((2, 2, 3, 3)), L=6.9)
     assert max_mme_rank(ModeStructure((2, 2, 3, 3)), L=np.int64(6)).L_used == 6
+    # so are a non-integer node budget and greedy seed
+    with pytest.raises(ValueError, match=r"budget_nodes=3\.5 is not an integer"):
+        max_mme_rank(ModeStructure((2,) * 5), budget_nodes=3.5)
+    assert max_mme_rank(ModeStructure((2,) * 5), budget_nodes=np.int64(3)).nodes == 4
+    with pytest.raises(ValueError, match=r"seed=1\.5 is not an integer"):
+        max_mme_rank(ModeStructure((3, 3, 3, 3)), seed=1.5)
+    greedy = max_mme_rank(ModeStructure((3, 3, 3, 3)), seed=np.int64(1))
+    assert greedy.witness == max_mme_rank(ModeStructure((3, 3, 3, 3)), seed=1).witness
     with pytest.raises(ValueError):
         max_mme_rank(s, search="quantum")
     # greedy orders run only where `auto` goes past n = 64

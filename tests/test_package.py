@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
+import io
 from pathlib import Path
 
 import mmekit
@@ -16,6 +18,20 @@ def test_no_imports_inside_functions() -> None:
                 found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_readme_quick_start_prints_its_comments() -> None:
+    # each print line's output is its comment, up to a ": " gloss
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    want = [line.split("# ", 1)[1].partition(": ")[0]
+            for line in block.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == want
+    assert want[1:] == ["2", "['{1,7}', '{3,9}']", "0.9999999999999996"]
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"

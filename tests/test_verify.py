@@ -39,6 +39,8 @@ from mmekit.verify import (
 from reference_values import (
     CERTIFICATE_STATES,
     EXAMPLE_SETS,
+    EXAMPLE_SETS_LARGER,
+    QUBIT_SETS,
     SPACEWISE_GRID_MIN_BALANCED,
     WITNESS_4X4X4X4,
 )
@@ -209,6 +211,10 @@ def test_random_lu_set_deterministic() -> None:
     for ua, ub in zip(a.unitaries, b.unitaries):
         assert np.array_equal(ua, ub)
     assert [u.shape[0] for u in a.unitaries] == [2, 3, 4]
+    with pytest.raises(ValueError, match=r"seed=2\.5 is not an integer"):
+        random_lu_set(s, 2.5)
+    for ua, ub in zip(a.unitaries, random_lu_set(s, np.int64(5)).unitaries):
+        assert np.array_equal(ua, ub)
 
 
 def test_as_spectral_paths() -> None:
@@ -386,14 +392,16 @@ def test_grid_in_several_stacks_matches_one_stack(monkeypatch, dims, tuples) -> 
     ((2, 8), EXAMPLE_SETS[(2, 8)]),
 ])
 def test_stack_splits_change_no_bit(monkeypatch, dims, tuples) -> None:
-    # sum_m n_m^2 > n on all three; on 2x8, with two modes, unpadded 0/1
-    # summing products moved the last bits when the stacks changed
+    # the tensor width is not n on any of the three (64, 36 and 8); on 2x8,
+    # with two modes, unpadded 0/1 summing products moved the last bits
+    # when the stacks changed
     s = ModeStructure(dims)
     tuples = tuples or max_mme_rank(s).witness
-    R, S = len(tuples), sum(d * d for d in dims)
+    R = len(tuples)
     lam = np.arange(1.0, R + 1) / (R * (R + 1) / 2)
     mme_state, _ = construct(s, tuples, lam, random_lu_set(s, 3))
     states = [as_spectral(mme_state)[0], _random_spectral(np.random.default_rng(4), s, R)]
+    S = verify._cross_reductions(states[0])[0].shape[1]  # member reduction entries
     sizes = _stack_sizes(monkeypatch)
     # one stack per D (the reference), two of three unitaries, six of one;
     # every row block of coefficient pairs keeps at least two members
@@ -423,25 +431,64 @@ def _random_spectral(rng, s: ModeStructure, R: int) -> SpectralState:
                          tuple(PureStateVector(s, v) for v in basis.T))
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 6), (2, 3, 2), (2, 2, 3, 3)])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 6), (2, 3, 2), (2, 2, 5), (2, 2, 3, 3)])
 def test_cross_reductions_are_the_pair_partial_traces(dims) -> None:
+    # each block reduces onto the small side S_m of mode m's extreme
+    # bipartition: m itself unless n_m > n/n_m (2x6 and 2x2x5), else the rest
     s = ModeStructure(dims)
     R = 3
     spec = _random_spectral(np.random.default_rng(s.n), s, R)
-    X = verify._cross_reductions(spec)
-    assert X.shape == (R * R, sum(d * d for d in dims))
+    X, _ = verify._cross_reductions(spec)
+    sides = [(m,) if d <= s.n // d else tuple(k for k in range(1, s.N + 1) if k != m)
+             for m, d in enumerate(dims, start=1)]
+    n_S = [math.prod(dims[k - 1] for k in S) for S in sides]
+    assert X.shape == (R * R, sum(d * d for d in n_S))
     a = 0
-    for m, d in enumerate(dims, start=1):
+    for m, (S, d) in enumerate(zip(sides, n_S), start=1):
         for k, phi in enumerate(spec.eigenstates):
             for l, psi in enumerate(spec.eigenstates):
                 block = X[k * R + l, a:a + d * d].reshape(d, d)
                 cross = np.outer(phi.amplitudes, psi.amplitudes.conj())
-                want = partial_trace_matrix(cross, s, (m,))
-                assert np.abs(want - _einsum_partial_trace(cross, dims, (m,))).max() < 1e-14
+                want = partial_trace_matrix(cross, s, S)
+                assert np.abs(want - _einsum_partial_trace(cross, dims, S)).max() < 1e-14
                 assert np.abs(block - want).max() < 1e-14, (m, k, l)
-            diag = X[k * R + k, a:a + d * d].reshape(d, d)
-            assert np.abs(diag - mode_reduction_of_pure(phi, m)).max() < 1e-14
+            # a pure state has one purity on both sides of a bipartition
+            rho_S, rho_m = X[k * R + k, a:a + d * d], mode_reduction_of_pure(phi, m)
+            assert abs(np.vdot(rho_S, rho_S) - np.vdot(rho_m, rho_m)) < 1e-14
         a += d * d
+
+
+def _cross_max(spec: SpectralState) -> float:
+    """Largest entry of any cross block X_m^{kl}, k != l."""
+    X, _ = verify._cross_reductions(spec)
+    R = spec.rank
+    return float(np.abs(np.delete(X, np.arange(R) * (R + 1), axis=0)).max())
+
+
+PUBLISHED_SETS = sorted({  # a set repeated across the tables is tested once
+    (dims, tuples)
+    for dims, tuples in [*EXAMPLE_SETS.items(), *EXAMPLE_SETS_LARGER.items(),
+                         *(((2,) * N, t) for N, t in QUBIT_SETS.items())]
+    if len(tuples) >= 2
+})
+
+
+@pytest.mark.parametrize("dims,tuples", PUBLISHED_SETS,
+                         ids=["x".join(map(str, dims)) for dims, _ in PUBLISHED_SETS])
+def test_cross_blocks_of_published_sets_vanish(dims, tuples) -> None:
+    # compatibility keeps the big-side projections disjoint, so the cross
+    # blocks vanish on the small side, bare and LU-dressed; on mode m
+    # itself, the big side of 2x5 or 2x2x8, they reach 0.5
+    s = ModeStructure(dims)
+    spectrum = np.full(len(tuples), 1 / len(tuples))
+    for lu in (None, random_lu_set(s, 7)):
+        state, _ = construct(s, tuples, spectrum, lu)
+        assert _cross_max(state) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["e_spacewise", "e_selfspace"])
+def test_cross_blocks_of_non_mme_families_reach_one_half(kind) -> None:
+    assert _cross_max(comparison_family_spectral(kind, (0.7, 0.3))) >= 0.5 - 1e-15
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

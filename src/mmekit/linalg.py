@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .modes import ModeStructure, _check_level, _check_modes, _trace_groups
+from .modes import ModeStructure, _check_level, _check_modes, _level_table, _trace_groups
 
 # 1e-12 for algebraic identities on exactly representable inputs,
 # 1e-10 of slack for eigenvalues of constructed density matrices and for
@@ -196,14 +196,16 @@ def mode_purities(structure: ModeStructure, amps) -> np.ndarray:
     """Mode-reduction purities tr(rho_m^2) of M pure states at once.
 
     `amps` holds one state per row, shape (M, n); returns (M, N) with
-    column m-1 for mode m.  Each mode costs one gather of all rows into
-    (M, n_m, n/n_m) blocks A, one stacked product rho_m = A A^dagger and
-    one stacked sum of |rho_m[a, b]|^2, which is tr(rho_m^2).
+    column m-1 for mode m.  A pure state has one purity on both sides of
+    a bipartition (Schmidt), so each mode costs one gather of all rows by
+    its `modes._level_table` gather into small-side (M, n_S, n_B) blocks
+    A, one stacked product rho_S = A A^dagger and one stacked sum of
+    |rho_S[a, b]|^2.
     """
     amps = np.asarray(amps).reshape(-1, structure.n)
     out = np.empty((amps.shape[0], structure.N))
-    for m in range(structure.N):
-        A = np.take(amps, _trace_groups(structure.dims, (m + 1,)), axis=1)
+    for m, pos in enumerate(_level_table(structure)[3]):
+        A = np.take(amps, pos, axis=1)
         red = (A @ A.conj().swapaxes(1, 2)).reshape(len(amps), 1, -1)
         out[:, m] = (red.conj() @ red.swapaxes(1, 2))[:, 0, 0].real
     return out

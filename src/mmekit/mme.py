@@ -9,12 +9,12 @@ clique of the pairwise-compatibility graph over the ME tuples, found by
 one branch and bound that also returns the lex-least maximum clique
 (past n = 64, `search="auto"` runs seeded greedy orders instead and
 reports a lower bound with status "greedy").
-Compatibility has one test: the level table of `modes` gives each
-level one int bitmask with a bit per (mode, B_m projection), and a
-projected level repeats iff two masks share a bit.  The predicate folds
-level masks, and the search ORs each tuple's masks into one.  An
-MmeState is the SpectralState of its dressed TGX eigenstates, so the
-certifier reads it directly.
+Compatibility has one test: `modes._level_table`, the layout that the
+rank cap and every purity read too, gives each level one int bitmask
+with a bit per (mode, B_m projection), and a projected level repeats iff
+two masks share a bit.  The predicate folds level masks, and the search
+ORs each tuple's masks into one.  An MmeState is the SpectralState of
+its dressed TGX eigenstates, so the certifier reads it directly.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .entcore import _check_L, lstar
 from .linalg import PureStateVector
-from .modes import ModeStructure, _check_int, _level_table, bipartition
+from .modes import ModeStructure, _check_int, _level_table
 from .tgx import (
     LocalUnitarySet,
     MeTgxTuple,
@@ -50,7 +50,7 @@ def _first_conflict(s: ModeStructure, level_sets):
     """Lowest (mode, projected level) repeated in a mode line, or None;
     repeats within one tuple count.  Folds the levels' table masks, so a
     bit set twice is a repeat.  Levels must already be validated."""
-    _, masks, W = _level_table(s)
+    _, masks, W, _ = _level_table(s)
     seen = repeats = 0
     for lvl in chain.from_iterable(level_sets):
         repeats |= seen & masks[lvl]
@@ -94,7 +94,7 @@ def compatible(tuples) -> bool:
 
 def _min_nB(s: ModeStructure) -> int:
     """min_m n_B_m: no mode line holds more distinct projections."""
-    return min(bipartition(s, m).n_B for m in range(1, s.N + 1))
+    return min(pos.shape[1] for pos in _level_table(s)[3])
 
 
 def loose_bound(s: ModeStructure) -> int:

@@ -89,17 +89,16 @@ class ModeStructure:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """The extreme bipartition (m | mbar) of a structure.
+    """The extreme bipartition of mode m against all other modes.
 
-    S is the smaller side, B the bigger; n_S * n_B = n.  When the two
-    sides tie, the focal mode m is the S side and B_modes = mbar.
+    S is the smaller side, B the bigger; n_S * n_B = n, and S_modes and
+    B_modes split 1..N.  When the two sides tie, S_modes = (m,).
     """
 
-    structure: ModeStructure
     m: int
-    mbar: tuple[int, ...]
     n_S: int
     n_B: int
+    S_modes: tuple[int, ...]
     B_modes: tuple[int, ...]
 
 
@@ -187,17 +186,14 @@ def bipartition(s: ModeStructure, m: int) -> Bipartition:
     """Extreme bipartition of mode m against all other modes.
 
     The bigger side has dimension n_B = max(n_m, n/n_m).  On ties the
-    focal mode is kept on the S side, i.e. B_modes = mbar.
+    focal mode is kept on the S side, i.e. S_modes = (m,).
     """
     (m,) = _check_modes(s, (m,))
     mbar = tuple(k for k in range(1, s.N + 1) if k != m)
     n_m = s.dims[m - 1]
-    n_mbar = s.n // n_m
-    if n_m > n_mbar:
-        n_S, n_B, B_modes = n_mbar, n_m, (m,)
-    else:
-        n_S, n_B, B_modes = n_m, n_mbar, mbar
-    return Bipartition(s, m, mbar, n_S, n_B, B_modes)
+    if n_m > s.n // n_m:
+        return Bipartition(m, s.n // n_m, n_m, mbar, (m,))
+    return Bipartition(m, n_m, s.n // n_m, (m,), mbar)
 
 
 def project_level(s: ModeStructure, level: int, modes) -> int:
@@ -225,21 +221,23 @@ def _trace_groups(dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _level_table(s: ModeStructure):
-    """(labels, masks, W) for every level, read off `_trace_groups`.
+    """(labels, masks, W, gathers): the structure's one extreme-bipartition
+    layout.  gathers[m-1] = _trace_groups(s.dims, S_modes) of
+    `bipartition(s, m)`, shape (n_S, n_B); its column index is a level's
+    B_m projection p = project_level(s, lvl, B_modes) - 1.  The rank cap,
+    every purity and the certificate tensor read these gathers.
 
     labels[lvl] = scalar_to_vector(s, lvl).  masks[lvl] sets bit
-    m * W + p for the level's projection p = project_level(s, lvl, B_{m+1})
-    onto the big side of each extreme bipartition, mode-major, with
-    W = max_m n_B + 1: two levels repeat a projection iff their masks
-    share a bit.  Slot 0 is unused, and callers validate levels first.
+    m * W + p + 1 per mode, with W = max_m n_B + 1: two levels repeat a
+    big-side projection iff their masks share a bit.  Slot 0 is unused,
+    and callers validate levels first.
     """
-    bips = [bipartition(s, m) for m in range(1, s.N + 1)]
-    keeps = [(m,) for m in range(1, s.N + 1)] + [b.B_modes for b in bips]
-    proj = np.empty((s.n, 2 * s.N), dtype=np.intp)  # 0-based projections
-    for j, keep in enumerate(keeps):
-        pos = _trace_groups(s.dims, keep)
-        proj[pos, j] = np.arange(len(pos))[:, None]
-    W = max(b.n_B for b in bips) + 1
-    labels = (None,) + tuple(map(tuple, (proj[:, :s.N] + 1).tolist()))
-    bits = proj[:, s.N:] + 1 + W * np.arange(s.N)
-    return labels, (0,) + tuple(sum(1 << b for b in row) for row in bits.tolist()), W
+    gathers = tuple(_trace_groups(s.dims, bipartition(s, m).S_modes)
+                    for m in range(1, s.N + 1))
+    W = max(pos.shape[1] for pos in gathers) + 1
+    bits = np.empty((s.n, s.N), dtype=np.intp)
+    for m, pos in enumerate(gathers):
+        bits[pos, m] = np.arange(pos.shape[1]) + m * W + 1
+    labels = np.indices(s.dims).reshape(s.N, -1).T + 1
+    return ((None,) + tuple(map(tuple, labels.tolist())),
+            (0,) + tuple(sum(1 << b for b in row) for row in bits.tolist()), W, gathers)

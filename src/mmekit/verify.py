@@ -20,11 +20,13 @@ c_k = U_jk sqrt(lambda_k),
 
 A pure member has one purity on both sides of a bipartition (Schmidt),
 and on S_m the cross blocks of a compatible set vanish (`mme.compatible`).
+S_m is read off the gathers of `modes._level_table`, the structure's one
+cached layout, as every purity of `linalg.mode_purities` is.
 
 `min_avg_ent` computes X once per state (`_cross_reductions`) and reads
 every member's reductions off it, one product per stack of unitaries;
-no member amplitude is built.  `decompose` builds the members
-(`_decompose`) and is the reference the sampler is tested against.
+no member amplitude is built.  `decompose` builds the members and is the
+reference the sampler is tested against.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .linalg import (
     mix,
     mode_purities,
 )
-from .modes import ModeStructure, _check_int, _trace_groups, bipartition
+from .modes import ModeStructure, _check_int, _level_table
 from .tgx import ME_TOL, LocalUnitarySet
 
 P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
@@ -143,47 +145,40 @@ def _coefficients(state: SpectralState, Us: np.ndarray):
     return np.where(probs >= P_FLOOR, probs, 0.0), Us[:, :, :R] * np.sqrt(lam)
 
 
-def _decompose(state: SpectralState, Us: np.ndarray):
-    """`_coefficients` with the members built: probabilities (G, D) and
-    members (G, D, n).  Each member is normalized by its true norm, so
-    tiny unitarity slack cannot leak into it; a 0 weight gets an
-    all-zero member."""
-    probs, coeffs = _coefficients(state, Us)
-    raw = coeffs @ np.array([v.amplitudes for v in state.eigenstates])
-    norms = np.where(probs > 0, np.linalg.norm(raw, axis=2), np.inf)
-    return probs, raw / norms[:, :, None]
-
-
 def decompose(state: SpectralState, unitary: np.ndarray) -> DecompositionSample:
     """Apply one D x D unitary to the eigen-ensemble, D >= rank; members
-    with p_j < P_FLOOR keep their slot as None."""
+    with p_j < P_FLOOR keep their slot as None.  Each member is normalized
+    by its true norm, so tiny unitarity slack cannot leak into it."""
     U = np.asarray(unitary, dtype=complex)
-    probs, members = _decompose(state, U[None])
+    probs, coeffs = _coefficients(state, U[None])
+    raw = coeffs @ np.array([v.amplitudes for v in state.eigenstates])
+    norms = np.where(probs > 0, np.linalg.norm(raw, axis=2), np.inf)
     s = state.structure
     return DecompositionSample(
         s, U, tuple(float(p) for p in probs[0]),
-        tuple(PureStateVector(s, w) if p else None for p, w in zip(probs[0], members[0])),
+        tuple(PureStateVector(s, w / norm) if p else None
+              for p, w, norm in zip(probs[0], raw[0], norms[0])),
     )
 
 
 def _cross_reductions(state: SpectralState):
     """The reductions of every eigenstate pair onto the small side S_m of
-    each mode's extreme bipartition `bipartition(s, m)`: X, (R*R,
-    sum_m n_S^2), whose row k*R + l holds X_m^{kl} = tr_{B_m} |Phi_k><Phi_l|
-    for m = 1..N side by side, each n_S x n_S block row-major (per mode,
-    one product of the (R n_S, n_B) eigenstate gather with its adjoint);
-    and the 0/1 matrices, (sum_m n_S^2, max(N, 4)), that sum each block's
-    diagonal and all its entries into its mode's column."""
+    each mode's extreme bipartition: X, (R*R, sum_m n_S^2), whose row
+    k*R + l holds X_m^{kl} = tr_{B_m} |Phi_k><Phi_l| for m = 1..N side by
+    side, each n_S x n_S block row-major (per mode, one product of the
+    (R n_S, n_B) eigenstate gather by `modes._level_table`, as in
+    `mode_purities`, with its adjoint); and the 0/1 matrices, (sum_m
+    n_S^2, max(N, 4)), that sum each block's diagonal and all its entries
+    into its mode's column."""
     s, R = state.structure, state.rank
     basis = np.array([v.amplitudes for v in state.eigenstates])
     blocks, diagonals = [], []
-    for m in range(1, s.N + 1):
-        b = bipartition(s, m)
-        S = tuple(k for k in range(1, s.N + 1) if k not in b.B_modes)
-        A = basis[:, _trace_groups(s.dims, S)].reshape(R * b.n_S, -1)
-        X = (A @ A.conj().T).reshape(R, b.n_S, R, b.n_S).swapaxes(1, 2)
+    for pos in _level_table(s)[3]:
+        n_S = len(pos)
+        A = basis[:, pos].reshape(R * n_S, -1)
+        X = (A @ A.conj().T).reshape(R, n_S, R, n_S).swapaxes(1, 2)
         blocks.append(X.reshape(R * R, -1))
-        diagonals.append(np.eye(b.n_S).ravel())
+        diagonals.append(np.eye(n_S).ravel())
     entries = np.repeat(np.eye(s.N, max(s.N, 4)), list(map(len, diagonals)), axis=0)
     diagonal = entries * np.concatenate(diagonals)[:, None]
     return np.concatenate(blocks, axis=1), (diagonal, entries)

@@ -464,11 +464,7 @@ def test_compatibility_equals_vanishing_cross_reductions() -> None:
                 cross = np.outer(va, vb.conj())
                 clean = True
                 for m in range(1, s.N + 1):
-                    part = bipartition(s, m)
-                    keep = tuple(
-                        k for k in range(1, s.N + 1) if k not in part.B_modes
-                    )
-                    red = partial_trace_matrix(cross, s, keep)
+                    red = partial_trace_matrix(cross, s, bipartition(s, m).S_modes)
                     if np.abs(red).max() > 1e-12:
                         clean = False
                         break

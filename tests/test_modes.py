@@ -11,6 +11,7 @@ from mmekit.modes import (
     Bipartition,
     ModeStructure,
     _level_table,
+    _trace_groups,
     bipartition,
     parse_dims,
     project_level,
@@ -133,25 +134,29 @@ def test_bipartition_small_and_big_sides() -> None:
     assert isinstance(b, Bipartition)
     assert (b.n_S, b.n_B) == (2, 5)
     assert b.B_modes == (2,)
-    assert b.mbar == (2,)
+    assert b.S_modes == (1,)
 
     # focal mode bigger than the rest: it becomes the B side itself
     b = bipartition(ModeStructure((2, 5)), 2)
     assert (b.n_S, b.n_B) == (2, 5)
     assert b.B_modes == (2,)
-    assert b.mbar == (1,)
+    assert b.S_modes == (1,)
 
     b = bipartition(ModeStructure((2, 2, 2, 2)), 1)
     assert (b.n_S, b.n_B) == (2, 8)
     assert b.B_modes == (2, 3, 4)
+    assert b.S_modes == (1,)
 
 
 def test_bipartition_tie_keeps_focal_mode_small() -> None:
     s = ModeStructure((2, 2))
     assert bipartition(s, 1).B_modes == (2,)
+    assert bipartition(s, 1).S_modes == (1,)
     assert bipartition(s, 2).B_modes == (1,)
+    assert bipartition(s, 2).S_modes == (2,)
     s = ModeStructure((2, 2, 4))
     assert bipartition(s, 3).B_modes == (1, 2)
+    assert bipartition(s, 3).S_modes == (3,)
 
 
 def test_bipartition_product_invariant_randomized() -> None:
@@ -162,6 +167,7 @@ def test_bipartition_product_invariant_randomized() -> None:
         for m in range(1, s.N + 1):
             b = bipartition(s, m)
             assert b.n_S * b.n_B == s.n
+            assert sorted(b.S_modes + b.B_modes) == list(range(1, s.N + 1))
             assert b.n_S <= b.n_B
             assert b.n_S == min(s.dims[m - 1], s.n // s.dims[m - 1])
     with pytest.raises(ValueError):
@@ -195,11 +201,18 @@ def test_project_level_matches_label_restriction() -> None:
 
 def test_level_table_matches_scalar_path() -> None:
     for s in _structures_upto(36):
-        labels, masks, W = _level_table(s)
+        labels, masks, W, gathers = _level_table(s)
         assert len(labels) == len(masks) == s.n + 1
-        B = [bipartition(s, m).B_modes for m in range(1, s.N + 1)]
-        assert W == max(bipartition(s, m).n_B for m in range(1, s.N + 1)) + 1
+        bips = [bipartition(s, m) for m in range(1, s.N + 1)]
+        assert W == max(b.n_B for b in bips) + 1
+        for m, (b, pos) in enumerate(zip(bips, gathers)):
+            assert pos.shape == (b.n_S, b.n_B), (s.dims, m)
+            assert np.array_equal(pos, _trace_groups(s.dims, b.S_modes)), (s.dims, m)
         for lvl in range(1, s.n + 1):
             assert labels[lvl] == scalar_to_vector(s, lvl), (s.dims, lvl)
-            want = sum(1 << (m * W + project_level(s, lvl, b)) for m, b in enumerate(B))
+            want = sum(1 << (m * W + project_level(s, lvl, b.B_modes))
+                       for m, b in enumerate(bips))
             assert masks[lvl] == want, (s.dims, lvl)
+            # each mask bit is the level's column in its mode's gather
+            cols = [int(np.nonzero(pos == lvl - 1)[1][0]) for pos in gathers]
+            assert masks[lvl] == sum(1 << (m * W + p + 1) for m, p in enumerate(cols))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ from mmekit.linalg import (
     PureStateVector,
     basis_state,
     mix,
+    mode_purities,
     mode_reduction_of_pure,
     outer,
     partial_trace_matrix,
 )
 from mmekit.mme import construct, max_mme_rank
-from mmekit import verify
+from mmekit import modes, verify
 from mmekit.modes import ModeStructure, parse_dims
 from mmekit.tgx import ME_TOL
 from mmekit.verify import (
@@ -484,6 +486,31 @@ def test_cross_blocks_of_published_sets_vanish(dims, tuples) -> None:
     for lu in (None, random_lu_set(s, 7)):
         state, _ = construct(s, tuples, spectrum, lu)
         assert _cross_max(state) <= 1e-14
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 6), (2, 2, 5)])
+def test_certificates_after_the_first_work_out_no_side(dims, monkeypatch) -> None:
+    # the first certificate caches the structure's layout; later
+    # certificates and purities read it and call no `bipartition`, which
+    # is rebound to a refusal in every module that holds it
+    s = ModeStructure(dims)
+    spec = _random_spectral(np.random.default_rng(3), s, 2)
+    first = min_avg_ent(spec, grid=(4, 4))
+    original = modes.bipartition
+
+    def refuse(*args):
+        raise AssertionError(f"bipartition{args} called")
+
+    for name, mod in list(sys.modules.items()):
+        if name == "mmekit" or name.startswith("mmekit."):
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, refuse)
+    with pytest.raises(AssertionError):
+        modes.bipartition(s, 1)
+    assert min_avg_ent(spec, grid=(4, 4)).averages == first.averages
+    assert min_avg_ent(spec, strategy="random", samples=3).samples == 9
+    assert mode_purities(s, [v.amplitudes for v in spec.eigenstates]).shape == (2, s.N)
 
 
 @pytest.mark.parametrize("kind", ["e_spacewise", "e_selfspace"])

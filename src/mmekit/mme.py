@@ -28,7 +28,7 @@ import numpy as np
 
 from .entcore import _check_L, lstar
 from .linalg import PureStateVector
-from .modes import ModeStructure, _check_int, _level_table
+from .modes import ModeStructure, _check_int, _check_seed, _level_table
 from .tgx import (
     LocalUnitarySet,
     MeTgxTuple,
@@ -280,6 +280,7 @@ def max_mme_rank(
     all L; once it runs out the L loop stops and the best set found so
     far is reported with status "inconclusive".
     """
+    seed = _check_seed(seed)
     if search not in ("auto", "exhaustive"):
         raise ValueError(f"unknown search mode {search!r}")
     if budget_nodes is not None and _check_int("budget_nodes", budget_nodes) < 1:
@@ -290,7 +291,7 @@ def max_mme_rank(
     greedy = search == "auto" and s.n > 64
     L_values = ls.values if all_lstar else [ls.min if L is None else _check_L(s, L)]
 
-    budget, seed = _Budget(budget_nodes), _check_int("seed", seed)
+    budget = _Budget(budget_nodes)
     reports = []
     for Lv in L_values:
         reports.append(_search_single_L(s, Lv, greedy, budget, seed))

@@ -30,6 +30,15 @@ def _check_int(what: str, value) -> int:
         raise ValueError(f"{what}={value!r} is not an integer") from None
 
 
+def _check_seed(seed) -> int:
+    """`seed` as an int, refused unless it is a non-negative integer, the
+    range numpy's seeding takes."""
+    seed = _check_int("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed={seed} is negative; seeds must be at least 0")
+    return seed
+
+
 @dataclass(frozen=True)
 class ModeStructure:
     """An ordered tuple of mode dimensions.

@@ -48,7 +48,7 @@ from .linalg import (
     mix,
     mode_purities,
 )
-from .modes import ModeStructure, _check_int, _level_table
+from .modes import ModeStructure, _check_int, _check_seed, _level_table
 from .tgx import ME_TOL, LocalUnitarySet
 
 P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
@@ -239,36 +239,35 @@ def _u2_stack(theta_steps: int, chi_steps: int):
     return theta, chi, np.stack([a, b, -b.conj(), a], axis=1).reshape(-1, 2, 2)
 
 
-def _haar_stack(D: int, rngs) -> np.ndarray:
-    """(G, D, D) Haar unitaries, one per generator: each draws its
-    complex Gaussian, then one stacked QR and one phase fix serve the
-    whole stack (Mezzadri 2007).  Stacked QR runs LAPACK per matrix, so
-    each entry is bitwise equal to its own `haar_unitary` call."""
-    z = np.array([rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-                  for rng in rngs])
-    q, r = np.linalg.qr(z)
+def _haar_stack(z: np.ndarray) -> np.ndarray:
+    """(G, D, D) Haar unitaries from (G, 2, D, D) standard normals, the
+    real and imaginary parts of G complex Gaussians: one stacked QR and
+    one phase fix serve the whole stack (Mezzadri 2007).  Stacked QR runs
+    LAPACK per matrix, so each entry is bitwise the unitary of its own
+    Gaussian alone."""
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
 
 
 def haar_unitary(D: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed D x D unitary: QR of a complex Gaussian with the
-    R-diagonal phases factored out; the one-matrix case of the stacks
-    `min_avg_ent` draws."""
+    """Haar-distributed D x D unitary: QR of a complex Gaussian, 2 D^2
+    draws of `rng`, real parts first, with the R-diagonal phases factored
+    out; the one-matrix case of the stacks `min_avg_ent` draws."""
     if _check_int("D", D) < 1:
         raise ValueError("D must be positive")
-    return _haar_stack(D, [rng])[0]
+    return _haar_stack(rng.standard_normal((1, 2, D, D)))[0]
 
 
 def random_lu_set(s: ModeStructure, seed: int):
     """Independent Haar local unitaries, one per mode; the per-mode rng
     streams are keyed by (seed, mode) so results do not depend on call
-    order.  Modes of one dimension share one `_haar_stack` draw."""
-    seed, us = _check_int("seed", seed), {}
+    order.  Modes of one dimension share one `_haar_stack`."""
+    seed, us = _check_seed(seed), {}
     for d in set(s.dims):
         modes = [m for m, dm in enumerate(s.dims, start=1) if dm == d]
-        us.update(zip(modes, _haar_stack(d, [np.random.default_rng([seed, m])
-                                             for m in modes])))
+        z = [np.random.default_rng([seed, m]).standard_normal((2, d, d)) for m in modes]
+        us.update(zip(modes, _haar_stack(np.array(z))))
     return LocalUnitarySet(tuple(us[m] for m in range(1, s.N + 1)))
 
 
@@ -323,16 +322,21 @@ def min_avg_ent(
 
     strategy "grid": rank must be 2; sweeps the u2 half-open grid.
     strategy "random": Haar unitaries, `samples` per D from Dmin..Dmax
-    (defaults: rank .. rank + 2), streams keyed by (seed, D, i).  Grid
-    steps, Dmin, Dmax, samples and seed must be integers.
+    (defaults: rank .. rank + 2), drawn from one stream per D,
+    `np.random.default_rng([seed, D])`: unitary i of D is the (i+1)-th
+    `haar_unitary(D, rng)` call on it, so `argmin` {"D", "index", "seed"}
+    rebuilds its unitary alone, and the averages at one D depend neither
+    on Dmin and Dmax nor, for its first k, on `samples`.  Grid steps,
+    Dmin, Dmax, samples and seed must be integers, seed at least 0.
 
     The state's cross reductions X (`_cross_reductions`) are computed
     once.  The unitaries are evaluated in stacks of equal D holding at
     most BLOCK_AMPLITUDES member reduction entries, D times the width of
     X a unitary (one unitary at least); how they fall into stacks moves
     no bit of any average.  A Haar stack is drawn when it is due, with
-    one stacked QR; its unitaries are bitwise those of per-unitary
-    `haar_unitary` calls on the same streams.  Every stack is checked for
+    one Gaussian draw that continues its D's stream and one stacked QR
+    (`_haar_stack`); its unitaries are bitwise those of successive
+    `haar_unitary` calls on that stream.  Every stack is checked for
     unitarity.  Each stack's member reductions are its coefficient pairs
     c_k conj(c_l) times X (`_member_purities`); no member amplitude is
     built.  That costs R^2 times the width of X, sum_m n_S^2, per member
@@ -343,6 +347,7 @@ def min_avg_ent(
     tolerance), and `argmin` is then None: roundoff names no violator.
     A lower min_avg names its first violating unitary in `argmin`.
     """
+    seed = _check_seed(seed)
     state, notes = as_spectral(state)
     s = state.structure
     X, sums = _cross_reductions(state)
@@ -358,7 +363,7 @@ def min_avg_ent(
     elif strategy == "random":
         lo = state.rank if Dmin is None else _check_int("Dmin", Dmin)
         hi = state.rank + 2 if Dmax is None else _check_int("Dmax", Dmax)
-        samples, seed = _check_int("samples", samples), _check_int("seed", seed)
+        samples = _check_int("samples", samples)
         if lo < state.rank:
             raise ValueError(f"Dmin={lo} below rank {state.rank}")
         if hi < lo:
@@ -366,9 +371,9 @@ def min_avg_ent(
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         stacks = (
-            _haar_stack(D, [np.random.default_rng([seed, D, i])
-                            for i in range(a, min(a + block(D), samples))])
+            _haar_stack(rng.standard_normal((min(block(D), samples - a), 2, D, D)))
             for D in range(lo, hi + 1)
+            for rng in [np.random.default_rng([seed, D])]
             for a in range(0, samples, block(D))
         )
     else:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import inspect
 import io
 import json
@@ -687,6 +688,19 @@ def test_console_script_smoke() -> None:
     assert json.loads(proc.stdout)["Lstar"] == [2]
 
 
+def test_console_script_entry_point(capsys) -> None:
+    # the PATH test above needs an installed script; this one resolves the
+    # declared entry point itself
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"mmekit": "mmekit.cli:main"}
+    module, _, attr = scripts["mmekit"].partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry(["lstar", "2x4"]) == 0
+    assert json.loads(capsys.readouterr().out)["Lstar"] == [2]
+
+
 def _readme_commands() -> list[list[str]]:
     """Argv of each `mmekit` command in README's "Command line" block:
     backslash continuations joined, `#` comments dropped."""
@@ -714,6 +728,12 @@ REFUSALS = [
     ["lstar", "2xx3"],
     ["rank", "2^40"],
     ["verify", "--state", "{bad_state}"],
+    ["rank", "3x3x3x3", "--seed", "-1"],
+    ["rank", "2x2x2x2x3", "--seed", "-5"],
+    ["construct", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--lu-seed", "-1"],
+    ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3",
+     "--strategy", "random", "--seed", "-1"],
+    ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--seed", "-1"],
 ]
 
 

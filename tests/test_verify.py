@@ -274,26 +274,33 @@ def test_batched_grid_matches_per_unitary_loop() -> None:
             )
 
 
-def _haar_per_unitary(D, rng):
-    """The per-matrix Haar draw: one QR of one complex Gaussian, then the
-    phases of R's diagonal factored out."""
-    z = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    q, r = np.linalg.qr(z)
+def _haar_per_unitary(z):
+    """The per-matrix Haar draw: one QR of the complex Gaussian
+    z[0] + i z[1], then the phases of R's diagonal factored out."""
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def _haar_stream(seed, D, k):
+    """The first k unitaries of D's stream: successive `haar_unitary`
+    calls on `default_rng([seed, D])`, the recipe that rebuilds an argmin."""
+    rng = np.random.default_rng([seed, D])
+    return [haar_unitary(D, rng) for _ in range(k)]
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_haar_stack_is_bitwise_per_unitary(seed) -> None:
     for D in range(1, 19):
         stack = verify._haar_stack(
-            D, [np.random.default_rng([seed, D, i]) for i in range(5)]
-        )
+            np.random.default_rng([seed, D]).standard_normal((5, 2, D, D)))
         assert stack.shape == (5, D, D)
-        for i, U in enumerate(stack):
-            assert np.array_equal(U, haar_unitary(D, np.random.default_rng([seed, D, i])))
-            oracle = _haar_per_unitary(D, np.random.default_rng([seed, D, i]))
-            assert np.array_equal(U, oracle)
+        # the oracle draws each matrix's real, then imaginary part, in turn
+        rng = np.random.default_rng([seed, D])
+        for U, V in zip(stack, _haar_stream(seed, D, 5), strict=True):
+            assert np.array_equal(U, V)
+            pair = [rng.standard_normal((D, D)) for _ in range(2)]
+            assert np.array_equal(U, _haar_per_unitary(pair))
 
 
 def test_random_lu_set_is_bitwise_per_mode() -> None:
@@ -316,20 +323,17 @@ def test_batched_random_matches_per_unitary_loop(monkeypatch, block) -> None:
     # the MME state passes; the look-alike fails, so its argmin is checked
     failing = comparison_family_spectral("e_spacewise", (0.6, 0.4))
 
-    def haar(D, i):
-        return haar_unitary(D, np.random.default_rng([5, D, i]))
-
-    points = [haar(D, i) for D in (4, 5, 6) for i in range(10)]
+    points = [U for D in (4, 5, 6) for U in _haar_stream(5, D, 10)]
     ests = [min_avg_ent(x, strategy="random", Dmin=4, Dmax=6, samples=10, seed=5)
             for x in (spec, failing)]
     for est, x in zip(ests, (spec, failing)):
         _assert_matches_per_unitary_loop(
-            est, x, points, lambda a: haar(a["D"], a["index"])
+            est, x, points, lambda a: _haar_stream(a["seed"], a["D"], a["index"] + 1)[-1]
         )
     assert ests[1].argmin is not None
-    # the same evaluation fed one per-unitary draw at a time is bitwise equal
-    monkeypatch.setattr(verify, "_haar_stack", lambda D, rngs: np.array(
-        [_haar_per_unitary(D, rng) for rng in rngs]))
+    # the same evaluation fed one per-matrix QR at a time is bitwise equal
+    monkeypatch.setattr(verify, "_haar_stack",
+                        lambda z: np.array([_haar_per_unitary(x) for x in z]))
     for est, x in zip(ests, (spec, failing)):
         oracle = min_avg_ent(x, strategy="random", Dmin=4, Dmax=6, samples=10, seed=5)
         assert oracle.averages == est.averages
@@ -337,19 +341,81 @@ def test_batched_random_matches_per_unitary_loop(monkeypatch, block) -> None:
 
     # D = R + 2 unitaries padded with an identity block: the last two
     # members get weight exactly 0, and no 0/0 reaches the averages
-    def padded(D, rngs):
-        Us = np.array([np.eye(D, dtype=complex) for _ in rngs])
-        Us[:, :D - 2, :D - 2] = [_haar_per_unitary(D - 2, rng) for rng in rngs]
+    def padded(z):
+        D = z.shape[-1]
+        Us = np.array([np.eye(D, dtype=complex) for _ in z])
+        Us[:, :D - 2, :D - 2] = [_haar_per_unitary(x[:, :D - 2, :D - 2]) for x in z]
         return Us
 
     monkeypatch.setattr(verify, "_haar_stack", padded)
     for x in (spec, failing):
         D = x.rank + 2
-        points = padded(D, [np.random.default_rng([5, D, i]) for i in range(3)])
+        points = padded(np.random.default_rng([5, D]).standard_normal((3, 2, D, D)))
         assert decompose(x, points[0]).members[-2:] == (None, None)
         est = min_avg_ent(x, strategy="random", Dmin=D, Dmax=D, samples=3, seed=5)
         assert not np.isnan(est.averages).any()
         _assert_matches_per_unitary_loop(est, x, points, lambda a: points[a["index"]])
+
+
+def test_random_argmin_rebuilds_from_its_label(monkeypatch) -> None:
+    # the public recipe: index + 1 `haar_unitary` calls on default_rng([seed, D])
+    failing = comparison_family_spectral("e_spacewise", (0.6, 0.4))
+    stacks = []
+    coefficients = verify._coefficients
+
+    def spy(state, Us):
+        stacks.append(Us)
+        return coefficients(state, Us)
+
+    monkeypatch.setattr(verify, "_coefficients", spy)
+    est = min_avg_ent(failing, strategy="random", seed=3)
+    assert set(est.argmin) == {"D", "index", "seed"} and est.argmin["seed"] == 3
+    U = _haar_stream(3, est.argmin["D"], est.argmin["index"] + 1)[-1]
+    drawn = [V for stack in stacks for V in stack]
+    assert np.array_equal(U, drawn[est.averages.index(est.min_avg)])
+    # the sampler reads purities off the cross reductions, so to roundoff
+    assert decompose(failing, U).average_ent() == pytest.approx(est.min_avg, abs=1e-12)
+
+
+def test_random_averages_at_one_D_depend_on_no_other_option() -> None:
+    failing = comparison_family_spectral("e_spacewise", (0.6, 0.4))
+
+    def at_3(Dmin, Dmax, samples):
+        est = min_avg_ent(failing, strategy="random", Dmin=Dmin, Dmax=Dmax,
+                          samples=samples, seed=9)
+        return est.averages[(3 - Dmin) * samples:(4 - Dmin) * samples]
+
+    full = at_3(2, 5, 40)
+    assert len(full) == 40
+    assert at_3(3, 3, 40) == full and at_3(2, 3, 40) == full
+    for k in (1, 7, 39):
+        assert at_3(3, 4, k) == full[:k]
+
+
+def test_random_strategy_seeds_one_stream_per_D(monkeypatch) -> None:
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def spy(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    min_avg_ent(comparison_family_spectral("mme", (0.6, 0.4)), strategy="random",
+                Dmax=6, samples=30, seed=4)
+    assert seeds == [[4, D] for D in range(2, 7)]
+
+
+def test_negative_seeds_are_refused_by_name() -> None:
+    # numpy's own refusal names no option, and an exhaustive rank search
+    # or a grid certificate never reaches its seed
+    s = ModeStructure((2, 2, 2, 2, 3))
+    for call in (lambda: max_mme_rank(s, seed=-5),
+                 lambda: random_lu_set(s, -1),
+                 lambda: min_avg_ent(_certificate((2, 5)), strategy="random", seed=-1),
+                 lambda: min_avg_ent(_certificate((2, 5)), seed=-1)):
+        with pytest.raises(ValueError, match=r"seed=-\d is negative"):
+            call()
 
 
 def _stack_sizes(monkeypatch) -> list[int]:
@@ -530,8 +596,7 @@ def test_sampled_averages_match_decompose_at_every_rank(data) -> None:
     seed = data.draw(st.integers(0, 2**16), label="seed")
     spec = _random_spectral(np.random.default_rng(seed), s, R)
     est = min_avg_ent(spec, strategy="random", samples=2, seed=seed)
-    points = [haar_unitary(D, np.random.default_rng([seed, D, i]))
-              for D in range(R, R + 3) for i in range(2)]
+    points = [U for D in range(R, R + 3) for U in _haar_stream(seed, D, 2)]
     _assert_matches_per_unitary_loop(
         est, spec, points, lambda a: points[(a["D"] - R) * 2 + a["index"]]
     )

@@ -48,28 +48,36 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 
 
+def _numbers(option: str, text: str, parts, kind) -> list:
+    """`parts` of `option`'s `text`, read by `kind`; refusals name both."""
+    try:
+        return [kind(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"{option} {text!r}: expected {kind.__name__} values") from None
+
+
 def _parse_tuples(text: str) -> list[list[int]]:
     """";"-separated tuples of ","-separated levels: "1,16;4,13"."""
     out = []
     for part in text.split(";"):
         part = part.strip()
         if not part:
-            raise ValueError(f"empty tuple in {text!r}")
-        out.append([int(x) for x in part.split(",")])
+            raise ValueError(f"--tuples {text!r}: empty tuple")
+        out.append(_numbers("--tuples", text, part.split(","), int))
     return out
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
+    return _numbers("--spectrum", text, text.split(","), float)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"grid must be 'T,C', got {text!r}")
-    t, c = (int(p) for p in parts)
+        raise ValueError(f"--grid {text!r}: expected 'T,C'")
+    t, c = _numbers("--grid", text, parts, int)
     if t < 1 or c < 1:
-        raise ValueError("grid steps must be positive")
+        raise ValueError(f"--grid {text!r}: steps must be positive")
     return t, c
 
 

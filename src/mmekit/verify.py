@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,10 +127,10 @@ class DecompositionSample:
 
 
 def _coefficients(state: SpectralState, Us: np.ndarray):
-    """Check a stack of G unitaries, each D x D with D >= rank, and apply
-    it to the eigen-ensemble: probabilities (G, D) and coefficients
-    c = U[:, :, :rank] sqrt(lambda), (G, D, rank), of the unnormalized
-    members sum_k c_k |Phi_k>.
+    """Apply a stack of G unitaries, each D x D with D >= rank and checked
+    where it entered, to the eigen-ensemble: probabilities (G, D) and
+    coefficients c = U[:, :, :rank] sqrt(lambda), (G, D, rank), of the
+    unnormalized members sum_k c_k |Phi_k>.
 
     Only the first `rank` columns act; p_j uses the formula weights, and
     weights below P_FLOOR become 0.
@@ -139,7 +140,6 @@ def _coefficients(state: SpectralState, Us: np.ndarray):
     D, R = Us.shape[1], state.rank
     if D < R:
         raise ValueError(f"D={D} is smaller than the rank {R}")
-    _check_isometry("unitary", Us)
     lam = np.asarray(state.spectrum)
     probs = np.abs(Us[:, :, :R]) ** 2 @ lam
     return np.where(probs >= P_FLOOR, probs, 0.0), Us[:, :, :R] * np.sqrt(lam)
@@ -151,6 +151,7 @@ def decompose(state: SpectralState, unitary: np.ndarray) -> DecompositionSample:
     by its true norm, so tiny unitarity slack cannot leak into it."""
     U = np.asarray(unitary, dtype=complex)
     probs, coeffs = _coefficients(state, U[None])
+    _check_isometry("unitary", U)
     raw = coeffs @ np.array([v.amplitudes for v in state.eigenstates])
     norms = np.where(probs > 0, np.linalg.norm(raw, axis=2), np.inf)
     s = state.structure
@@ -169,19 +170,26 @@ def _cross_reductions(state: SpectralState):
     (R n_S, n_B) eigenstate gather by `modes._level_table`, as in
     `mode_purities`, with its adjoint); and the 0/1 matrices, (sum_m
     n_S^2, max(N, 4)), that sum each block's diagonal and all its entries
-    into its mode's column."""
+    into its mode's column, built once per structure (`_summing_matrices`)."""
     s, R = state.structure, state.rank
     basis = np.array([v.amplitudes for v in state.eigenstates])
-    blocks, diagonals = [], []
+    blocks = []
     for pos in _level_table(s)[3]:
         n_S = len(pos)
         A = basis[:, pos].reshape(R * n_S, -1)
         X = (A @ A.conj().T).reshape(R, n_S, R, n_S).swapaxes(1, 2)
         blocks.append(X.reshape(R * R, -1))
-        diagonals.append(np.eye(n_S).ravel())
-    entries = np.repeat(np.eye(s.N, max(s.N, 4)), list(map(len, diagonals)), axis=0)
-    diagonal = entries * np.concatenate(diagonals)[:, None]
-    return np.concatenate(blocks, axis=1), (diagonal, entries)
+    return np.concatenate(blocks, axis=1), _summing_matrices(s)
+
+
+@lru_cache(maxsize=None)
+def _summing_matrices(s: ModeStructure):
+    """`_cross_reductions`' (diagonal, entries) summing matrices, read-only."""
+    n_S = [len(pos) for pos in _level_table(s)[3]]
+    entries = np.repeat(np.eye(s.N, max(s.N, 4)), np.square(n_S), axis=0)
+    diagonal = entries * np.concatenate([np.eye(n).ravel() for n in n_S])[:, None]
+    entries.flags.writeable = diagonal.flags.writeable = False
+    return diagonal, entries
 
 
 def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray, sums,
@@ -226,17 +234,25 @@ def u2(theta: float, chi: float) -> np.ndarray:
 
 def _u2_stack(theta_steps: int, chi_steps: int):
     """Half-open grid over theta in [0, pi/2) and chi in [0, 2 pi): the
-    angles and one theta-major stack, entry i*C + k = u2(theta[i], chi[k]).
-    theta = k pi/2 / T puts pi/4 on the grid whenever T is even."""
-    theta_steps = _check_int("theta_steps", theta_steps)
-    chi_steps = _check_int("chi_steps", chi_steps)
-    if theta_steps < 1 or chi_steps < 1:
+    angles and one theta-major stack, entry i*C + k = u2(theta[i], chi[k]),
+    cached read-only.  theta = k pi/2 / T puts pi/4 on the grid when T is even."""
+    T, C = _check_int("theta_steps", theta_steps), _check_int("chi_steps", chi_steps)
+    if T < 1 or C < 1:
         raise ValueError("grid needs at least one step per axis")
+    return _u2_grid(T, C)
+
+
+@lru_cache(maxsize=8)
+def _u2_grid(theta_steps: int, chi_steps: int):
+    """`_u2_stack`'s arrays, built and checked for unitarity once."""
     theta = np.pi / 2 * np.arange(theta_steps) / theta_steps
     chi = 2 * np.pi * np.arange(chi_steps) / chi_steps
     a = np.repeat(np.cos(theta), chi_steps)
     b = np.outer(np.sin(theta), np.cos(chi) + 1j * np.sin(chi)).ravel()
-    return theta, chi, np.stack([a, b, -b.conj(), a], axis=1).reshape(-1, 2, 2)
+    Us = np.stack([a, b, -b.conj(), a], axis=1).reshape(-1, 2, 2)
+    _check_isometry("unitary", Us)
+    theta.flags.writeable = chi.flags.writeable = Us.flags.writeable = False
+    return theta, chi, Us
 
 
 def _haar_stack(z: np.ndarray) -> np.ndarray:
@@ -336,8 +352,9 @@ def min_avg_ent(
     no bit of any average.  A Haar stack is drawn when it is due, with
     one Gaussian draw that continues its D's stream and one stacked QR
     (`_haar_stack`); its unitaries are bitwise those of successive
-    `haar_unitary` calls on that stream.  Every stack is checked for
-    unitarity.  Each stack's member reductions are its coefficient pairs
+    `haar_unitary` calls on that stream.  Each Haar stack is checked for
+    unitarity as it is drawn, a grid once, when `_u2_grid` builds it.
+    Each stack's member reductions are its coefficient pairs
     c_k conj(c_l) times X (`_member_purities`); no member amplitude is
     built.  That costs R^2 times the width of X, sum_m n_S^2, per member
     against about R n to build the member: cheaper at low rank, several
@@ -370,12 +387,15 @@ def min_avg_ent(
             raise ValueError(f"Dmax={hi} below Dmin={lo}")
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
-        stacks = (
-            _haar_stack(rng.standard_normal((min(block(D), samples - a), 2, D, D)))
-            for D in range(lo, hi + 1)
-            for rng in [np.random.default_rng([seed, D])]
-            for a in range(0, samples, block(D))
-        )
+
+        def haar_stacks():
+            for D in range(lo, hi + 1):
+                rng, k = np.random.default_rng([seed, D]), block(D)
+                for a in range(0, samples, k):
+                    Us = _haar_stack(rng.standard_normal((min(k, samples - a), 2, D, D)))
+                    _check_isometry("unitary", Us)
+                    yield Us
+        stacks = haar_stacks()
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 

@@ -736,6 +736,16 @@ REFUSALS = [
     ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--seed", "-1"],
 ]
 
+# refusals of an option's text, which must name the option
+PARSE_REFUSALS = {
+    ("construct", "2^4", "--tuples", "1.5,16;4,13", "--spectrum", "0.7,0.3"): "--tuples",
+    ("construct", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,x"): "--spectrum",
+    ("verify", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3",
+     "--grid", "a,3"): "--grid",
+    ("validate-examples", "2^4", "--tuples", "1,x"): "--tuples",
+}
+REFUSALS += [list(argv) for argv in PARSE_REFUSALS]
+
 
 @pytest.mark.parametrize("argv", REFUSALS, ids=" ".join)
 def test_refusals_exit_2_without_source_paths(child_env, tmp_path, argv) -> None:
@@ -748,3 +758,6 @@ def test_refusals_exit_2_without_source_paths(child_env, tmp_path, argv) -> None
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "error:" in proc.stderr
     assert ".py:" not in proc.stderr and "Warning" not in proc.stderr
+    option = PARSE_REFUSALS.get(tuple(argv))
+    if option:  # with the text given
+        assert f"error: {option} {argv[argv.index(option) + 1]!r}: " in proc.stderr

@@ -80,3 +80,25 @@ def test_cli_handlers_write_json_only_through_one_writer() -> None:
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
              and node.value.id == "json" and node.attr in ("dump", "dumps", "JSONEncoder")]
     assert found == []
+
+
+def _qualified_uses(tree: ast.AST, name: str, owner: str = "") -> list[str]:
+    # the qualified name of the def or class around each load of `name`
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found += _qualified_uses(node, name, f"{owner}.{node.name}".lstrip("."))
+        else:
+            if isinstance(node, ast.Name) and node.id == name:
+                found.append(owner)
+            found += _qualified_uses(node, name, owner)
+    return found
+
+
+def test_verify_checks_unitaries_where_they_enter() -> None:
+    # the caller's unitary in `decompose`, each Haar stack as it is drawn
+    # and each grid once, when it is built; a check in `_coefficients`
+    # would recheck the cached grid on every certificate
+    tree = ast.parse((Path(mmekit.__file__).parent / "verify.py").read_text())
+    assert sorted(_qualified_uses(tree, "_check_isometry")) == [
+        "SpectralState.__post_init__", "_u2_grid", "decompose", "min_avg_ent.haar_stacks"]

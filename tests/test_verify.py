@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import sys
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmekit.cli import _structures_upto
+from mmekit.cli import _structures_upto, main
 from mmekit.entcore import ent_pure
 from mmekit.linalg import (
     DensityMatrix,
@@ -177,6 +179,13 @@ def test_u2_grid_shape_and_coverage() -> None:
     assert 0.0 in thetas and 0.0 in chis
     assert max(thetas) < math.pi / 2
     assert max(chis) < 2 * math.pi
+    # one cached grid, keyed on the checked ints, shared read-only
+    assert verify._u2_stack(np.int64(20), 20)[2] is stack
+    for array in (thetas, chis, stack):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(ValueError, match="theta_steps=20.0 is not an integer"):
+        verify._u2_stack(20.0, 20)
     spec = comparison_family_spectral("mme", (0.7, 0.3))
     with pytest.raises(ValueError):
         min_avg_ent(spec, strategy="grid", grid=(0, 20))
@@ -404,6 +413,53 @@ def test_random_strategy_seeds_one_stream_per_D(monkeypatch) -> None:
     min_avg_ent(comparison_family_spectral("mme", (0.6, 0.4)), strategy="random",
                 Dmax=6, samples=30, seed=4)
     assert seeds == [[4, D] for D in range(2, 7)]
+
+
+def _isometry_spy(monkeypatch) -> list:
+    checked = []
+    check = verify._check_isometry
+
+    def spy(what, A):
+        checked.append((what, A))
+        check(what, A)
+
+    monkeypatch.setattr(verify, "_check_isometry", spy)
+    return checked
+
+
+def test_grid_is_checked_once_per_steps(monkeypatch) -> None:
+    verify._u2_grid.cache_clear()
+    checked = _isometry_spy(monkeypatch)
+    for kind in ("mme", "e_spacewise", "separable"):
+        min_avg_ent(comparison_family_spectral(kind, (0.7, 0.3)), strategy="grid")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--points", "2"]) == 0
+        assert main(["sweep", "--points", "2", "--grid", "4,5"]) == 0
+    # the other checks are of each family's eigenstates
+    assert [A.shape for what, A in checked if what == "unitary"] == [(400, 2, 2), (20, 2, 2)]
+
+
+def test_random_certificate_checks_every_haar_stack(monkeypatch) -> None:
+    monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", 150)
+    failing = comparison_family_spectral("e_spacewise", (0.6, 0.4))
+    checked = _isometry_spy(monkeypatch)
+    stacks = []
+    coefficients = verify._coefficients
+
+    def spy(state, Us):
+        stacks.append(Us)
+        return coefficients(state, Us)
+
+    monkeypatch.setattr(verify, "_coefficients", spy)
+    min_avg_ent(failing, strategy="random", Dmax=4, samples=10, seed=5)
+    assert len(stacks) == 3 + 4 + 5  # 4, 3 and 2 unitaries a stack at D = 2, 3, 4
+    assert all(what == "unitary" and A is Us
+               for (what, A), Us in zip(checked, stacks, strict=True))
+
+    haar_stack = verify._haar_stack
+    monkeypatch.setattr(verify, "_haar_stack", lambda z: 1.001 * haar_stack(z))
+    with pytest.raises(ValueError, match="unitary: columns not orthonormal"):
+        min_avg_ent(failing, strategy="random", seed=5)
 
 
 def test_negative_seeds_are_refused_by_name() -> None:

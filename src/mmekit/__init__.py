@@ -10,7 +10,6 @@ from .entcore import (
     LStarSet,
     UnsupportedSystemError,
     ent_pure,
-    hyperspherical,
     lstar,
     mpsrp_purity,
 )
@@ -19,9 +18,6 @@ from .linalg import (
     PureStateVector,
     basis_state,
     mix,
-    outer,
-    partial_trace,
-    purity,
 )
 from .mme import (
     ExampleSetReport,
@@ -94,7 +90,6 @@ __all__ = [
     "ent_pure",
     "enumerate_me_tuples",
     "haar_unitary",
-    "hyperspherical",
     "is_me_tuple",
     "loose_bound",
     "lstar",
@@ -102,11 +97,8 @@ __all__ = [
     "min_avg_ent",
     "mix",
     "mpsrp_purity",
-    "outer",
     "parse_dims",
-    "partial_trace",
     "project_level",
-    "purity",
     "random_lu_set",
     "reduction_purity_report",
     "scalar_to_vector",

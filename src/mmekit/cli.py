@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .entcore import UnsupportedSystemError, lstar
+from .entcore import lstar
 from .linalg import ATOL
 from .mme import construct, max_mme_rank, validate_example_set
 from .modes import MAX_N, ModeStructure, parse_dims
@@ -115,18 +115,15 @@ def _csv(rows: list[list], header: list[str]) -> str:
 
 
 def _factorizations(n: int, min_factor: int = 2):
-    """Ascending-ordered factor tuples of n with every factor >= 2."""
-    if n == 1:
-        yield ()
-        return
+    """Ascending-ordered factor tuples of n >= min_factor >= 2 with every
+    factor at least min_factor."""
     d = min_factor
     while d * d <= n:
         if n % d == 0:
             for rest in _factorizations(n // d, d):
                 yield (d,) + rest
         d += 1
-    if n >= min_factor:
-        yield (n,)
+    yield (n,)
 
 
 def _structures_upto(max_n: int):
@@ -431,7 +428,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except (UnsupportedSystemError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug, not bad input: name it, no traceback

@@ -14,7 +14,6 @@ M* anchors the normalization of the ent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -137,22 +136,3 @@ def ent_rows(s: ModeStructure, amps) -> np.ndarray:
 def ent_pure(v: PureStateVector) -> float:
     """The ent of a pure state, normalized to [0, 1] (see `ent_rows`)."""
     return float(ent_rows(v.structure, v.amplitudes)[0])
-
-
-def hyperspherical(angles) -> list[float]:
-    """Unit-hypersphere coordinates from L-1 polar angles in [0, pi/2].
-
-    x_1 = cos(t_1), x_h = cos(t_h) prod_{i<h} sin(t_i), and the last
-    coordinate is the full sine product; the squared coordinates sum to 1.
-    """
-    angles = [float(a) for a in angles]
-    for a in angles:
-        if not 0.0 <= a <= math.pi / 2 + 1e-12:
-            raise ValueError(f"angle {a} outside [0, pi/2]")
-    out = []
-    sin_prod = 1.0
-    for a in angles:
-        out.append(sin_prod * math.cos(a))
-        sin_prod *= math.sin(a)
-    out.append(sin_prod)
-    return out

@@ -49,12 +49,6 @@ class PureStateVector:
         self.structure = structure
         self.amplitudes = amps
 
-    def amplitude(self, level: int) -> complex:
-        return complex(self.amplitudes[level - 1])
-
-    def overlap(self, other: "PureStateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def basis_state(structure: ModeStructure, level: int) -> PureStateVector:
     """The computational basis state |level> (1-based)."""
@@ -97,38 +91,6 @@ class DensityMatrix:
             "re": self.entries.real.tolist(),
             "im": self.entries.imag.tolist(),
         }
-
-
-def outer(v: PureStateVector) -> DensityMatrix:
-    """Rank-1 projector |v><v|."""
-    mat = np.outer(v.amplitudes, v.amplitudes.conj())
-    return DensityMatrix(v.structure, mat, validate=False)
-
-
-def partial_trace_matrix(mat: np.ndarray, structure: ModeStructure, keep) -> np.ndarray:
-    """Partial trace of an arbitrary n x n matrix down to the kept modes.
-
-    Works on raw arrays so cross terms |phi_k><phi_l| (trace 0, not
-    Hermitian) can be traced as well; index arithmetic only, no tensor
-    reshape of the matrix itself.
-    """
-    keep = _check_modes(structure, keep)
-    pos = _trace_groups(structure.dims, keep)
-    # out[a, b] = sum over the diagonal of the dropped indices
-    return mat[pos[:, None, :], pos[None, :, :]].sum(axis=-1)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out all modes not in `keep`; preserves trace and Hermiticity."""
-    keep = _check_modes(rho.structure, keep)
-    sub = rho.structure.substructure(keep)
-    out = partial_trace_matrix(rho.entries, rho.structure, keep)
-    return DensityMatrix(sub, out, validate=False)
-
-
-def purity(rho: DensityMatrix) -> float:
-    """tr(rho^2), in [1/n, 1] for valid density matrices."""
-    return float(np.vdot(rho.entries, rho.entries).real)
 
 
 def _check_isometry(what: str, A) -> None:

@@ -4,11 +4,14 @@ ME TGX tuples, rank bounds, maximal-rank search, and state construction.
 A set of ME TGX tuples can serve as the eigen-tuples of an MME state
 exactly when, for every mode m, the projections of all their levels onto
 the big side B_m of the extreme bipartition contain no repeats.  Since
-repeats are a pairwise matter, the maximal MME rank is the maximum
-clique of the pairwise-compatibility graph over the ME tuples, found by
-one branch and bound that also returns the lex-least maximum clique
-(past n = 64, `search="auto"` runs seeded greedy orders instead and
-reports a lower bound with status "greedy").
+repeats are a pairwise matter, the maximal rank over MME states with TGX
+eigenstates is the maximum clique of the pairwise-compatibility graph
+over the ME tuples, found by one branch and bound that also returns the
+lex-least maximum clique (past n = 64, `search="auto"` runs seeded
+greedy orders instead and reports a lower bound with status "greedy").
+The maximal rank over all MME states is a separate, open quantity that
+this rank only bounds from below: 2x2x3x3 holds certified MME states of
+rank 4 against a TGX rank of 2.
 Compatibility has one test: `modes._level_table`, the layout that the
 rank cap and every purity read too, gives each level one int bitmask
 with a bit per (mode, B_m projection), and a projected level repeats iff
@@ -98,9 +101,9 @@ def _min_nB(s: ModeStructure) -> int:
 
 
 def loose_bound(s: ModeStructure) -> int:
-    """Loose upper limit on the maximal MME rank:
-    floor(min_m n_B_m / min L*).  For bipartite systems this is
-    floor(n_B / n_S)."""
+    """Loose upper limit on the maximal rank over MME states with TGX
+    eigenstates: floor(min_m n_B_m / min L*).  For bipartite systems this
+    is floor(n_B / n_S)."""
     return _min_nB(s) // lstar(s).min
 
 
@@ -261,7 +264,10 @@ def max_mme_rank(
     budget_nodes: int | None = None,
     seed: int = 0,
 ) -> MmeRankReport:
-    """Maximal MME rank of a structure.
+    """Maximal rank over MME states with TGX eigenstates (R_MME).
+
+    This is a lower bound on the maximal rank over all MME states, a
+    separate, open quantity (see the module docstring).
 
     Enumerates ME TGX tuples at L = min L* (or the given L in L*; with
     `all_lstar`, not with L, the search repeats per L* value and the

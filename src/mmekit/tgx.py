@@ -239,9 +239,8 @@ def build_tgx_state(t: MeTgxTuple, amplitudes=None, phases=None) -> PureStateVec
     """TGX state supported on a tuple's levels.
 
     Defaults to the equal phaseless superposition.  `amplitudes` (length
-    L, unit norm, e.g. from hyperspherical coordinates) and `phases`
-    (length L, radians) dress the state; the PureStateVector it builds
-    refuses a norm off 1.
+    L, unit norm) and `phases` (length L, radians) dress the state; the
+    PureStateVector it builds refuses a norm off 1.
     """
     L = t.L
     if amplitudes is None:
@@ -282,13 +281,6 @@ class LocalUnitarySet:
                     f"unitary of size {u.shape[0]} does not match mode dimension {d}"
                 )
 
-    def full_matrix(self, s: ModeStructure) -> np.ndarray:
-        self._check_structure(s)
-        full = np.eye(1, dtype=complex)
-        for u in self.unitaries:
-            full = np.kron(full, u)
-        return full
-
 
 def _apply_per_axis(mats, rows: np.ndarray, dims) -> np.ndarray:
     """Contract mats[k] into axis k of each row of an (M, prod(dims))
@@ -304,7 +296,7 @@ def apply_lu(state, lus: LocalUnitarySet):
     """Apply a tensor product of per-mode unitaries to a pure state or a
     density matrix; returns the same kind.  Norm and trace (and the ent)
     are preserved.  Works mode by mode on the (n_1, ..., n_N) tensor, so
-    the n x n product `full_matrix` is never formed; the state is the
+    the n x n Kronecker product is never formed; the state is the
     one-row case of the stacked contraction `_apply_per_axis`, which
     `mme.construct` runs on all its eigenstates at once."""
     if not isinstance(state, (PureStateVector, DensityMatrix)):

@@ -168,9 +168,7 @@ def _cross_reductions(state: SpectralState):
     k*R + l holds X_m^{kl} = tr_{B_m} |Phi_k><Phi_l| for m = 1..N side by
     side, each n_S x n_S block row-major (per mode, one product of the
     (R n_S, n_B) eigenstate gather by `modes._level_table`, as in
-    `mode_purities`, with its adjoint); and the 0/1 matrices, (sum_m
-    n_S^2, max(N, 4)), that sum each block's diagonal and all its entries
-    into its mode's column, built once per structure (`_summing_matrices`)."""
+    `mode_purities`, with its adjoint)."""
     s, R = state.structure, state.rank
     basis = np.array([v.amplitudes for v in state.eigenstates])
     blocks = []
@@ -179,12 +177,14 @@ def _cross_reductions(state: SpectralState):
         A = basis[:, pos].reshape(R * n_S, -1)
         X = (A @ A.conj().T).reshape(R, n_S, R, n_S).swapaxes(1, 2)
         blocks.append(X.reshape(R * R, -1))
-    return np.concatenate(blocks, axis=1), _summing_matrices(s)
+    return np.concatenate(blocks, axis=1)
 
 
 @lru_cache(maxsize=None)
 def _summing_matrices(s: ModeStructure):
-    """`_cross_reductions`' (diagonal, entries) summing matrices, read-only."""
+    """The 0/1 matrices (diagonal, entries), (sum_m n_S^2, max(N, 4)), that
+    sum each block of a `_cross_reductions` row's diagonal and all its
+    entries into its mode's column; built once per structure, read-only."""
     n_S = [len(pos) for pos in _level_table(s)[3]]
     entries = np.repeat(np.eye(s.N, max(s.N, 4)), np.square(n_S), axis=0)
     diagonal = entries * np.concatenate([np.eye(n).ravel() for n in n_S])[:, None]
@@ -192,11 +192,10 @@ def _summing_matrices(s: ModeStructure):
     return diagonal, entries
 
 
-def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray, sums,
+def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray,
                      kept: np.ndarray) -> np.ndarray:
     """Mode purities (M, N) of the M members with coefficients c (M, R),
-    read off the cross reductions X and the summing matrices `sums` of
-    `_cross_reductions`.
+    read off the cross reductions X of `_cross_reductions`.
 
     The unnormalized reductions are the coefficient pairs c_k conj(c_l)
     times X, formed in row blocks of k to 2k - 1 members, k =
@@ -219,7 +218,7 @@ def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray, sums,
         a, z = i * M // blocks, (i + 1) * M // blocks
         np.matmul((c[a:z, :, None] * c[a:z, None, :].conj()).reshape(z - a, R * R), X,
                   out=red[a:z])
-    diagonal, entries = sums
+    diagonal, entries = _summing_matrices(s)
     tr = np.where(kept[:, None], (red.real @ diagonal)[:, :s.N], 1.0)
     return ((red.real ** 2 + red.imag ** 2) @ entries)[:, :s.N] / tr ** 2
 
@@ -367,7 +366,7 @@ def min_avg_ent(
     seed = _check_seed(seed)
     state, notes = as_spectral(state)
     s = state.structure
-    X, sums = _cross_reductions(state)
+    X = _cross_reductions(state)
 
     def block(D: int) -> int:
         return max(1, BLOCK_AMPLITUDES // (D * X.shape[1]))
@@ -403,7 +402,7 @@ def min_avg_ent(
     for stack in stacks:
         probs, c = _coefficients(state, stack)
         ents = _ent_of_purities(s, _member_purities(
-            s, c.reshape(-1, state.rank), X, sums, probs.reshape(-1) > 0))
+            s, c.reshape(-1, state.rank), X, probs.reshape(-1) > 0))
         avgs += (probs * ents.reshape(probs.shape)).sum(axis=1).tolist()
     k = int(np.argmin(avgs))
     if avgs[k] >= 1.0 - ME_TOL:
@@ -426,18 +425,15 @@ class PurityReport:
     clean: bool
 
 
-def reduction_purity_report(
-    sample: DecompositionSample, L: int | None = None
-) -> PurityReport:
+def reduction_purity_report(sample: DecompositionSample) -> PurityReport:
     """Check every member's mode reductions against the minimal
-    single-mode purity floor at L (default: min L* of the structure).
+    single-mode purity floor at L, the structure's min L*.
 
     For genuine MME decompositions every reduction sits exactly on the
     floor, so max_deviation ~ 0 and clean is True (within PURITY_TOL).
     """
     s = sample.structure
-    if L is None:
-        L = lstar(s).min
+    L = lstar(s).min
     expected = tuple(mpsrp_purity(d, L) for d in s.dims)
     kept = [w.amplitudes for w in sample.members if w is not None]
     worst = float(np.abs(mode_purities(s, np.array(kept)) - expected).max())

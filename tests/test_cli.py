@@ -742,6 +742,9 @@ PARSE_REFUSALS = {
     ("construct", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,x"): "--spectrum",
     ("verify", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3",
      "--grid", "a,3"): "--grid",
+    ("verify", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3",
+     "--grid", "0,3"): "--grid",
+    ("sweep", "--grid", "3,0", "--points", "1"): "--grid",
     ("validate-examples", "2^4", "--tuples", "1,x"): "--tuples",
 }
 REFUSALS += [list(argv) for argv in PARSE_REFUSALS]

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 from mmekit.entcore import (
     UnsupportedSystemError,
     ent_pure,
-    hyperspherical,
     lstar,
     mpsrp_purity,
 )
@@ -135,27 +133,3 @@ def test_ent_pure_stays_in_unit_interval() -> None:
 def test_ent_pure_unsupported_structure() -> None:
     with pytest.raises(UnsupportedSystemError):
         ent_pure(basis_state(ModeStructure((4,)), 2))
-
-
-def test_hyperspherical_values() -> None:
-    assert hyperspherical([]) == [1.0]
-    c = hyperspherical([math.pi / 4])
-    assert c[0] == pytest.approx(math.sqrt(0.5), abs=1e-15)
-    assert c[1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
-    assert hyperspherical([0.0, 0.0]) == pytest.approx([1.0, 0.0, 0.0])
-
-
-def test_hyperspherical_unit_norm_randomized() -> None:
-    rnd = random.Random(13)
-    for _ in range(100):
-        angles = [rnd.uniform(0, math.pi / 2) for _ in range(rnd.randint(1, 5))]
-        coords = hyperspherical(angles)
-        assert len(coords) == len(angles) + 1
-        assert sum(x * x for x in coords) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_hyperspherical_rejects_out_of_range() -> None:
-    with pytest.raises(ValueError):
-        hyperspherical([math.pi])
-    with pytest.raises(ValueError):
-        hyperspherical([-0.1])

@@ -12,10 +12,6 @@ from mmekit.linalg import (
     mix,
     mode_purities,
     mode_reduction_of_pure,
-    outer,
-    partial_trace,
-    partial_trace_matrix,
-    purity,
 )
 from mmekit.mme import construct, max_mme_rank
 from mmekit.modes import ModeStructure
@@ -40,56 +36,9 @@ def _einsum_partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep) -> np.nd
     return sub.reshape(d, d)
 
 
-def _random_density(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    mat = g @ g.conj().T
-    return mat / np.trace(mat).real
-
-
 def _random_pure(rng: np.random.Generator, s: ModeStructure) -> PureStateVector:
     v = rng.standard_normal(s.n) + 1j * rng.standard_normal(s.n)
     return PureStateVector(s, v / np.linalg.norm(v))
-
-
-def test_partial_trace_matches_einsum_reference() -> None:
-    rng = np.random.default_rng(11)
-    for dims in [(2, 3), (2, 2, 2), (3, 4), (2, 2, 3)]:
-        s = ModeStructure(dims)
-        rho = DensityMatrix(s, _random_density(rng, s.n))
-        keeps = [(m,) for m in range(1, s.N + 1)]
-        if s.N >= 3:
-            keeps += [(1, 2), (1, 3), (2, 3)]
-        for keep in keeps:
-            got = partial_trace(rho, keep)
-            want = _einsum_partial_trace(rho.entries, dims, keep)
-            assert got.structure.dims == tuple(dims[m - 1] for m in keep)
-            assert np.allclose(got.entries, want, atol=1e-13, rtol=0.0)
-            assert abs(np.trace(got.entries) - 1.0) < 1e-12
-
-
-def test_partial_trace_keep_all_is_identity() -> None:
-    rng = np.random.default_rng(2)
-    s = ModeStructure((2, 3))
-    rho = DensityMatrix(s, _random_density(rng, 6))
-    kept = partial_trace(rho, (1, 2))
-    assert np.allclose(kept.entries, rho.entries, atol=0.0)
-    with pytest.raises(ValueError):
-        partial_trace(rho, (2, 1))
-    with pytest.raises(ValueError):
-        partial_trace(rho, (3,))
-
-
-def test_partial_trace_matrix_handles_cross_terms() -> None:
-    # tr(|a><b|) = <b|a> = 0, and that must survive any partial trace
-    s = ModeStructure((2, 4))
-    a = basis_state(s, 1)
-    b = basis_state(s, 8)
-    cross = np.outer(a.amplitudes, b.amplitudes.conj())
-    for keep in [(1,), (2,)]:
-        red = partial_trace_matrix(cross, s, keep)
-        want = _einsum_partial_trace(cross, s.dims, keep)
-        assert np.allclose(red, want, atol=1e-14, rtol=0.0)
-        assert abs(np.trace(red)) < 1e-14
 
 
 def test_mode_reduction_of_pure_matches_partial_trace() -> None:
@@ -97,10 +46,10 @@ def test_mode_reduction_of_pure_matches_partial_trace() -> None:
     for dims in [(2, 3), (2, 2, 2), (3, 2, 4)]:
         s = ModeStructure(dims)
         v = _random_pure(rng, s)
-        rho = outer(v)
+        rho = np.outer(v.amplitudes, v.amplitudes.conj())
         for m in range(1, s.N + 1):
             red = mode_reduction_of_pure(v, m)
-            want = partial_trace(rho, (m,)).entries
+            want = _einsum_partial_trace(rho, dims, (m,))
             assert red.shape == (dims[m - 1], dims[m - 1])
             assert np.allclose(red, want, atol=1e-13, rtol=0.0)
     with pytest.raises(ValueError):
@@ -114,7 +63,9 @@ def test_mode_purities_match_partial_trace() -> None:
         got = mode_purities(s, np.array([v.amplitudes for v in states]))
         assert got.shape == (3, s.N)
         for row, v in zip(got, states):
-            want = [purity(partial_trace(outer(v), (m,))) for m in range(1, s.N + 1)]
+            rho = np.outer(v.amplitudes, v.amplitudes.conj())
+            reds = [_einsum_partial_trace(rho, s.dims, (m,)) for m in range(1, s.N + 1)]
+            want = [np.vdot(red, red).real for red in reds]
             assert np.allclose(row, want, atol=1e-13, rtol=0.0), s.dims
 
 
@@ -128,15 +79,15 @@ def test_pure_state_validation() -> None:
         with pytest.raises(ValueError):
             PureStateVector(s, [bad, 0.0, 0.0, 0.0])
     v = PureStateVector(s, [0.0, 1.0, 0.0, 0.0])
-    assert v.amplitude(2) == 1.0 + 0.0j
+    assert v.amplitudes[1] == 1.0 + 0.0j
     w = basis_state(s, 3)
-    assert v.overlap(w) == 0.0 + 0.0j
-    assert w.overlap(w) == pytest.approx(1.0)
+    assert np.vdot(v.amplitudes, w.amplitudes) == 0.0 + 0.0j
+    assert np.vdot(w.amplitudes, w.amplitudes) == pytest.approx(1.0)
 
 
 def test_basis_state_range() -> None:
     s = ModeStructure((2, 3))
-    assert basis_state(s, 6).amplitude(6) == 1.0
+    assert basis_state(s, 6).amplitudes[5] == 1.0
     for bad in (0, 7):
         with pytest.raises(ValueError):
             basis_state(s, bad)
@@ -164,31 +115,14 @@ def test_density_matrix_json_round_trip() -> None:
     assert np.allclose(back, mat, atol=0.0)
 
 
-def test_purity_extremes() -> None:
-    s = ModeStructure((2, 3))
-    maximally_mixed = DensityMatrix(s, np.eye(6) / 6)
-    assert purity(maximally_mixed) == pytest.approx(1 / 6, abs=1e-15)
-    v = basis_state(s, 4)
-    assert purity(outer(v)) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_outer_is_rank_one_projector() -> None:
-    rng = np.random.default_rng(9)
-    v = _random_pure(rng, ModeStructure((2, 2)))
-    rho = outer(v)
-    assert abs(np.trace(rho.entries) - 1.0) < 1e-12
-    evals = np.linalg.eigvalsh(rho.entries)
-    assert evals[-1] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(evals[:-1] < 1e-12)
-
-
 def test_mix_spectrum_of_orthonormal_states() -> None:
     s = ModeStructure((2, 2))
     rho = mix([basis_state(s, 1), basis_state(s, 4)], [0.7, 0.3])
     evals = sorted(np.linalg.eigvalsh(rho.entries), reverse=True)
     assert evals[0] == pytest.approx(0.7, abs=1e-14)
     assert evals[1] == pytest.approx(0.3, abs=1e-14)
-    assert purity(rho) == pytest.approx(0.7**2 + 0.3**2, abs=1e-14)
+    purity = np.vdot(rho.entries, rho.entries).real
+    assert purity == pytest.approx(0.7**2 + 0.3**2, abs=1e-14)
 
 
 @pytest.mark.parametrize("dims,lu_seed", [((4, 4, 4, 4), 7), ((2, 2, 2, 2), None)])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from mmekit.cli import _structures_upto
 from mmekit.entcore import lstar
-from mmekit.linalg import partial_trace_matrix
 from mmekit.mme import (
     GREEDY_RESTARTS,
     _adjacency,
@@ -49,6 +48,7 @@ from reference_values import (
     QUBIT_SETS,
     WITNESS_4X4X4X4,
 )
+from test_linalg import _einsum_partial_trace
 
 
 def _tuples(dims: tuple[int, ...], sets) -> list[MeTgxTuple]:
@@ -464,7 +464,7 @@ def test_compatibility_equals_vanishing_cross_reductions() -> None:
                 cross = np.outer(va, vb.conj())
                 clean = True
                 for m in range(1, s.N + 1):
-                    red = partial_trace_matrix(cross, s, bipartition(s, m).S_modes)
+                    red = _einsum_partial_trace(cross, dims, bipartition(s, m).S_modes)
                     if np.abs(red).max() > 1e-12:
                         clean = False
                         break
@@ -559,7 +559,7 @@ DRESSING_SETS = [
 def test_construct_stacked_dressing_matches_per_state(dims, tuples) -> None:
     s = ModeStructure(dims)
     lu = random_lu_set(s, 29)
-    full = lu.full_matrix(s)
+    full = reduce(np.kron, lu.unitaries)
     state, _ = construct(s, tuples, (1 / len(tuples),) * len(tuples), lu)
     plain, _ = construct(s, tuples, (1 / len(tuples),) * len(tuples))
     for t, v, bare in zip(state.tuples, state.eigenstates, plain.eigenstates):

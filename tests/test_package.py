@@ -4,6 +4,7 @@ import ast
 import contextlib
 import importlib
 import io
+import re
 from pathlib import Path
 
 import mmekit
@@ -67,6 +68,37 @@ def test_benchmark_entry_points_exist() -> None:
         if not callable(getattr(owner, name, None)):
             missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def _readers() -> set[str]:
+    # names read outside the tests: AST names, and attributes of mmekit or
+    # one of its modules, in the package (bar `__init__`), the demos and
+    # the benchmark scripts; the benchmark's traced layers; backticked
+    # README names
+    package = Path(mmekit.__file__).parent
+    owners = {"mk", "mmekit"} | {p.stem for p in package.glob("*.py")}
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths += list((BENCH.parent / "demos").glob("*.py"))
+    paths += [p for p in BENCH.glob("*.py") if not p.name.startswith("test_")]
+    found = {name for _, name in _layer_functions()}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) and (
+                    getattr(node.value, "id", None) in owners
+                    or getattr(node.value, "attr", None) in owners):
+                found.add(node.attr)
+    readme = (BENCH.parent / "README.md").read_text()
+    found |= {name.rsplit(".", 1)[-1]
+              for name in re.findall(r"`([A-Za-z_][\w.]*)`", readme)}
+    return found
+
+
+def test_every_export_has_a_reader_outside_the_tests() -> None:
+    # an exported name that only the tests call is dead weight: delete it
+    # or keep it in the tests as an oracle
+    assert sorted(set(mmekit.__all__) - _readers()) == []
 
 
 def test_cli_handlers_write_json_only_through_one_writer() -> None:

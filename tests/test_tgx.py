@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -10,14 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mmekit.cli import _structures_upto
-from mmekit.entcore import ent_pure, hyperspherical, lstar
+from mmekit.entcore import ent_pure, lstar
 from mmekit.linalg import (
     DensityMatrix,
     PureStateVector,
     basis_state,
     mix,
-    outer,
-    purity,
 )
 from mmekit import tgx
 from mmekit.modes import ModeStructure, _level_table, parse_dims
@@ -30,7 +29,7 @@ from mmekit.tgx import (
     enumerate_me_tuples,
     is_me_tuple,
 )
-from mmekit.verify import haar_unitary, random_lu_set
+from mmekit.verify import random_lu_set
 
 from reference_values import ME_TUPLE_COUNTS
 
@@ -289,9 +288,9 @@ def test_tuple_certification_and_coercion() -> None:
 def test_build_tgx_state_default_equal_superposition() -> None:
     s = ModeStructure((2, 4))
     v = build_tgx_state(MeTgxTuple(s, (1, 8)))
-    assert v.amplitude(1) == pytest.approx(1 / math.sqrt(2))
-    assert v.amplitude(8) == pytest.approx(1 / math.sqrt(2))
-    assert v.amplitude(2) == 0.0
+    assert v.amplitudes[0] == pytest.approx(1 / math.sqrt(2))
+    assert v.amplitudes[7] == pytest.approx(1 / math.sqrt(2))
+    assert v.amplitudes[1] == 0.0
     assert ent_pure(v) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -300,7 +299,7 @@ def test_build_tgx_state_amplitude_sweep_anchor() -> None:
     t = MeTgxTuple(ModeStructure((2, 4)), (1, 8))
     for k in range(11):
         theta = (math.pi / 2) * k / 10
-        v = build_tgx_state(t, amplitudes=hyperspherical([theta]))
+        v = build_tgx_state(t, amplitudes=[math.cos(theta), math.sin(theta)])
         assert ent_pure(v) == pytest.approx(math.sin(2 * theta) ** 2, abs=1e-12)
 
 
@@ -330,17 +329,10 @@ def test_local_unitary_set_validation() -> None:
     with pytest.raises(ValueError):
         LocalUnitarySet([np.ones((2, 3))])
     lus = LocalUnitarySet([np.eye(2), np.eye(3)])
-    with pytest.raises(ValueError):
-        lus.full_matrix(ModeStructure((2, 3, 2)))
-    with pytest.raises(ValueError):
-        lus.full_matrix(ModeStructure((3, 2)))
-
-
-def test_full_matrix_kron_order() -> None:
-    u1 = haar_unitary(2, np.random.default_rng(0))
-    u2 = haar_unitary(3, np.random.default_rng(1))
-    full = LocalUnitarySet([u1, u2]).full_matrix(ModeStructure((2, 3)))
-    assert np.allclose(full, np.kron(u1, u2), atol=1e-14)
+    with pytest.raises(ValueError, match="2 unitaries for 3 modes"):
+        apply_lu(basis_state(ModeStructure((2, 3, 2)), 1), lus)
+    with pytest.raises(ValueError, match="size 2 does not match mode dimension 3"):
+        apply_lu(basis_state(ModeStructure((3, 2)), 1), lus)
 
 
 def test_apply_lu_preserves_ent() -> None:
@@ -361,7 +353,7 @@ def test_apply_lu_matches_full_matrix(dims) -> None:
     s = ModeStructure(dims)
     rng = np.random.default_rng(len(dims))
     lus = random_lu_set(s, 11)
-    full = lus.full_matrix(s)
+    full = functools.reduce(np.kron, lus.unitaries)
     raw = rng.standard_normal(s.n) + 1j * rng.standard_normal(s.n)
     v = PureStateVector(s, raw / np.linalg.norm(raw))
     moved = apply_lu(v, lus)
@@ -378,10 +370,10 @@ def test_apply_lu_matches_full_matrix(dims) -> None:
 def test_apply_lu_density_matrix_and_type_error() -> None:
     s = ModeStructure((2, 2))
     lus = random_lu_set(s, 5)
-    rho = outer(basis_state(s, 1))
+    rho = DensityMatrix(s, np.diag([1.0, 0.0, 0.0, 0.0]))
     moved = apply_lu(rho, lus)
     assert isinstance(moved, DensityMatrix)
     assert abs(np.trace(moved.entries) - 1.0) < 1e-12
-    assert purity(moved) == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(moved.entries, moved.entries).real == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(TypeError):
         apply_lu(np.eye(4), lus)

@@ -19,8 +19,6 @@ from mmekit.linalg import (
     mix,
     mode_purities,
     mode_reduction_of_pure,
-    outer,
-    partial_trace_matrix,
 )
 from mmekit.mme import construct, max_mme_rank
 from mmekit import modes, verify
@@ -85,12 +83,12 @@ def test_spectral_round_trip_descending() -> None:
     assert spec.spectrum == pytest.approx((0.7, 0.3))
     assert spec.rank == 2
     assert np.allclose(spec.matrix().entries, rho.entries, atol=1e-12)
-    assert abs(spec.eigenstates[0].amplitude(3)) == pytest.approx(1.0)
+    assert abs(spec.eigenstates[0].amplitudes[2]) == pytest.approx(1.0)
 
 
 def test_spectral_drops_zero_eigenvalues() -> None:
     s = ModeStructure((2, 2))
-    spec = spectral(outer(basis_state(s, 1)))
+    spec = spectral(DensityMatrix(s, np.diag([1.0, 0.0, 0.0, 0.0])))
     assert spec.rank == 1
     assert spec.spectrum == pytest.approx((1.0,))
 
@@ -525,7 +523,7 @@ def test_stack_splits_change_no_bit(monkeypatch, dims, tuples) -> None:
     lam = np.arange(1.0, R + 1) / (R * (R + 1) / 2)
     mme_state, _ = construct(s, tuples, lam, random_lu_set(s, 3))
     states = [as_spectral(mme_state)[0], _random_spectral(np.random.default_rng(4), s, R)]
-    S = verify._cross_reductions(states[0])[0].shape[1]  # member reduction entries
+    S = verify._cross_reductions(states[0]).shape[1]  # member reduction entries
     sizes = _stack_sizes(monkeypatch)
     # one stack per D (the reference), two of three unitaries, six of one;
     # every row block of coefficient pairs keeps at least two members
@@ -562,7 +560,7 @@ def test_cross_reductions_are_the_pair_partial_traces(dims) -> None:
     s = ModeStructure(dims)
     R = 3
     spec = _random_spectral(np.random.default_rng(s.n), s, R)
-    X, _ = verify._cross_reductions(spec)
+    X = verify._cross_reductions(spec)
     sides = [(m,) if d <= s.n // d else tuple(k for k in range(1, s.N + 1) if k != m)
              for m, d in enumerate(dims, start=1)]
     n_S = [math.prod(dims[k - 1] for k in S) for S in sides]
@@ -573,8 +571,7 @@ def test_cross_reductions_are_the_pair_partial_traces(dims) -> None:
             for l, psi in enumerate(spec.eigenstates):
                 block = X[k * R + l, a:a + d * d].reshape(d, d)
                 cross = np.outer(phi.amplitudes, psi.amplitudes.conj())
-                want = partial_trace_matrix(cross, s, S)
-                assert np.abs(want - _einsum_partial_trace(cross, dims, S)).max() < 1e-14
+                want = _einsum_partial_trace(cross, dims, S)
                 assert np.abs(block - want).max() < 1e-14, (m, k, l)
             # a pure state has one purity on both sides of a bipartition
             rho_S, rho_m = X[k * R + k, a:a + d * d], mode_reduction_of_pure(phi, m)
@@ -584,7 +581,7 @@ def test_cross_reductions_are_the_pair_partial_traces(dims) -> None:
 
 def _cross_max(spec: SpectralState) -> float:
     """Largest entry of any cross block X_m^{kl}, k != l."""
-    X, _ = verify._cross_reductions(spec)
+    X = verify._cross_reductions(spec)
     R = spec.rank
     return float(np.abs(np.delete(X, np.arange(R) * (R + 1), axis=0)).max())
 

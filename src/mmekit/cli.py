@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import operator
 import sys
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from .entcore import lstar
 from .linalg import ATOL
 from .mme import construct, max_mme_rank, validate_example_set
-from .modes import MAX_N, ModeStructure, parse_dims
+from .modes import MAX_N, ModeStructure, _check_int, _check_seed, parse_dims
 from .tgx import enumerate_me_tuples
 from .verify import (
     COMPARISON_KINDS,
@@ -88,9 +87,24 @@ def _flat_encoder(pad: str):
 
 
 def _indented(obj, pad: str) -> str:
-    """`json.dumps(obj, indent=2)` opened at `pad`, byte for byte (string keys).
-    With `indent` the stdlib encodes in pure Python; scalar lists use its C one."""
+    """`json.dumps(obj, indent=2)` opened at `pad`, byte for byte (string keys),
+    with a numpy array standing for its `.tolist()`.  With `indent` the stdlib
+    encodes in pure Python; scalar lists use its C one.  A non-empty 2-D float
+    array encodes each distinct magnitude once: a density matrix is close to
+    Hermitian, so most magnitudes repeat, and `float.__repr__` is the cost."""
     inner = pad + "  "
+    if isinstance(obj, np.ndarray):
+        if obj.ndim != 2 or obj.dtype.kind != "f" or not obj.size:
+            return _indented(obj.tolist(), pad)
+        mags, where = np.unique(np.abs(obj), return_inverse=True)
+        text = _flat_encoder("")(mags.tolist())[1:-1].split(",\n")
+        signed = np.array(text + ["-" + t for t in text], dtype=object)
+        neg = np.signbit(obj) & (obj == obj)  # a NaN prints "NaN" whatever its sign
+        cells = signed[where.reshape(obj.shape) + len(mags) * neg].tolist()
+        row = ",\n" + inner + "  "
+        body = (",\n" + inner).join(
+            "[\n" + inner + "  " + row.join(r) + "\n" + inner + "]" for r in cells)
+        return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(obj, dict) and obj:
         items = [f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in obj.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
@@ -204,17 +218,19 @@ def cmd_verify(args) -> tuple[str, int]:
             saved = json.load(fh)
         try:
             dims, seed = str(saved["dims"]), saved.get("lu_seed")
-            tuples = [[operator.index(x) for x in t] for t in saved["tuples"]]
+            tuples = [[_check_int("tuple level", x) for x in t] for t in saved["tuples"]]
             spectrum = [float(w) for w in saved["spectrum"]]
-            seed = None if seed is None else operator.index(seed)
-            matrix = saved["matrix"]
-            matrix = np.array(matrix["re"], float) + 1j * np.array(matrix["im"], float)
+            seed = None if seed is None else _check_seed(seed, "lu_seed")
+            parts = {k: np.array(saved["matrix"][k], float) for k in ("re", "im")}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad state file {args.state}: {exc!r}") from None
         state, rho = _build_state(parse_dims(dims), tuples, spectrum, seed)
-        if matrix.shape != rho.entries.shape or not np.allclose(
-            matrix, rho.entries, atol=ATOL, rtol=0.0
-        ):
+        n = state.structure.n
+        for k, part in parts.items():
+            if part.shape != (n, n):
+                raise ValueError(f"state file {args.state}: matrix.{k} has shape "
+                                 f"{part.shape}, expected {n}x{n} for {dims}")
+        if not np.allclose(parts["re"] + 1j * parts["im"], rho.entries, atol=ATOL, rtol=0.0):
             raise ValueError(f"state file {args.state}: the saved matrix differs "
                              "from the state its dims, tuples, spectrum and lu_seed build")
     elif args.dims and args.tuples and args.spectrum:

@@ -85,11 +85,13 @@ class DensityMatrix:
         self.entries = mat
 
     def to_json_dict(self) -> dict:
-        """Row-major {dims, re, im} form used by the CLI."""
+        """Row-major {dims, re, im} form used by the CLI; `re` and `im` are
+        the (n, n) float views of `entries`, which the CLI's writer encodes
+        without a `.tolist()`."""
         return {
             "dims": str(self.structure),
-            "re": self.entries.real.tolist(),
-            "im": self.entries.imag.tolist(),
+            "re": self.entries.real,
+            "im": self.entries.imag,
         }
 
 
@@ -134,14 +136,14 @@ def mix(states, weights) -> DensityMatrix:
         if st.structure.dims != structure.dims:
             raise ValueError("all states in a mixture must share one structure")
     B = np.column_stack([st.amplitudes for st in states]) * np.sqrt(weights)
-    # The product must end in a ufunc over its result: on an x86 host with
-    # OpenBLAS 0.3.31, `construct` through `cli.main` (mostly JSON
-    # encoding) took 12.4 ms on 2^6 with a bare `B @ B.conj().T`, 9.5 ms
-    # with the `+ 0.0` below and 9.7 ms with an einsum (interleaved
-    # medians of 160).  Adding 0.0 maps any -0.0 to 0.0, so `construct`
-    # prints what the einsum did; an in-place conjugate of conj(B) B^T
-    # would print -0.0 in the imaginary parts of a real state.  At n = 256,
-    # R = 16 the mix itself takes 0.32 ms against the einsum's 1.68 ms.
+    # Adding 0.0 maps any -0.0 to 0.0, so `construct` prints what the
+    # einsum did; an in-place conjugate of conj(B) B^T would print -0.0 in
+    # the imaginary parts of a real state.  It costs nothing measurable: on
+    # an x86 host with OpenBLAS 0.3.31, `construct` through `cli.main` on
+    # 2^6 took 2.37 ms with a bare `B @ B.conj().T`, 2.36 ms with the
+    # `+ 0.0` below and 2.55 ms with an einsum (7.61, 7.63 and 7.82 ms
+    # LU-dressed; interleaved medians of 160).  At n = 256, R = 16 the mix
+    # itself takes 0.32 ms against the einsum's 1.68 ms.
     rho = B @ B.conj().T
     np.add(rho, 0.0, out=rho)
     np.fill_diagonal(rho.imag, 0.0)

@@ -23,19 +23,22 @@ MAX_N = 256
 
 def _check_int(what: str, value) -> int:
     """`value` as an int, refused unless it is an integer: numpy integers
-    pass, a float (even 6.0) is a ValueError naming it, not truncated."""
+    pass, a float (even 6.0) or a bool is a ValueError naming it, not
+    truncated or read as 0/1."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{what}={value!r} is not an integer") from None
+        pass
+    raise ValueError(f"{what}={value!r} is not an integer")
 
 
-def _check_seed(seed) -> int:
+def _check_seed(seed, what: str = "seed") -> int:
     """`seed` as an int, refused unless it is a non-negative integer, the
-    range numpy's seeding takes."""
-    seed = _check_int("seed", seed)
+    range numpy's seeding takes; refusals name it `what`."""
+    seed = _check_int(what, seed)
     if seed < 0:
-        raise ValueError(f"seed={seed} is negative; seeds must be at least 0")
+        raise ValueError(f"{what}={seed} is negative; seeds must be at least 0")
     return seed
 
 

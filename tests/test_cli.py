@@ -6,6 +6,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 import re
 import shlex
 import shutil
@@ -13,9 +14,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mmekit import cli, verify
 from mmekit.cli import TABLE_HEADER, build_parser, main
@@ -362,10 +365,45 @@ def _tampered_state() -> dict:
 )
 def test_verify_bad_state_file_exit_code(capsys, tmp_path, saved) -> None:
     target = tmp_path / "state.json"
-    target.write_text(json.dumps(saved))
+    target.write_text(json.dumps(saved, default=np.ndarray.tolist))
     code, out, err = _run(capsys, ["verify", "--state", str(target)])
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+def _lu_seed_true(saved) -> None:
+    saved["lu_seed"] = True
+
+
+def _level_true(saved) -> None:
+    saved["tuples"][0][0] = True
+
+
+def _im_three_rows(saved) -> None:
+    saved["matrix"]["im"] = saved["matrix"]["im"][:3]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (None, None),
+    (_lu_seed_true, "lu_seed=True is not an integer"),  # once read as lu_seed 1
+    (_level_true, "tuple level=True is not an integer"),  # once read as level 1
+    (_im_three_rows, "matrix.im has shape (3, 16), expected 16x16 for 2x2x2x2"),
+], ids=["unedited", "lu_seed_true", "level_true", "im_three_rows"])
+def test_verify_state_file_refusals_name_the_field(capsys, tmp_path, edit, message) -> None:
+    target = tmp_path / "state.json"
+    argv = ["construct", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3",
+            "--lu-seed", "1", "--out", str(target)]
+    assert _run(capsys, argv) == (0, "", "")
+    if edit is not None:
+        saved = json.loads(target.read_text())
+        edit(saved)
+        target.write_text(json.dumps(saved))
+    code, out, err = _run(capsys, ["verify", "--state", str(target), "--grid", "3,3"])
+    if edit is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])
@@ -556,7 +594,8 @@ def test_output_is_byte_deterministic(capsys, tmp_path) -> None:
 
 
 def _stdlib_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """The oracle of `cli._json`: the stdlib writer, an array as its `.tolist()`."""
+    return json.dumps(obj, indent=2, default=np.ndarray.tolist) + "\n"
 
 
 _JSON_SCALARS = (
@@ -584,6 +623,28 @@ def test_json_matches_stdlib_indent(obj) -> None:
     assert cli._json(obj) == _stdlib_json(obj)
 
 
+_MATRIX_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+                                math.inf, -math.inf, math.nan, -math.nan])
+
+
+@st.composite
+def _one_magnitude_both_signs(draw) -> np.ndarray:
+    x = abs(draw(st.floats() | _EDGE_FLOATS))
+    return np.where(draw(hnp.arrays(np.bool_, _MATRIX_SHAPES)), -x, x)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(a=hnp.arrays(np.float64, _MATRIX_SHAPES, elements=st.floats() | _EDGE_FLOATS)
+       | _one_magnitude_both_signs())
+@example(a=np.array([[-math.nan, math.nan, -0.0, 0.0], [-math.inf, math.inf, -5e-324, 1e308]]))
+def test_float_matrix_json_matches_stdlib_indent(a) -> None:
+    # the per-magnitude writer against the stdlib on the array's list,
+    # at the top level and opened at an indent inside a payload
+    assert cli._json(a) == json.dumps(a.tolist(), indent=2) + "\n"
+    assert cli._json({"matrix": {"re": a}}) == _stdlib_json({"matrix": {"re": a.tolist()}})
+
+
 PUBLISHED_SETS = {**EXAMPLE_SETS, **{(2,) * N: levels for N, levels in QUBIT_SETS.items()}}
 
 
@@ -601,6 +662,9 @@ def test_construct_payload_matches_stdlib_indent(capsys, monkeypatch, dims, lu_s
     assert _run(capsys, argv)[0] == 0
     (payload,) = payloads
     monkeypatch.undo()
+    # the matrix reaches the writer as arrays: a `.tolist()` would bring
+    # back one `float.__repr__` per entry
+    assert all(type(payload["matrix"][k]) is np.ndarray for k in ("re", "im"))
     assert cli._json(payload) == _stdlib_json(payload)
 
 
@@ -754,7 +818,7 @@ REFUSALS += [list(argv) for argv in PARSE_REFUSALS]
 def test_refusals_exit_2_without_source_paths(child_env, tmp_path, argv) -> None:
     # a child process, so a warning or traceback would reach stderr as a user sees it
     bad_state = tmp_path / "state.json"
-    bad_state.write_text(json.dumps(_saved_state(1.5)))
+    bad_state.write_text(json.dumps(_saved_state(1.5), default=np.ndarray.tolist))
     argv = [a.format(bad_state=bad_state) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "mmekit.cli", *argv],
                           capture_output=True, text=True, env=child_env)

@@ -50,6 +50,10 @@ def test_non_integers_are_refused_not_truncated() -> None:
         vector_to_scalar(s, (1.5, 1))
     with pytest.raises(ValueError, match=r"mode=1\.0 is not an integer"):
         s.substructure((1.0,))
+    with pytest.raises(ValueError, match=r"level=True is not an integer"):
+        scalar_to_vector(s, True)  # a bool is not read as 1
+    with pytest.raises(ValueError, match=r"mode dimension=False is not an integer"):
+        ModeStructure((2, False))
     assert scalar_to_vector(s, np.int64(6)) == (2, 3)
     assert vector_to_scalar(s, (np.int64(2), 3)) == 6
     assert s.substructure((np.int64(2),)).dims == (3,)

@@ -688,10 +688,10 @@ def test_random_strategy_defaults_and_validation() -> None:
     ({"strategy": "random", "Dmin": 2, "Dmax": 3.9}, "Dmax=3.9"),
     ({"strategy": "random", "samples": 2.5}, "samples=2.5"),
     ({"strategy": "random", "samples": 2, "seed": 1.0}, "seed=1.0"),
-    ({"strategy": "random", "samples": True}, "samples=True"),  # not 1 sample per D
-    ({"strategy": "random", "samples": 2, "seed": False}, "seed=False"),  # not seed 0
     ({"strategy": "grid", "grid": (20.5, 20)}, "theta_steps=20.5"),
     ({"strategy": "grid", "grid": (20, 20.0)}, "chi_steps=20.0"),
+    ({"strategy": "random", "samples": True}, "samples=True"),  # not 1 sample per D
+    ({"strategy": "random", "samples": 2, "seed": False}, "seed=False"),  # not seed 0
 ])
 def test_sampler_counts_are_refused_unless_integers(kwargs, name) -> None:
     spec = comparison_family_spectral("mme", (0.7, 0.3))

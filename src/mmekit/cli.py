@@ -32,7 +32,7 @@ import numpy as np
 from .entcore import lstar
 from .linalg import ATOL
 from .mme import construct, max_mme_rank, validate_example_set
-from .modes import MAX_N, ModeStructure, _check_int, _check_seed, parse_dims
+from .modes import MAX_N, ModeStructure, _check_int, _check_real, _check_seed, parse_dims
 from .tgx import enumerate_me_tuples
 from .verify import (
     COMPARISON_KINDS,
@@ -219,7 +219,7 @@ def cmd_verify(args) -> tuple[str, int]:
         try:
             dims, seed = str(saved["dims"]), saved.get("lu_seed")
             tuples = [[_check_int("tuple level", x) for x in t] for t in saved["tuples"]]
-            spectrum = [float(w) for w in saved["spectrum"]]
+            spectrum = [_check_real("spectrum weight", w) for w in saved["spectrum"]]
             seed = None if seed is None else _check_seed(seed, "lu_seed")
             parts = {k: np.array(saved["matrix"][k], float) for k in ("re", "im")}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -59,7 +59,11 @@ class LStarSet:
         }
 
 
+@lru_cache(maxsize=1024)
 def _mpsrp_fraction(n_m: int, L: int) -> Fraction:
+    """P_MP(n_m, L) in exact arithmetic; the certificate's purity report
+    asks for the same few floors on every call.  Bounded, since
+    `mpsrp_purity` takes any ints."""
     q, r = divmod(L, n_m)
     return (r * Fraction(1 + q, L) ** 2) + (n_m - r) * Fraction(q, L) ** 2
 

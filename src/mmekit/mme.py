@@ -23,7 +23,7 @@ its dressed TGX eigenstates, so the certifier reads it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import or_
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .entcore import _check_L, lstar
 from .linalg import PureStateVector
-from .modes import ModeStructure, _check_int, _check_seed, _level_table
+from .modes import ModeStructure, _check_int, _check_real, _check_seed, _level_table
 from .tgx import (
     LocalUnitarySet,
     MeTgxTuple,
@@ -47,6 +47,9 @@ from .verify import SpectralState
 # Seeded random greedy orders tried past n = 64 by `search="auto"`, after
 # the natural and the degree order.
 GREEDY_RESTARTS = 2000
+# Tuple sets whose certification `construct` keeps: a job list that
+# rebuilds a few published sets under many spectra and frames hits it.
+CERTIFIED_SETS = 64
 
 
 def _first_conflict(s: ModeStructure, level_sets):
@@ -79,6 +82,23 @@ def _read_tuple_set(s: ModeStructure, tuples, one_size: bool = True):
                     f"has L={len(first)}; eigen-tuples must share L"
                 )
     return level_sets
+
+
+@lru_cache(maxsize=CERTIFIED_SETS)
+def _certified_set(s: ModeStructure, level_sets: tuple) -> tuple[MeTgxTuple, ...]:
+    """The MeTgxTuples of validated level sets of one size, certified in
+    one `_certify` block, once no projected level repeats.  Kept per
+    (structure, level sets) in a CERTIFIED_SETS-entry LRU cache, so a
+    set built again under another spectrum or frame is not certified
+    again; a refusal is not cached, so it raises on every call."""
+    ts = tuple(_certify(s, level_sets))
+    conflict = _first_conflict(s, level_sets)
+    if conflict is not None:
+        m, p = conflict
+        raise ValueError(
+            f"tuples are not compatible: mode-{m} line repeats projected level {p}"
+        )
+    return ts
 
 
 def compatible(tuples) -> bool:
@@ -403,25 +423,24 @@ def construct(s: ModeStructure, tuples, spectrum, lu: LocalUnitarySet | None = N
     MeTgxTuple, a size other than the first tuple's, then a tuple that
     is not ME (all tuples are certified in one `_certify` block), and
     incompatible tuples, named by the lowest repeated projected level of
-    the lowest failing mode line.  The spectrum must be positive and sum
-    to 1 with one weight per tuple.  The eigenstates are built as one
-    (R, n) stack of equal superpositions and dressed by `lu` with one
-    tensordot per mode over the whole stack.
+    the lowest failing mode line.  The levels are read and checked on
+    every call; the certification of a set that passed is kept per
+    process (`_certified_set`, the last CERTIFIED_SETS sets), while a
+    refused set is tested and refused again on every call.  The
+    spectrum must be positive numbers, not bools or strings, summing to
+    1 with one weight per tuple.  The eigenstates are built on every
+    call as one (R, n) stack of equal superpositions and dressed by `lu`
+    with one product per mode over the whole stack.
     """
-    level_sets = _read_tuple_set(s, tuples)
-    ts = tuple(_certify(s, level_sets))
-    conflict = _first_conflict(s, level_sets)
-    if conflict is not None:
-        m, p = conflict
-        raise ValueError(
-            f"tuples are not compatible: mode-{m} line repeats projected level {p}"
-        )
+    level_sets = tuple(_read_tuple_set(s, tuples))
+    ts = _certified_set(s, level_sets)
     amps = _superpositions(s.n, level_sets)
     if lu is not None:
         lu._check_structure(s)
         amps = _apply_per_axis(lu.unitaries, amps, s.dims)
     states = tuple(PureStateVector(s, row) for row in amps)
-    state = MmeState(s, tuple(float(w) for w in spectrum), states, ts, lu)
+    weights = tuple(_check_real("spectrum weight", w) for w in spectrum)
+    state = MmeState(s, weights, states, ts, lu)
     return state, state.matrix()
 
 

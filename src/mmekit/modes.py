@@ -33,6 +33,18 @@ def _check_int(what: str, value) -> int:
     raise ValueError(f"{what}={value!r} is not an integer")
 
 
+def _check_real(what: str, value) -> float:
+    """`value` as a float, refused unless `float` reads it as a number: a
+    bool or a string is a ValueError naming it, not read as 0/1 or
+    parsed."""
+    if not isinstance(value, (bool, np.bool_, str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{what}={value!r} is not a number")
+
+
 def _check_seed(seed, what: str = "seed") -> int:
     """`seed` as an int, refused unless it is a non-negative integer, the
     range numpy's seeding takes; refusals name it `what`."""

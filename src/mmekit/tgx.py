@@ -6,9 +6,12 @@ Enumeration is a pruned depth-first search over the structure's level
 table: its survivors are exactly the ME tuples.  Each tuple is certified once,
 numerically through the ent itself, in `_me_flags` blocks of equal
 superpositions: `_certify` for enumerate_me_tuples, rank witnesses and
-the eigen-tuples of `mme.construct`; a lone MeTgxTuple built from raw
-levels is the one-row case.  Local unitaries dress stacks of states
-with one tensordot per mode (`_apply_per_axis`).
+the eigen-tuples of `mme.construct`, which keeps each set it certified
+(`mme._certified_set`), so a set rebuilt under other spectra and frames
+is certified once per process; a lone MeTgxTuple built from raw levels
+is the one-row case.  A LocalUnitarySet checks its unitaries for
+unitarity with one stacked check per size, and dresses stacks of
+states with one product per mode (`_apply_per_axis`).
 """
 
 from __future__ import annotations
@@ -260,14 +263,19 @@ def build_tgx_state(t: MeTgxTuple, amplitudes=None, phases=None) -> PureStateVec
 
 
 class LocalUnitarySet:
-    """One unitary per mode, applied as their tensor product."""
+    """One unitary per mode, applied as their tensor product.
+
+    Each matrix must be square; the matrices of one size are then
+    checked for unitarity together, one stacked isometry check per
+    distinct size."""
 
     def __init__(self, unitaries):
         mats = [np.asarray(u, dtype=complex) for u in unitaries]
         for u in mats:
             if u.ndim != 2 or u.shape[0] != u.shape[1]:
                 raise ValueError(f"local unitary must be square, got shape {u.shape}")
-            _check_isometry("local unitary", u)
+        for d in {len(u) for u in mats}:
+            _check_isometry("local unitary", np.stack([u for u in mats if len(u) == d]))
         self.unitaries = tuple(mats)
 
     def _check_structure(self, s: ModeStructure) -> None:
@@ -284,11 +292,13 @@ class LocalUnitarySet:
 
 def _apply_per_axis(mats, rows: np.ndarray, dims) -> np.ndarray:
     """Contract mats[k] into axis k of each row of an (M, prod(dims))
-    stack viewed as (M, *dims): one tensordot per axis for the whole
-    stack.  Returns the (M, prod(dims)) result."""
+    stack viewed as (M, *dims): per axis, one `np.dot` of mats[k] with
+    the whole stack's axis-k lines, the product `np.tensordot` would
+    make without its wrapper.  Returns the (M, prod(dims)) result."""
     t = rows.reshape((len(rows),) + tuple(dims))
     for k, u in enumerate(mats, start=1):
-        t = np.moveaxis(np.tensordot(u, t, axes=(1, k)), 0, k)
+        lines = np.moveaxis(t, k, 0)
+        t = np.moveaxis(np.dot(u, lines.reshape(len(u), -1)).reshape(lines.shape), 0, k)
     return t.reshape(len(rows), -1)
 
 

@@ -32,7 +32,7 @@ reference the sampler is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -63,19 +63,26 @@ class SpectralState:
     The basis matters when eigenvalues repeat: numerical re-
     diagonalization may then rotate within an eigenspace, so states
     built from known eigenstates should pass them in directly.
+
+    `basis` is the eigenstates' amplitudes as one read-only (R, n)
+    array, row k for |Phi_k>, stacked once for the orthonormality
+    check; `decompose` and `_cross_reductions` read it.
     """
 
     structure: ModeStructure
     spectrum: tuple[float, ...]
     eigenstates: tuple[PureStateVector, ...]
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_weights(self.spectrum, len(self.eigenstates))
         for v in self.eigenstates:
             if v.structure.dims != self.structure.dims:
                 raise ValueError("eigenstate structure mismatch")
-        _check_isometry("eigenstates",
-                        np.column_stack([v.amplitudes for v in self.eigenstates]))
+        basis = np.array([v.amplitudes for v in self.eigenstates])
+        _check_isometry("eigenstates", basis.T)
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
 
     @property
     def rank(self) -> int:
@@ -152,7 +159,7 @@ def decompose(state: SpectralState, unitary: np.ndarray) -> DecompositionSample:
     U = np.asarray(unitary, dtype=complex)
     probs, coeffs = _coefficients(state, U[None])
     _check_isometry("unitary", U)
-    raw = coeffs @ np.array([v.amplitudes for v in state.eigenstates])
+    raw = coeffs @ state.basis
     norms = np.where(probs > 0, np.linalg.norm(raw, axis=2), np.inf)
     s = state.structure
     return DecompositionSample(
@@ -170,11 +177,10 @@ def _cross_reductions(state: SpectralState):
     (R n_S, n_B) eigenstate gather by `modes._level_table`, as in
     `mode_purities`, with its adjoint)."""
     s, R = state.structure, state.rank
-    basis = np.array([v.amplitudes for v in state.eigenstates])
     blocks = []
     for pos in _level_table(s)[3]:
         n_S = len(pos)
-        A = basis[:, pos].reshape(R * n_S, -1)
+        A = state.basis[:, pos].reshape(R * n_S, -1)
         X = (A @ A.conj().T).reshape(R, n_S, R, n_S).swapaxes(1, 2)
         blocks.append(X.reshape(R * R, -1))
     return np.concatenate(blocks, axis=1)

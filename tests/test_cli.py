@@ -383,12 +383,23 @@ def _im_three_rows(saved) -> None:
     saved["matrix"]["im"] = saved["matrix"]["im"][:3]
 
 
+def _weight_true(saved) -> None:
+    saved["spectrum"][0] = True
+
+
+def _weights_as_strings(saved) -> None:
+    saved["spectrum"] = [str(w) for w in saved["spectrum"]]
+
+
 @pytest.mark.parametrize("edit,message", [
     (None, None),
     (_lu_seed_true, "lu_seed=True is not an integer"),  # once read as lu_seed 1
     (_level_true, "tuple level=True is not an integer"),  # once read as level 1
     (_im_three_rows, "matrix.im has shape (3, 16), expected 16x16 for 2x2x2x2"),
-], ids=["unedited", "lu_seed_true", "level_true", "im_three_rows"])
+    (_weight_true, "spectrum weight=True is not a number"),  # once read as 1.0
+    (_weights_as_strings, "spectrum weight='0.7' is not a number"),  # once parsed
+], ids=["unedited", "lu_seed_true", "level_true", "im_three_rows", "weight_true",
+        "weights_as_strings"])
 def test_verify_state_file_refusals_name_the_field(capsys, tmp_path, edit, message) -> None:
     target = tmp_path / "state.json"
     argv = ["construct", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3",

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import re
+from fractions import Fraction
 from functools import reduce
 from operator import or_
 
@@ -11,11 +13,14 @@ from hypothesis import strategies as st
 
 from mmekit.cli import _structures_upto
 from mmekit.entcore import lstar
+from mmekit import tgx
 from mmekit.mme import (
+    CERTIFIED_SETS,
     GREEDY_RESTARTS,
     _adjacency,
     _Budget,
     _BudgetExhausted,
+    _certified_set,
     _first_conflict,
     _greedy_clique,
     _greedy_restarts,
@@ -40,7 +45,7 @@ from mmekit.tgx import (
     enumerate_me_tuples,
     is_me_tuple,
 )
-from mmekit.verify import SpectralState, as_spectral, random_lu_set
+from mmekit.verify import SpectralState, as_spectral, min_avg_ent, random_lu_set
 
 from reference_values import (
     EXAMPLE_SETS,
@@ -543,6 +548,68 @@ def test_construct_refuses_tuple_of_another_structure() -> None:
         construct(s, [(1, 16), foreign, (4, 13)], (0.5, 0.25, 0.25))
     with pytest.raises(ValueError, match="belongs to 2x8"):
         validate_example_set(s, [foreign])
+
+
+def test_construct_certifies_a_tuple_set_once(monkeypatch) -> None:
+    s = ModeStructure((2, 2, 2, 2))
+    levels = EXAMPLE_SETS[(2, 2, 2, 2)]
+    given_as_tuples = [MeTgxTuple(s, t) for t in levels]
+    assert _certified_set.cache_info().maxsize == CERTIFIED_SETS
+    _certified_set.cache_clear()
+    certified = []
+    me_flags = tgx._me_flags
+    monkeypatch.setattr(tgx, "_me_flags",
+                        lambda s, sets: certified.append(sets) or me_flags(s, sets))
+    first, _ = construct(s, levels, (0.25,) * 4)
+    assert certified == [tuple(map(tuple, levels))]
+    again = [
+        construct(s, given_as_tuples, (0.4, 0.3, 0.2, 0.1), random_lu_set(s, 3)),
+        construct(s, [t[::-1] for t in levels], (0.1, 0.2, 0.3, 0.4), random_lu_set(s, 4)),
+    ]
+    assert len(certified) == 1
+    for state, rho in again:
+        assert state.tuples == first.tuples
+        assert min_avg_ent(state, strategy="random", samples=4).argmin is None
+    assert _certified_set.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("tuples,match", [
+    ([(1, 16), (1, 2)], r"\(1, 2\) is not an ME TGX tuple of 2x2x2x2"),
+    ([(1, 16), (2, 15)], "tuples are not compatible: mode-4 line repeats projected level 1"),
+    ([(1, 16), (1, 4, 13, 16)], "mixed tuple sizes"),
+])
+def test_construct_refuses_a_set_on_every_call(tuples, match) -> None:
+    s = ModeStructure((2, 2, 2, 2))
+    cached = _certified_set.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match=match):
+            construct(s, tuples, (0.5, 0.5))
+    assert _certified_set.cache_info().currsize == cached
+
+
+def test_construct_shares_no_buffer_between_states() -> None:
+    s = ModeStructure((2, 2, 2, 2))
+    levels = EXAMPLE_SETS[(2, 2, 2, 2)]
+    state, rho = construct(s, levels, (0.25,) * 4)
+    keep = rho.entries.copy()
+    state.eigenstates[0].amplitudes[:] = state.eigenstates[1].amplitudes
+    again, rho_again = construct(s, levels, (0.25,) * 4)
+    assert np.array_equal(rho_again.entries, keep)
+    assert np.array_equal(again.basis, [build_tgx_state(t).amplitudes for t in again.tuples])
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5", b"0.5", None, [0.5]])
+def test_construct_refuses_weights_that_are_not_numbers(bad) -> None:
+    s = ModeStructure((2, 2, 2, 2))
+    with pytest.raises(ValueError, match=rf"spectrum weight={re.escape(repr(bad))} is not a number"):
+        construct(s, [(1, 16), (4, 13)], (bad, 0.5))
+
+
+def test_construct_reads_numeric_weights() -> None:
+    s = ModeStructure((2, 2, 2, 2))
+    state, _ = construct(s, [(1, 16), (4, 13)], (np.float64(0.75), Fraction(1, 4)))
+    assert state.spectrum == (0.75, 0.25)
+    assert all(type(w) is float for w in state.spectrum)
 
 
 DRESSING_SETS = [

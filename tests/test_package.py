@@ -134,3 +134,51 @@ def test_verify_checks_unitaries_where_they_enter() -> None:
     tree = ast.parse((Path(mmekit.__file__).parent / "verify.py").read_text())
     assert sorted(_qualified_uses(tree, "_check_isometry")) == [
         "SpectralState.__post_init__", "_u2_grid", "decompose", "min_avg_ent.haar_stacks"]
+
+
+# Every cache in the package, as "module.function": its maxsize (None for
+# unbounded) and what bounds its entries.  An unbounded cache grows for
+# the life of the process, so a new one must say why it cannot.
+CACHES = {
+    "cli._flat_encoder": (None, "one encoder per pad, i.e. per JSON nesting depth"),
+    "cli.build_parser": (None, "takes no arguments: one parser"),
+    "entcore._mpsrp_fraction": (1024, "`mpsrp_purity` takes any ints"),
+    "entcore.lstar": (None, "one report per structure used"),
+    "mme._certified_set": (64, "tuple sets are unbounded: mme.CERTIFIED_SETS"),
+    "modes._level_table": (None, "one layout per structure used"),
+    "modes._trace_groups": (None, "one gather per (dims, kept modes) used"),
+    "verify._summing_matrices": (None, "two matrices per structure used"),
+    "verify._u2_grid": (8, "grid sizes come from the caller"),
+}
+
+
+def _cache_uses() -> tuple[set[str], list[str]]:
+    # the functions decorated by functools' lru_cache or cache, and any
+    # other use of those two, which the table could not name
+    decorated, loose = set(), []
+    for path in sorted(Path(mmekit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        uses = [node for node in ast.walk(tree)
+                if getattr(node, "id", None) in ("lru_cache", "cache")
+                or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+                and getattr(node.value, "id", None) == "functools"]
+        at = set()
+        for fn in ast.walk(tree):
+            for dec in getattr(fn, "decorator_list", []):
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if target in uses:
+                    decorated.add(f"{path.stem}.{fn.name}")
+                    at.add(target)
+        loose += [f"{path.name}:{use.lineno}" for use in uses if use not in at]
+    return decorated, loose
+
+
+def test_every_cache_is_declared() -> None:
+    decorated, loose = _cache_uses()
+    assert loose == []
+    assert sorted(decorated) == sorted(CACHES)
+    for name, (maxsize, bound) in CACHES.items():
+        module, fn = name.split(".")
+        cached = getattr(importlib.import_module(f"mmekit.{module}"), fn)
+        assert (name, cached.cache_info().maxsize) == (name, maxsize)
+        assert bound

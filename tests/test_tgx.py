@@ -335,6 +335,18 @@ def test_local_unitary_set_validation() -> None:
         apply_lu(basis_state(ModeStructure((3, 2)), 1), lus)
 
 
+@pytest.mark.parametrize("dims", [(2,) * 6, (2, 2, 3, 3)])
+def test_local_unitary_set_checks_every_matrix(dims) -> None:
+    # one stacked check per size still sees each matrix of that size
+    unitaries = random_lu_set(ModeStructure(dims), 5).unitaries
+    LocalUnitarySet(unitaries)
+    for m, u in enumerate(unitaries):
+        bad = list(unitaries)
+        bad[m] = u * (1 + 4e-6)
+        with pytest.raises(ValueError, match="local unitary: columns not orthonormal"):
+            LocalUnitarySet(bad)
+
+
 def test_apply_lu_preserves_ent() -> None:
     rng = np.random.default_rng(17)
     for seed, dims in enumerate([(2, 2), (2, 3), (2, 2, 2)]):

@@ -76,6 +76,18 @@ def test_spectral_state_validation() -> None:
         SpectralState(s, (0.7, 0.3), (e1, other))
 
 
+def test_spectral_state_keeps_one_read_only_basis() -> None:
+    s = ModeStructure((2, 2, 2, 2))
+    state, _ = construct(s, [(1, 16), (4, 13)], (0.7, 0.3), random_lu_set(s, 2))
+    stacked = np.array([v.amplitudes for v in state.eigenstates])
+    assert state.basis.shape == (2, 16) and not state.basis.flags.writeable
+    assert np.array_equal(state.basis, stacked)
+    plain = SpectralState(s, state.spectrum, state.eigenstates)
+    assert plain == SpectralState(s, state.spectrum, state.eigenstates)
+    with pytest.raises(ValueError, match="read-only"):
+        state.basis[0, 0] = 0.0
+
+
 def test_spectral_round_trip_descending() -> None:
     s = ModeStructure((2, 2))
     rho = mix([basis_state(s, 2), basis_state(s, 3)], (0.3, 0.7))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .modes import ModeStructure, _check_level, _check_modes, _level_table, _trace_groups
+from .modes import (ModeStructure, _check_level, _check_modes, _check_real, _level_table,
+                    _trace_groups)
 
 # 1e-12 for algebraic identities on exactly representable inputs,
 # 1e-10 of slack for eigenvalues of constructed density matrices and for
@@ -106,9 +107,11 @@ def _check_isometry(what: str, A) -> None:
                          f"|A^dagger A - I| reaches {dev:.1e}")
 
 
-def _check_weights(weights, count: int) -> None:
-    """Raise unless there are count >= 1 weights, all finite and positive
-    (NaN passes every `<=` test) and summing to 1 within ATOL."""
+def _check_weights(weights, count: int) -> tuple[float, ...]:
+    """The weights as floats, each read by `modes._check_real`; raise unless
+    there are count >= 1, all finite and positive (NaN passes every `<=`
+    test) and summing to 1 within ATOL."""
+    weights = tuple(_check_real("weight", w) for w in weights)
     if count < 1 or len(weights) != count:
         raise ValueError(f"{len(weights)} weights for {count} states; need one each")
     if not all(np.isfinite(w) and w > 0 for w in weights):
@@ -116,6 +119,7 @@ def _check_weights(weights, count: int) -> None:
     total = sum(weights)
     if abs(total - 1.0) > ATOL:
         raise ValueError(f"weights sum to {total!r}, expected 1")
+    return weights
 
 
 def mix(states, weights) -> DensityMatrix:
@@ -129,8 +133,7 @@ def mix(states, weights) -> DensityMatrix:
     in the last bit.
     """
     states = list(states)
-    weights = [float(w) for w in weights]
-    _check_weights(weights, len(states))
+    weights = _check_weights(weights, len(states))
     structure = states[0].structure
     for st in states[1:]:
         if st.structure.dims != structure.dims:

@@ -9,9 +9,11 @@ eigenstates is the maximum clique of the pairwise-compatibility graph
 over the ME tuples, found by one branch and bound that also returns the
 lex-least maximum clique (past n = 64, `search="auto"` runs seeded
 greedy orders instead and reports a lower bound with status "greedy").
-The maximal rank over all MME states is a separate, open quantity that
-this rank only bounds from below: 2x2x3x3 holds certified MME states of
-rank 4 against a TGX rank of 2.
+A pruned pass over the enumeration first takes the lex-greedy clique,
+which ends the search when it fills the per-L cap.  The maximal rank
+over all MME states is a separate, open quantity that this rank only
+bounds from below: 2x2x3x3 holds certified MME states of rank 4 against
+a TGX rank of 2.
 Compatibility has one test: `modes._level_table`, the layout that the
 rank cap and every purity read too, gives each level one int bitmask
 with a bit per (mode, B_m projection), and a projected level repeats iff
@@ -133,7 +135,9 @@ class MmeRankReport:
 
     `status` is "complete" for a proven maximum, "greedy" for the
     lower bound that `search="auto"` reports past n = 64, and
-    "inconclusive" when a node budget ran out first.
+    "inconclusive" when a node budget ran out first.  `tuple_count`
+    counts the tuples read at `L_used`, and `nodes` the budget spent over
+    all L: tuples read plus clique-search nodes, each tuple once.
     """
 
     structure: ModeStructure
@@ -179,8 +183,8 @@ class _Budget:
 
 
 class _BudgetExhausted(Exception):
-    """Raised by `_Budget.spend`; `_max_clique` sets `incumbent` to its
-    best clique before it re-raises."""
+    """Raised by `_Budget.spend`; `_lex_clique` and `_max_clique` set
+    `incumbent` to their best clique before they re-raise."""
 
 
 def _greedy_clique(adj, order) -> list[int]:
@@ -197,7 +201,7 @@ def _greedy_clique(adj, order) -> list[int]:
 
 
 def _greedy_restarts(adj, start, rng, cap) -> list[int]:
-    """First longest clique of `start` (the lex stream's clique), the
+    """First longest clique of `start` (the lex-greedy clique of the pass), the
     degree order and GREEDY_RESTARTS random orders; stops at the first
     of `cap` vertices, which no clique can beat."""
     K = len(adj)
@@ -289,22 +293,21 @@ def max_mme_rank(
     This is a lower bound on the maximal rank over all MME states, a
     separate, open quantity (see the module docstring).
 
-    Enumerates ME TGX tuples at L = min L* (or the given L in L*; with
+    Searches the ME TGX tuples at L = min L* (or the given L in L*; with
     `all_lstar`, not with L, the search repeats per L* value and the
-    best report wins) and finds the largest compatible set, exiting
-    early when the per-L cap is attained.  One clique search (`_max_clique`) proves the
-    maximum and returns the lex-least witness: it tries vertices in
-    ascending order, colours each node's candidates greedily and cuts
-    once the clique so far plus the colours left cannot beat the best
-    clique; this proves R_MME(2^7) = 22 in a few thousand nodes.  An L
-    without ME tuples has R_MME 0, a complete report with no witness.
+    best report wins) for the largest compatible set.  A pass that reads
+    only the lex-greedy set ends the search at the per-L cap (see
+    `_search_single_L`); below it one branch and bound (`_max_clique`)
+    proves the maximum and returns the lex-least witness, R_MME(2^7) = 22
+    in a few thousand nodes.  An L without ME tuples has R_MME 0, a
+    complete report with no witness.
 
     `search` is "exhaustive" or "auto".  "auto" runs the clique search
     up to n = 64 and greedy orders beyond: GREEDY_RESTARTS seeded orders
     (`seed` acts only there), reported as a lower bound with status
     "greedy".  `budget_nodes`, at least 1, caps the search nodes over
-    all L; once it runs out the L loop stops and the best set found so
-    far is reported with status "inconclusive".
+    all L (`MmeRankReport.nodes`); once it runs out the L loop stops and
+    the best set found so far is reported with status "inconclusive".
     """
     seed = _check_seed(seed)
     if search not in ("auto", "exhaustive"):
@@ -346,58 +349,76 @@ def _set_bits(mask: int):
         mask &= mask - 1
 
 
+def _lex_clique(s: ModeStructure, L: int, cap: int, budget) -> list[tuple[int, ...]]:
+    """The enumeration's lex-greedy clique, up to `cap` tuples: each yield
+    is taken, and the levels on its mode lines (masks sharing a bit with
+    it) are sent back to `tgx._me_level_sets` to drop.  One budget unit
+    per tuple; an exhausted budget re-raises with `incumbent` set."""
+    masks = _level_table(s)[1]
+    clique, search = [], _me_level_sets(s, L)
+    try:
+        levels = next(search)
+        while True:
+            budget.spend()
+            clique.append(levels)
+            if len(clique) >= cap:
+                return clique
+            mask = reduce(or_, (masks[lvl] for lvl in levels))
+            levels = search.send(sum(1 << x for x in range(1, s.n + 1) if masks[x] & mask))
+    except StopIteration:
+        return clique
+    except _BudgetExhausted as exc:
+        exc.incumbent = clique
+        raise
+
+
 def _search_single_L(s, L, greedy, budget, seed) -> MmeRankReport:
     """One rank search at a fixed tuple size.
 
-    Streams the enumeration through a lexicographic greedy clique and
-    stops as soon as the per-L cap min_m(n_B_m) // L is filled: a
-    cap-sized clique is maximum, and the lex-greedy one is then also
-    the lex-least.  A stream without tuples proves R_MME = 0 at this L.
-    Only when the stream ends below the cap is the full adjacency built,
-    for seeded greedy orders when `greedy`, else for the one clique
-    search, which returns the lex-least maximum clique.  Both start
-    from the lex-stream clique: the natural-order greedy clique, as the
-    stream takes each tuple whose mask misses all masks taken.  A
-    budget that runs out reports the clique so far as "inconclusive",
-    R_MME 0 if it ran out before the first tuple.
+    The pruned pass `_lex_clique` takes the lex-greedy clique and stops
+    once it fills the per-L cap min_m(n_B_m) // L: a cap-sized clique is
+    maximum, and the lex-greedy one is then also the lex-least.  A pass
+    without tuples proves R_MME = 0 at this L.  Only below the cap is the
+    full enumeration read, with the budget reset to its value before the
+    pass, and its adjacency built for seeded greedy orders when `greedy`,
+    else for the one clique search, which returns the lex-least maximum
+    clique; both start from the pass's clique.  A budget that runs out
+    reports the best clique found so far as "inconclusive", so a larger
+    budget never reports a smaller one.
     """
     cap, r_tilde = _min_nB(s) // L, loose_bound(s)
+    start = budget.used
+
+    def report(level_sets, status, tuple_count):
+        return MmeRankReport(s, L, r_tilde, len(level_sets), tuple(_certify(s, level_sets)),
+                             status, budget.used, tuple_count)
+
+    try:
+        clique = _lex_clique(s, L, cap, budget)
+    except _BudgetExhausted as exc:
+        return report(exc.incumbent, "inconclusive", len(exc.incumbent))
+    if len(clique) >= cap or not clique:
+        return report(clique, "complete", len(clique))
+
+    budget.used = start
     level_masks = _level_table(s)[1]
-    level_sets = []
-    masks = []
-    lex_clique: list[int] = []
-    lex_mask = 0
-
-    def report(indices, status):
-        witness = tuple(_certify(s, [level_sets[i] for i in indices]))
-        return MmeRankReport(s, L, r_tilde, len(indices), witness, status,
-                             budget.used, len(level_sets))
-
+    level_sets, masks = [], []
     try:
         for levels in _me_level_sets(s, L):
             budget.spend()
-            mask = reduce(or_, (level_masks[lvl] for lvl in levels))
             level_sets.append(levels)
-            masks.append(mask)
-            if not mask & lex_mask:
-                lex_clique.append(len(level_sets) - 1)
-                lex_mask |= mask
-                if len(lex_clique) >= cap:
-                    break
+            masks.append(reduce(or_, (level_masks[lvl] for lvl in levels)))
     except _BudgetExhausted:
-        return report(lex_clique, "inconclusive")
-    if len(lex_clique) >= cap or not level_sets:
-        return report(lex_clique, "complete")
-
+        return report(clique, "inconclusive", len(level_sets))
     adj = _adjacency(masks)
-    if greedy:
-        best = _greedy_restarts(adj, lex_clique, np.random.default_rng(seed), cap)
-        return report(best, "greedy")
-
+    lex_clique = [level_sets.index(levels) for levels in clique]
+    status = "greedy" if greedy else "complete"
     try:
-        return report(_max_clique(adj, len(adj), lex_clique, cap, budget), "complete")
+        best = (_greedy_restarts(adj, lex_clique, np.random.default_rng(seed), cap) if greedy
+                else _max_clique(adj, len(adj), lex_clique, cap, budget))
     except _BudgetExhausted as exc:
-        return report(exc.incumbent, "inconclusive")
+        best, status = exc.incumbent, "inconclusive"
+    return report([level_sets[i] for i in best], status, len(level_sets))
 
 
 @dataclass(frozen=True)

@@ -111,8 +111,7 @@ def _me_level_sets(s: ModeStructure, L: int):
     count at most lo+1, at most mod(L, n_m) of them at lo+1, and L in
     all, so every label holds at least lo levels.  Both prunes cut only
     subtrees that yield nothing, so the yield order is that of the
-    unpruned search; the rank search's streamed lex-greedy cap relies
-    on it.
+    unpruned search; the rank search's lex-greedy pass relies on it.
 
     No per-mode room counter is kept: each admissible placement lowers
     a mode's remaining room by exactly one, so it always equals the
@@ -120,6 +119,11 @@ def _me_level_sets(s: ModeStructure, L: int):
     over labels of min(quota, candidates) at least the levels still
     needed): it cut no frame beyond the floor bound on 4x4x4x4,
     2x2x2x2x3, 2x3x3x3 or 2x2x3x3.
+
+    `send(drop)`, a bitset of levels, drops them from the rest of the
+    search: every open frame ANDs its candidates with the levels left,
+    and a frame below a dropped chosen level returns.  Plain iteration
+    sends nothing; `mme._lex_clique` sends the mode lines of its tuples.
     """
     dims = s.dims
     N, n = s.N, s.n
@@ -149,8 +153,10 @@ def _me_level_sets(s: ModeStructure, L: int):
                             for m, a in enumerate(vecs[lvl]))
                       for lvl in range(1, n + 1)]
     chosen: list[int] = []
+    alive, stale = -1, L + 1  # undropped levels; frames with need >= stale must re-read them
 
     def dfs(cand: int, need: int):
+        nonlocal alive, stale
         if need > 1:
             for cm, a, floor, bits in floors:
                 if cm[a] + (cand & bits).bit_count() < floor:
@@ -162,28 +168,37 @@ def _me_level_sets(s: ModeStructure, L: int):
             left -= 1
             lvl = bit.bit_length() - 1
             if need == 1:
-                yield (*chosen, lvl)
-                continue
-            sub = cand & ~flips[lvl]
-            place = placing[lvl]
-            for m, a, cm, bits in place:
-                cm[a] += 1
-                if cm[a] > lo[m]:
-                    at_hi[m] += 1
-                    sub &= ~bits
-                    if at_hi[m] == extra[m]:
-                        for b in range(1, len(cm)):
-                            if cm[b] == lo[m]:
-                                sub &= ~label_bits[m][b]
-                elif cm[a] == lo[m] and at_hi[m] == extra[m]:
-                    sub &= ~bits
-            chosen.append(lvl)
-            yield from dfs(sub, need - 1)
-            chosen.pop()
-            for m, a, cm, _ in place:
-                if cm[a] > lo[m]:
-                    at_hi[m] -= 1
-                cm[a] -= 1
+                drop = yield (*chosen, lvl)
+                if drop:
+                    alive &= ~drop
+                    stale = 1
+            else:
+                sub = cand & ~flips[lvl]
+                place = placing[lvl]
+                for m, a, cm, bits in place:
+                    cm[a] += 1
+                    if cm[a] > lo[m]:
+                        at_hi[m] += 1
+                        sub &= ~bits
+                        if at_hi[m] == extra[m]:
+                            for b in range(1, len(cm)):
+                                if cm[b] == lo[m]:
+                                    sub &= ~label_bits[m][b]
+                    elif cm[a] == lo[m] and at_hi[m] == extra[m]:
+                        sub &= ~bits
+                chosen.append(lvl)
+                yield from dfs(sub, need - 1)
+                chosen.pop()
+                for m, a, cm, _ in place:
+                    if cm[a] > lo[m]:
+                        at_hi[m] -= 1
+                    cm[a] -= 1
+            if need >= stale:
+                stale = need + 1
+                if any(not alive >> c & 1 for c in chosen):
+                    return
+                cand &= alive
+                left = cand.bit_count()
 
     yield from dfs((1 << (n + 1)) - 2, L)
 

@@ -66,7 +66,8 @@ class SpectralState:
 
     `basis` is the eigenstates' amplitudes as one read-only (R, n)
     array, row k for |Phi_k>, stacked once for the orthonormality
-    check; `decompose` and `_cross_reductions` read it.
+    check; `decompose` and `_cross_reductions` read it.  `spectrum` is
+    kept as the floats `linalg._check_weights` reads.
     """
 
     structure: ModeStructure
@@ -75,7 +76,7 @@ class SpectralState:
     basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_weights(self.spectrum, len(self.eigenstates))
+        object.__setattr__(self, "spectrum", _check_weights(self.spectrum, len(self.eigenstates)))
         for v in self.eigenstates:
             if v.structure.dims != self.structure.dims:
                 raise ValueError("eigenstate structure mismatch")
@@ -474,7 +475,7 @@ def comparison_family_spectral(kind: str, spectrum) -> SpectralState:
     kind "separable": the classical mixture of |1><1| and |16><16|.
     """
     s = COMPARISON_STRUCTURE
-    spectrum = tuple(float(w) for w in spectrum)
+    spectrum = tuple(spectrum)  # SpectralState reads each weight as a number
     if len(spectrum) != 2:
         raise ValueError("families are rank 2: give two weights")
     pairs = {

@@ -110,12 +110,22 @@ def test_rank_budget_below_one_exit_code(capsys, budget) -> None:
 
 def test_rank_all_lstar_budget_exhaustion_exit_code(capsys) -> None:
     # L* = (6, 12): the budget runs out at L = 6, so L = 12 is never searched
+    # (the pruned pass proves L = 6 in 2 nodes, so one node runs it out)
     code, out, err = _run(
-        capsys, ["rank", "2x2x3x3", "--all-lstar", "--budget-nodes", "5"]
+        capsys, ["rank", "2x2x3x3", "--all-lstar", "--budget-nodes", "1"]
     )
     assert (code, err) == (3, "")
     d = json.loads(out)
     assert (d["status"], d["exhaustive"], d["L_used"]) == ("inconclusive", False, 6)
+
+
+def test_rank_cap_filled_within_a_small_budget(capsys) -> None:
+    # the pruned pass reads one tuple per witness member, so 100 nodes
+    # prove the cap of 16
+    code, out, err = _run(capsys, ["rank", "4x4x4x4", "--budget-nodes", "100"])
+    assert (code, err) == (0, "")
+    d = json.loads(out)
+    assert (d["status"], d["R_MME"], d["nodes"], d["tuple_count"]) == ("complete", 16, 16, 16)
 
 
 @pytest.mark.parametrize("argv,L_used,rank", [(["--L", "14"], 14, 0), (["--all-lstar"], 2, 5)])

@@ -24,7 +24,9 @@ from mmekit.mme import (
     _first_conflict,
     _greedy_clique,
     _greedy_restarts,
+    _lex_clique,
     _max_clique,
+    _min_nB,
     compatible,
     construct,
     loose_bound,
@@ -40,6 +42,7 @@ from mmekit.modes import (
 )
 from mmekit.tgx import (
     MeTgxTuple,
+    _me_level_sets,
     apply_lu,
     build_tgx_state,
     enumerate_me_tuples,
@@ -122,6 +125,59 @@ def test_lex_stream_clique_is_the_natural_order_greedy_clique(dims, L) -> None:
     report = max_mme_rank(s, search="exhaustive", L=L, budget_nodes=len(ts))
     assert (report.status, report.tuple_count) == ("inconclusive", len(ts))
     assert [t.levels for t in report.witness] == natural
+
+
+def _fold_clique(s: ModeStructure, L: int, cap: int) -> list[tuple[int, ...]]:
+    # the natural-order greedy clique of the full enumeration, up to
+    # `cap` tuples: a tuple is taken when its mask misses every mask taken
+    masks = _level_table(s)[1]
+    taken, seen = [], 0
+    for levels in _me_level_sets(s, L):
+        if len(taken) >= cap:
+            break
+        mask = reduce(or_, (masks[lvl] for lvl in levels))
+        if not mask & seen:
+            taken.append(levels)
+            seen |= mask
+    return taken
+
+
+@pytest.mark.parametrize("dims", [str(s) for s in _structures_upto(64)] + ["4x4x4x4"])
+def test_pruned_pass_takes_the_natural_order_greedy_clique(dims) -> None:
+    # capped as the rank search runs it: the pass sends each taken
+    # tuple's mode lines back to the enumeration instead of reading on
+    s = parse_dims(dims)
+    L = lstar(s).min
+    cap = _min_nB(s) // L
+    assert _lex_clique(s, L, cap, _Budget(None)) == _fold_clique(s, L, cap)
+
+
+@pytest.mark.parametrize("dims", ["4x4x4x4", "2x2x2x2x3", "2x3x3x3", "2x2x3x3", "2^7"])
+def test_uncapped_pass_is_the_greedy_clique_of_the_whole_graph(dims) -> None:
+    s = parse_dims(dims)
+    L = lstar(s).min
+    sets = list(_me_level_sets(s, L))
+    masks = _level_table(s)[1]
+    adj = _adjacency([reduce(or_, (masks[lvl] for lvl in t)) for t in sets])
+    natural = [sets[i] for i in _greedy_clique(adj, range(len(sets)))]
+    assert _lex_clique(s, L, len(sets) + 1, _Budget(None)) == natural
+
+
+@pytest.mark.parametrize("dims,rank", [("4x4x4x4", 16), ("2x2x2x2x3", 2), ("2x3x3x3", 3),
+                                       ("2x2x3x3", 2), ("2^6", 16)])
+def test_cap_filled_search_reads_only_its_witness(dims, rank) -> None:
+    # the pass reads one tuple per clique member and stops at the cap
+    report = max_mme_rank(parse_dims(dims))
+    assert report.status == "complete"
+    assert report.nodes == report.tuple_count == report.R_MME == rank
+
+
+def test_budget_spent_in_the_pruned_pass_reports_its_clique() -> None:
+    s = parse_dims("4x4x4x4")
+    full = max_mme_rank(s)
+    report = max_mme_rank(s, budget_nodes=5)
+    assert (report.status, report.nodes, report.tuple_count) == ("inconclusive", 6, 5)
+    assert report.witness == full.witness[:5]
 
 
 def _scan_conflict(s: ModeStructure, level_sets):
@@ -298,6 +354,17 @@ def test_budget_spent_in_clique_search_reports_its_incumbent() -> None:
     assert compatible(report.witness)
     stream = max_mme_rank(ModeStructure((2,) * 7), search="exhaustive", budget_nodes=64)
     assert (stream.R_MME, stream.nodes) == (16, 65)
+
+
+@pytest.mark.parametrize("dims,search", [("2^5", "exhaustive"), ("2^7", "exhaustive"),
+                                         ("3x3x3x3", "auto")])
+def test_a_larger_budget_never_reports_a_smaller_rank(dims, search) -> None:
+    # below the cap the pass's clique is kept while the full stream and
+    # the clique search spend the budget again from the pass's start
+    s = parse_dims(dims)
+    budgets = [*range(1, 41), 64, 65, 100, 150, 216, 217]
+    ranks = [max_mme_rank(s, search=search, budget_nodes=b).R_MME for b in budgets]
+    assert ranks == sorted(ranks)
 
 
 def test_budget_spent_before_a_later_L_reports_inconclusive() -> None:

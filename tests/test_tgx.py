@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -186,6 +187,78 @@ def test_level_sets_pinned_past_the_oracle(dims, L, count, digest) -> None:
     sets = list(_me_level_sets(parse_dims(dims), L))
     assert len(sets) == count
     assert hashlib.sha256(repr(sets).encode()).hexdigest() == digest
+
+
+def _check_sends(s: ModeStructure, L: int, pick) -> int:
+    """Drive `_me_level_sets`, sending pick(levels) after each yield
+    (0 sends nothing): each yield must be the first tuple of the full
+    enumeration after the one before that avoids every level dropped so
+    far.  Returns the number of yields."""
+    full = list(_me_level_sets(s, L))
+    search = _me_level_sets(s, L)
+    got, i, dropped, yields = next(search, None), -1, 0, 0
+    while True:
+        i = next((j for j in range(i + 1, len(full))
+                  if not any(dropped >> x & 1 for x in full[j])), len(full))
+        assert got == (full[i] if i < len(full) else None)
+        if got is None:
+            return yields
+        yields += 1
+        drop = pick(got)
+        dropped |= drop
+        try:
+            got = search.send(drop)
+        except StopIteration:
+            got = None
+
+
+SEND_CASES = [("2x2x3x3", 6), ("2^5", 2), ("2^5", 6), ("3x3x3", 3)]
+
+
+@pytest.mark.parametrize("dims,L", SEND_CASES)
+def test_sends_of_mode_lines_filter_the_rest_of_the_search(dims, L) -> None:
+    # the rank search's use: each yield sends its own mode lines
+    s = parse_dims(dims)
+    _, masks, _, _ = _level_table(s)
+
+    def lines(levels):
+        mask = functools.reduce(operator.or_, (masks[x] for x in levels))
+        return sum(1 << x for x in range(1, s.n + 1) if masks[x] & mask)
+
+    assert _check_sends(s, L, lines) >= 1
+
+
+@pytest.mark.parametrize("dims,L", SEND_CASES)
+def test_sends_of_random_levels_filter_the_rest_of_the_search(dims, L) -> None:
+    # drops that keep, hit or mix the current tuple's levels, or none
+    s = parse_dims(dims)
+    rng = np.random.default_rng(len(dims) + L)
+
+    def pick(levels):
+        if rng.random() < 0.5:
+            return 0
+        pool = list(levels) + rng.integers(1, s.n + 1, size=3).tolist()
+        return sum(1 << int(x) for x in rng.choice(pool, size=rng.integers(1, 4)))
+
+    assert _check_sends(s, L, pick) >= 1
+
+
+SEND_STRUCTURES = list(_structures_upto(36))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(s=st.sampled_from(SEND_STRUCTURES), seed=st.integers(0, 2**32 - 1),
+       rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+def test_sends_match_the_filtered_enumeration(s, seed, rate) -> None:
+    L = lstar(s).min
+    rng = np.random.default_rng(seed)
+
+    def pick(levels):
+        if rng.random() >= rate:
+            return 0
+        return sum(1 << int(x) for x in rng.integers(0, s.n + 2, size=rng.integers(1, 5)))
+
+    _check_sends(s, L, pick)
 
 
 def test_first_level_set_found_without_stalling(deadline) -> None:

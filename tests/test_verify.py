@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +75,27 @@ def test_spectral_state_validation() -> None:
     other = basis_state(ModeStructure((4,)), 2)
     with pytest.raises(ValueError):
         SpectralState(s, (0.7, 0.3), (e1, other))
+
+
+_S22 = ModeStructure((2, 2))
+
+
+@pytest.mark.parametrize("build,bad", [
+    (lambda: SpectralState(_S22, (True,), (basis_state(_S22, 1),)), "True"),
+    (lambda: mix([basis_state(_S22, 1)], [True]), "True"),
+    (lambda: comparison_family_spectral("mme", ("0.5", "0.5")), "'0.5'"),
+])
+def test_weights_that_are_not_numbers_are_refused(build, bad) -> None:
+    # a bool was read as 1.0 and a string parsed
+    with pytest.raises(ValueError, match=f"weight={bad} is not a number"):
+        build()
+
+
+def test_spectral_state_keeps_its_weights_as_floats() -> None:
+    e1, e4 = basis_state(_S22, 1), basis_state(_S22, 4)
+    state = SpectralState(_S22, [np.float64(0.75), Fraction(1, 4)], (e1, e4))
+    assert state.spectrum == (0.75, 0.25)
+    assert all(type(w) is float for w in state.spectrum)
 
 
 def test_spectral_state_keeps_one_read_only_basis() -> None:

@@ -16,7 +16,6 @@ from .entcore import (
 from .linalg import (
     DensityMatrix,
     PureStateVector,
-    basis_state,
     mix,
 )
 from .mme import (
@@ -80,7 +79,6 @@ __all__ = [
     "UnsupportedSystemError",
     "apply_lu",
     "as_spectral",
-    "basis_state",
     "bipartition",
     "build_tgx_state",
     "comparison_family_spectral",

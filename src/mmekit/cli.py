@@ -213,6 +213,10 @@ def cmd_construct(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
+    inline = (args.dims, args.tuples, args.spectrum, args.lu_seed)
+    if args.state and any(x is not None for x in inline):
+        raise ValueError("give --state FILE or an inline spec (dims, --tuples, --spectrum, "
+                         "--lu-seed), not both")
     if args.state:
         with open(args.state) as fh:
             saved = json.load(fh)
@@ -263,6 +267,8 @@ def cmd_tables(args) -> tuple[str, int]:
         if args.max_n is not None:
             raise ValueError("table 5 takes --max-N, not --max-n")
         max_N = args.max_N if args.max_N is not None else 6
+        if max_N < 2:
+            raise ValueError(f"--max-N {max_N}: table 5 starts at 2 qubits")
         if max_N >= MAX_N.bit_length():  # 2^max_N > MAX_N
             raise ValueError(f"--max-N {max_N}: 2^{max_N} is above the limit n <= {MAX_N}")
         structures = [ModeStructure((2,) * N) for N in range(2, max_N + 1)]
@@ -270,6 +276,8 @@ def cmd_tables(args) -> tuple[str, int]:
         if args.max_N is not None:
             raise ValueError(f"table {args.which} takes --max-n, not --max-N")
         max_n = args.max_n if args.max_n is not None else (28 if args.which == 1 else 36)
+        if max_n < 4:
+            raise ValueError(f"--max-n {max_n}: the smallest multipartite system has n = 4")
         if max_n > MAX_N:
             raise ValueError(f"--max-n {max_n} is above the limit n <= {MAX_N}")
         structures = [s for s in _structures_upto(max_n) if args.which == 1 or s.N >= 3]
@@ -373,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="decomposition-sampling certificate",
         description=(
             "Reads a construct output via --state, or an inline dims/tuples/"
-            "spectrum spec.  Emits JSON {min_avg, samples, strategy, argmin}."
+            "spectrum spec, not both.  Emits JSON {min_avg, samples, strategy, argmin}."
         ),
     )
     p.add_argument("dims", nargs="?", help="inline spec: mode structure")
@@ -403,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("which", type=int, choices=(1, 3, 5))
     p.add_argument("--max-n", type=int, dest="max_n",
-                   help="tables 1/3: largest total dimension")
+                   help="tables 1/3: largest total dimension, 4 to 256")
     p.add_argument("--max-N", type=int, dest="max_N",
-                   help="table 5: largest qubit count (default 6)")
+                   help="table 5: largest qubit count, 2 to 8 (default 6)")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(handler=cmd_tables)
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .modes import (ModeStructure, _check_level, _check_modes, _check_real, _level_table,
-                    _trace_groups)
+from .modes import ModeStructure, _check_modes, _check_real, _level_table, _trace_groups
 
 # 1e-12 for algebraic identities on exactly representable inputs,
 # 1e-10 of slack for eigenvalues of constructed density matrices and for
@@ -49,13 +48,6 @@ class PureStateVector:
             raise ValueError(f"state not normalized: |psi|^2 = {norm2!r}")
         self.structure = structure
         self.amplitudes = amps
-
-
-def basis_state(structure: ModeStructure, level: int) -> PureStateVector:
-    """The computational basis state |level> (1-based)."""
-    amps = np.zeros(structure.n, dtype=complex)
-    amps[_check_level(structure, level) - 1] = 1.0
-    return PureStateVector(structure, amps)
 
 
 class DensityMatrix:
@@ -111,7 +103,7 @@ def _check_weights(weights, count: int) -> tuple[float, ...]:
     """The weights as floats, each read by `modes._check_real`; raise unless
     there are count >= 1, all finite and positive (NaN passes every `<=`
     test) and summing to 1 within ATOL."""
-    weights = tuple(_check_real("weight", w) for w in weights)
+    weights = tuple(_check_real("spectrum weight", w) for w in weights)
     if count < 1 or len(weights) != count:
         raise ValueError(f"{len(weights)} weights for {count} states; need one each")
     if not all(np.isfinite(w) and w > 0 for w in weights):

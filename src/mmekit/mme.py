@@ -33,7 +33,7 @@ import numpy as np
 
 from .entcore import _check_L, lstar
 from .linalg import PureStateVector
-from .modes import ModeStructure, _check_int, _check_real, _check_seed, _level_table
+from .modes import ModeStructure, _check_int, _check_seed, _level_table
 from .tgx import (
     LocalUnitarySet,
     MeTgxTuple,
@@ -188,16 +188,12 @@ class _BudgetExhausted(Exception):
 
 
 def _greedy_clique(adj, order) -> list[int]:
-    clique: list[int] = []
-    mask = None
+    clique, mask = [], -1
     for v in order:
-        if mask is None:
-            clique = [v]
-            mask = adj[v]
-        elif mask >> v & 1:
+        if mask >> v & 1:
             clique.append(v)
             mask &= adj[v]
-    return sorted(clique) if clique else []
+    return sorted(clique)
 
 
 def _greedy_restarts(adj, start, rng, cap) -> list[int]:
@@ -460,8 +456,7 @@ def construct(s: ModeStructure, tuples, spectrum, lu: LocalUnitarySet | None = N
         lu._check_structure(s)
         amps = _apply_per_axis(lu.unitaries, amps, s.dims)
     states = tuple(PureStateVector(s, row) for row in amps)
-    weights = tuple(_check_real("spectrum weight", w) for w in spectrum)
-    state = MmeState(s, weights, states, ts, lu)
+    state = MmeState(s, spectrum, states, ts, lu)
     return state, state.matrix()
 
 

@@ -232,7 +232,6 @@ def project_level(s: ModeStructure, level: int, modes) -> int:
     return vector_to_scalar(sub, tuple(labels[m - 1] for m in modes))
 
 
-@lru_cache(maxsize=None)
 def _trace_groups(dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
     """Index array `pos` of shape (n_keep, n_drop) for the 1-based modes
     `keep`: pos[a, b] is the 0-based scalar index whose kept labels

@@ -45,12 +45,11 @@ from .linalg import (
     PureStateVector,
     _check_isometry,
     _check_weights,
-    basis_state,
     mix,
     mode_purities,
 )
 from .modes import ModeStructure, _check_int, _check_seed, _level_table
-from .tgx import ME_TOL, LocalUnitarySet
+from .tgx import ME_TOL, LocalUnitarySet, _superpositions
 
 P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
 PURITY_TOL = 1e-9  # a member reduction this close to its floor is clean
@@ -238,19 +237,12 @@ def u2(theta: float, chi: float) -> np.ndarray:
     return np.array([[a, b], [-np.conj(b), np.conj(a)]], dtype=complex)
 
 
-def _u2_stack(theta_steps: int, chi_steps: int):
-    """Half-open grid over theta in [0, pi/2) and chi in [0, 2 pi): the
-    angles and one theta-major stack, entry i*C + k = u2(theta[i], chi[k]),
-    cached read-only.  theta = k pi/2 / T puts pi/4 on the grid when T is even."""
-    T, C = _check_int("theta_steps", theta_steps), _check_int("chi_steps", chi_steps)
-    if T < 1 or C < 1:
-        raise ValueError("grid needs at least one step per axis")
-    return _u2_grid(T, C)
-
-
 @lru_cache(maxsize=8)
 def _u2_grid(theta_steps: int, chi_steps: int):
-    """`_u2_stack`'s arrays, built and checked for unitarity once."""
+    """Half-open grid over theta in [0, pi/2) and chi in [0, 2 pi): the
+    angles and one theta-major stack, entry i*C + k = u2(theta[i], chi[k]),
+    built and checked for unitarity once, cached read-only.  theta =
+    k pi/2 / T puts pi/4 on the grid when T is even."""
     theta = np.pi / 2 * np.arange(theta_steps) / theta_steps
     chi = 2 * np.pi * np.arange(chi_steps) / chi_steps
     a = np.repeat(np.cos(theta), chi_steps)
@@ -381,7 +373,11 @@ def min_avg_ent(
     if strategy == "grid":
         if state.rank != 2:
             raise ValueError(f"grid strategy needs rank 2, got rank {state.rank}")
-        theta, chi, Us = _u2_stack(*grid)
+        T, C = grid
+        T, C = _check_int("theta_steps", T), _check_int("chi_steps", C)
+        if T < 1 or C < 1:
+            raise ValueError("grid needs at least one step per axis")
+        theta, chi, Us = _u2_grid(T, C)
         stacks = (Us[a:a + block(2)] for a in range(0, len(Us), block(2)))
     elif strategy == "random":
         lo = state.rank if Dmin is None else _check_int("Dmin", Dmin)
@@ -449,22 +445,23 @@ def reduction_purity_report(sample: DecompositionSample) -> PurityReport:
 
 COMPARISON_STRUCTURE = ModeStructure((2, 2, 2, 2))
 
-COMPARISON_KINDS = ("mme", "e_spacewise", "e_selfspace", "separable")
+# The two eigenstates' level sets per family, each row an equal superposition.
+COMPARISON_LEVELS = {
+    "mme": ((1, 16), (4, 13)),
+    "e_spacewise": ((1, 16), (2, 15)),
+    "e_selfspace": ((1, 16), (1, 16)),
+    "separable": ((1,), (16,)),
+}
 
-
-def _two_level_state(a: int, b: int, sign: int) -> PureStateVector:
-    s = COMPARISON_STRUCTURE
-    amp = np.zeros(s.n, dtype=complex)
-    amp[a - 1] = 1 / math.sqrt(2)
-    amp[b - 1] = sign / math.sqrt(2)
-    return PureStateVector(s, amp)
+COMPARISON_KINDS = tuple(COMPARISON_LEVELS)
 
 
 def comparison_family_spectral(kind: str, spectrum) -> SpectralState:
     """Rank-2 four-qubit reference mixtures sharing a spectrum, for
     side-by-side certification sweeps, with their defining eigenbasis
     attached, which keeps sampling well defined when the spectrum is
-    degenerate.
+    degenerate.  The eigenstates are the TGX superpositions of
+    COMPARISON_LEVELS (`tgx._superpositions`), built for `kind` alone.
 
     kind "mme": equal superpositions on levels {1,16} and {4,13}, a
     compatible pair, so the mixture stays maximally entangled;
@@ -474,16 +471,10 @@ def comparison_family_spectral(kind: str, spectrum) -> SpectralState:
     but sharing one subspace, so some mixes lose all entanglement;
     kind "separable": the classical mixture of |1><1| and |16><16|.
     """
+    if kind not in COMPARISON_LEVELS:
+        raise ValueError(f"unknown family {kind!r}; pick one of {sorted(COMPARISON_LEVELS)}")
     s = COMPARISON_STRUCTURE
-    spectrum = tuple(spectrum)  # SpectralState reads each weight as a number
-    if len(spectrum) != 2:
-        raise ValueError("families are rank 2: give two weights")
-    pairs = {
-        "mme": (_two_level_state(1, 16, 1), _two_level_state(4, 13, 1)),
-        "e_spacewise": (_two_level_state(1, 16, 1), _two_level_state(2, 15, 1)),
-        "e_selfspace": (_two_level_state(1, 16, 1), _two_level_state(1, 16, -1)),
-        "separable": (basis_state(s, 1), basis_state(s, 16)),
-    }
-    if kind not in pairs:
-        raise ValueError(f"unknown family {kind!r}; pick one of {sorted(pairs)}")
-    return SpectralState(s, spectrum, pairs[kind])
+    amps = _superpositions(s.n, COMPARISON_LEVELS[kind])
+    if kind == "e_selfspace":
+        amps[1, 15] *= -1
+    return SpectralState(s, spectrum, tuple(PureStateVector(s, row) for row in amps))

@@ -331,6 +331,25 @@ def test_verify_requires_state_or_inline(capsys) -> None:
     assert code == 2
 
 
+@pytest.mark.parametrize("inline,named", [
+    (["2x5"], "dims"),
+    (["--tuples", "1,10;2,8"], "--tuples"),
+    (["--spectrum", "0.7,0.3"], "--spectrum"),
+    (["--lu-seed", "3"], "--lu-seed"),
+])
+def test_verify_refuses_state_file_with_inline_spec(capsys, tmp_path, inline, named) -> None:
+    # the inline options were dropped and the file's state certified, exit 0
+    target = tmp_path / "state.json"
+    target.write_text(json.dumps(_saved_state(), default=np.ndarray.tolist))
+    code, out, err = _run(capsys, ["verify", "--state", str(target), *inline])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--state" in err and named in err
+    code, out, _ = _run(capsys, ["verify", "--state", str(target), "--strategy", "random",
+                                 "--samples", "3", "--Dmin", "2", "--Dmax", "3",
+                                 "--seed", "1", "--grid", "4,4"])
+    assert code == 0 and json.loads(out)["samples"] == 6
+
+
 @pytest.mark.parametrize("spectrum", ["nan,0.5", "inf,0.5"])
 def test_non_finite_spectrum_exit_code(capsys, spectrum) -> None:
     for cmd in ("construct", "verify"):
@@ -539,6 +558,16 @@ def test_tables_refuse_the_other_tables_size_option(capsys, argv, option) -> Non
     code, out, err = _run(capsys, ["tables", *argv])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and f"takes {option}" in err
+
+
+@pytest.mark.parametrize("argv", [["1", "--max-n", "0"], ["3", "--max-n", "-7"],
+                                  ["1", "--max-n", "3"], ["5", "--max-N", "1"],
+                                  ["5", "--max-N", "-3"]])
+def test_tables_refuse_sizes_that_admit_no_structure(capsys, argv) -> None:
+    # each printed only the CSV header and exited 0
+    code, out, err = _run(capsys, ["tables", *argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {argv[1]} {argv[2]}: ")
 
 
 def test_tables_exit_code_covers_dropped_rows(capsys) -> None:
@@ -810,9 +839,16 @@ REFUSALS = [
     ["rank", "2x2x3x3", "--L", "12", "--all-lstar"],
     ["tables", "5", "--max-n", "10"],
     ["tables", "1", "--max-N", "3"],
+    ["tables", "1", "--max-n", "0"],
+    ["tables", "3", "--max-n", "-7"],
+    ["tables", "5", "--max-N", "1"],
+    ["tables", "5", "--max-N", "-3"],
     ["lstar", "2xx3"],
     ["rank", "2^40"],
     ["verify", "--state", "{bad_state}"],
+    ["verify", "2x5", "--state", "{state}"],
+    ["verify", "--state", "{state}", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3"],
+    ["verify", "--state", "{state}", "--lu-seed", "3"],
     ["rank", "3x3x3x3", "--seed", "-1"],
     ["rank", "2x2x2x2x3", "--seed", "-5"],
     ["construct", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--lu-seed", "-1"],
@@ -838,9 +874,10 @@ REFUSALS += [list(argv) for argv in PARSE_REFUSALS]
 @pytest.mark.parametrize("argv", REFUSALS, ids=" ".join)
 def test_refusals_exit_2_without_source_paths(child_env, tmp_path, argv) -> None:
     # a child process, so a warning or traceback would reach stderr as a user sees it
-    bad_state = tmp_path / "state.json"
+    state, bad_state = tmp_path / "state.json", tmp_path / "bad_state.json"
+    state.write_text(json.dumps(_saved_state(), default=np.ndarray.tolist))
     bad_state.write_text(json.dumps(_saved_state(1.5), default=np.ndarray.tolist))
-    argv = [a.format(bad_state=bad_state) for a in argv]
+    argv = [a.format(state=state, bad_state=bad_state) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "mmekit.cli", *argv],
                           capture_output=True, text=True, env=child_env)
     assert (proc.returncode, proc.stdout) == (2, "")

@@ -12,10 +12,11 @@ from mmekit.entcore import (
     lstar,
     mpsrp_purity,
 )
-from mmekit.linalg import PureStateVector, basis_state
+from mmekit.linalg import PureStateVector
 from mmekit.modes import ModeStructure
 
 from reference_values import LSTAR_ORACLE, MPSRP_ORACLE
+from test_linalg import _basis_state
 
 
 def test_mpsrp_pinned_values() -> None:
@@ -94,8 +95,8 @@ def test_ent_pure_two_qubit_anchor() -> None:
 def test_ent_pure_product_states_are_zero() -> None:
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
         s = ModeStructure(dims)
-        assert ent_pure(basis_state(s, 1)) == 0.0
-        assert ent_pure(basis_state(s, s.n)) == 0.0
+        assert ent_pure(_basis_state(s, 1)) == 0.0
+        assert ent_pure(_basis_state(s, s.n)) == 0.0
 
 
 def test_ent_pure_ghz_is_one() -> None:
@@ -132,4 +133,4 @@ def test_ent_pure_stays_in_unit_interval() -> None:
 
 def test_ent_pure_unsupported_structure() -> None:
     with pytest.raises(UnsupportedSystemError):
-        ent_pure(basis_state(ModeStructure((4,)), 2))
+        ent_pure(_basis_state(ModeStructure((4,)), 2))

@@ -8,7 +8,6 @@ from mmekit.linalg import (
     ATOL,
     DensityMatrix,
     PureStateVector,
-    basis_state,
     mix,
     mode_purities,
     mode_reduction_of_pure,
@@ -34,6 +33,13 @@ def _einsum_partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep) -> np.nd
     sub = np.einsum("".join(row + col) + "->" + "".join(out), t)
     d = int(np.prod([dims[m - 1] for m in keep]))
     return sub.reshape(d, d)
+
+
+def _basis_state(s: ModeStructure, level: int) -> PureStateVector:
+    """The computational basis state |level> (1-based)."""
+    amps = np.zeros(s.n, dtype=complex)
+    amps[level - 1] = 1.0
+    return PureStateVector(s, amps)
 
 
 def _random_pure(rng: np.random.Generator, s: ModeStructure) -> PureStateVector:
@@ -80,17 +86,9 @@ def test_pure_state_validation() -> None:
             PureStateVector(s, [bad, 0.0, 0.0, 0.0])
     v = PureStateVector(s, [0.0, 1.0, 0.0, 0.0])
     assert v.amplitudes[1] == 1.0 + 0.0j
-    w = basis_state(s, 3)
+    w = _basis_state(s, 3)
     assert np.vdot(v.amplitudes, w.amplitudes) == 0.0 + 0.0j
     assert np.vdot(w.amplitudes, w.amplitudes) == pytest.approx(1.0)
-
-
-def test_basis_state_range() -> None:
-    s = ModeStructure((2, 3))
-    assert basis_state(s, 6).amplitudes[5] == 1.0
-    for bad in (0, 7):
-        with pytest.raises(ValueError):
-            basis_state(s, bad)
 
 
 def test_density_matrix_validation() -> None:
@@ -117,7 +115,7 @@ def test_density_matrix_json_round_trip() -> None:
 
 def test_mix_spectrum_of_orthonormal_states() -> None:
     s = ModeStructure((2, 2))
-    rho = mix([basis_state(s, 1), basis_state(s, 4)], [0.7, 0.3])
+    rho = mix([_basis_state(s, 1), _basis_state(s, 4)], [0.7, 0.3])
     evals = sorted(np.linalg.eigvalsh(rho.entries), reverse=True)
     assert evals[0] == pytest.approx(0.7, abs=1e-14)
     assert evals[1] == pytest.approx(0.3, abs=1e-14)
@@ -177,7 +175,7 @@ def test_mix_of_real_states_prints_no_negative_zero() -> None:
 
 def test_mix_validation() -> None:
     s = ModeStructure((2, 2))
-    a, b = basis_state(s, 1), basis_state(s, 2)
+    a, b = _basis_state(s, 1), _basis_state(s, 2)
     with pytest.raises(ValueError):
         mix([], [])
     with pytest.raises(ValueError):
@@ -189,6 +187,6 @@ def test_mix_validation() -> None:
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
             mix([a, b], [bad, 0.5])
-    other = basis_state(ModeStructure((4,)), 1)
+    other = _basis_state(ModeStructure((4,)), 1)
     with pytest.raises(ValueError):
         mix([a, other], [0.5, 0.5])

@@ -16,7 +16,6 @@ from mmekit.entcore import ent_pure, lstar
 from mmekit.linalg import (
     DensityMatrix,
     PureStateVector,
-    basis_state,
     mix,
 )
 from mmekit import tgx
@@ -33,6 +32,7 @@ from mmekit.tgx import (
 from mmekit.verify import random_lu_set
 
 from reference_values import ME_TUPLE_COUNTS
+from test_linalg import _basis_state
 
 
 def _brute_force_tuples(s: ModeStructure, L: int) -> list[tuple[int, ...]]:
@@ -403,9 +403,9 @@ def test_local_unitary_set_validation() -> None:
         LocalUnitarySet([np.ones((2, 3))])
     lus = LocalUnitarySet([np.eye(2), np.eye(3)])
     with pytest.raises(ValueError, match="2 unitaries for 3 modes"):
-        apply_lu(basis_state(ModeStructure((2, 3, 2)), 1), lus)
+        apply_lu(_basis_state(ModeStructure((2, 3, 2)), 1), lus)
     with pytest.raises(ValueError, match="size 2 does not match mode dimension 3"):
-        apply_lu(basis_state(ModeStructure((3, 2)), 1), lus)
+        apply_lu(_basis_state(ModeStructure((3, 2)), 1), lus)
 
 
 @pytest.mark.parametrize("dims", [(2,) * 6, (2, 2, 3, 3)])

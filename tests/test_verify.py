@@ -16,7 +16,6 @@ from mmekit.entcore import ent_pure
 from mmekit.linalg import (
     DensityMatrix,
     PureStateVector,
-    basis_state,
     mix,
     mode_purities,
     mode_reduction_of_pure,
@@ -47,7 +46,7 @@ from reference_values import (
     SPACEWISE_GRID_MIN_BALANCED,
     WITNESS_4X4X4X4,
 )
-from test_linalg import _einsum_partial_trace
+from test_linalg import _basis_state, _einsum_partial_trace
 
 
 def _certificate(dims: tuple[int, ...]) -> SpectralState:
@@ -59,7 +58,7 @@ def _certificate(dims: tuple[int, ...]) -> SpectralState:
 
 def test_spectral_state_validation() -> None:
     s = ModeStructure((2, 2))
-    e1, e4 = basis_state(s, 1), basis_state(s, 4)
+    e1, e4 = _basis_state(s, 1), _basis_state(s, 4)
     SpectralState(s, (0.7, 0.3), (e1, e4))
     with pytest.raises(ValueError):
         SpectralState(s, (0.7, 0.3, 0.0), (e1, e4))
@@ -72,7 +71,7 @@ def test_spectral_state_validation() -> None:
             SpectralState(s, (bad, 0.3), (e1, e4))
     with pytest.raises(ValueError):
         SpectralState(s, (0.7, 0.3), (e1, e1))
-    other = basis_state(ModeStructure((4,)), 2)
+    other = _basis_state(ModeStructure((4,)), 2)
     with pytest.raises(ValueError):
         SpectralState(s, (0.7, 0.3), (e1, other))
 
@@ -81,8 +80,8 @@ _S22 = ModeStructure((2, 2))
 
 
 @pytest.mark.parametrize("build,bad", [
-    (lambda: SpectralState(_S22, (True,), (basis_state(_S22, 1),)), "True"),
-    (lambda: mix([basis_state(_S22, 1)], [True]), "True"),
+    (lambda: SpectralState(_S22, (True,), (_basis_state(_S22, 1),)), "True"),
+    (lambda: mix([_basis_state(_S22, 1)], [True]), "True"),
     (lambda: comparison_family_spectral("mme", ("0.5", "0.5")), "'0.5'"),
 ])
 def test_weights_that_are_not_numbers_are_refused(build, bad) -> None:
@@ -92,7 +91,7 @@ def test_weights_that_are_not_numbers_are_refused(build, bad) -> None:
 
 
 def test_spectral_state_keeps_its_weights_as_floats() -> None:
-    e1, e4 = basis_state(_S22, 1), basis_state(_S22, 4)
+    e1, e4 = _basis_state(_S22, 1), _basis_state(_S22, 4)
     state = SpectralState(_S22, [np.float64(0.75), Fraction(1, 4)], (e1, e4))
     assert state.spectrum == (0.75, 0.25)
     assert all(type(w) is float for w in state.spectrum)
@@ -112,7 +111,7 @@ def test_spectral_state_keeps_one_read_only_basis() -> None:
 
 def test_spectral_round_trip_descending() -> None:
     s = ModeStructure((2, 2))
-    rho = mix([basis_state(s, 2), basis_state(s, 3)], (0.3, 0.7))
+    rho = mix([_basis_state(s, 2), _basis_state(s, 3)], (0.3, 0.7))
     spec = spectral(rho)
     assert spec.spectrum == pytest.approx((0.7, 0.3))
     assert spec.rank == 2
@@ -167,7 +166,7 @@ def test_decompose_reconstructs_state() -> None:
 
 def test_decompose_zero_probability_member_is_none() -> None:
     s = ModeStructure((2, 2))
-    spec = SpectralState(s, (1.0,), (basis_state(s, 1),))
+    spec = SpectralState(s, (1.0,), (_basis_state(s, 1),))
     sample = decompose(spec, np.eye(2))
     assert sample.probabilities == (1.0, 0.0)
     assert sample.members[1] is None
@@ -199,7 +198,7 @@ def test_u2_values() -> None:
 
 
 def test_u2_grid_shape_and_coverage() -> None:
-    thetas, chis, stack = verify._u2_stack(20, 20)
+    thetas, chis, stack = verify._u2_grid(20, 20)
     assert stack.shape == (400, 2, 2)
     for i in range(20):
         for k in range(20):
@@ -212,13 +211,13 @@ def test_u2_grid_shape_and_coverage() -> None:
     assert max(thetas) < math.pi / 2
     assert max(chis) < 2 * math.pi
     # one cached grid, keyed on the checked ints, shared read-only
-    assert verify._u2_stack(np.int64(20), 20)[2] is stack
+    assert verify._u2_grid(np.int64(20), 20)[2] is stack
     for array in (thetas, chis, stack):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    with pytest.raises(ValueError, match="theta_steps=20.0 is not an integer"):
-        verify._u2_stack(20.0, 20)
     spec = comparison_family_spectral("mme", (0.7, 0.3))
+    with pytest.raises(ValueError, match="theta_steps=20.0 is not an integer"):
+        min_avg_ent(spec, strategy="grid", grid=(20.0, 20))
     with pytest.raises(ValueError):
         min_avg_ent(spec, strategy="grid", grid=(0, 20))
     with pytest.raises(ValueError):
@@ -272,7 +271,7 @@ def test_as_spectral_paths() -> None:
     assert from_rho.spectrum == pytest.approx((0.7, 0.3))
 
     s = ModeStructure((2, 2))
-    degenerate = mix([basis_state(s, 1), basis_state(s, 4)], (0.5, 0.5))
+    degenerate = mix([_basis_state(s, 1), _basis_state(s, 4)], (0.5, 0.5))
     _, note = as_spectral(degenerate)
     assert "degenerate" in note
 
@@ -750,6 +749,27 @@ def test_comparison_family_validation() -> None:
     }
 
 
+@pytest.mark.parametrize("kind", COMPARISON_KINDS)
+def test_comparison_family_builds_its_two_states_bitwise(monkeypatch, kind) -> None:
+    # the inline oracle is the per-state construction the families had:
+    # +-1/sqrt(2) on two levels, or one unit entry
+    pairs = {"mme": ((1, 16, 1), (4, 13, 1)), "e_spacewise": ((1, 16, 1), (2, 15, 1)),
+             "e_selfspace": ((1, 16, 1), (1, 16, -1))}
+    want = np.zeros((2, 16), dtype=complex)
+    for row, (a, b, sign) in enumerate(pairs.get(kind, ())):
+        want[row, a - 1] = 1 / math.sqrt(2)
+        want[row, b - 1] = sign / math.sqrt(2)
+    if kind == "separable":
+        want[0, 0] = want[1, 15] = 1.0
+    built = []
+    init = PureStateVector.__init__
+    monkeypatch.setattr(PureStateVector, "__init__",
+                        lambda self, *a: built.append(self) or init(self, *a))
+    spec = comparison_family_spectral(kind, (0.7, 0.3))
+    assert len(built) == 2  # only the requested family is built
+    assert spec.basis.tobytes() == want.tobytes()
+
+
 def test_comparison_mme_matches_construct() -> None:
     s = ModeStructure((2, 2, 2, 2))
     _, rho = construct(s, [(1, 16), (4, 13)], (0.7, 0.3))
@@ -823,7 +843,7 @@ def test_average_ent_weights_members() -> None:
     bell = PureStateVector(
         s, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     )
-    spec = SpectralState(s, (0.7, 0.3), (bell, basis_state(s, 2)))
+    spec = SpectralState(s, (0.7, 0.3), (bell, _basis_state(s, 2)))
     sample = decompose(spec, np.eye(2))
     assert ent_pure(bell) == pytest.approx(1.0)
     assert sample.average_ent() == pytest.approx(0.7, abs=1e-12)

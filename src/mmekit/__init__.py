@@ -29,9 +29,7 @@ from .mme import (
     validate_example_set,
 )
 from .modes import (
-    Bipartition,
     ModeStructure,
-    bipartition,
     parse_dims,
     project_level,
     scalar_to_vector,
@@ -63,7 +61,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bipartition",
     "DecompositionSample",
     "DensityMatrix",
     "EntEstimate",
@@ -79,7 +76,6 @@ __all__ = [
     "UnsupportedSystemError",
     "apply_lu",
     "as_spectral",
-    "bipartition",
     "build_tgx_state",
     "comparison_family_spectral",
     "compatible",

@@ -102,28 +102,8 @@ class ModeStructure:
     def n_over_max(self) -> int:
         return self.n // self.n_max
 
-    def substructure(self, modes) -> "ModeStructure":
-        """Structure formed by the given modes, kept in ascending order."""
-        modes = _check_modes(self, modes)
-        return ModeStructure(tuple(self.dims[m - 1] for m in modes))
-
     def __str__(self) -> str:
         return "x".join(str(d) for d in self.dims)
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """The extreme bipartition of mode m against all other modes.
-
-    S is the smaller side, B the bigger; n_S * n_B = n, and S_modes and
-    B_modes split 1..N.  When the two sides tie, S_modes = (m,).
-    """
-
-    m: int
-    n_S: int
-    n_B: int
-    S_modes: tuple[int, ...]
-    B_modes: tuple[int, ...]
 
 
 def parse_dims(text: str) -> ModeStructure:
@@ -206,29 +186,16 @@ def vector_to_scalar(s: ModeStructure, labels) -> int:
     return level + 1
 
 
-def bipartition(s: ModeStructure, m: int) -> Bipartition:
-    """Extreme bipartition of mode m against all other modes.
-
-    The bigger side has dimension n_B = max(n_m, n/n_m).  On ties the
-    focal mode is kept on the S side, i.e. S_modes = (m,).
-    """
-    (m,) = _check_modes(s, (m,))
-    mbar = tuple(k for k in range(1, s.N + 1) if k != m)
-    n_m = s.dims[m - 1]
-    if n_m > s.n // n_m:
-        return Bipartition(m, s.n // n_m, n_m, mbar, (m,))
-    return Bipartition(m, n_m, s.n // n_m, (m,), mbar)
-
-
 def project_level(s: ModeStructure, level: int, modes) -> int:
     """Scalar index of a level's restriction to a subset of modes.
 
-    The restriction lives in the substructure formed by `modes` in
-    ascending order.  Projecting onto all modes is the identity.
+    The restriction lives in the structure of the dimensions of `modes`,
+    a strictly ascending list of modes of `s`.  Projecting onto all
+    modes is the identity.
     """
     modes = _check_modes(s, modes)
     labels = scalar_to_vector(s, level)
-    sub = s.substructure(modes)
+    sub = ModeStructure(tuple(s.dims[m - 1] for m in modes))
     return vector_to_scalar(sub, tuple(labels[m - 1] for m in modes))
 
 
@@ -245,18 +212,23 @@ def _trace_groups(dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _level_table(s: ModeStructure):
     """(labels, masks, W, gathers): the structure's one extreme-bipartition
-    layout.  gathers[m-1] = _trace_groups(s.dims, S_modes) of
-    `bipartition(s, m)`, shape (n_S, n_B); its column index is a level's
-    B_m projection p = project_level(s, lvl, B_modes) - 1.  The rank cap,
-    every purity and the certificate tensor read these gathers.
+    layout, and the one place that picks each mode's small side.  Mode m
+    splits the modes into S_m and B_m: S_m = (m,) when n_m**2 <= n, so a
+    tie keeps m on the small side, and the other modes otherwise; B_m is
+    the rest.  gathers[m-1] = _trace_groups(s.dims, S_m), shape
+    (n_S, n_B) with n_S = min(n_m, n/n_m) <= n_B; its column index is a
+    level's B_m projection, the 0-based scalar index of its labels on
+    B_m.  The rank cap, every purity and the certificate tensor read
+    these gathers.
 
     labels[lvl] = scalar_to_vector(s, lvl).  masks[lvl] sets bit
-    m * W + p + 1 per mode, with W = max_m n_B + 1: two levels repeat a
-    big-side projection iff their masks share a bit.  Slot 0 is unused,
-    and callers validate levels first.
+    m * W + p + 1 per mode, p its B_m projection, with W = max_m n_B + 1:
+    two levels repeat a big-side projection iff their masks share a bit.
+    Slot 0 is unused, and callers validate levels first.
     """
-    gathers = tuple(_trace_groups(s.dims, bipartition(s, m).S_modes)
-                    for m in range(1, s.N + 1))
+    gathers = tuple(_trace_groups(s.dims, (m,) if d * d <= s.n else
+                                  tuple(k for k in range(1, s.N + 1) if k != m))
+                    for m, d in enumerate(s.dims, start=1))
     W = max(pos.shape[1] for pos in gathers) + 1
     bits = np.empty((s.n, s.N), dtype=np.intp)
     for m, pos in enumerate(gathers):

@@ -253,28 +253,11 @@ def enumerate_me_tuples(s: ModeStructure, L: int) -> list[MeTgxTuple]:
     return _certify(s, list(_me_level_sets(s, L)))
 
 
-def build_tgx_state(t: MeTgxTuple, amplitudes=None, phases=None) -> PureStateVector:
-    """TGX state supported on a tuple's levels.
-
-    Defaults to the equal phaseless superposition.  `amplitudes` (length
-    L, unit norm) and `phases` (length L, radians) dress the state; the
-    PureStateVector it builds refuses a norm off 1.
-    """
-    L = t.L
-    if amplitudes is None:
-        x = np.full(L, 1.0 / np.sqrt(L))
-    else:
-        x = np.asarray(list(amplitudes), dtype=complex)
-        if x.shape != (L,):
-            raise ValueError(f"expected {L} amplitudes, got {x.shape}")
-    if phases is not None:
-        ph = np.asarray(list(phases), dtype=float)
-        if ph.shape != (L,):
-            raise ValueError(f"expected {L} phases, got {ph.shape}")
-        x = x * np.exp(1j * ph)
-    amps = np.zeros(t.structure.n, dtype=complex)
-    amps[[lvl - 1 for lvl in t.levels]] = x
-    return PureStateVector(t.structure, amps)
+def build_tgx_state(t: MeTgxTuple) -> PureStateVector:
+    """The TGX state of a tuple: the equal phaseless superposition of its
+    levels, the one-row case of `_superpositions`, which `mme.construct`
+    and the comparison families run on whole tuple sets."""
+    return PureStateVector(t.structure, _superpositions(t.structure.n, [t.levels]))
 
 
 class LocalUnitarySet:

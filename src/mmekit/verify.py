@@ -277,7 +277,7 @@ def random_lu_set(s: ModeStructure, seed: int):
     """Independent Haar local unitaries, one per mode; the per-mode rng
     streams are keyed by (seed, mode) so results do not depend on call
     order.  Modes of one dimension share one `_haar_stack`."""
-    seed, us = _check_seed(seed), {}
+    seed, us = _check_seed(seed, "lu_seed"), {}
     for d in set(s.dims):
         modes = [m for m, dm in enumerate(s.dims, start=1) if dm == d]
         z = [np.random.default_rng([seed, m]).standard_normal((2, d, d)) for m in modes]

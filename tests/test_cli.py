@@ -851,7 +851,6 @@ REFUSALS = [
     ["verify", "--state", "{state}", "--lu-seed", "3"],
     ["rank", "3x3x3x3", "--seed", "-1"],
     ["rank", "2x2x2x2x3", "--seed", "-5"],
-    ["construct", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--lu-seed", "-1"],
     ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3",
      "--strategy", "random", "--seed", "-1"],
     ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--seed", "-1"],
@@ -868,7 +867,15 @@ PARSE_REFUSALS = {
     ("sweep", "--grid", "3,0", "--points", "1"): "--grid",
     ("validate-examples", "2^4", "--tuples", "1,x"): "--tuples",
 }
-REFUSALS += [list(argv) for argv in PARSE_REFUSALS]
+# refusals whose message is pinned: a negative --lu-seed is named as
+# lu_seed, never as the --seed beside it
+REFUSAL_MESSAGES = {
+    ("construct", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--lu-seed", "-1"):
+        "lu_seed=-1 is negative",
+    ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--lu-seed", "-1",
+     "--seed", "3"): "lu_seed=-1 is negative",
+}
+REFUSALS += [list(argv) for argv in [*PARSE_REFUSALS, *REFUSAL_MESSAGES]]
 
 
 @pytest.mark.parametrize("argv", REFUSALS, ids=" ".join)
@@ -886,3 +893,6 @@ def test_refusals_exit_2_without_source_paths(child_env, tmp_path, argv) -> None
     option = PARSE_REFUSALS.get(tuple(argv))
     if option:  # with the text given
         assert f"error: {option} {argv[argv.index(option) + 1]!r}: " in proc.stderr
+    message = REFUSAL_MESSAGES.get(tuple(argv))
+    if message:
+        assert f"error: {message};" in proc.stderr

@@ -36,7 +36,6 @@ from mmekit.mme import (
 from mmekit.modes import (
     ModeStructure,
     _level_table,
-    bipartition,
     parse_dims,
     project_level,
 )
@@ -57,6 +56,7 @@ from reference_values import (
     WITNESS_4X4X4X4,
 )
 from test_linalg import _einsum_partial_trace
+from test_modes import _sides
 
 
 def _tuples(dims: tuple[int, ...], sets) -> list[MeTgxTuple]:
@@ -184,7 +184,7 @@ def _scan_conflict(s: ModeStructure, level_sets):
     """Set-scan oracle for `_first_conflict`: the first mode whose line
     repeats a projected level, with its lowest repeated level."""
     for m in range(1, s.N + 1):
-        B = bipartition(s, m).B_modes
+        B = _sides(s, m)[1]
         seen, repeated = set(), set()
         for lvl in itertools.chain.from_iterable(level_sets):
             p = project_level(s, lvl, B)
@@ -536,7 +536,7 @@ def test_compatibility_equals_vanishing_cross_reductions() -> None:
                 cross = np.outer(va, vb.conj())
                 clean = True
                 for m in range(1, s.N + 1):
-                    red = _einsum_partial_trace(cross, dims, bipartition(s, m).S_modes)
+                    red = _einsum_partial_trace(cross, dims, _sides(s, m)[0])
                     if np.abs(red).max() > 1e-12:
                         clean = False
                         break

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -8,11 +9,9 @@ import pytest
 
 from mmekit.cli import _structures_upto
 from mmekit.modes import (
-    Bipartition,
     ModeStructure,
     _level_table,
     _trace_groups,
-    bipartition,
     parse_dims,
     project_level,
     scalar_to_vector,
@@ -49,14 +48,14 @@ def test_non_integers_are_refused_not_truncated() -> None:
     with pytest.raises(ValueError, match=r"label=1\.5 is not an integer"):
         vector_to_scalar(s, (1.5, 1))
     with pytest.raises(ValueError, match=r"mode=1\.0 is not an integer"):
-        s.substructure((1.0,))
+        project_level(s, 1, (1.0,))
     with pytest.raises(ValueError, match=r"level=True is not an integer"):
         scalar_to_vector(s, True)  # a bool is not read as 1
     with pytest.raises(ValueError, match=r"mode dimension=False is not an integer"):
         ModeStructure((2, False))
     assert scalar_to_vector(s, np.int64(6)) == (2, 3)
     assert vector_to_scalar(s, (np.int64(2), 3)) == 6
-    assert s.substructure((np.int64(2),)).dims == (3,)
+    assert project_level(s, 6, (np.int64(2),)) == 3
 
 
 def test_parse_dims_forms() -> None:
@@ -122,45 +121,43 @@ def test_level_and_label_range_errors() -> None:
 
 def test_substructure_and_mode_list_validation() -> None:
     s = ModeStructure((2, 3, 4))
-    assert s.substructure((1, 3)).dims == (2, 4)
+    assert project_level(s, 24, (1, 3)) == 8  # labels (2, 4) in 2x4
     with pytest.raises(ValueError):
-        s.substructure(())
+        project_level(s, 1, ())
     with pytest.raises(ValueError):
-        s.substructure((3, 1))  # must be strictly ascending
+        project_level(s, 1, (3, 1))  # must be strictly ascending
     with pytest.raises(ValueError):
-        s.substructure((1, 1))
+        project_level(s, 1, (1, 1))
     with pytest.raises(ValueError):
-        s.substructure((4,))
+        project_level(s, 1, (4,))
+
+
+def _sides(s: ModeStructure, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Test oracle for mode m's extreme bipartition: (S_m, B_m), with m on
+    the small side unless n_m > n/n_m."""
+    rest = tuple(k for k in range(1, s.N + 1) if k != m)
+    n_m = s.dims[m - 1]
+    return ((m,), rest) if n_m <= s.n // n_m else (rest, (m,))
 
 
 def test_bipartition_small_and_big_sides() -> None:
-    b = bipartition(ModeStructure((2, 5)), 1)
-    assert isinstance(b, Bipartition)
-    assert (b.n_S, b.n_B) == (2, 5)
-    assert b.B_modes == (2,)
-    assert b.S_modes == (1,)
-
+    # a gather's rows run over the small side S_m, its columns over B_m
+    g1, g2 = _level_table(ModeStructure((2, 5)))[3]
+    assert np.array_equal(g1, np.arange(10).reshape(2, 5))
     # focal mode bigger than the rest: it becomes the B side itself
-    b = bipartition(ModeStructure((2, 5)), 2)
-    assert (b.n_S, b.n_B) == (2, 5)
-    assert b.B_modes == (2,)
-    assert b.S_modes == (1,)
+    assert np.array_equal(g2, np.arange(10).reshape(2, 5))
 
-    b = bipartition(ModeStructure((2, 2, 2, 2)), 1)
-    assert (b.n_S, b.n_B) == (2, 8)
-    assert b.B_modes == (2, 3, 4)
-    assert b.S_modes == (1,)
+    g1, g2 = _level_table(ModeStructure((2, 2, 2, 2)))[3][:2]
+    assert np.array_equal(g1, np.arange(16).reshape(2, 8))
+    assert np.array_equal(g2, [[0, 1, 2, 3, 8, 9, 10, 11], [4, 5, 6, 7, 12, 13, 14, 15]])
 
 
 def test_bipartition_tie_keeps_focal_mode_small() -> None:
-    s = ModeStructure((2, 2))
-    assert bipartition(s, 1).B_modes == (2,)
-    assert bipartition(s, 1).S_modes == (1,)
-    assert bipartition(s, 2).B_modes == (1,)
-    assert bipartition(s, 2).S_modes == (2,)
-    s = ModeStructure((2, 2, 4))
-    assert bipartition(s, 3).B_modes == (1, 2)
-    assert bipartition(s, 3).S_modes == (3,)
+    g1, g2 = _level_table(ModeStructure((2, 2)))[3]
+    assert np.array_equal(g1, [[0, 1], [2, 3]])
+    assert np.array_equal(g2, [[0, 2], [1, 3]])
+    g3 = _level_table(ModeStructure((2, 2, 4)))[3][2]
+    assert np.array_equal(g3, np.arange(16).reshape(4, 4).T)
 
 
 def test_bipartition_product_invariant_randomized() -> None:
@@ -168,14 +165,13 @@ def test_bipartition_product_invariant_randomized() -> None:
     for _ in range(100):
         dims = tuple(rnd.randint(2, 7) for _ in range(rnd.randint(1, 4)))
         s = ModeStructure(dims)
-        for m in range(1, s.N + 1):
-            b = bipartition(s, m)
-            assert b.n_S * b.n_B == s.n
-            assert sorted(b.S_modes + b.B_modes) == list(range(1, s.N + 1))
-            assert b.n_S <= b.n_B
-            assert b.n_S == min(s.dims[m - 1], s.n // s.dims[m - 1])
-    with pytest.raises(ValueError):
-        bipartition(ModeStructure((2, 3)), 3)
+        for m, pos in enumerate(_level_table(s)[3], start=1):
+            n_S, n_B = pos.shape
+            assert n_S * n_B == s.n
+            assert n_S <= n_B
+            assert n_S == min(s.dims[m - 1], s.n // s.dims[m - 1])
+            assert sorted(pos.ravel().tolist()) == list(range(s.n))
+            assert np.array_equal(pos, _trace_groups(s.dims, _sides(s, m)[0]))
 
 
 def test_project_level_pinned() -> None:
@@ -198,7 +194,7 @@ def test_project_level_matches_label_restriction() -> None:
         range(1, s.n + 1), [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
     ):
         labels = scalar_to_vector(s, level)
-        sub = s.substructure(modes)
+        sub = ModeStructure(tuple(s.dims[m - 1] for m in modes))
         expected = vector_to_scalar(sub, tuple(labels[m - 1] for m in modes))
         assert project_level(s, level, modes) == expected
 
@@ -207,15 +203,16 @@ def test_level_table_matches_scalar_path() -> None:
     for s in _structures_upto(36):
         labels, masks, W, gathers = _level_table(s)
         assert len(labels) == len(masks) == s.n + 1
-        bips = [bipartition(s, m) for m in range(1, s.N + 1)]
-        assert W == max(b.n_B for b in bips) + 1
-        for m, (b, pos) in enumerate(zip(bips, gathers)):
-            assert pos.shape == (b.n_S, b.n_B), (s.dims, m)
-            assert np.array_equal(pos, _trace_groups(s.dims, b.S_modes)), (s.dims, m)
+        sides = [_sides(s, m) for m in range(1, s.N + 1)]
+        n_B = [math.prod(s.dims[k - 1] for k in B) for _, B in sides]
+        assert W == max(n_B) + 1
+        for m, ((S, _), pos) in enumerate(zip(sides, gathers)):
+            assert pos.shape == (s.n // n_B[m], n_B[m]), (s.dims, m)
+            assert np.array_equal(pos, _trace_groups(s.dims, S)), (s.dims, m)
         for lvl in range(1, s.n + 1):
             assert labels[lvl] == scalar_to_vector(s, lvl), (s.dims, lvl)
-            want = sum(1 << (m * W + project_level(s, lvl, b.B_modes))
-                       for m, b in enumerate(bips))
+            want = sum(1 << (m * W + project_level(s, lvl, B))
+                       for m, (_, B) in enumerate(sides))
             assert masks[lvl] == want, (s.dims, lvl)
             # each mask bit is the level's column in its mode's gather
             cols = [int(np.nonzero(pos == lvl - 1)[1][0]) for pos in gathers]

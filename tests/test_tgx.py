@@ -31,7 +31,7 @@ from mmekit.tgx import (
 )
 from mmekit.verify import random_lu_set
 
-from reference_values import ME_TUPLE_COUNTS
+from reference_values import EXAMPLE_SETS, ME_TUPLE_COUNTS
 from test_linalg import _basis_state
 
 
@@ -365,33 +365,38 @@ def test_build_tgx_state_default_equal_superposition() -> None:
     assert v.amplitudes[7] == pytest.approx(1 / math.sqrt(2))
     assert v.amplitudes[1] == 0.0
     assert ent_pure(v) == pytest.approx(1.0, abs=1e-12)
+    # bitwise: each tuple level holds the float 1/sqrt(L), every other level 0
+    for dims, tuples in EXAMPLE_SETS.items():
+        s = ModeStructure(dims)
+        for levels in tuples:
+            want = np.zeros(s.n, dtype=complex)
+            want[[lvl - 1 for lvl in levels]] = np.full(len(levels), 1.0 / np.sqrt(len(levels)))
+            got = build_tgx_state(MeTgxTuple(s, levels)).amplitudes
+            assert got.tobytes() == want.tobytes(), (dims, levels)
 
 
-def test_build_tgx_state_amplitude_sweep_anchor() -> None:
+def _on_levels(t: MeTgxTuple, x) -> PureStateVector:
+    """The state with amplitudes x on the levels of t, 0 elsewhere."""
+    amps = np.zeros(t.structure.n, dtype=complex)
+    amps[[lvl - 1 for lvl in t.levels]] = x
+    return PureStateVector(t.structure, amps)
+
+
+def test_tgx_amplitude_sweep_anchor() -> None:
     # cos/sin weights on a two-level tuple reproduce sin^2(2 theta)
     t = MeTgxTuple(ModeStructure((2, 4)), (1, 8))
     for k in range(11):
         theta = (math.pi / 2) * k / 10
-        v = build_tgx_state(t, amplitudes=[math.cos(theta), math.sin(theta)])
+        v = _on_levels(t, [math.cos(theta), math.sin(theta)])
         assert ent_pure(v) == pytest.approx(math.sin(2 * theta) ** 2, abs=1e-12)
 
 
-def test_build_tgx_state_phases_do_not_move_reductions() -> None:
+def test_tgx_phases_do_not_move_reductions() -> None:
     rng = np.random.default_rng(3)
     t = MeTgxTuple(ModeStructure((3, 3)), (1, 5, 9))
     for _ in range(5):
-        v = build_tgx_state(t, phases=rng.uniform(0, 2 * math.pi, size=3))
+        v = _on_levels(t, np.exp(1j * rng.uniform(0, 2 * math.pi, size=3)) / math.sqrt(3))
         assert ent_pure(v) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_build_tgx_state_validation() -> None:
-    t = MeTgxTuple(ModeStructure((2, 4)), (1, 8))
-    with pytest.raises(ValueError):
-        build_tgx_state(t, amplitudes=[1.0])
-    with pytest.raises(ValueError):
-        build_tgx_state(t, amplitudes=[1.0, 1.0])
-    with pytest.raises(ValueError):
-        build_tgx_state(t, phases=[0.1])
 
 
 def test_local_unitary_set_validation() -> None:

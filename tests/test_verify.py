@@ -643,15 +643,15 @@ def test_cross_blocks_of_published_sets_vanish(dims, tuples) -> None:
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 6), (2, 2, 5)])
 def test_certificates_after_the_first_work_out_no_side(dims, monkeypatch) -> None:
     # the first certificate caches the structure's layout; later
-    # certificates and purities read it and call no `bipartition`, which
-    # is rebound to a refusal in every module that holds it
+    # certificates and purities read it and build no gather:
+    # `_trace_groups` is rebound to a refusal in every module that holds it
     s = ModeStructure(dims)
     spec = _random_spectral(np.random.default_rng(3), s, 2)
     first = min_avg_ent(spec, grid=(4, 4))
-    original = modes.bipartition
+    original = modes._trace_groups
 
     def refuse(*args):
-        raise AssertionError(f"bipartition{args} called")
+        raise AssertionError(f"_trace_groups{args} called")
 
     for name, mod in list(sys.modules.items()):
         if name == "mmekit" or name.startswith("mmekit."):
@@ -659,7 +659,7 @@ def test_certificates_after_the_first_work_out_no_side(dims, monkeypatch) -> Non
                 if val is original:
                     monkeypatch.setattr(mod, key, refuse)
     with pytest.raises(AssertionError):
-        modes.bipartition(s, 1)
+        modes._trace_groups(s.dims, (1,))
     assert min_avg_ent(spec, grid=(4, 4)).averages == first.averages
     assert min_avg_ent(spec, strategy="random", samples=3).samples == 9
     assert mode_purities(s, [v.amplitudes for v in spec.eigenstates]).shape == (2, s.N)

@@ -148,12 +148,12 @@ def _structures_upto(max_n: int):
             yield ModeStructure(dims)
 
 
-def _rank_row(s: ModeStructure, report) -> list:
-    """The TABLE_HEADER columns of a rank report, then its status."""
-    return [s.n, str(s), lstar(s).min, report.r_tilde, report.R_MME, report.status]
+def _rank_row(s: ModeStructure, r) -> list:
+    """A rank report's TABLE_HEADER columns, for `rank` and every table."""
+    return [s.n, str(s), lstar(s).min, r.r_tilde, r.R_MME, r.status, r.L_used]
 
 
-TABLE_HEADER = ["n", "dims", "minLstar", "r_tilde", "R_MME"]
+TABLE_HEADER = ["n", "dims", "minLstar", "r_tilde", "R_MME", "status", "L_used"]
 
 
 def cmd_lstar(args) -> tuple[str, int]:
@@ -183,7 +183,7 @@ def cmd_rank(args) -> tuple[str, int]:
     )
     code = EXIT_INCONCLUSIVE if report.status == "inconclusive" else EXIT_OK
     if args.format == "csv":
-        return _csv([_rank_row(s, report)[:-1]], TABLE_HEADER), code
+        return _csv([_rank_row(s, report)], TABLE_HEADER), code
     return _json(report.to_json_dict()), code
 
 
@@ -291,11 +291,9 @@ def cmd_tables(args) -> tuple[str, int]:
         if args.which == 3 and s.n < 29 and report.R_MME < 2:
             continue  # below n=29 the survey keeps only MME-hosting systems
         rows.append(_rank_row(s, report))
-    header = TABLE_HEADER + ["status"] if args.which == 5 else TABLE_HEADER
-    rows = [r[:len(header)] for r in rows]
     if args.format == "json":
-        return _json([dict(zip(header, r)) for r in rows]), code
-    return _csv(rows, header), code
+        return _json([dict(zip(TABLE_HEADER, r)) for r in rows]), code
+    return _csv(rows, TABLE_HEADER), code
 
 
 def cmd_sweep(args) -> tuple[str, int]:
@@ -326,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", metavar="PATH", help="write output to PATH")
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--search", choices=("auto", "exhaustive"), default="auto",
-                        help="auto: exhaustive up to n = 64, greedy orders beyond")
+                        help="auto: exhaustive up to n = 64, greedy orders beyond, which "
+                        "can miss a quick exact proof (3x3x3x3x3); past 64 prefer exhaustive")
     search.add_argument("--budget-nodes", type=int, metavar="B",
                         help="abort after B search nodes (exit 3)")
     search.add_argument("--seed", type=int, default=0)

@@ -32,7 +32,6 @@ from operator import or_
 import numpy as np
 
 from .entcore import _check_L, lstar
-from .linalg import PureStateVector
 from .modes import ModeStructure, _check_int, _check_seed, _level_table
 from .tgx import (
     LocalUnitarySet,
@@ -301,9 +300,11 @@ def max_mme_rank(
     `search` is "exhaustive" or "auto".  "auto" runs the clique search
     up to n = 64 and greedy orders beyond: GREEDY_RESTARTS seeded orders
     (`seed` acts only there), reported as a lower bound with status
-    "greedy".  `budget_nodes`, at least 1, caps the search nodes over
-    all L (`MmeRankReport.nodes`); once it runs out the L loop stops and
-    the best set found so far is reported with status "inconclusive".
+    "greedy", which can miss a quick exact proof (3x3x3x3x3: 21, where
+    "exhaustive" proves 27); past n = 64 prefer "exhaustive".
+    `budget_nodes`, at least 1, caps the search nodes over all L
+    (`MmeRankReport.nodes`); once it runs out the L loop stops and the
+    best set found so far is reported with status "inconclusive".
     """
     seed = _check_seed(seed)
     if search not in ("auto", "exhaustive"):
@@ -417,14 +418,13 @@ def _search_single_L(s, L, greedy, budget, seed) -> MmeRankReport:
     return report([level_sets[i] for i in best], status, len(level_sets))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MmeState(SpectralState):
-    """An MME state: its eigenstates are the TGX states of compatible ME
-    tuples, optionally dressed by local unitaries; rank 1 is the trivial
-    pure-ME edge case."""
+    """An MME state: its basis rows are the TGX states of compatible ME
+    `tuples`, optionally dressed by local unitaries; rank 1 is the
+    trivial pure-ME edge case."""
 
     tuples: tuple[MeTgxTuple, ...]
-    lu: LocalUnitarySet | None = None
 
     @property
     def is_trivial(self) -> bool:
@@ -445,7 +445,7 @@ def construct(s: ModeStructure, tuples, spectrum, lu: LocalUnitarySet | None = N
     process (`_certified_set`, the last CERTIFIED_SETS sets), while a
     refused set is tested and refused again on every call.  The
     spectrum must be positive numbers, not bools or strings, summing to
-    1 with one weight per tuple.  The eigenstates are built on every
+    1 with one weight per tuple.  The state's basis is built on every
     call as one (R, n) stack of equal superpositions and dressed by `lu`
     with one product per mode over the whole stack.
     """
@@ -455,8 +455,7 @@ def construct(s: ModeStructure, tuples, spectrum, lu: LocalUnitarySet | None = N
     if lu is not None:
         lu._check_structure(s)
         amps = _apply_per_axis(lu.unitaries, amps, s.dims)
-    states = tuple(PureStateVector(s, row) for row in amps)
-    state = MmeState(s, spectrum, states, ts, lu)
+    state = MmeState(s, spectrum, amps, ts)
     return state, state.matrix()
 
 

@@ -55,7 +55,7 @@ P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
 PURITY_TOL = 1e-9  # a member reduction this close to its floor is clean
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralState:
     """Eigen-decomposition {lambda_k, |Phi_k>} feeding the sampler.
 
@@ -63,23 +63,21 @@ class SpectralState:
     diagonalization may then rotate within an eigenspace, so states
     built from known eigenstates should pass them in directly.
 
-    `basis` is the eigenstates' amplitudes as one read-only (R, n)
-    array, row k for |Phi_k>, stacked once for the orthonormality
-    check; `decompose` and `_cross_reductions` read it.  `spectrum` is
-    kept as the floats `linalg._check_weights` reads.
+    `basis` holds the eigenstates' amplitudes, row k for |Phi_k>: any
+    (R, n) array-like, copied once into a read-only complex array and
+    checked orthonormal; `eigenstates` wraps its rows when asked.
+    `spectrum` is kept as the floats `linalg._check_weights` reads.
     """
 
     structure: ModeStructure
     spectrum: tuple[float, ...]
-    eigenstates: tuple[PureStateVector, ...]
-    basis: np.ndarray = field(init=False, repr=False, compare=False)
+    basis: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "spectrum", _check_weights(self.spectrum, len(self.eigenstates)))
-        for v in self.eigenstates:
-            if v.structure.dims != self.structure.dims:
-                raise ValueError("eigenstate structure mismatch")
-        basis = np.array([v.amplitudes for v in self.eigenstates])
+        basis, n = np.array(self.basis, dtype=complex), self.structure.n
+        if basis.ndim != 2 or basis.shape[1] != n:
+            raise ValueError(f"basis of {self.structure} must be (R, {n}), got {basis.shape}")
+        object.__setattr__(self, "spectrum", _check_weights(self.spectrum, len(basis)))
         _check_isometry("eigenstates", basis.T)
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
@@ -88,49 +86,47 @@ class SpectralState:
     def rank(self) -> int:
         return len(self.spectrum)
 
+    @property
+    def eigenstates(self) -> tuple[PureStateVector, ...]:
+        return tuple(PureStateVector(self.structure, row) for row in self.basis)
+
     def matrix(self) -> DensityMatrix:
-        return mix(list(self.eigenstates), self.spectrum)
+        return mix(self.eigenstates, self.spectrum)
 
 
 def spectral(rho: DensityMatrix) -> SpectralState:
     """Eigen-decomposition of a density matrix, eigenvalues descending,
     zeros (at most ATOL) dropped."""
     vals, vecs = np.linalg.eigh(rho.entries)
-    order = np.argsort(vals)[::-1]
-    spectrum = []
-    states = []
-    for k in order:
-        if vals[k] <= ATOL:
-            continue
-        spectrum.append(float(vals[k]))
-        amp = vecs[:, k]
-        amp = amp / np.linalg.norm(amp)
-        states.append(PureStateVector(rho.structure, amp))
-    total = sum(spectrum)
-    spectrum = [w / total for w in spectrum]
-    return SpectralState(rho.structure, tuple(spectrum), tuple(states))
+    order = [k for k in np.argsort(vals)[::-1] if not vals[k] <= ATOL]
+    total = sum(float(vals[k]) for k in order)
+    return SpectralState(rho.structure, tuple(float(vals[k]) / total for k in order),
+                         [vecs[:, k] / np.linalg.norm(vecs[:, k]) for k in order])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionSample:
-    """One decomposition {p_j, |w_j>} with its generating unitary;
-    members with p_j = 0 keep their slot with state None and are
-    excluded from averages."""
+    """One decomposition {p_j, |w_j>}: `amplitudes` holds member j in
+    row j, a zero row when p_j = 0; `members` wraps the rows, None for
+    p_j = 0, and averages exclude those members."""
 
     structure: ModeStructure
-    unitary: np.ndarray
     probabilities: tuple[float, ...]
-    members: tuple[PureStateVector | None, ...]
+    amplitudes: np.ndarray = field(repr=False)
 
     @property
     def D(self) -> int:
         return len(self.probabilities)
 
+    @property
+    def members(self) -> tuple[PureStateVector | None, ...]:
+        return tuple(PureStateVector(self.structure, w) if p else None
+                     for p, w in zip(self.probabilities, self.amplitudes))
+
     def average_ent(self) -> float:
-        kept = [(p, w.amplitudes) for p, w in zip(self.probabilities, self.members)
-                if w is not None]
-        probs, amps = zip(*kept)
-        return float(np.dot(probs, ent_rows(self.structure, np.array(amps))))
+        probs = np.array(self.probabilities)
+        kept = probs > 0
+        return float(np.dot(probs[kept], ent_rows(self.structure, self.amplitudes[kept])))
 
 
 def _coefficients(state: SpectralState, Us: np.ndarray):
@@ -153,20 +149,16 @@ def _coefficients(state: SpectralState, Us: np.ndarray):
 
 
 def decompose(state: SpectralState, unitary: np.ndarray) -> DecompositionSample:
-    """Apply one D x D unitary to the eigen-ensemble, D >= rank; members
-    with p_j < P_FLOOR keep their slot as None.  Each member is normalized
-    by its true norm, so tiny unitarity slack cannot leak into it."""
+    """Apply one D x D unitary to the eigen-ensemble, D >= rank; member
+    j is amplitude row j, a zero row if p_j < P_FLOOR.  Each member is
+    normalized by its true norm, so unitarity slack cannot leak into it."""
     U = np.asarray(unitary, dtype=complex)
     probs, coeffs = _coefficients(state, U[None])
     _check_isometry("unitary", U)
-    raw = coeffs @ state.basis
-    norms = np.where(probs > 0, np.linalg.norm(raw, axis=2), np.inf)
-    s = state.structure
-    return DecompositionSample(
-        s, U, tuple(float(p) for p in probs[0]),
-        tuple(PureStateVector(s, w / norm) if p else None
-              for p, w, norm in zip(probs[0], raw[0], norms[0])),
-    )
+    raw = coeffs[0] @ state.basis
+    norms = np.where(probs[0] > 0, np.linalg.norm(raw, axis=1), np.inf)
+    return DecompositionSample(state.structure, tuple(float(p) for p in probs[0]),
+                               raw / norms[:, None])
 
 
 def _cross_reductions(state: SpectralState):
@@ -438,8 +430,8 @@ def reduction_purity_report(sample: DecompositionSample) -> PurityReport:
     s = sample.structure
     L = lstar(s).min
     expected = tuple(mpsrp_purity(d, L) for d in s.dims)
-    kept = [w.amplitudes for w in sample.members if w is not None]
-    worst = float(np.abs(mode_purities(s, np.array(kept)) - expected).max())
+    kept = sample.amplitudes[np.array(sample.probabilities) > 0]
+    worst = float(np.abs(mode_purities(s, kept) - expected).max())
     return PurityReport(s, L, expected, worst, worst <= PURITY_TOL)
 
 
@@ -477,4 +469,4 @@ def comparison_family_spectral(kind: str, spectrum) -> SpectralState:
     amps = _superpositions(s.n, COMPARISON_LEVELS[kind])
     if kind == "e_selfspace":
         amps[1, 15] *= -1
-    return SpectralState(s, spectrum, tuple(PureStateVector(s, row) for row in amps))
+    return SpectralState(s, spectrum, amps)

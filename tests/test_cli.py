@@ -80,8 +80,8 @@ def test_rank_csv_and_json(capsys) -> None:
     code, out, _ = _run(capsys, ["rank", "2x4", "--format", "csv"])
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,dims,minLstar,r_tilde,R_MME"
-    assert lines[1] == "8,2x4,2,2,2"
+    assert lines[0] == "n,dims,minLstar,r_tilde,R_MME,status,L_used"
+    assert lines[1] == "8,2x4,2,2,2,complete,2"
 
     code, out, _ = _run(capsys, ["rank", "2x4"])
     assert code == 0
@@ -89,6 +89,28 @@ def test_rank_csv_and_json(capsys) -> None:
     assert d["R_MME"] == 2
     assert d["status"] == "complete"
     assert d["witness"] == [[1, 6], [3, 8]]
+
+
+@pytest.mark.parametrize("argv,row,code", [
+    # a greedy lower bound, a partial result and an R_MME found above min L*
+    (["3x3x3x3"], "81,3x3x3x3,3,9,9,greedy,3", 0),
+    (["2^5", "--budget-nodes", "5"], "32,2x2x2x2x2,2,8,4,inconclusive,2", 3),
+    (["2x2x3x3", "--L", "12"], "36,2x2x3x3,6,2,1,complete,12", 0),
+])
+def test_rank_csv_row_names_its_status_and_L(capsys, argv, row, code) -> None:
+    # the row hid both: each printed only n,dims,minLstar,r_tilde,R_MME
+    assert _run(capsys, ["rank", *argv, "--format", "csv"]) == (
+        code, f"n,dims,minLstar,r_tilde,R_MME,status,L_used\n{row}\n", "")
+
+
+def test_tables_rows_name_their_status_and_L(capsys) -> None:
+    # table 3 ended with the bare greedy row 81,3x3x3x3,3,9,9
+    code, out, err = _run(capsys, ["tables", "3", "--max-n", "81"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "n,dims,minLstar,r_tilde,R_MME,status,L_used"
+    assert lines[-1] == "81,3x3x3x3,3,9,9,greedy,3"
+    assert {line.split(",")[5] for line in lines[1:]} == {"complete", "greedy"}
 
 
 def test_rank_budget_exhaustion_exit_code(capsys) -> None:
@@ -505,10 +527,10 @@ def test_tables_five(capsys) -> None:
     code, out, _ = _run(capsys, ["tables", "5", "--max-N", "4", "--format", "csv"])
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,dims,minLstar,r_tilde,R_MME,status"
-    assert lines[1] == "4,2x2,2,1,1,complete"
-    assert lines[2] == "8,2x2x2,2,2,1,complete"
-    assert lines[3] == "16,2x2x2x2,2,4,4,complete"
+    assert lines[0] == "n,dims,minLstar,r_tilde,R_MME,status,L_used"
+    assert lines[1] == "4,2x2,2,1,1,complete,2"
+    assert lines[2] == "8,2x2x2,2,2,1,complete,2"
+    assert lines[3] == "16,2x2x2x2,2,4,4,complete,2"
     assert len(lines) == 4
 
 
@@ -542,7 +564,7 @@ def test_tables_json_matches_csv(capsys, argv) -> None:
     code, out, _ = _run(capsys, ["tables", *argv])
     assert code == 0
     header, *csv_rows = [line.split(",") for line in out.strip().splitlines()]
-    assert header == TABLE_HEADER + (["status"] if argv[0] == "5" else [])
+    assert header == TABLE_HEADER
     assert len(rows) == len(csv_rows) > 0
     for row, cells in zip(rows, csv_rows):
         assert list(row) == header

@@ -659,8 +659,11 @@ def test_construct_shares_no_buffer_between_states() -> None:
     levels = EXAMPLE_SETS[(2, 2, 2, 2)]
     state, rho = construct(s, levels, (0.25,) * 4)
     keep = rho.entries.copy()
-    state.eigenstates[0].amplitudes[:] = state.eigenstates[1].amplitudes
+    with pytest.raises(ValueError, match="read-only"):
+        state.eigenstates[0].amplitudes[:] = state.eigenstates[1].amplitudes
+    rho.entries[:] = 0.0
     again, rho_again = construct(s, levels, (0.25,) * 4)
+    assert not np.shares_memory(again.basis, state.basis)
     assert np.array_equal(rho_again.entries, keep)
     assert np.array_equal(again.basis, [build_tgx_state(t).amplitudes for t in again.tuples])
 
@@ -720,7 +723,9 @@ def test_mme_state_is_its_own_spectral_state() -> None:
     assert isinstance(state, SpectralState)
     spec, note = as_spectral(state)
     assert spec is state and note == ""
-    assert state.lu is lu and state.rank == 2
+    assert state.rank == 2
+    dressed = [apply_lu(build_tgx_state(t), lu).amplitudes for t in state.tuples]
+    assert np.abs(state.basis - dressed).max() <= 1e-14
     assert np.array_equal(state.matrix().entries, rho.entries)
 
 

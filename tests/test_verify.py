@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -56,31 +57,43 @@ def _certificate(dims: tuple[int, ...]) -> SpectralState:
     return spec
 
 
+def _rows(*states: PureStateVector) -> np.ndarray:
+    """The (R, n) basis whose rows are the given states' amplitudes."""
+    return np.array([v.amplitudes for v in states])
+
+
 def test_spectral_state_validation() -> None:
     s = ModeStructure((2, 2))
     e1, e4 = _basis_state(s, 1), _basis_state(s, 4)
-    SpectralState(s, (0.7, 0.3), (e1, e4))
+    SpectralState(s, (0.7, 0.3), _rows(e1, e4))
     with pytest.raises(ValueError):
-        SpectralState(s, (0.7, 0.3, 0.0), (e1, e4))
+        SpectralState(s, (0.7, 0.3, 0.0), _rows(e1, e4))
     with pytest.raises(ValueError):
-        SpectralState(s, (1.3, -0.3), (e1, e4))
+        SpectralState(s, (1.3, -0.3), _rows(e1, e4))
     with pytest.raises(ValueError):
-        SpectralState(s, (0.7, 0.2), (e1, e4))
+        SpectralState(s, (0.7, 0.2), _rows(e1, e4))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
-            SpectralState(s, (bad, 0.3), (e1, e4))
+            SpectralState(s, (bad, 0.3), _rows(e1, e4))
     with pytest.raises(ValueError):
-        SpectralState(s, (0.7, 0.3), (e1, e1))
-    other = _basis_state(ModeStructure((4,)), 2)
-    with pytest.raises(ValueError):
-        SpectralState(s, (0.7, 0.3), (e1, other))
+        SpectralState(s, (0.7, 0.3), _rows(e1, e1))
+    other = ModeStructure((2, 3))
+    with pytest.raises(ValueError, match=r"must be \(R, 4\)"):
+        SpectralState(s, (0.7, 0.3), _rows(_basis_state(other, 1), _basis_state(other, 2)))
 
 
 _S22 = ModeStructure((2, 2))
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 5), (1, 2, 4)])
+def test_spectral_state_refuses_a_basis_of_the_wrong_shape(shape) -> None:
+    # a 1-D basis, n - 1 or n + 1 columns, or a stack of bases
+    with pytest.raises(ValueError, match=r"2x2 must be \(R, 4\), got " + re.escape(str(shape))):
+        SpectralState(_S22, (1.0,), np.zeros(shape))
+
+
 @pytest.mark.parametrize("build,bad", [
-    (lambda: SpectralState(_S22, (True,), (_basis_state(_S22, 1),)), "True"),
+    (lambda: SpectralState(_S22, (True,), _rows(_basis_state(_S22, 1))), "True"),
     (lambda: mix([_basis_state(_S22, 1)], [True]), "True"),
     (lambda: comparison_family_spectral("mme", ("0.5", "0.5")), "'0.5'"),
 ])
@@ -92,7 +105,7 @@ def test_weights_that_are_not_numbers_are_refused(build, bad) -> None:
 
 def test_spectral_state_keeps_its_weights_as_floats() -> None:
     e1, e4 = _basis_state(_S22, 1), _basis_state(_S22, 4)
-    state = SpectralState(_S22, [np.float64(0.75), Fraction(1, 4)], (e1, e4))
+    state = SpectralState(_S22, [np.float64(0.75), Fraction(1, 4)], _rows(e1, e4))
     assert state.spectrum == (0.75, 0.25)
     assert all(type(w) is float for w in state.spectrum)
 
@@ -103,10 +116,30 @@ def test_spectral_state_keeps_one_read_only_basis() -> None:
     stacked = np.array([v.amplitudes for v in state.eigenstates])
     assert state.basis.shape == (2, 16) and not state.basis.flags.writeable
     assert np.array_equal(state.basis, stacked)
-    plain = SpectralState(s, state.spectrum, state.eigenstates)
-    assert plain == SpectralState(s, state.spectrum, state.eigenstates)
+    plain = SpectralState(s, state.spectrum, state.basis)
+    assert np.array_equal(plain.basis, SpectralState(s, state.spectrum, state.basis).basis)
     with pytest.raises(ValueError, match="read-only"):
         state.basis[0, 0] = 0.0
+
+
+def test_spectral_states_keep_no_buffer_of_the_caller() -> None:
+    # the basis is copied once where it enters, so the caller's array,
+    # spectrum or density matrix can change without moving a stored bit
+    basis = haar_unitary(4, np.random.default_rng(3))[:2]
+    spectrum = np.array([0.6, 0.4])
+    state = SpectralState(_S22, spectrum, basis)
+    family = comparison_family_spectral("mme", spectrum)
+    rho = mix(state.eigenstates, (0.6, 0.4))
+    spec = spectral(rho)
+    kept = [(x.basis.copy(), x.spectrum) for x in (state, family, spec)]
+    basis[:] = 0.0
+    spectrum[:] = 0.5
+    rho.entries[:] = 0.0
+    for x, (b, w) in zip((state, family, spec), kept):
+        assert np.array_equal(x.basis, b) and x.spectrum == w
+        assert not x.basis.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x.basis[0, 0] = 1.0
 
 
 def test_spectral_round_trip_descending() -> None:
@@ -166,11 +199,21 @@ def test_decompose_reconstructs_state() -> None:
 
 def test_decompose_zero_probability_member_is_none() -> None:
     s = ModeStructure((2, 2))
-    spec = SpectralState(s, (1.0,), (_basis_state(s, 1),))
+    spec = SpectralState(s, (1.0,), _rows(_basis_state(s, 1)))
     sample = decompose(spec, np.eye(2))
     assert sample.probabilities == (1.0, 0.0)
     assert sample.members[1] is None
     assert sample.average_ent() == pytest.approx(0.0)
+    # one amplitude row per member, zero exactly where p_j = 0
+    assert sample.amplitudes.shape == (2, 4)
+    assert not sample.amplitudes[1].any() and sample.amplitudes[0, 0] == 1.0
+    for x in (_certificate((2, 5)), comparison_family_spectral("mme", (0.7, 0.3))):
+        U = np.eye(x.rank + 2, dtype=complex)
+        U[:2, :2] = u2(0.3, 1.1)
+        sample = decompose(x, U)
+        dropped = [w is None for w in sample.members]
+        assert dropped == [p == 0 for p in sample.probabilities] == [False] * 2 + [True] * 2
+        assert dropped == [not row.any() for row in sample.amplitudes]
 
 
 def test_decompose_validation() -> None:
@@ -582,8 +625,7 @@ def _random_spectral(rng, s: ModeStructure, R: int) -> SpectralState:
     unitary) with a random positive spectrum."""
     basis = haar_unitary(s.n, rng)[:, :R]
     w = rng.random(R) + 0.05
-    return SpectralState(s, tuple(w / w.sum()),
-                         tuple(PureStateVector(s, v) for v in basis.T))
+    return SpectralState(s, tuple(w / w.sum()), basis.T)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 6), (2, 3, 2), (2, 2, 5), (2, 2, 3, 3)])
@@ -762,11 +804,11 @@ def test_comparison_family_builds_its_two_states_bitwise(monkeypatch, kind) -> N
     if kind == "separable":
         want[0, 0] = want[1, 15] = 1.0
     built = []
-    init = PureStateVector.__init__
-    monkeypatch.setattr(PureStateVector, "__init__",
-                        lambda self, *a: built.append(self) or init(self, *a))
+    stack = verify._superpositions
+    monkeypatch.setattr(verify, "_superpositions",
+                        lambda *a: built.append(stack(*a)) or built[-1])
     spec = comparison_family_spectral(kind, (0.7, 0.3))
-    assert len(built) == 2  # only the requested family is built
+    assert [b.shape for b in built] == [(2, 16)]  # only the requested family is built
     assert spec.basis.tobytes() == want.tobytes()
 
 
@@ -843,7 +885,7 @@ def test_average_ent_weights_members() -> None:
     bell = PureStateVector(
         s, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     )
-    spec = SpectralState(s, (0.7, 0.3), (bell, _basis_state(s, 2)))
+    spec = SpectralState(s, (0.7, 0.3), _rows(bell, _basis_state(s, 2)))
     sample = decompose(spec, np.eye(2))
     assert ent_pure(bell) == pytest.approx(1.0)
     assert sample.average_ent() == pytest.approx(0.7, abs=1e-12)

@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rank",
         parents=[out, search],
         help="maximal MME rank search",
-        description="CSV schema: n,dims,minLstar,r_tilde,R_MME",
+        description=f"CSV schema: {','.join(TABLE_HEADER)}",
     )
     p.add_argument("dims")
     sizes = p.add_mutually_exclusive_group()
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
             "1: all multipartite systems, n <= 28.  3: N >= 3 systems, "
             "n <= 36 (below n=29 only MME-hosting rows).  5: qubit systems "
             "2^N.  Every row is recomputed, never echoed.  "
-            "CSV schema: n,dims,minLstar,r_tilde,R_MME[,status]."
+            f"CSV schema: {','.join(TABLE_HEADER)}."
         ),
     )
     p.add_argument("which", type=int, choices=(1, 3, 5))

@@ -14,8 +14,8 @@ M* anchors the normalization of the ent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -59,53 +59,48 @@ class LStarSet:
         }
 
 
-@lru_cache(maxsize=1024)
-def _mpsrp_fraction(n_m: int, L: int) -> Fraction:
-    """P_MP(n_m, L) in exact arithmetic; the certificate's purity report
-    asks for the same few floors on every call.  Bounded, since
-    `mpsrp_purity` takes any ints."""
+def _mpsrp_numerator(n_m: int, L: int) -> int:
+    """L**2 * P_MP(n_m, L), an integer: the floor's exact numerator."""
     q, r = divmod(L, n_m)
-    return (r * Fraction(1 + q, L) ** 2) + (n_m - r) * Fraction(q, L) ** 2
+    return r * (q + 1) ** 2 + (n_m - r) * q * q
 
 
 def mpsrp_purity(n_m: int, L: int) -> float:
     """Minimum physical simultaneous reduction purity of an n_m-level mode
     in an L-level equal-weight pure state.
 
-    Exact rational internally; the float is correctly rounded.
+    An integer over L**2, so the float is correctly rounded.
     """
     n_m, L = _check_int("n_m", n_m), _check_int("L", L)
     if n_m < 2:
         raise ValueError(f"mode dimension must be >= 2, got {n_m}")
     if L < 1:
         raise ValueError(f"level count must be >= 1, got {L}")
-    return float(_mpsrp_fraction(n_m, L))
-
-
-def _objective_fraction(s: ModeStructure, L: int) -> Fraction:
-    terms = [
-        (d * _mpsrp_fraction(d, L) - 1) / (d - 1)
-        for d in s.dims
-    ]
-    return sum(terms, Fraction(0)) / s.N
+    return _mpsrp_numerator(n_m, L) / (L * L)
 
 
 @lru_cache(maxsize=None)
 def lstar(s: ModeStructure) -> LStarSet:
     """All L in 2..n/n_max minimizing the mean normalized reduction purity.
 
-    Argmin ties are exact (the objective is evaluated in rational
-    arithmetic).  Bipartite systems always give values = {n_S}.
-    Cached per structure.
+    Argmin ties are exact: every M(L) is an integer over one common
+    denominator N * C * lcm(L)**2, C = lcm(n_m - 1), and each float is
+    that quotient, correctly rounded.  Bipartite systems always give
+    values = {n_S}.  Cached per structure.
     """
     if s.n_over_max < 2:
         raise UnsupportedSystemError(
             f"{s} has n/n_max = {s.n_over_max}; no entanglement is possible"
         )
-    table = {L: _objective_fraction(s, L) for L in range(2, s.n_over_max + 1)}
+    Ls = range(2, s.n_over_max + 1)
+    C, lam = math.lcm(*(d - 1 for d in s.dims)), math.lcm(*Ls)
+    den = s.N * C * lam * lam
+    # (n_m P_MP - 1)/(n_m - 1) = (n_m * numerator - L**2) / ((n_m - 1) L**2)
+    table = {L: sum((d * _mpsrp_numerator(d, L) - L * L) * (C // (d - 1)) for d in s.dims)
+             * (lam // L) ** 2 for L in Ls}
     best = min(table.values())
-    values = tuple(sorted(L for L, v in table.items() if v == best))
-    return LStarSet(values, float(best), {L: float(v) for L, v in table.items()})
+    values = tuple(L for L, v in table.items() if v == best)
+    return LStarSet(values, best / den, {L: v / den for L, v in table.items()})
 
 
 def _check_L(s: ModeStructure, L) -> int:

@@ -74,7 +74,12 @@ class SpectralState:
     basis: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        basis, n = np.array(self.basis, dtype=complex), self.structure.n
+        n = self.structure.n
+        try:
+            basis = np.array(self.basis, dtype=complex)
+        except ValueError:  # rows of different lengths, or entries that are not numbers
+            raise ValueError(f"basis of {self.structure} must be (R, {n}), "
+                             "got ragged or non-numeric rows") from None
         if basis.ndim != 2 or basis.shape[1] != n:
             raise ValueError(f"basis of {self.structure} must be (R, {n}), got {basis.shape}")
         object.__setattr__(self, "spectrum", _check_weights(self.spectrum, len(basis)))

@@ -108,7 +108,7 @@ def test_acceptance_qubit_ladder() -> None:
 
 def test_acceptance_qubit_2_7_exhaustive() -> None:
     # the colouring-bounded clique search proves the published 2^7 rank
-    # maximal in a few thousand nodes
+    # maximal in under a thousand nodes, rooted at the tuples holding level 1
     report = max_mme_rank(ModeStructure((2,) * 7), search="exhaustive")
     bnb_nodes = report.nodes - report.tuple_count
     ok = report.status == "complete" and report.exhaustive

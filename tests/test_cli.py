@@ -509,6 +509,14 @@ def test_every_option_is_read() -> None:
             assert re.search(rf"\bargs\.{action.dest}\b", source), (name, action.dest)
 
 
+@pytest.mark.parametrize("command", ["rank", "tables"])
+def test_help_names_the_csv_schema(capsys, command) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"CSV schema: {','.join(TABLE_HEADER)}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [["rank", "2^4"], ["tables", "1"]])
 def test_explicit_greedy_search_rejected(capsys, argv) -> None:
     with pytest.raises(SystemExit) as exc:

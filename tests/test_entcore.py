@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from mmekit.entcore import (
     lstar,
     mpsrp_purity,
 )
+from mmekit.cli import _structures_upto
 from mmekit.linalg import PureStateVector
-from mmekit.modes import ModeStructure
+from mmekit.modes import MAX_N, ModeStructure
 
 from reference_values import LSTAR_ORACLE, MPSRP_ORACLE
 from test_linalg import _basis_state
@@ -64,6 +66,28 @@ def test_lstar_per_L_table() -> None:
     assert got.per_L_mean[2] == float(m2)
     assert got.per_L_mean[3] == float(m3)
     assert m3 == Fraction(1, 10)
+
+
+@lru_cache(maxsize=None)
+def _fraction_floor(n_m: int, L: int) -> Fraction:
+    q, r = divmod(L, n_m)
+    return r * Fraction(q + 1, L) ** 2 + (n_m - r) * Fraction(q, L) ** 2
+
+
+def test_integer_floors_match_the_fraction_oracle_bit_for_bit() -> None:
+    # int / int true division rounds as float(Fraction) does
+    for n_m in range(2, 17):
+        for L in range(1, MAX_N + 1):
+            assert mpsrp_purity(n_m, L).hex() == float(_fraction_floor(n_m, L)).hex()
+    for s in _structures_upto(MAX_N):
+        got = lstar(s)
+        table = {L: sum(Fraction(d * _fraction_floor(d, L) - 1, d - 1) for d in s.dims) / s.N
+                 for L in range(2, s.n_over_max + 1)}
+        best = min(table.values())
+        assert got.values == tuple(L for L, v in table.items() if v == best), s
+        assert got.min_mean.hex() == float(best).hex(), s
+        assert {L: v.hex() for L, v in got.per_L_mean.items()} == {
+            L: float(v).hex() for L, v in table.items()}, s
 
 
 def test_lstar_json_shape() -> None:

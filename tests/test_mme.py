@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mmekit.cli import _structures_upto
 from mmekit.entcore import lstar
-from mmekit import tgx
+from mmekit import mme, tgx
 from mmekit.mme import (
     CERTIFIED_SETS,
     GREEDY_RESTARTS,
@@ -101,8 +101,8 @@ def test_mask_adjacency_matches_compatible() -> None:
     s = ModeStructure((2,) * 6)
     ts = enumerate_me_tuples(s, lstar(s).min)
     assert len(ts) == 32
-    masks = _level_table(s)[1]
-    adj = _adjacency([reduce(or_, (masks[lvl] for lvl in t.levels)) for t in ts])
+    sets = [t.levels for t in ts]
+    adj = _adjacency(s, sets, len(sets))
     verdicts = []
     for i, j in itertools.combinations(range(len(ts)), 2):
         ok = compatible([ts[i], ts[j]])
@@ -118,8 +118,8 @@ def test_lex_stream_clique_is_the_natural_order_greedy_clique(dims, L) -> None:
     # rebuilding it from the full graph in natural order
     s = parse_dims(dims)
     ts = enumerate_me_tuples(s, L)
-    masks = _level_table(s)[1]
-    adj = _adjacency([reduce(or_, (masks[lvl] for lvl in t.levels)) for t in ts])
+    sets = [t.levels for t in ts]
+    adj = _adjacency(s, sets, len(sets))
     natural = [ts[i].levels for i in _greedy_clique(adj, range(len(ts)))]
     # one node per tuple: the budget runs out right after the stream
     report = max_mme_rank(s, search="exhaustive", L=L, budget_nodes=len(ts))
@@ -157,10 +157,81 @@ def test_uncapped_pass_is_the_greedy_clique_of_the_whole_graph(dims) -> None:
     s = parse_dims(dims)
     L = lstar(s).min
     sets = list(_me_level_sets(s, L))
-    masks = _level_table(s)[1]
-    adj = _adjacency([reduce(or_, (masks[lvl] for lvl in t)) for t in sets])
+    adj = _adjacency(s, sets, len(sets))
     natural = [sets[i] for i in _greedy_clique(adj, range(len(sets)))]
     assert _lex_clique(s, L, len(sets) + 1, _Budget(None)) == natural
+
+
+def _mask_rows(s: ModeStructure, level_sets) -> list[int]:
+    # per-bit oracle for `_adjacency`: each set's mask ORs its levels'
+    # table masks, and one holder set per bit gives the sets sharing it
+    level_masks = _level_table(s)[1]
+    masks = [reduce(or_, (level_masks[lvl] for lvl in levels)) for levels in level_sets]
+    holders: dict[int, int] = {}
+    for i, mask in enumerate(masks):
+        for b in range(mask.bit_length()):
+            if mask >> b & 1:
+                holders[b] = holders.get(b, 0) | 1 << i
+    full = (1 << len(masks)) - 1
+    return [full & ~reduce(or_, (h for b, h in holders.items() if mask >> b & 1))
+            for mask in masks]
+
+
+@pytest.mark.parametrize("dims,L", [("2^5", L) for L in (2, 4, 6, 8, 10, 12, 14, 16)] + [
+    ("2^6", 4), ("2^7", 2), ("2x2x3x3", 6), ("2x2x3x3", 12), ("3x3x3", 6), ("2x3x3x3", 6),
+    ("3x3x3x3", 3)])
+def test_adjacency_rows_match_the_mask_oracle(dims, L) -> None:
+    # a rooted build makes exactly the rows of the roots and their
+    # neighbours, each equal to the full graph's
+    s = parse_dims(dims)
+    sets = list(_me_level_sets(s, L))
+    want = _mask_rows(s, sets)
+    assert _adjacency(s, sets, len(sets)) == want
+    for roots in {0, len(sets) // 3, sum(levels[0] == 1 for levels in sets)}:
+        reach = reduce(or_, want[:roots], (1 << roots) - 1)
+        assert _adjacency(s, sets, roots) == [
+            row if reach >> i & 1 else None for i, row in enumerate(want)]
+
+
+def test_rank_search_builds_192_of_1024_rows_on_2_5(monkeypatch) -> None:
+    # the search roots at the 192 tuples holding level 1, which meet no
+    # later tuple outside them: one branch-and-bound node per root
+    built = []
+
+    def spy(s, level_sets, roots):
+        built.append(_adjacency(s, level_sets, roots))
+        return built[-1]
+
+    monkeypatch.setattr(mme, "_adjacency", spy)
+    report = max_mme_rank(parse_dims("2^5"), search="exhaustive", L=6)
+    assert [(len(adj), sum(row is not None for row in adj)) for adj in built] == [(1024, 192)]
+    assert (report.R_MME, report.status, report.nodes) == (1, "complete", 1024 + 192)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_rooted_search_matches_the_full_graph(data) -> None:
+    # label permutations move every level to level 1, so rooting the
+    # search at the tuples holding it finds the full graph's clique at
+    # every size up to omega, the per-L cap included
+    s = data.draw(st.sampled_from(list(_structures_upto(36))), label="s")
+    L = data.draw(st.sampled_from(lstar(s).values), label="L")
+    sets = list(_me_level_sets(s, L))
+    K, roots, cap = len(sets), sum(levels[0] == 1 for levels in sets), _min_nB(s) // L
+    upper = data.draw(st.integers(1, cap), label="upper")
+    lower = data.draw(st.sampled_from(
+        [[], [sets.index(levels) for levels in _lex_clique(s, L, upper, _Budget(None))]]),
+        label="lower")
+    want = _max_clique(_adjacency(s, sets, K), K, lower, upper, _Budget(None))
+    got = _max_clique(_adjacency(s, sets, roots), roots, lower, upper, _Budget(None))
+    assert got == want
+
+
+def test_rooted_search_proves_2_7_in_under_1000_nodes() -> None:
+    report = max_mme_rank(parse_dims("2^7"), search="exhaustive")
+    assert (report.R_MME, report.status, report.tuple_count) == (22, "complete", 64)
+    assert [t.levels for t in report.witness] == BELOW_CAP_WITNESSES[3][3]
+    assert report.nodes - report.tuple_count < 1000
 
 
 @pytest.mark.parametrize("dims,rank", [("4x4x4x4", 16), ("2x2x2x2x3", 2), ("2x3x3x3", 3),

@@ -142,7 +142,6 @@ def test_verify_checks_unitaries_where_they_enter() -> None:
 CACHES = {
     "cli._flat_encoder": (None, "one encoder per pad, i.e. per JSON nesting depth"),
     "cli.build_parser": (None, "takes no arguments: one parser"),
-    "entcore._mpsrp_fraction": (1024, "`mpsrp_purity` takes any ints"),
     "entcore.lstar": (None, "one report per structure used"),
     "mme._certified_set": (64, "tuple sets are unbounded: mme.CERTIFIED_SETS"),
     "modes._level_table": (None, "one layout per structure used"),

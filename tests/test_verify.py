@@ -92,6 +92,13 @@ def test_spectral_state_refuses_a_basis_of_the_wrong_shape(shape) -> None:
         SpectralState(_S22, (1.0,), np.zeros(shape))
 
 
+@pytest.mark.parametrize("rows", [[np.eye(4)[0], np.eye(6)[1]], [[1, 0, 0, 0], ["x", 1, 0, 0]]])
+def test_spectral_state_refuses_ragged_or_non_numeric_rows(rows) -> None:
+    # rows of lengths 4 and 6 make no (R, n) array
+    with pytest.raises(ValueError, match=r"2x2 must be \(R, 4\), got ragged or non-numeric rows"):
+        SpectralState(_S22, (0.5, 0.5), rows)
+
+
 @pytest.mark.parametrize("build,bad", [
     (lambda: SpectralState(_S22, (True,), _rows(_basis_state(_S22, 1))), "True"),
     (lambda: mix([_basis_state(_S22, 1)], [True]), "True"),

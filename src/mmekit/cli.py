@@ -26,6 +26,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -86,10 +87,18 @@ def _flat_encoder(pad: str):
     return json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
 
 
+def _int_rows(obj) -> bool:
+    """Whether `obj` is a list of non-empty lists or tuples of plain ints,
+    which `str` writes as JSON does."""
+    return ({type(r) for r in obj} <= {list, tuple} and all(obj)
+            and set(map(type, chain.from_iterable(obj))) == {int})
+
+
 def _indented(obj, pad: str) -> str:
     """`json.dumps(obj, indent=2)` opened at `pad`, byte for byte (string keys),
     with a numpy array standing for its `.tolist()`.  With `indent` the stdlib
-    encodes in pure Python; scalar lists use its C one.  A non-empty 2-D float
+    encodes in pure Python; scalar lists use its C one, and a list of int rows
+    (`_int_rows`, such as the tuples) one `str.join` per row.  A non-empty 2-D float
     array encodes each distinct magnitude once: a density matrix is close to
     Hermitian, so most magnitudes repeat, and `float.__repr__` is the cost."""
     inner = pad + "  "
@@ -110,7 +119,10 @@ def _indented(obj, pad: str) -> str:
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if not isinstance(obj, (list, tuple)) or not obj:
         return json.dumps(obj)
-    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
+    if _int_rows(obj):  # a tuple list: one join per row
+        head, sep, tail = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+        body = (",\n" + inner).join(head + sep.join(map(str, r)) + tail for r in obj)
+    elif any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
         body = (",\n" + inner).join(_indented(x, inner) for x in obj)
     else:
         body = _flat_encoder(inner)(obj)[1:-1]
@@ -164,7 +176,7 @@ def cmd_lstar(args) -> tuple[str, int]:
 def cmd_tuples(args) -> tuple[str, int]:
     s = parse_dims(args.dims)
     L = args.L if args.L is not None else lstar(s).min
-    levels = [list(t.levels) for t in enumerate_me_tuples(s, L)]
+    levels = [t.levels for t in enumerate_me_tuples(s, L)]
     if args.format == "csv":
         return _csv(levels, [f"level{i + 1}" for i in range(L)]), EXIT_OK
     payload = {"dims": str(s), "L": L, "count": len(levels), "tuples": levels}
@@ -360,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     sizes = p.add_mutually_exclusive_group()
     sizes.add_argument("--L", type=int, help="fix the tuple size (must lie in L*)")
     sizes.add_argument("--all-lstar", action="store_true",
-                       help="search every L in L* and report the best")
+                       help="search every L in L* up to the first whose cap the best "
+                       "rank reaches, and report the best")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=cmd_rank)
 

@@ -15,8 +15,13 @@ branch and bound starts only at the tuples holding level 1: per-mode
 label permutations are local unitaries that keep ME tuples ME, map mode
 lines to mode lines and move any level to level 1, so some maximum
 clique holds such a tuple, and only the adjacency rows those tuples
-reach are built.  On 2 vCPUs, `rank 2x2x2x3x3 --search exhaustive` so
-takes 1.4 s and 220 MB, against 6.2 s and 417 MB unrooted.  The maximal
+reach are built.  The full read below the cap uses the same argument
+(`tgx._all_level_sets`): the DFS walks only the tuples holding level 1,
+and per-mode cyclic label shifts carry them onto every other level.
+On 2 vCPUs, `rank 2x2x2x3x3 --search exhaustive` so takes 0.4-0.6 s and
+220 MB, against 0.8-1.2 s with the whole DFS and 6.2 s and 417 MB
+unrooted.  An adjacency past ADJACENCY_BITS is not built: that L is
+reported "inconclusive" with the pass's clique.  The maximal
 rank over all MME states is a separate, open quantity that this rank
 only bounds from below: 2x2x3x3 holds certified MME states of rank 4
 against a TGX rank of 2.
@@ -45,6 +50,7 @@ from .tgx import (
     LocalUnitarySet,
     MeTgxTuple,
     _apply_per_axis,
+    _all_level_sets,
     _certify,
     _me_flags,
     _me_level_sets,
@@ -59,6 +65,10 @@ GREEDY_RESTARTS = 2000
 # Tuple sets whose certification `construct` keeps: a job list that
 # rebuilds a few published sets under many spectra and frames hits it.
 CERTIFIED_SETS = 64
+# Row bits (tuples x rows built) past which `_adjacency` builds nothing
+# and the search reports its lex-greedy clique as "inconclusive": 1 GiB
+# of rows.  2x2x2x3x3 builds 179 MB; 2^6 at L = 8 would need 4.3 GB.
+ADJACENCY_BITS = 8 << 30
 
 
 def _first_conflict(s: ModeStructure, level_sets):
@@ -315,7 +325,9 @@ def max_mme_rank(
 
     Searches the ME TGX tuples at L = min L* (or the given L in L*; with
     `all_lstar`, not with L, the search repeats per L* value and the
-    best report wins) for the largest compatible set.  A pass that reads
+    best report wins, stopping before the first L whose cap the best
+    rank already reaches: caps fall as L grows, and a later L wins only
+    with a larger rank) for the largest compatible set.  A pass that reads
     only the lex-greedy set ends the search at the per-L cap (see
     `_search_single_L`); below it one branch and bound (`_max_clique`)
     proves the maximum and returns the lex-least witness, R_MME(2^7) = 22
@@ -329,7 +341,8 @@ def max_mme_rank(
     "exhaustive" proves 27); past n = 64 prefer "exhaustive".
     `budget_nodes`, at least 1, caps the search nodes over all L
     (`MmeRankReport.nodes`); once it runs out the L loop stops and the
-    best set found so far is reported with status "inconclusive".
+    best set found so far is reported with status "inconclusive", as it
+    is when an adjacency would pass ADJACENCY_BITS.
     """
     seed = _check_seed(seed)
     if search not in ("auto", "exhaustive"):
@@ -345,6 +358,8 @@ def max_mme_rank(
     budget = _Budget(budget_nodes)
     reports = []
     for Lv in L_values:
+        if reports and max(r.R_MME for r in reports) >= _min_nB(s) // Lv:
+            break  # caps fall as L grows: no later L can beat the best
         reports.append(_search_single_L(s, Lv, greedy, budget, seed))
         if reports[-1].status == "inconclusive":
             break
@@ -369,16 +384,20 @@ def _conflicts(s: ModeStructure, level_sets) -> list[int]:
                   for row in np.packbits(near, axis=1, bitorder="little")]
 
 
-def _adjacency(s: ModeStructure, level_sets, roots: int) -> list[int | None]:
+def _adjacency(s: ModeStructure, level_sets, roots: int) -> list[int | None] | None:
     """Bitset graph over `level_sets`: bit j of adj[i] set iff sets i and j
     share no mode line.  A row costs one OR per level of its set, over
     the levels' `_conflicts`.  Only the rows of the first `roots` sets
     and of their neighbours are built, the rows a search rooted there
     reads; the others are None.  `roots=len(level_sets)` builds every
-    row."""
+    row.  Returns None, having built no more, once the rows to build
+    would hold more than ADJACENCY_BITS bits."""
+    K = len(level_sets)
+    if roots * K > ADJACENCY_BITS:
+        return None
     conflicts = _conflicts(s, level_sets)
-    full = (1 << len(level_sets)) - 1
-    adj: list[int | None] = [None] * len(level_sets)
+    full = (1 << K) - 1
+    adj: list[int | None] = [None] * K
 
     def build(i):
         adj[i] = full ^ reduce(or_, map(conflicts.__getitem__, level_sets[i]))
@@ -387,7 +406,10 @@ def _adjacency(s: ModeStructure, level_sets, roots: int) -> list[int | None]:
     for i in range(roots):
         build(i)
         reach |= adj[i]
-    for i, bit in enumerate(f"{reach >> roots:b}"[::-1], start=roots):
+    reach >>= roots
+    if (roots + reach.bit_count()) * K > ADJACENCY_BITS:
+        return None
+    for i, bit in enumerate(f"{reach:b}"[::-1], start=roots):
         if bit == "1":
             build(i)
     return adj
@@ -430,7 +452,8 @@ def _search_single_L(s, L, greedy, budget, seed) -> MmeRankReport:
     which returns the lex-least maximum clique; both start from the
     pass's clique.  A budget that runs out reports the best clique found
     so far as "inconclusive", so a larger budget never reports a smaller
-    one.
+    one; so does an adjacency past ADJACENCY_BITS, with the pass's
+    clique.
     """
     cap, r_tilde = _min_nB(s) // L, loose_bound(s)
     start = budget.used
@@ -449,13 +472,15 @@ def _search_single_L(s, L, greedy, budget, seed) -> MmeRankReport:
     budget.used = start
     level_sets = []
     try:
-        for levels in _me_level_sets(s, L):
+        for levels in _all_level_sets(s, L):
             budget.spend()
             level_sets.append(levels)
     except _BudgetExhausted:
         return report(clique, "inconclusive", len(level_sets))
     roots = len(level_sets) if greedy else sum(levels[0] == 1 for levels in level_sets)
     adj = _adjacency(s, level_sets, roots)
+    if adj is None:
+        return report(clique, "inconclusive", len(level_sets))
     lex_clique = [level_sets.index(levels) for levels in clique]
     status = "greedy" if greedy else "complete"
     try:

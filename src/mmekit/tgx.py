@@ -3,7 +3,12 @@
 An ME TGX tuple is a set of L scalar levels, L in L*, whose equal
 phaseless superposition is maximally full-N-partite entangled.
 Enumeration is a pruned depth-first search over the structure's level
-table: its survivors are exactly the ME tuples.  Each tuple is certified once,
+table: its survivors are exactly the ME tuples.  A full read walks only
+the sets holding level 1 (`_all_level_sets`): per-mode cyclic label
+shifts are local unitaries that keep both search conditions, and the
+one that takes level 1 to level h maps those sets onto every set whose
+smallest level is h, so numpy builds each later block by a shift, and
+sorting puts it back into the DFS's lex order.  Each tuple is certified once,
 numerically through the ent itself, in `_me_flags` blocks of equal
 superpositions: `_certify` for enumerate_me_tuples, rank witnesses and
 the eigen-tuples of `mme.construct`, which keeps each set it certified
@@ -82,8 +87,9 @@ def _tuple_levels(s: ModeStructure, t) -> tuple[int, ...]:
     return _check_levels(s, t)
 
 
-def _me_level_sets(s: ModeStructure, L: int):
-    """Yield all candidate level sets in lexicographic order.
+def _me_level_sets(s: ModeStructure, L: int, level1_only: bool = False):
+    """Yield all candidate level sets in lexicographic order; with
+    `level1_only`, only the sets holding level 1, the stream's prefix.
 
     Depth-first search over ascending levels with two prunes, both
     necessary conditions for maximal entanglement of the equal
@@ -124,6 +130,14 @@ def _me_level_sets(s: ModeStructure, L: int):
     search: every open frame ANDs its candidates with the levels left,
     and a frame below a dropped chosen level returns.  Plain iteration
     sends nothing; `mme._lex_clique` sends the mode lines of its tuples.
+    `level1_only` starts the search with every later level dropped for
+    the root frame alone (stale = L): the root reads it once level 1's
+    subtree is done and stops, so level 2's subtree is never walked.
+    That stream takes no sends.  `_all_level_sets` builds the rest of
+    the stream from it: per-mode cyclic label shifts keep both
+    conditions and take level 1 to every level, and each shifted block
+    is sorted, so a full read keeps this lex order, which the rank
+    search's rooting at the level-1 prefix relies on.
     """
     dims = s.dims
     N, n = s.N, s.n
@@ -153,7 +167,8 @@ def _me_level_sets(s: ModeStructure, L: int):
                             for m, a in enumerate(vecs[lvl]))
                       for lvl in range(1, n + 1)]
     chosen: list[int] = []
-    alive, stale = -1, L + 1  # undropped levels; frames with need >= stale must re-read them
+    # undropped levels; frames with need >= stale must re-read them
+    alive, stale = (0b10, L) if level1_only else (-1, L + 1)
 
     def dfs(cand: int, need: int):
         nonlocal alive, stale
@@ -203,6 +218,38 @@ def _me_level_sets(s: ModeStructure, L: int):
     yield from dfs((1 << (n + 1)) - 2, L)
 
 
+def _all_level_sets(s: ModeStructure, L: int):
+    """The `_me_level_sets` stream, built from its level-1 prefix.
+
+    Per-mode cyclic label shifts act simply transitively on levels, and
+    both conditions of the search (balanced label counts, no one-flip
+    pair) are invariant under per-mode label permutations, as the ent
+    is.  So the sets whose smallest level is h are exactly the images
+    under the shift that takes level 1 to h (a_m -> a_m + label_m(h) - 1
+    mod n_m, mode by mode) of the sets holding level 1 whose image has
+    no level below h.  The DFS walks only level 1's subtree, which
+    holds L/n of the sets; each later block is shifted in numpy one h
+    at a time and sorted, each set and then the block, so the whole
+    stream comes out in the DFS's own lex order.  The sorting is
+    Python's: the first calls of numpy's sort and lexsort map about
+    0.4 MB of kernel code into a process that sorts nothing else.
+    """
+    first = []
+    for levels in _me_level_sets(s, L, level1_only=True):
+        first.append(levels)
+        yield levels
+    if not first:
+        return
+    labels = np.array(_level_table(s)[0][1:]) - 1  # (n, N) 0-based labels
+    dims = np.array(s.dims)
+    strides = np.cumprod((1,) + s.dims[:0:-1])[::-1]  # mixed radix, mode 1 first
+    first = np.array(first) - 1
+    for h in range(1, s.n):  # 0-based level h, the image of level 0
+        block = (((labels + labels[h]) % dims) @ strides)[first]
+        block = block[block[:, 1:].min(axis=1, initial=s.n) > h] + 1
+        yield from sorted(tuple(sorted(levels)) for levels in block.tolist())
+
+
 def _superpositions(n: int, level_sets) -> np.ndarray:
     """Equal phaseless superpositions of level sets of one size, one
     per row of an (M, n) complex array."""
@@ -245,12 +292,16 @@ def _certify(s: ModeStructure, level_sets) -> list[MeTgxTuple]:
 def enumerate_me_tuples(s: ModeStructure, L: int) -> list[MeTgxTuple]:
     """All ME TGX tuples of size L, lexicographically sorted.
 
-    L must lie in L* (ValueError otherwise).  The search survivors are
-    certified once each, numerically and in blocks (`_me_flags`); a
-    survivor that is not ME raises ValueError.
+    L must lie in L* (ValueError otherwise).  The search survivors come
+    from `_all_level_sets`: the DFS walks only the sets holding level 1,
+    and the per-mode label shift that takes level 1 to level h builds
+    the sets whose smallest level is h, each block sorted, so the list
+    keeps the DFS's lex order.  They are certified once each,
+    numerically and in blocks (`_me_flags`); a survivor that is not ME
+    raises ValueError.
     """
     L = _check_L(s, L)
-    return _certify(s, list(_me_level_sets(s, L)))
+    return _certify(s, list(_all_level_sets(s, L)))
 
 
 def build_tgx_state(t: MeTgxTuple) -> PureStateVector:

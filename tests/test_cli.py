@@ -160,6 +160,35 @@ def test_rank_L_without_me_tuples(capsys, argv, L_used, rank) -> None:
         "complete", L_used, rank, rank)
 
 
+def test_rank_budget_of_one_stops_in_the_pruned_pass(capsys, deadline) -> None:
+    # 2x2x2x3x3 exhaustive: the budget runs out at the pass's second tuple,
+    # before any full read of its 54,288 tuples
+    deadline(2)
+    code, out, err = _run(capsys, ["rank", "2x2x2x3x3", "--search", "exhaustive",
+                                   "--budget-nodes", "1"])
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {
+        "dims": "2x2x2x3x3", "n": 72, "L_used": 6, "r_tilde": 4, "R_MME": 1,
+        "witness": [[1, 5, 9, 64, 68, 72]], "exhaustive": False,
+        "status": "inconclusive", "nodes": 2, "tuple_count": 1}
+
+
+def test_rank_2_6_ends_cleanly(capsys, deadline) -> None:
+    # --all-lstar: L = 2 fills its cap of 16, and no later cap is above 8;
+    # L = 8 alone: 65,965 roots x 527,720 tuples of adjacency rows pass
+    # mme.ADJACENCY_BITS, so the pass's clique is reported, exit 3
+    deadline(1)
+    code, out, err = _run(capsys, ["rank", "2^6", "--all-lstar", "--search", "exhaustive"])
+    d = json.loads(out)
+    assert (code, err, d["status"], d["R_MME"], d["L_used"], d["nodes"]) == (
+        0, "", "complete", 16, 2, 16)
+    deadline(15)
+    code, out, err = _run(capsys, ["rank", "2^6", "--L", "8", "--search", "exhaustive"])
+    d = json.loads(out)
+    assert (code, err, d["status"], d["R_MME"], d["tuple_count"]) == (
+        3, "", "inconclusive", 2, 527_720)
+
+
 def test_rank_finds_a_first_tuple_at_n_150(capsys, deadline) -> None:
     deadline(10)
     code, out, err = _run(capsys, ["rank", "2x3x5x5"])
@@ -701,6 +730,38 @@ _JSON_VALUES = st.recursive(
 @example(obj={"\u00e9 \"k\"": {"a b": [[], {}, (), [1, [True]], [[0.5], {"x": None}]]}})
 def test_json_matches_stdlib_indent(obj) -> None:
     assert cli._json(obj) == _stdlib_json(obj)
+
+
+_INT_ROWS = st.lists(st.lists(st.integers(min_value=-(10**30), max_value=10**30), min_size=1)
+                     | st.tuples(st.integers(1, 256), st.integers(1, 256)), min_size=1)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(rows=_INT_ROWS)
+def test_int_rows_match_stdlib_indent(rows) -> None:
+    # the tuple lists' one join per row, at the top level and in a payload
+    assert cli._int_rows(rows)
+    assert cli._json(rows) == _stdlib_json(rows)
+    assert cli._json({"tuples": rows, "count": len(rows)}) == _stdlib_json(
+        {"tuples": rows, "count": len(rows)})
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [True, 3]], [[1, 2], [3, 4.0]], [[1, 2], []], [], [[1, [2]]],
+    [[1, 2], {"a": 1}], [(1, 2), [3, None]], [[1, 2], "ab"], [[False]],
+], ids=["bool", "float", "empty-row", "empty", "nested", "dict", "none", "str", "only-bool"])
+def test_other_rows_take_the_general_path(rows) -> None:
+    assert not cli._int_rows(rows)
+    assert cli._json(rows) == _stdlib_json(rows)
+
+
+def test_numpy_integer_rows_are_refused_as_by_the_stdlib() -> None:
+    rows = [[np.int64(1), 2]]
+    assert not cli._int_rows(rows)
+    with pytest.raises(TypeError):
+        json.dumps(rows, indent=2)
+    with pytest.raises(TypeError):
+        cli._json(rows)
 
 
 _MATRIX_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)

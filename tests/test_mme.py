@@ -439,17 +439,62 @@ def test_a_larger_budget_never_reports_a_smaller_rank(dims, search) -> None:
 
 
 def test_budget_spent_before_a_later_L_reports_inconclusive() -> None:
-    # L* = (6, 12): a budget that L = 6 uses up leaves L = 12 unsearched,
-    # so the proven rank at L = 6 is only a lower bound over L*
+    # L* = (6, 12): a budget that runs out inside L = 6 leaves L = 12
+    # unsearched, so the rank found at L = 6 is only a lower bound over L*
     s = ModeStructure((2, 2, 3, 3))
     nodes = max_mme_rank(s, L=6).nodes
-    report = max_mme_rank(s, all_lstar=True, budget_nodes=nodes)
+    report = max_mme_rank(s, all_lstar=True, budget_nodes=nodes - 1)
     assert (report.status, report.exhaustive) == ("inconclusive", False)
-    assert (report.L_used, report.R_MME) == (6, 2)
+    assert (report.L_used, report.R_MME) == (6, 1)
     assert max_mme_rank(s, all_lstar=True, budget_nodes=10**6).status == "complete"
     for budget in (0, -1):
         with pytest.raises(ValueError, match="budget_nodes"):
             max_mme_rank(s, budget_nodes=budget)
+
+
+def test_all_lstar_stops_once_no_later_cap_can_beat_the_best() -> None:
+    # 2x2x3x3: L = 6 proves its cap of 2, and the cap at L = 12 is 1, so
+    # L = 12 is never searched and the budget L = 6 takes is enough
+    s = ModeStructure((2, 2, 3, 3))
+    nodes = max_mme_rank(s, L=6).nodes
+    report = max_mme_rank(s, all_lstar=True, budget_nodes=nodes)
+    assert (report.status, report.L_used, report.R_MME, report.nodes) == (
+        "complete", 6, 2, nodes)
+    # 2^6: L = 2 fills its cap of 16 in 16 nodes, and every later cap is
+    # 8 or less (L = 8 alone reads 527,720 tuples)
+    report = max_mme_rank(ModeStructure((2,) * 6), search="exhaustive", all_lstar=True)
+    assert (report.status, report.L_used, report.R_MME, report.nodes) == (
+        "complete", 2, 16, 16)
+
+
+@pytest.mark.parametrize("s", [s for s in _structures_upto(64) if len(lstar(s).values) > 1
+                               and s.dims != (2,) * 6], ids=str)
+def test_all_lstar_stop_keeps_the_best_report(s) -> None:
+    # the best of the per-L searches, the earlier L on a tie (2^6 has
+    # per-L searches past 20 s, and the stop is pinned above)
+    best = max((max_mme_rank(s, search="exhaustive", L=L) for L in lstar(s).values),
+               key=lambda r: (r.R_MME, -r.L_used))
+    report = max_mme_rank(s, search="exhaustive", all_lstar=True)
+    assert (report.L_used, report.R_MME, report.witness, report.status) == (
+        best.L_used, best.R_MME, best.witness, "complete")
+
+
+@pytest.mark.parametrize("dims,L,rows,lex", [("2^5", 6, 192, 1), ("2^7", 2, 57, 16)])
+def test_adjacency_past_the_ceiling_reports_the_lex_clique(monkeypatch, dims, L, rows,
+                                                           lex) -> None:
+    # 2^5 at L = 6 builds the rows of its 192 roots only, so one bit less
+    # stops it before the roots; 2^7 at L = 2 builds its one root's row
+    # and stops before the rows of its 56 neighbours
+    s = parse_dims(dims)
+    full = max_mme_rank(s, search="exhaustive", L=L)
+    K = full.tuple_count
+    monkeypatch.setattr(mme, "ADJACENCY_BITS", rows * K)
+    assert max_mme_rank(s, search="exhaustive", L=L) == full
+    monkeypatch.setattr(mme, "ADJACENCY_BITS", rows * K - 1)
+    report = max_mme_rank(s, search="exhaustive", L=L)
+    assert (report.status, report.R_MME, report.tuple_count) == ("inconclusive", lex, K)
+    clique = mme._lex_clique(s, L, mme._min_nB(s) // L, mme._Budget(None))
+    assert [t.levels for t in report.witness] == clique
 
 
 def _random_graph(rng, K: int, density: float) -> list[int]:

@@ -189,6 +189,41 @@ def test_level_sets_pinned_past_the_oracle(dims, L, count, digest) -> None:
     assert hashlib.sha256(repr(sets).encode()).hexdigest() == digest
 
 
+# (dims, L) in L* with n <= 64 whose full DFS takes 0.5 s or more on 2
+# vCPUs (2^6 at L = 10..20 runs past 20 s); every other pair is checked
+SLOW_DFS = {("2x2x2x2x3", 12), ("2x3x3x3", 12), ("2x2x2x7", 8), ("2x5x6", 10),
+            ("3x4x5", 12), ("2x2x3x5", 10), ("3x3x7", 9), ("4x4x4", 8), ("4x4x4", 12),
+            ("2x2x2x8", 8), ("2x2x4x4", 8), ("2x2x4x4", 12), ("2x2x4x4", 16),
+            ("2x2x2x2x4", 8), ("2x2x2x2x4", 12), ("2x2x2x2x4", 16)}
+SLOW_DFS |= {("2x2x2x2x2x2", L) for L in range(8, 27, 2)}
+SHIFT_CASES = [(str(s), L) for s in _structures_upto(64) for L in lstar(s).values
+               if (str(s), L) not in SLOW_DFS]
+
+
+@pytest.mark.parametrize("dims,L", SHIFT_CASES)
+def test_shifted_stream_is_the_dfs_stream(dims, L) -> None:
+    # the level-1 subtree shifted onto every later level, in the DFS's order
+    s = parse_dims(dims)
+    assert list(tgx._all_level_sets(s, L)) == list(_me_level_sets(s, L))
+
+
+@st.composite
+def _structure_and_L(draw):
+    # any order of the dims of a structure with n <= 36, at an L in L*
+    # or at any L up to n / n_max + 1, on L* or off it
+    s = ModeStructure(draw(st.permutations(draw(st.sampled_from(SEND_STRUCTURES)).dims)))
+    return s, draw(st.sampled_from(lstar(s).values) | st.integers(1, s.n_over_max + 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=_structure_and_L())
+def test_shifted_stream_matches_the_dfs_on_random_structures(case) -> None:
+    s, L = case
+    dfs = list(_me_level_sets(s, L))
+    assert list(tgx._all_level_sets(s, L)) == dfs
+    assert list(_me_level_sets(s, L, level1_only=True)) == [x for x in dfs if x[0] == 1]
+
+
 def _check_sends(s: ModeStructure, L: int, pick) -> int:
     """Drive `_me_level_sets`, sending pick(levels) after each yield
     (0 sends nothing): each yield must be the first tuple of the full
@@ -313,7 +348,7 @@ def test_enumeration_certifies_in_blocks(monkeypatch) -> None:
 def test_enumeration_refuses_a_survivor_that_is_not_me(monkeypatch) -> None:
     s = ModeStructure((2, 2, 3, 3))
     good = next(_me_level_sets(s, 6))
-    monkeypatch.setattr(tgx, "_me_level_sets", lambda s, L: iter([good, (1, 2, 3, 4, 5, 6)]))
+    monkeypatch.setattr(tgx, "_all_level_sets", lambda s, L: iter([good, (1, 2, 3, 4, 5, 6)]))
     with pytest.raises(ValueError, match="not an ME TGX tuple"):
         enumerate_me_tuples(s, 6)
 

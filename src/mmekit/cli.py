@@ -15,9 +15,9 @@ text to stdout or `--out`.  `tuples`, `rank` and `tables` write JSON or
 CSV (`--format`); `sweep` writes CSV and the rest JSON.  All output is
 deterministic for a fixed argument list (seeds included), so identical
 invocations are byte-identical.  Exit codes: 0 success,
-2 argument/validation error, 3 inconclusive search (budget exhausted),
-4 internal error (any unexpected exception, reported without a
-traceback).
+2 argument/validation error, 3 inconclusive search (node budget spent,
+or the graph rows would pass 1 GiB), 4 internal error (any unexpected
+exception, reported without a traceback).
 """
 
 from __future__ import annotations

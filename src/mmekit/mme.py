@@ -14,17 +14,19 @@ which ends the search when it fills the per-L cap.  Below the cap the
 branch and bound starts only at the tuples holding level 1: per-mode
 label permutations are local unitaries that keep ME tuples ME, map mode
 lines to mode lines and move any level to level 1, so some maximum
-clique holds such a tuple, and only the adjacency rows those tuples
-reach are built.  The full read below the cap uses the same argument
-(`tgx._all_level_sets`): the DFS walks only the tuples holding level 1,
-and per-mode cyclic label shifts carry them onto every other level.
-On 2 vCPUs, `rank 2x2x2x3x3 --search exhaustive` so takes 0.4-0.6 s and
-220 MB, against 0.8-1.2 s with the whole DFS and 6.2 s and 417 MB
-unrooted.  An adjacency past ADJACENCY_BITS is not built: that L is
-reported "inconclusive" with the pass's clique.  The maximal
-rank over all MME states is a separate, open quantity that this rank
-only bounds from below: 2x2x3x3 holds certified MME states of rank 4
-against a TGX rank of 2.
+clique holds such a tuple, and an adjacency row is built only when the
+search first reads it.  The full read below the cap uses the same
+argument (`tgx._all_level_sets`): the DFS walks only the tuples holding
+level 1, and per-mode cyclic label shifts carry them onto every other
+level.  On 2 vCPUs, `rank 2x2x2x3x3 --search exhaustive` so builds 1,321
+of 54,288 rows and takes about 0.2 s and 53 MB, against 6.2 s and
+417 MB over the whole graph.  The rows never hold more than
+ADJACENCY_BITS bits (1 GiB): the full read stops once the rooted search
+could need more, and a search that would pass the ceiling reports its
+best clique so far as "inconclusive".  The maximal rank over all MME
+states is a separate, open quantity that this rank only bounds from
+below: 2x2x3x3 holds certified MME states of rank 4 against a TGX rank
+of 2.
 Compatibility has one test: `modes._level_table`, the layout that the
 rank cap and every purity read too, gives each level one int bitmask
 with a bit per (mode, B_m projection), and a projected level repeats iff
@@ -65,9 +67,10 @@ GREEDY_RESTARTS = 2000
 # Tuple sets whose certification `construct` keeps: a job list that
 # rebuilds a few published sets under many spectra and frames hits it.
 CERTIFIED_SETS = 64
-# Row bits (tuples x rows built) past which `_adjacency` builds nothing
-# and the search reports its lex-greedy clique as "inconclusive": 1 GiB
-# of rows.  2x2x2x3x3 builds 179 MB; 2^6 at L = 8 would need 4.3 GB.
+# Row bits (tuples x rows built) the clique search may hold: 1 GiB of
+# rows.  The full read stops once (roots x tuples read) passes it, and a
+# search that would build one more row reports its best clique so far as
+# "inconclusive".  2x2x2x3x3 builds 9 MB; 2^6 at L = 8 would need 4.3 GB.
 ADJACENCY_BITS = 8 << 30
 
 
@@ -152,9 +155,10 @@ class MmeRankReport:
 
     `status` is "complete" for a proven maximum, "greedy" for the
     lower bound that `search="auto"` reports past n = 64, and
-    "inconclusive" when a node budget ran out first.  `tuple_count`
-    counts the tuples read at `L_used`, and `nodes` the budget spent over
-    all L: tuples read plus clique-search nodes, each tuple once.
+    "inconclusive" when the node budget or the ADJACENCY_BITS row
+    ceiling stopped the search first.  `tuple_count` counts the tuples
+    read at `L_used`, and `nodes` the budget spent over all L: tuples
+    read plus clique-search nodes, each tuple once.
     """
 
     structure: ModeStructure
@@ -274,8 +278,9 @@ def _max_clique(adj, roots, lower, upper, budget) -> list[int]:
     its own size, and caps the bound at `upper`, so it stops once a
     clique of `upper` vertices is found.  The result is the lex-least
     clique of size min(upper, omega), or `lower` if that is larger.
-    One budget unit is spent per search node; an exhausted budget
-    re-raises with the best clique as `incumbent`.
+    One budget unit is spent per search node; an exhausted budget, or
+    a row `adj` refuses to build (`_Adjacency`), re-raises with the best
+    clique as `incumbent`.
     """
     best = list(lower)
     cur: list[int] = []
@@ -342,7 +347,7 @@ def max_mme_rank(
     `budget_nodes`, at least 1, caps the search nodes over all L
     (`MmeRankReport.nodes`); once it runs out the L loop stops and the
     best set found so far is reported with status "inconclusive", as it
-    is when an adjacency would pass ADJACENCY_BITS.
+    is when the graph rows would pass ADJACENCY_BITS (1 GiB).
     """
     seed = _check_seed(seed)
     if search not in ("auto", "exhaustive"):
@@ -384,35 +389,25 @@ def _conflicts(s: ModeStructure, level_sets) -> list[int]:
                   for row in np.packbits(near, axis=1, bitorder="little")]
 
 
-def _adjacency(s: ModeStructure, level_sets, roots: int) -> list[int | None] | None:
-    """Bitset graph over `level_sets`: bit j of adj[i] set iff sets i and j
-    share no mode line.  A row costs one OR per level of its set, over
-    the levels' `_conflicts`.  Only the rows of the first `roots` sets
-    and of their neighbours are built, the rows a search rooted there
-    reads; the others are None.  `roots=len(level_sets)` builds every
-    row.  Returns None, having built no more, once the rows to build
+class _Adjacency(dict):
+    """Bitset graph over `level_sets`, built a row at a time: bit j of
+    self[i] is set iff sets i and j share no mode line.  Row i is built
+    the first time it is read, with one OR per level of set i over the
+    levels' `_conflicts`, so a rooted search holds only the rows it
+    reads.  Reading a new row raises `_BudgetExhausted` once the rows
     would hold more than ADJACENCY_BITS bits."""
-    K = len(level_sets)
-    if roots * K > ADJACENCY_BITS:
-        return None
-    conflicts = _conflicts(s, level_sets)
-    full = (1 << K) - 1
-    adj: list[int | None] = [None] * K
 
-    def build(i):
-        adj[i] = full ^ reduce(or_, map(conflicts.__getitem__, level_sets[i]))
+    def __init__(self, s: ModeStructure, level_sets):
+        self.level_sets = level_sets
+        self.conflicts = _conflicts(s, level_sets)
+        self.full = (1 << len(level_sets)) - 1
 
-    reach = 0
-    for i in range(roots):
-        build(i)
-        reach |= adj[i]
-    reach >>= roots
-    if (roots + reach.bit_count()) * K > ADJACENCY_BITS:
-        return None
-    for i, bit in enumerate(f"{reach:b}"[::-1], start=roots):
-        if bit == "1":
-            build(i)
-    return adj
+    def __missing__(self, i: int) -> int:
+        if (len(self) + 1) * len(self.level_sets) > ADJACENCY_BITS:
+            raise _BudgetExhausted
+        row = self[i] = self.full ^ reduce(or_, map(self.conflicts.__getitem__,
+                                                    self.level_sets[i]))
+        return row
 
 
 def _lex_clique(s: ModeStructure, L: int, cap: int, budget) -> list[tuple[int, ...]]:
@@ -446,14 +441,14 @@ def _search_single_L(s, L, greedy, budget, seed) -> MmeRankReport:
     maximum, and the lex-greedy one is then also the lex-least.  A pass
     without tuples proves R_MME = 0 at this L.  Only below the cap is the
     full enumeration read, with the budget reset to its value before the
-    pass, and its adjacency built whole for seeded greedy orders when
-    `greedy`, else for the one clique search, rooted at the tuples
-    holding level 1 (a prefix of the lex stream, see `_max_clique`),
-    which returns the lex-least maximum clique; both start from the
-    pass's clique.  A budget that runs out reports the best clique found
-    so far as "inconclusive", so a larger budget never reports a smaller
-    one; so does an adjacency past ADJACENCY_BITS, with the pass's
-    clique.
+    pass.  Seeded greedy orders read every row when `greedy`; else the
+    one clique search, rooted at the tuples holding level 1 (a prefix of
+    the lex stream, see `_max_clique`), reads only the rows it needs and
+    returns the lex-least maximum clique; both start from the pass's
+    clique.  The read stops once roots x tuples read (every tuple a root
+    when `greedy`) passes ADJACENCY_BITS.  A budget or row ceiling that
+    runs out reports the best clique found so far, at least the pass's,
+    as "inconclusive", so a larger one never reports a smaller clique.
     """
     cap, r_tilde = _min_nB(s) // L, loose_bound(s)
     start = budget.used
@@ -470,21 +465,22 @@ def _search_single_L(s, L, greedy, budget, seed) -> MmeRankReport:
         return report(clique, "complete", len(clique))
 
     budget.used = start
-    level_sets = []
+    level_sets, roots = [], 0
     try:
         for levels in _all_level_sets(s, L):
             budget.spend()
             level_sets.append(levels)
+            roots += greedy or levels[0] == 1
+            if roots * len(level_sets) > ADJACENCY_BITS:
+                raise _BudgetExhausted
     except _BudgetExhausted:
         return report(clique, "inconclusive", len(level_sets))
-    roots = len(level_sets) if greedy else sum(levels[0] == 1 for levels in level_sets)
-    adj = _adjacency(s, level_sets, roots)
-    if adj is None:
-        return report(clique, "inconclusive", len(level_sets))
+    adj = _Adjacency(s, level_sets)
     lex_clique = [level_sets.index(levels) for levels in clique]
     status = "greedy" if greedy else "complete"
     try:
-        best = (_greedy_restarts(adj, lex_clique, np.random.default_rng(seed), cap) if greedy
+        best = (_greedy_restarts([adj[i] for i in range(len(level_sets))], lex_clique,
+                                 np.random.default_rng(seed), cap) if greedy
                 else _max_clique(adj, roots, lex_clique, cap, budget))
     except _BudgetExhausted as exc:
         best, status = exc.incumbent, "inconclusive"

@@ -175,8 +175,9 @@ def test_rank_budget_of_one_stops_in_the_pruned_pass(capsys, deadline) -> None:
 
 def test_rank_2_6_ends_cleanly(capsys, deadline) -> None:
     # --all-lstar: L = 2 fills its cap of 16, and no later cap is above 8;
-    # L = 8 alone: 65,965 roots x 527,720 tuples of adjacency rows pass
-    # mme.ADJACENCY_BITS, so the pass's clique is reported, exit 3
+    # L = 8 alone: 65,965 roots x 130,220 tuples read pass
+    # mme.ADJACENCY_BITS, so the read stops there and the pass's clique
+    # is reported, exit 3
     deadline(1)
     code, out, err = _run(capsys, ["rank", "2^6", "--all-lstar", "--search", "exhaustive"])
     d = json.loads(out)
@@ -186,7 +187,7 @@ def test_rank_2_6_ends_cleanly(capsys, deadline) -> None:
     code, out, err = _run(capsys, ["rank", "2^6", "--L", "8", "--search", "exhaustive"])
     d = json.loads(out)
     assert (code, err, d["status"], d["R_MME"], d["tuple_count"]) == (
-        3, "", "inconclusive", 2, 527_720)
+        3, "", "inconclusive", 2, 130_220)
 
 
 def test_rank_finds_a_first_tuple_at_n_150(capsys, deadline) -> None:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
+import json
 import re
 from fractions import Fraction
 from functools import reduce
@@ -13,11 +15,11 @@ from hypothesis import strategies as st
 
 from mmekit.cli import _structures_upto
 from mmekit.entcore import lstar
-from mmekit import mme, tgx
+from mmekit import cli, mme, tgx
 from mmekit.mme import (
     CERTIFIED_SETS,
     GREEDY_RESTARTS,
-    _adjacency,
+    _Adjacency,
     _Budget,
     _BudgetExhausted,
     _certified_set,
@@ -41,6 +43,7 @@ from mmekit.modes import (
 )
 from mmekit.tgx import (
     MeTgxTuple,
+    _all_level_sets,
     _me_level_sets,
     apply_lu,
     build_tgx_state,
@@ -102,7 +105,7 @@ def test_mask_adjacency_matches_compatible() -> None:
     ts = enumerate_me_tuples(s, lstar(s).min)
     assert len(ts) == 32
     sets = [t.levels for t in ts]
-    adj = _adjacency(s, sets, len(sets))
+    adj = _rows(s, sets)
     verdicts = []
     for i, j in itertools.combinations(range(len(ts)), 2):
         ok = compatible([ts[i], ts[j]])
@@ -119,7 +122,7 @@ def test_lex_stream_clique_is_the_natural_order_greedy_clique(dims, L) -> None:
     s = parse_dims(dims)
     ts = enumerate_me_tuples(s, L)
     sets = [t.levels for t in ts]
-    adj = _adjacency(s, sets, len(sets))
+    adj = _rows(s, sets)
     natural = [ts[i].levels for i in _greedy_clique(adj, range(len(ts)))]
     # one node per tuple: the budget runs out right after the stream
     report = max_mme_rank(s, search="exhaustive", L=L, budget_nodes=len(ts))
@@ -157,13 +160,19 @@ def test_uncapped_pass_is_the_greedy_clique_of_the_whole_graph(dims) -> None:
     s = parse_dims(dims)
     L = lstar(s).min
     sets = list(_me_level_sets(s, L))
-    adj = _adjacency(s, sets, len(sets))
+    adj = _rows(s, sets)
     natural = [sets[i] for i in _greedy_clique(adj, range(len(sets)))]
     assert _lex_clique(s, L, len(sets) + 1, _Budget(None)) == natural
 
 
+def _rows(s: ModeStructure, level_sets) -> list[int]:
+    # the whole graph, read row by row from the row map
+    adj = _Adjacency(s, level_sets)
+    return [adj[i] for i in range(len(level_sets))]
+
+
 def _mask_rows(s: ModeStructure, level_sets) -> list[int]:
-    # per-bit oracle for `_adjacency`: each set's mask ORs its levels'
+    # per-bit oracle for `_Adjacency`: each set's mask ORs its levels'
     # table masks, and one holder set per bit gives the sets sharing it
     level_masks = _level_table(s)[1]
     masks = [reduce(or_, (level_masks[lvl] for lvl in levels)) for levels in level_sets]
@@ -177,35 +186,74 @@ def _mask_rows(s: ModeStructure, level_sets) -> list[int]:
             for mask in masks]
 
 
-@pytest.mark.parametrize("dims,L", [("2^5", L) for L in (2, 4, 6, 8, 10, 12, 14, 16)] + [
+ORACLE_CASES = [("2^5", L) for L in (2, 4, 6, 8, 10, 12, 14, 16)] + [
     ("2^6", 4), ("2^7", 2), ("2x2x3x3", 6), ("2x2x3x3", 12), ("3x3x3", 6), ("2x3x3x3", 6),
-    ("3x3x3x3", 3)])
+    ("3x3x3x3", 3)]
+
+
+@pytest.mark.parametrize("dims,L", ORACLE_CASES)
 def test_adjacency_rows_match_the_mask_oracle(dims, L) -> None:
-    # a rooted build makes exactly the rows of the roots and their
-    # neighbours, each equal to the full graph's
+    s = parse_dims(dims)
+    sets = list(_me_level_sets(s, L))
+    assert _rows(s, sets) == _mask_rows(s, sets)
+
+
+@pytest.mark.parametrize("dims,L", ORACLE_CASES)
+def test_rooted_search_builds_only_roots_and_their_neighbours(dims, L) -> None:
+    # the rows an eager rooted build would make: the roots' and those of
+    # their later neighbours; each row built equals the full graph's
     s = parse_dims(dims)
     sets = list(_me_level_sets(s, L))
     want = _mask_rows(s, sets)
-    assert _adjacency(s, sets, len(sets)) == want
     for roots in {0, len(sets) // 3, sum(levels[0] == 1 for levels in sets)}:
         reach = reduce(or_, want[:roots], (1 << roots) - 1)
-        assert _adjacency(s, sets, roots) == [
-            row if reach >> i & 1 else None for i, row in enumerate(want)]
+        adj = _Adjacency(s, sets)
+        with contextlib.suppress(_BudgetExhausted):
+            _max_clique(adj, roots, [], _min_nB(s) // L, _Budget(5000))
+        assert all(reach >> i & 1 and row == want[i] for i, row in adj.items())
+
+
+def _spy_rows(monkeypatch) -> list[_Adjacency]:
+    # the row maps `_max_clique` is given, as the search leaves them
+    seen = []
+
+    def spy(adj, *args):
+        seen.append(adj)
+        return _max_clique(adj, *args)
+
+    monkeypatch.setattr(mme, "_max_clique", spy)
+    return seen
 
 
 def test_rank_search_builds_192_of_1024_rows_on_2_5(monkeypatch) -> None:
     # the search roots at the 192 tuples holding level 1, which meet no
     # later tuple outside them: one branch-and-bound node per root
-    built = []
-
-    def spy(s, level_sets, roots):
-        built.append(_adjacency(s, level_sets, roots))
-        return built[-1]
-
-    monkeypatch.setattr(mme, "_adjacency", spy)
+    built = _spy_rows(monkeypatch)
     report = max_mme_rank(parse_dims("2^5"), search="exhaustive", L=6)
-    assert [(len(adj), sum(row is not None for row in adj)) for adj in built] == [(1024, 192)]
+    assert [(len(adj.level_sets), len(adj)) for adj in built] == [(1024, 192)]
     assert (report.R_MME, report.status, report.nodes) == (1, "complete", 1024 + 192)
+
+
+def test_rows_built_never_pass_the_ceiling(monkeypatch) -> None:
+    # a row map refuses the first row that would take it past
+    # ADJACENCY_BITS, and keeps the rows it built
+    s = parse_dims("2^7")
+    sets = list(_me_level_sets(s, 2))
+    K, want = len(sets), _mask_rows(s, sets)
+    for bits in (0, K - 1, K, 10 * K + 3, K * K):
+        monkeypatch.setattr(mme, "ADJACENCY_BITS", bits)
+        adj = _Adjacency(s, sets)
+        with contextlib.suppress(_BudgetExhausted):
+            for i in reversed(range(K)):
+                adj[i]
+        assert len(adj) == min(bits // K, K)
+        assert all(row == want[i] for i, row in adj.items())
+    # in the rank search, the rows of the one root and its 56 neighbours
+    # pass a ceiling of 30 rows
+    built = _spy_rows(monkeypatch)
+    monkeypatch.setattr(mme, "ADJACENCY_BITS", 30 * K)
+    assert max_mme_rank(s, search="exhaustive", L=2).status == "inconclusive"
+    assert [len(adj) for adj in built] == [30]
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -222,8 +270,8 @@ def test_rooted_search_matches_the_full_graph(data) -> None:
     lower = data.draw(st.sampled_from(
         [[], [sets.index(levels) for levels in _lex_clique(s, L, upper, _Budget(None))]]),
         label="lower")
-    want = _max_clique(_adjacency(s, sets, K), K, lower, upper, _Budget(None))
-    got = _max_clique(_adjacency(s, sets, roots), roots, lower, upper, _Budget(None))
+    want = _max_clique(_rows(s, sets), K, lower, upper, _Budget(None))
+    got = _max_clique(_Adjacency(s, sets), roots, lower, upper, _Budget(None))
     assert got == want
 
 
@@ -461,7 +509,7 @@ def test_all_lstar_stops_once_no_later_cap_can_beat_the_best() -> None:
     assert (report.status, report.L_used, report.R_MME, report.nodes) == (
         "complete", 6, 2, nodes)
     # 2^6: L = 2 fills its cap of 16 in 16 nodes, and every later cap is
-    # 8 or less (L = 8 alone reads 527,720 tuples)
+    # 8 or less (L = 8 alone holds 527,720 tuples)
     report = max_mme_rank(ModeStructure((2,) * 6), search="exhaustive", all_lstar=True)
     assert (report.status, report.L_used, report.R_MME, report.nodes) == (
         "complete", 2, 16, 16)
@@ -483,8 +531,8 @@ def test_all_lstar_stop_keeps_the_best_report(s) -> None:
 def test_adjacency_past_the_ceiling_reports_the_lex_clique(monkeypatch, dims, L, rows,
                                                            lex) -> None:
     # 2^5 at L = 6 builds the rows of its 192 roots only, so one bit less
-    # stops it before the roots; 2^7 at L = 2 builds its one root's row
-    # and stops before the rows of its 56 neighbours
+    # stops the read at its last tuple; 2^7 at L = 2 builds its one
+    # root's row and stops at the last of its 56 neighbours' rows
     s = parse_dims(dims)
     full = max_mme_rank(s, search="exhaustive", L=L)
     K = full.tuple_count
@@ -495,6 +543,55 @@ def test_adjacency_past_the_ceiling_reports_the_lex_clique(monkeypatch, dims, L,
     assert (report.status, report.R_MME, report.tuple_count) == ("inconclusive", lex, K)
     clique = mme._lex_clique(s, L, mme._min_nB(s) // L, mme._Budget(None))
     assert [t.levels for t in report.witness] == clique
+
+
+@pytest.mark.parametrize("dims,L", [("2^7", 2), ("2^5", 6)])
+def test_row_ceiling_reports_the_best_clique_so_far(monkeypatch, capsys, dims, L) -> None:
+    # a ceiling takes the node budget's path: exit 3 with at least the
+    # pass's clique, never a smaller witness at a larger ceiling
+    s = parse_dims(dims)
+    full = max_mme_rank(s, search="exhaustive", L=L)
+    K, lex = full.tuple_count, len(_lex_clique(s, L, _min_nB(s) // L, _Budget(None)))
+    last = 0
+    for bits in sorted({0, 1, K, K + 1, 57 * K - 1, 192 * K - 1, 192 * K}):
+        monkeypatch.setattr(mme, "ADJACENCY_BITS", bits)
+        report = max_mme_rank(s, search="exhaustive", L=L)
+        code = cli.main(["rank", dims, "--L", str(L), "--search", "exhaustive"])
+        capsys.readouterr()
+        assert report == full or (report.status, code) == ("inconclusive", 3), bits
+        assert compatible(report.witness) and report.R_MME >= max(lex, last)
+        last = report.R_MME
+    assert report == full
+
+
+@pytest.mark.parametrize("dims,L,bits", [("2^5", 6, 96_000), ("2^5", 6, 100), ("2^7", 2, 40),
+                                         ("2^5", 4, 1000)])
+def test_read_stops_once_roots_times_tuples_pass_the_ceiling(monkeypatch, dims, L,
+                                                             bits) -> None:
+    s = parse_dims(dims)
+    roots = read = 0
+    for levels in _all_level_sets(s, L):
+        read += 1
+        roots += levels[0] == 1
+        if roots * read > bits:
+            break
+    monkeypatch.setattr(mme, "ADJACENCY_BITS", bits)
+    report = max_mme_rank(s, search="exhaustive", L=L)
+    assert (report.status, report.tuple_count, report.nodes) == ("inconclusive", read, read)
+    clique = _lex_clique(s, L, _min_nB(s) // L, _Budget(None))
+    assert [t.levels for t in report.witness] == clique
+
+
+def test_greedy_path_under_a_tiny_ceiling_exits_3(monkeypatch, capsys) -> None:
+    # the greedy orders read every row: the read stops at (tuples read)^2
+    # past the ceiling, so the rows they read always fit
+    s = parse_dims("3x3x3x3")
+    K = max_mme_rank(s).tuple_count
+    for bits in (0, 1, 99, K * K - 1, K * K):
+        monkeypatch.setattr(mme, "ADJACENCY_BITS", bits)
+        code = cli.main(["rank", "3x3x3x3"])
+        status = json.loads(capsys.readouterr().out)["status"]
+        assert (code, status) == ((0, "greedy") if bits == K * K else (3, "inconclusive")), bits
 
 
 def _random_graph(rng, K: int, density: float) -> list[int]:

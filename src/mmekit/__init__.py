@@ -16,7 +16,6 @@ from .entcore import (
 from .linalg import (
     DensityMatrix,
     PureStateVector,
-    mix,
 )
 from .mme import (
     ExampleSetReport,
@@ -89,7 +88,6 @@ __all__ = [
     "lstar",
     "max_mme_rank",
     "min_avg_ent",
-    "mix",
     "mpsrp_purity",
     "parse_dims",
     "project_level",

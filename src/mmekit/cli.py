@@ -17,7 +17,8 @@ deterministic for a fixed argument list (seeds included), so identical
 invocations are byte-identical.  Exit codes: 0 success,
 2 argument/validation error, 3 inconclusive search (node budget spent,
 or the graph rows would pass 1 GiB), 4 internal error (any unexpected
-exception, reported without a traceback).
+exception, reported without a traceback).  `verify --state` reads its
+file once, and every refusal of a state file names the file.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .entcore import lstar
 from .linalg import ATOL
 from .mme import construct, max_mme_rank, validate_example_set
-from .modes import MAX_N, ModeStructure, _check_int, _check_real, _check_seed, parse_dims
+from .modes import MAX_N, ModeStructure, parse_dims
 from .tgx import enumerate_me_tuples
 from .verify import (
     COMPARISON_KINDS,
@@ -229,26 +230,27 @@ def cmd_verify(args) -> tuple[str, int]:
     if args.state and any(x is not None for x in inline):
         raise ValueError("give --state FILE or an inline spec (dims, --tuples, --spectrum, "
                          "--lu-seed), not both")
-    if args.state:
-        with open(args.state) as fh:
-            saved = json.load(fh)
+    if args.state:  # `construct` and `random_lu_set` read the spec; refusals name the file
         try:
-            dims, seed = str(saved["dims"]), saved.get("lu_seed")
-            tuples = [[_check_int("tuple level", x) for x in t] for t in saved["tuples"]]
-            spectrum = [_check_real("spectrum weight", w) for w in saved["spectrum"]]
-            seed = None if seed is None else _check_seed(seed, "lu_seed")
-            parts = {k: np.array(saved["matrix"][k], float) for k in ("re", "im")}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad state file {args.state}: {exc!r}") from None
-        state, rho = _build_state(parse_dims(dims), tuples, spectrum, seed)
-        n = state.structure.n
-        for k, part in parts.items():
-            if part.shape != (n, n):
-                raise ValueError(f"state file {args.state}: matrix.{k} has shape "
-                                 f"{part.shape}, expected {n}x{n} for {dims}")
-        if not np.allclose(parts["re"] + 1j * parts["im"], rho.entries, atol=ATOL, rtol=0.0):
-            raise ValueError(f"state file {args.state}: the saved matrix differs "
-                             "from the state its dims, tuples, spectrum and lu_seed build")
+            with open(args.state) as fh:
+                saved = json.load(fh)
+            if not isinstance(saved, dict) or {"dims", "tuples", "spectrum"} - saved.keys():
+                raise ValueError("expected a JSON object with dims, tuples and spectrum")
+            state, rho = _build_state(parse_dims(str(saved["dims"])), saved["tuples"],
+                                      saved["spectrum"], saved.get("lu_seed"))
+            n, parts = state.structure.n, []
+            for k in ("re", "im"):  # a part absent, ragged or not numbers has no shape
+                try:
+                    parts.append(np.array(saved["matrix"][k], float))
+                except (KeyError, OverflowError, TypeError, ValueError):
+                    parts.append(None)
+                if np.shape(parts[-1]) != (n, n):
+                    raise ValueError(f"matrix.{k} must be an n x n array of numbers, n = {n}")
+            if not np.allclose(parts[0] + 1j * parts[1], rho.entries, atol=ATOL, rtol=0.0):
+                raise ValueError("the saved matrix differs from the state its dims, tuples, "
+                                 "spectrum and lu_seed build")
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad state file {args.state}: {exc}") from None
     elif args.dims and args.tuples and args.spectrum:
         state, _ = _build_state(parse_dims(args.dims), _parse_tuples(args.tuples),
                                 _parse_floats(args.spectrum), args.lu_seed)
@@ -393,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="decomposition-sampling certificate",
         description=(
             "Reads a construct output via --state, or an inline dims/tuples/"
-            "spectrum spec, not both.  Emits JSON {min_avg, samples, strategy, argmin}."
+            "spectrum spec, not both.  A state file's dims, tuples, spectrum and "
+            "lu_seed must rebuild its matrix, and every refusal of the file names it.  "
+            "Emits JSON {min_avg, samples, strategy, argmin}."
         ),
     )
     p.add_argument("dims", nargs="?", help="inline spec: mode structure")

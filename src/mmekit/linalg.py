@@ -4,7 +4,8 @@ Everything is a plain numpy array under the hood; the wrapper types pin
 the mode structure to the data and enforce the physical invariants
 (normalization, Hermiticity, unit trace, positive semidefiniteness).
 All target systems have n <= 256 (`modes.MAX_N`), so dense storage is
-used throughout.
+used throughout.  rho is built from the checked eigenbasis (`mix`), and
+every weight is read once, by `_check_weights`, as a SpectralState is built.
 """
 
 from __future__ import annotations
@@ -114,23 +115,15 @@ def _check_weights(weights, count: int) -> tuple[float, ...]:
     return weights
 
 
-def mix(states, weights) -> DensityMatrix:
-    """Convex mixture sum_k w_k |psi_k><psi_k|.
-
-    Weights must be positive and sum to 1 within 1e-12; all states must
-    share one structure.  If the states are orthonormal the spectrum of
-    the result equals the weights.  Computed as one BLAS product B B^dagger
-    with B = A^T diag(sqrt(w)), A holding one state per row; the diagonal's
-    imaginary part is then set to exactly 0.  The two triangles may differ
-    in the last bit.
+def mix(state) -> DensityMatrix:
+    """rho = sum_k lambda_k |Phi_k><Phi_k| of a `verify.SpectralState`, read
+    off its `structure`, (R, n) `basis` and `spectrum`, all checked where
+    the state was built.  Computed as one BLAS product B B^dagger with
+    B = basis^T diag(sqrt(lambda)), C-contiguous; the diagonal's imaginary
+    part is then set to exactly 0.  The two triangles may differ in the
+    last bit.
     """
-    states = list(states)
-    weights = _check_weights(weights, len(states))
-    structure = states[0].structure
-    for st in states[1:]:
-        if st.structure.dims != structure.dims:
-            raise ValueError("all states in a mixture must share one structure")
-    B = np.column_stack([st.amplitudes for st in states]) * np.sqrt(weights)
+    B = np.ascontiguousarray(state.basis.T) * np.sqrt(state.spectrum)
     # Adding 0.0 maps any -0.0 to 0.0, so `construct` prints what the
     # einsum did; an in-place conjugate of conj(B) B^T would print -0.0 in
     # the imaginary parts of a real state.  It costs nothing measurable: on
@@ -142,7 +135,7 @@ def mix(states, weights) -> DensityMatrix:
     rho = B @ B.conj().T
     np.add(rho, 0.0, out=rho)
     np.fill_diagonal(rho.imag, 0.0)
-    return DensityMatrix(structure, rho, validate=False)
+    return DensityMatrix(state.structure, rho, validate=False)
 
 
 def mode_reduction_of_pure(v: PureStateVector, m: int) -> np.ndarray:

@@ -66,7 +66,8 @@ class SpectralState:
     `basis` holds the eigenstates' amplitudes, row k for |Phi_k>: any
     (R, n) array-like, copied once into a read-only complex array and
     checked orthonormal; `eigenstates` wraps its rows when asked.
-    `spectrum` is kept as the floats `linalg._check_weights` reads.
+    `spectrum` is kept as the floats `linalg._check_weights` reads, and
+    `matrix()` builds rho from the checked eigenbasis (`linalg.mix`).
     """
 
     structure: ModeStructure
@@ -96,7 +97,7 @@ class SpectralState:
         return tuple(PureStateVector(self.structure, row) for row in self.basis)
 
     def matrix(self) -> DensityMatrix:
-        return mix(self.eigenstates, self.spectrum)
+        return mix(self)
 
 
 def spectral(rho: DensityMatrix) -> SpectralState:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 
 import pytest
 
@@ -37,3 +38,24 @@ def deadline():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """`spy(fn)` wraps `fn` in every loaded `mmekit` module that binds it
+    and returns the list of its calls' positional arguments, in call
+    order; the originals come back after the test."""
+    def install(fn) -> list[tuple]:
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "mmekit" or name.startswith("mmekit.")) \
+                    and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapper)
+        return calls
+
+    return install

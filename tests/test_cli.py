@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mmekit import cli, verify
+from mmekit import cli, modes, verify
 from mmekit.cli import TABLE_HEADER, build_parser, main
 from mmekit.linalg import DensityMatrix
 from mmekit.mme import construct
@@ -310,8 +310,8 @@ def test_construct_by_the_einsum_oracle_passes_verify(capsys, tmp_path, monkeypa
             "--spectrum", "0.7,0.3", "--lu-seed", "4"]
     target = tmp_path / "state.json"
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "mix", lambda states, weights: DensityMatrix(
-            states[0].structure, _einsum_mix(states, weights), validate=False))
+        patch.setattr(verify, "mix", lambda state: DensityMatrix(
+            state.structure, _einsum_mix(state.basis, state.spectrum), validate=False))
         assert _run(capsys, argv + ["--out", str(target)]) == (0, "", "")
     code, out, err = _run(capsys, ["verify", "--state", str(target)])
     assert (code, err) == (0, "")
@@ -472,21 +472,53 @@ def _weights_as_strings(saved) -> None:
     saved["spectrum"] = [str(w) for w in saved["spectrum"]]
 
 
+def _ragged_re(saved) -> None:
+    saved["matrix"]["re"][3] = saved["matrix"]["re"][3][:-1]
+
+
+def _text_in_im(saved) -> None:
+    saved["matrix"]["im"][0][1] = "x"
+
+
+def _not_me(saved) -> None:
+    saved["tuples"][1] = [1, 2]
+
+
+def _dims_too_small(saved) -> None:
+    saved["dims"] = "2^3"
+
+
+def _weight_past_float(saved) -> None:
+    saved["spectrum"][0] = 10**400
+
+
 @pytest.mark.parametrize("edit,message", [
     (None, None),
     (_lu_seed_true, "lu_seed=True is not an integer"),  # once read as lu_seed 1
-    (_level_true, "tuple level=True is not an integer"),  # once read as level 1
-    (_im_three_rows, "matrix.im has shape (3, 16), expected 16x16 for 2x2x2x2"),
+    (_level_true, "level=True is not an integer"),  # once read as level 1
+    (_im_three_rows, "matrix.im must be an n x n array of numbers, n = 16"),
     (_weight_true, "spectrum weight=True is not a number"),  # once read as 1.0
     (_weights_as_strings, "spectrum weight='0.7' is not a number"),  # once parsed
+    ("not json", "Expecting value: line 1 column 1 (char 0)"),
+    ("[1, 2]", "expected a JSON object with dims, tuples and spectrum"),
+    (_ragged_re, "matrix.re must be an n x n array of numbers, n = 16"),
+    (_text_in_im, "matrix.im must be an n x n array of numbers, n = 16"),
+    (_not_me, "(1, 2) is not an ME TGX tuple of 2x2x2x2"),
+    (_dims_too_small, "level 16 of (1, 16) out of range 1..8 for 2x2x2"),
+    (_weight_past_float, "int too large to convert to float"),
 ], ids=["unedited", "lu_seed_true", "level_true", "im_three_rows", "weight_true",
-        "weights_as_strings"])
+        "weights_as_strings", "not_json", "not_an_object", "ragged_re", "text_in_im",
+        "not_me", "dims_too_small", "weight_past_float"])
 def test_verify_state_file_refusals_name_the_field(capsys, tmp_path, edit, message) -> None:
+    # one refusal path: each message names the file and holds no numpy or
+    # Python-internal text; a string edit replaces the file's text
     target = tmp_path / "state.json"
     argv = ["construct", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3",
             "--lu-seed", "1", "--out", str(target)]
     assert _run(capsys, argv) == (0, "", "")
-    if edit is not None:
+    if isinstance(edit, str):
+        target.write_text(edit)
+    elif edit is not None:
         saved = json.loads(target.read_text())
         edit(saved)
         target.write_text(json.dumps(saved))
@@ -494,8 +526,23 @@ def test_verify_state_file_refusals_name_the_field(capsys, tmp_path, edit, messa
     if edit is None:
         assert (code, err) == (0, "")
     else:
-        assert (code, out) == (2, "")
-        assert message in err
+        assert (code, out, err) == (2, "", f"error: bad state file {target}: {message}\n")
+
+
+def test_verify_state_reads_each_input_once(capsys, tmp_path, spy) -> None:
+    # `random_lu_set` and `construct` are the only readers of the saved
+    # lu_seed, levels and weights
+    target = tmp_path / "state.json"
+    argv = ["construct", "2^4", "--tuples", "1,16;4,13;6,11;7,10", "--spectrum",
+            "0.1,0.2,0.3,0.4", "--lu-seed", "7", "--out", str(target)]
+    assert _run(capsys, argv) == (0, "", "")
+    ints, reals, seeds = spy(modes._check_int), spy(modes._check_real), spy(modes._check_seed)
+    argv = ["verify", "--state", str(target), "--strategy", "random", "--samples", "2"]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "") and json.loads(out)["argmin"] is None
+    assert [x for what, x in ints if "level" in what] == [1, 16, 4, 13, 6, 11, 7, 10]
+    assert reals == [("spectrum weight", w) for w in (0.1, 0.2, 0.3, 0.4)]
+    assert [args for args in seeds if "lu_seed" in args] == [(7, "lu_seed")]
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,13 +11,12 @@ from mmekit.linalg import (
     ATOL,
     DensityMatrix,
     PureStateVector,
-    mix,
     mode_purities,
     mode_reduction_of_pure,
 )
 from mmekit.mme import construct, max_mme_rank
-from mmekit.modes import ModeStructure
-from mmekit.verify import random_lu_set
+from mmekit.modes import ModeStructure, parse_dims
+from mmekit.verify import SpectralState, random_lu_set
 
 _LETTERS = "abcdefghijklmnopqrstuvwx"
 
@@ -115,7 +117,8 @@ def test_density_matrix_json_round_trip() -> None:
 
 def test_mix_spectrum_of_orthonormal_states() -> None:
     s = ModeStructure((2, 2))
-    rho = mix([_basis_state(s, 1), _basis_state(s, 4)], [0.7, 0.3])
+    rows = [_basis_state(s, 1).amplitudes, _basis_state(s, 4).amplitudes]
+    rho = SpectralState(s, [0.7, 0.3], rows).matrix()
     evals = sorted(np.linalg.eigvalsh(rho.entries), reverse=True)
     assert evals[0] == pytest.approx(0.7, abs=1e-14)
     assert evals[1] == pytest.approx(0.3, abs=1e-14)
@@ -139,9 +142,10 @@ def test_mix_matches_outer_product_sum(dims, lu_seed) -> None:
     assert np.abs(rho.entries - want).max() < 1e-14
 
 
-def _einsum_mix(states, weights) -> np.ndarray:
-    """sum_k w_k |psi_k><psi_k| by einsum, the oracle for `mix`."""
-    B = np.column_stack([st.amplitudes for st in states]) * np.sqrt(weights)
+def _einsum_mix(rows, weights) -> np.ndarray:
+    """sum_k w_k |psi_k><psi_k| by einsum, psi_k the k-th amplitude row: the
+    oracle for `mix`."""
+    B = np.column_stack(rows) * np.sqrt(weights)
     return np.einsum("ik,jk->ij", B, B.conj())
 
 
@@ -151,15 +155,44 @@ def test_mix_matches_einsum_oracle(dims, R) -> None:
     rng = np.random.default_rng(R)
     for _ in range(3):
         g = rng.standard_normal((s.n, R)) + 1j * rng.standard_normal((s.n, R))
-        states = [PureStateVector(s, v) for v in np.linalg.qr(g)[0].T]
+        basis = np.linalg.qr(g)[0].T
         weights = rng.random(R) + 0.05
         weights /= weights.sum()
-        rho = mix(states, weights).entries
-        assert np.abs(rho - _einsum_mix(states, weights)).max() <= 1e-15
+        rho = SpectralState(s, weights, basis).matrix().entries
+        assert np.abs(rho - _einsum_mix(basis, weights)).max() <= 1e-15
         assert abs(np.trace(rho) - 1.0) <= ATOL
         # BLAS need not mirror the two triangles bit for bit
         assert np.abs(rho - rho.conj().T).max() <= ATOL
         assert not np.diagonal(rho).imag.any()
+
+
+PUBLISHED_SETS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text()
+)["published_sets"]
+
+
+@pytest.mark.parametrize("dims", sorted(PUBLISHED_SETS))
+@pytest.mark.parametrize("lu_seed", [None, 7])
+def test_mix_is_bitwise_the_oracles_on_published_sets(dims, lu_seed) -> None:
+    # rho is read off the checked basis and spectrum.  Bare, it is bit for
+    # bit the einsum; LU-dressed, the einsum sums in another order, and rho
+    # is bit for bit the BLAS product over the column stack of the
+    # eigenstates' amplitudes
+    s = parse_dims(dims)
+    tuples = PUBLISHED_SETS[dims]
+    weights = np.arange(1.0, len(tuples) + 1)
+    weights /= weights.sum()
+    lu = None if lu_seed is None else random_lu_set(s, lu_seed)
+    state, rho = construct(s, tuples, weights, lu)
+    einsum = _einsum_mix(state.basis, state.spectrum)
+    B = np.column_stack([v.amplitudes for v in state.eigenstates]) * np.sqrt(state.spectrum)
+    stacked = B @ B.conj().T + 0.0
+    np.fill_diagonal(stacked.imag, 0.0)
+    assert np.array_equal(rho.entries, stacked)
+    assert np.array_equal(state.matrix().entries, rho.entries)
+    if lu is None:
+        assert np.array_equal(rho.entries, einsum)
+    assert np.abs(rho.entries - einsum).max() <= 1e-15
 
 
 def test_mix_of_real_states_prints_no_negative_zero() -> None:
@@ -170,23 +203,24 @@ def test_mix_of_real_states_prints_no_negative_zero() -> None:
     state, rho = construct(s, [(1, 10), (2, 8)], (0.7, 0.3))
     assert not np.signbit(rho.entries.imag).any()
     assert not np.signbit(rho.entries.real[rho.entries.real == 0]).any()
-    assert np.array_equal(rho.entries, _einsum_mix(state.eigenstates, (0.7, 0.3)))
+    assert np.array_equal(rho.entries, _einsum_mix(state.basis, (0.7, 0.3)))
 
 
 def test_mix_validation() -> None:
+    # `mix` reads no weight: the SpectralState it reads refused bad ones
     s = ModeStructure((2, 2))
-    a, b = _basis_state(s, 1), _basis_state(s, 2)
+    ab = [_basis_state(s, 1).amplitudes, _basis_state(s, 2).amplitudes]
     with pytest.raises(ValueError):
-        mix([], [])
+        SpectralState(s, [], np.zeros((0, 4)))
     with pytest.raises(ValueError):
-        mix([a, b], [1.0])
+        SpectralState(s, [1.0], ab)
     with pytest.raises(ValueError):
-        mix([a, b], [0.5, 0.4])  # sums to 0.9
+        SpectralState(s, [0.5, 0.4], ab)  # sums to 0.9
     with pytest.raises(ValueError):
-        mix([a, b], [1.2, -0.2])
+        SpectralState(s, [1.2, -0.2], ab)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
-            mix([a, b], [bad, 0.5])
-    other = _basis_state(ModeStructure((4,)), 1)
+            SpectralState(s, [bad, 0.5], ab)
+    other = ModeStructure((2, 2, 2))
     with pytest.raises(ValueError):
-        mix([a, other], [0.5, 0.5])
+        SpectralState(s, [0.5, 0.5], [_basis_state(other, k).amplitudes for k in (1, 2)])

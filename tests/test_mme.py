@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mmekit.cli import _structures_upto
 from mmekit.entcore import lstar
-from mmekit import cli, mme, tgx
+from mmekit import cli, linalg, mme, modes, tgx
 from mmekit.mme import (
     CERTIFIED_SETS,
     GREEDY_RESTARTS,
@@ -851,6 +851,24 @@ def test_construct_certifies_a_tuple_set_once(monkeypatch) -> None:
         assert state.tuples == first.tuples
         assert min_avg_ent(state, strategy="random", samples=4).argmin is None
     assert _certified_set.cache_info().currsize == 1
+
+
+def test_construct_reads_each_weight_once_and_wraps_no_row(spy, monkeypatch) -> None:
+    # the SpectralState reads the spectrum and rho is built from its checked
+    # basis: 2^6 at R 16 reads 16 weights per build and wraps no basis row
+    # as a PureStateVector
+    s = ModeStructure((2,) * 6)
+    weights = np.arange(1.0, 17) / 136
+    lus = random_lu_set(s, 7)
+    wrapped, init = [], linalg.PureStateVector.__init__
+    monkeypatch.setattr(linalg.PureStateVector, "__init__",
+                        lambda self, *args: wrapped.append(args) or init(self, *args))
+    checks, reals = spy(linalg._check_weights), spy(modes._check_real)
+    for lu in (None, lus):
+        construct(s, QUBIT_SETS[6], weights, lu)
+    assert [count for _, count in checks] == [16, 16]
+    assert [w for _, w in reals] == list(weights) * 2
+    assert wrapped == []
 
 
 @pytest.mark.parametrize("tuples,match", [

@@ -16,7 +16,6 @@ from mmekit.entcore import ent_pure, lstar
 from mmekit.linalg import (
     DensityMatrix,
     PureStateVector,
-    mix,
 )
 from mmekit import tgx
 from mmekit.modes import ModeStructure, _level_table, parse_dims
@@ -32,7 +31,7 @@ from mmekit.tgx import (
 from mmekit.verify import random_lu_set
 
 from reference_values import EXAMPLE_SETS, ME_TUPLE_COUNTS
-from test_linalg import _basis_state
+from test_linalg import _basis_state, _einsum_mix
 
 
 def _brute_force_tuples(s: ModeStructure, L: int) -> list[tuple[int, ...]]:
@@ -483,7 +482,8 @@ def test_apply_lu_matches_full_matrix(dims) -> None:
     v = PureStateVector(s, raw / np.linalg.norm(raw))
     moved = apply_lu(v, lus)
     assert np.abs(moved.amplitudes - full @ v.amplitudes).max() < 1e-12
-    rho = mix([v, build_tgx_state(enumerate_me_tuples(s, lstar(s).min)[0])], (0.3, 0.7))
+    w = build_tgx_state(enumerate_me_tuples(s, lstar(s).min)[0])
+    rho = DensityMatrix(s, _einsum_mix([v.amplitudes, w.amplitudes], (0.3, 0.7)))
     moved_rho = apply_lu(rho, lus)
     want = full @ rho.entries @ full.conj().T
     assert np.abs(moved_rho.entries - want).max() < 1e-12

@@ -17,7 +17,6 @@ from mmekit.entcore import ent_pure
 from mmekit.linalg import (
     DensityMatrix,
     PureStateVector,
-    mix,
     mode_purities,
     mode_reduction_of_pure,
 )
@@ -101,7 +100,7 @@ def test_spectral_state_refuses_ragged_or_non_numeric_rows(rows) -> None:
 
 @pytest.mark.parametrize("build,bad", [
     (lambda: SpectralState(_S22, (True,), _rows(_basis_state(_S22, 1))), "True"),
-    (lambda: mix([_basis_state(_S22, 1)], [True]), "True"),
+    (lambda: SpectralState(_S22, (0.5, True), np.eye(4)[:2]), "True"),
     (lambda: comparison_family_spectral("mme", ("0.5", "0.5")), "'0.5'"),
 ])
 def test_weights_that_are_not_numbers_are_refused(build, bad) -> None:
@@ -136,7 +135,7 @@ def test_spectral_states_keep_no_buffer_of_the_caller() -> None:
     spectrum = np.array([0.6, 0.4])
     state = SpectralState(_S22, spectrum, basis)
     family = comparison_family_spectral("mme", spectrum)
-    rho = mix(state.eigenstates, (0.6, 0.4))
+    rho = state.matrix()
     spec = spectral(rho)
     kept = [(x.basis.copy(), x.spectrum) for x in (state, family, spec)]
     basis[:] = 0.0
@@ -151,7 +150,8 @@ def test_spectral_states_keep_no_buffer_of_the_caller() -> None:
 
 def test_spectral_round_trip_descending() -> None:
     s = ModeStructure((2, 2))
-    rho = mix([_basis_state(s, 2), _basis_state(s, 3)], (0.3, 0.7))
+    e2, e3 = _basis_state(s, 2), _basis_state(s, 3)
+    rho = SpectralState(s, (0.3, 0.7), _rows(e2, e3)).matrix()
     spec = spectral(rho)
     assert spec.spectrum == pytest.approx((0.7, 0.3))
     assert spec.rank == 2
@@ -321,7 +321,8 @@ def test_as_spectral_paths() -> None:
     assert from_rho.spectrum == pytest.approx((0.7, 0.3))
 
     s = ModeStructure((2, 2))
-    degenerate = mix([_basis_state(s, 1), _basis_state(s, 4)], (0.5, 0.5))
+    e1, e4 = _basis_state(s, 1), _basis_state(s, 4)
+    degenerate = SpectralState(s, (0.5, 0.5), _rows(e1, e4)).matrix()
     _, note = as_spectral(degenerate)
     assert "degenerate" in note
 

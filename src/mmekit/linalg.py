@@ -4,8 +4,9 @@ Everything is a plain numpy array under the hood; the wrapper types pin
 the mode structure to the data and enforce the physical invariants
 (normalization, Hermiticity, unit trace, positive semidefiniteness).
 All target systems have n <= 256 (`modes.MAX_N`), so dense storage is
-used throughout.  rho is built from the checked eigenbasis (`mix`), and
-every weight is read once, by `_check_weights`, as a SpectralState is built.
+used throughout.  rho is built from the checked eigenbasis (`mix`) when
+first read, and every weight is read once, by `_check_weights`, as a
+SpectralState is built.
 """
 
 from __future__ import annotations
@@ -104,7 +105,10 @@ def _check_weights(weights, count: int) -> tuple[float, ...]:
     """The weights as floats, each read by `modes._check_real`; raise unless
     there are count >= 1, all finite and positive (NaN passes every `<=`
     test) and summing to 1 within ATOL."""
-    weights = tuple(_check_real("spectrum weight", w) for w in weights)
+    try:
+        weights = tuple(_check_real("spectrum weight", w) for w in weights)
+    except TypeError:  # `_check_real` raises no TypeError: weights is not iterable
+        raise ValueError(f"spectrum={weights!r} is not a list of weights") from None
     if count < 1 or len(weights) != count:
         raise ValueError(f"{len(weights)} weights for {count} states; need one each")
     if not all(np.isfinite(w) and w > 0 for w in weights):
@@ -118,10 +122,11 @@ def _check_weights(weights, count: int) -> tuple[float, ...]:
 def mix(state) -> DensityMatrix:
     """rho = sum_k lambda_k |Phi_k><Phi_k| of a `verify.SpectralState`, read
     off its `structure`, (R, n) `basis` and `spectrum`, all checked where
-    the state was built.  Computed as one BLAS product B B^dagger with
-    B = basis^T diag(sqrt(lambda)), C-contiguous; the diagonal's imaginary
-    part is then set to exactly 0.  The two triangles may differ in the
-    last bit.
+    the state was built.  `SpectralState.matrix()` calls it when rho is
+    first read, so a state that is only sampled is never mixed.  Computed
+    as one BLAS product B B^dagger with B = basis^T diag(sqrt(lambda)),
+    C-contiguous; the diagonal's imaginary part is then set to exactly 0.
+    The two triangles may differ in the last bit.
     """
     B = np.ascontiguousarray(state.basis.T) * np.sqrt(state.spectrum)
     # Adding 0.0 maps any -0.0 to 0.0, so `construct` prints what the

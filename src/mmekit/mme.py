@@ -92,7 +92,10 @@ def _first_conflict(s: ModeStructure, level_sets):
 def _read_tuple_set(s: ModeStructure, tuples, one_size: bool = True):
     """`tgx._tuple_levels` of each tuple; refuses an empty set and, with
     `one_size`, a size other than the first tuple's."""
-    level_sets = [_tuple_levels(s, t) for t in tuples]
+    try:
+        level_sets = [_tuple_levels(s, t) for t in tuples]
+    except TypeError:  # tuples, or one of them, cannot be iterated
+        raise ValueError(f"tuples={tuples!r} is not a list of level lists") from None
     if not level_sets:
         raise ValueError("need at least one tuple")
     first = level_sets[0]
@@ -516,7 +519,9 @@ def construct(s: ModeStructure, tuples, spectrum, lu: LocalUnitarySet | None = N
     spectrum must be positive numbers, not bools or strings, summing to
     1 with one weight per tuple.  The state's basis is built on every
     call as one (R, n) stack of equal superpositions and dressed by `lu`
-    with one product per mode over the whole stack.
+    with one product per mode over the whole stack.  rho is mixed when
+    first read (`SpectralState.matrix()`), so a caller that only samples
+    the state never builds the n x n matrix.
     """
     level_sets = tuple(_read_tuple_set(s, tuples))
     ts = _certified_set(s, level_sets)

@@ -35,12 +35,12 @@ def _check_int(what: str, value) -> int:
 
 def _check_real(what: str, value) -> float:
     """`value` as a float, refused unless `float` reads it as a number: a
-    bool or a string is a ValueError naming it, not read as 0/1 or
-    parsed."""
+    bool, a string or an int past the float range (10**400) is a
+    ValueError naming it, not read as 0/1, parsed or an OverflowError."""
     if not isinstance(value, (bool, np.bool_, str, bytes)):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (OverflowError, TypeError, ValueError):
             pass
     raise ValueError(f"{what}={value!r} is not a number")
 

@@ -8,19 +8,21 @@ the sets holding level 1 (`_all_level_sets`): per-mode cyclic label
 shifts are local unitaries that keep both search conditions, and the
 one that takes level 1 to level h maps those sets onto every set whose
 smallest level is h, so numpy builds each later block by a shift, and
-sorting puts it back into the DFS's lex order.  Each tuple is certified once,
+sorting puts it back into the DFS's lex order.  Tuples are certified
 numerically through the ent itself, in `_me_flags` blocks of equal
-superpositions: `_certify` for enumerate_me_tuples, rank witnesses and
-the eigen-tuples of `mme.construct`, which keeps each set it certified
-(`mme._certified_set`), so a set rebuilt under other spectra and frames
-is certified once per process; a lone MeTgxTuple built from raw levels
-is the one-row case.  A LocalUnitarySet checks its unitaries for
-unitarity with one stacked check per size, and dresses stacks of
-states with one product per mode (`_apply_per_axis`).
+superpositions: `_certify` for the level-1 sets of enumerate_me_tuples
+(a shift keeps the ent, so their images are not tested again), rank
+witnesses and the eigen-tuples of `mme.construct`, which keeps each set
+it certified (`mme._certified_set`), so a set rebuilt under other
+spectra and frames is certified once per process; a lone MeTgxTuple
+built from raw levels is the one-row case.  A LocalUnitarySet checks
+its unitaries for unitarity with one stacked check per size, and
+dresses stacks of states with one product per mode (`_apply_per_axis`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
@@ -274,19 +276,26 @@ def _me_flags(s: ModeStructure, level_sets) -> list[bool]:
     return flags
 
 
-def _certify(s: ModeStructure, level_sets) -> list[MeTgxTuple]:
-    """MeTgxTuples of ascending in-range level sets of one size,
-    certified in `_me_flags` blocks; the first set that is not ME
-    raises ValueError."""
+def _certified(s: ModeStructure, level_sets) -> list[MeTgxTuple]:
+    """MeTgxTuples of level sets the caller has certified, built
+    without `MeTgxTuple.__init__`'s test."""
     tuples = []
-    for levels, ok in zip(level_sets, _me_flags(s, level_sets)):
-        if not ok:
-            raise ValueError(f"{levels} is not an ME TGX tuple of {s}")
-        t = object.__new__(MeTgxTuple)  # certified here, so skip __init__
+    for levels in level_sets:
+        t = object.__new__(MeTgxTuple)
         object.__setattr__(t, "structure", s)
         object.__setattr__(t, "levels", levels)
         tuples.append(t)
     return tuples
+
+
+def _certify(s: ModeStructure, level_sets) -> list[MeTgxTuple]:
+    """MeTgxTuples of ascending in-range level sets of one size,
+    certified in `_me_flags` blocks; the first set that is not ME
+    raises ValueError."""
+    for levels, ok in zip(level_sets, _me_flags(s, level_sets)):
+        if not ok:
+            raise ValueError(f"{levels} is not an ME TGX tuple of {s}")
+    return _certified(s, level_sets)
 
 
 def enumerate_me_tuples(s: ModeStructure, L: int) -> list[MeTgxTuple]:
@@ -296,12 +305,15 @@ def enumerate_me_tuples(s: ModeStructure, L: int) -> list[MeTgxTuple]:
     from `_all_level_sets`: the DFS walks only the sets holding level 1,
     and the per-mode label shift that takes level 1 to level h builds
     the sets whose smallest level is h, each block sorted, so the list
-    keeps the DFS's lex order.  They are certified once each,
-    numerically and in blocks (`_me_flags`); a survivor that is not ME
-    raises ValueError.
+    keeps the DFS's lex order.  The level-1 sets, the stream's prefix,
+    are certified numerically and in blocks (`_certify`); a survivor
+    that is not ME raises ValueError.  Every later set is a label shift,
+    a local unitary, of a certified one, so it has the same ent and is
+    wrapped untested.
     """
-    L = _check_L(s, L)
-    return _certify(s, list(_all_level_sets(s, L)))
+    level_sets = list(_all_level_sets(s, _check_L(s, L)))
+    k = bisect_left(level_sets, (2,))  # the sets holding level 1
+    return _certify(s, level_sets[:k]) + _certified(s, level_sets[k:])
 
 
 def build_tgx_state(t: MeTgxTuple) -> PureStateVector:

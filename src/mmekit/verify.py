@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,8 +66,10 @@ class SpectralState:
     `basis` holds the eigenstates' amplitudes, row k for |Phi_k>: any
     (R, n) array-like, copied once into a read-only complex array and
     checked orthonormal; `eigenstates` wraps its rows when asked.
-    `spectrum` is kept as the floats `linalg._check_weights` reads, and
-    `matrix()` builds rho from the checked eigenbasis (`linalg.mix`).
+    `spectrum` is kept as the floats `linalg._check_weights` reads.  The
+    sampler reads only the ensemble, never rho: `matrix()` returns a
+    DensityMatrix whose rho is mixed when first read, from the checked
+    eigenbasis (`linalg.mix`).
     """
 
     structure: ModeStructure
@@ -97,7 +99,20 @@ class SpectralState:
         return tuple(PureStateVector(self.structure, row) for row in self.basis)
 
     def matrix(self) -> DensityMatrix:
-        return mix(self)
+        """rho as a DensityMatrix whose `entries` are mixed (`mix`) when
+        first read and then kept."""
+        return _MixedOnRead(self)
+
+
+class _MixedOnRead(DensityMatrix):
+    """The DensityMatrix of a SpectralState; rho is mixed when first read."""
+
+    def __init__(self, state: SpectralState):
+        self.structure, self._state = state.structure, state
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return mix(self._state).entries
 
 
 def spectral(rho: DensityMatrix) -> SpectralState:

@@ -22,7 +22,7 @@ from hypothesis.extra import numpy as hnp
 
 from mmekit import cli, modes, verify
 from mmekit.cli import TABLE_HEADER, build_parser, main
-from mmekit.linalg import DensityMatrix
+from mmekit.linalg import DensityMatrix, mix
 from mmekit.mme import construct
 from mmekit.modes import ModeStructure
 
@@ -309,10 +309,17 @@ def test_construct_by_the_einsum_oracle_passes_verify(capsys, tmp_path, monkeypa
     argv = ["construct", "2x2x3x3", "--tuples", "1,5,9,28,32,36;11,15,16,20,24,25",
             "--spectrum", "0.7,0.3", "--lu-seed", "4"]
     target = tmp_path / "state.json"
+    built = []
+
+    def einsum_mix(state):
+        built.append(state)
+        return DensityMatrix(state.structure, _einsum_mix(state.basis, state.spectrum),
+                             validate=False)
+
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "mix", lambda state: DensityMatrix(
-            state.structure, _einsum_mix(state.basis, state.spectrum), validate=False))
+        patch.setattr(verify, "mix", einsum_mix)
         assert _run(capsys, argv + ["--out", str(target)]) == (0, "", "")
+    assert len(built) == 1  # rho, mixed when printed, came from the einsum
     code, out, err = _run(capsys, ["verify", "--state", str(target)])
     assert (code, err) == (0, "")
     assert json.loads(out)["argmin"] is None
@@ -492,6 +499,14 @@ def _weight_past_float(saved) -> None:
     saved["spectrum"][0] = 10**400
 
 
+def _tuples_not_a_list(saved) -> None:
+    saved["tuples"] = 5
+
+
+def _spectrum_not_a_list(saved) -> None:
+    saved["spectrum"] = 5
+
+
 @pytest.mark.parametrize("edit,message", [
     (None, None),
     (_lu_seed_true, "lu_seed=True is not an integer"),  # once read as lu_seed 1
@@ -505,10 +520,13 @@ def _weight_past_float(saved) -> None:
     (_text_in_im, "matrix.im must be an n x n array of numbers, n = 16"),
     (_not_me, "(1, 2) is not an ME TGX tuple of 2x2x2x2"),
     (_dims_too_small, "level 16 of (1, 16) out of range 1..8 for 2x2x2"),
-    (_weight_past_float, "int too large to convert to float"),
+    (_weight_past_float, f"spectrum weight={10**400} is not a number"),  # once an OverflowError
+    (_tuples_not_a_list, "tuples=5 is not a list of level lists"),  # once "'int' object is
+    (_spectrum_not_a_list, "spectrum=5 is not a list of weights"),  # not iterable"
 ], ids=["unedited", "lu_seed_true", "level_true", "im_three_rows", "weight_true",
         "weights_as_strings", "not_json", "not_an_object", "ragged_re", "text_in_im",
-        "not_me", "dims_too_small", "weight_past_float"])
+        "not_me", "dims_too_small", "weight_past_float", "tuples_not_a_list",
+        "spectrum_not_a_list"])
 def test_verify_state_file_refusals_name_the_field(capsys, tmp_path, edit, message) -> None:
     # one refusal path: each message names the file and holds no numpy or
     # Python-internal text; a string edit replaces the file's text
@@ -543,6 +561,20 @@ def test_verify_state_reads_each_input_once(capsys, tmp_path, spy) -> None:
     assert [x for what, x in ints if "level" in what] == [1, 16, 4, 13, 6, 11, 7, 10]
     assert reals == [("spectrum weight", w) for w in (0.1, 0.2, 0.3, 0.4)]
     assert [args for args in seeds if "lu_seed" in args] == [(7, "lu_seed")]
+
+
+def test_rho_is_mixed_only_where_printed_or_compared(capsys, tmp_path, spy) -> None:
+    # inline `verify` samples the eigen-ensemble and never mixes rho;
+    # `construct` mixes it to print it, and `verify --state` to compare it
+    calls = spy(mix)
+    spec = ["2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3", "--lu-seed", "1"]
+    code, out, err = _run(capsys, ["verify", *spec, "--grid", "3,3"])
+    assert (code, err, calls) == (0, "", [])
+    target = tmp_path / "state.json"
+    assert _run(capsys, ["construct", *spec, "--out", str(target)]) == (0, "", "")
+    assert len(calls) == 1
+    assert _run(capsys, ["verify", "--state", str(target), "--grid", "3,3"]) == (0, out, "")
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

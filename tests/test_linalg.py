@@ -11,6 +11,7 @@ from mmekit.linalg import (
     ATOL,
     DensityMatrix,
     PureStateVector,
+    mix,
     mode_purities,
     mode_reduction_of_pure,
 )
@@ -193,6 +194,22 @@ def test_mix_is_bitwise_the_oracles_on_published_sets(dims, lu_seed) -> None:
     if lu is None:
         assert np.array_equal(rho.entries, einsum)
     assert np.abs(rho.entries - einsum).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dims", sorted(PUBLISHED_SETS))
+@pytest.mark.parametrize("lu_seed", [None, 7])
+def test_construct_mixes_rho_when_first_read(spy, dims, lu_seed) -> None:
+    # `construct` builds no rho; the first read of `entries` mixes it, once,
+    # bit for bit as `mix` does, and later reads return the same array
+    s = parse_dims(dims)
+    tuples = PUBLISHED_SETS[dims]
+    lu = None if lu_seed is None else random_lu_set(s, lu_seed)
+    calls = spy(mix)
+    state, rho = construct(s, tuples, (1 / len(tuples),) * len(tuples), lu)
+    assert calls == [] and isinstance(rho, DensityMatrix)
+    entries = rho.entries
+    assert rho.entries is entries and calls == [(state,)]
+    assert np.array_equal(entries, mix(state).entries)
 
 
 def test_mix_of_real_states_prints_no_negative_zero() -> None:

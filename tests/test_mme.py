@@ -899,11 +899,22 @@ def test_construct_shares_no_buffer_between_states() -> None:
     assert np.array_equal(again.basis, [build_tgx_state(t).amplitudes for t in again.tuples])
 
 
-@pytest.mark.parametrize("bad", [True, np.True_, "0.5", b"0.5", None, [0.5]])
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5", b"0.5", None, [0.5], 10**400])
 def test_construct_refuses_weights_that_are_not_numbers(bad) -> None:
     s = ModeStructure((2, 2, 2, 2))
     with pytest.raises(ValueError, match=rf"spectrum weight={re.escape(repr(bad))} is not a number"):
         construct(s, [(1, 16), (4, 13)], (bad, 0.5))
+
+
+@pytest.mark.parametrize("tuples,spectrum,field", [
+    (5, (0.5, 0.5), "tuples=5 is not a list of level lists"),
+    ([(1, 16), 5], (0.5, 0.5), r"tuples=\[\(1, 16\), 5\] is not a list of level lists"),
+    ([(1, 16), (4, 13)], 5, "spectrum=5 is not a list of weights"),
+])
+def test_construct_refuses_tuples_or_spectrum_that_are_not_lists(tuples, spectrum, field) -> None:
+    # each once raised Python's "'int' object is not iterable"
+    with pytest.raises(ValueError, match=f"^{field}$"):
+        construct(ModeStructure((2, 2, 2, 2)), tuples, spectrum)
 
 
 def test_construct_reads_numeric_weights() -> None:

@@ -335,6 +335,31 @@ def test_enumeration_is_certified_tuples() -> None:
     assert got == want and len(got) == 1440
 
 
+# (dims, L) with n <= 64 whose `_all_level_sets` stream takes 0.5 s or
+# more on 2 vCPUs (2^6 at L = 12: 3.7M sets in 32 s)
+SLOW_STREAMS = {("2x2x3x5", 10), ("3x3x7", 9), ("2x2x4x4", 12)} | {
+    ("2x2x2x2x4", L) for L in (8, 12, 16)} | {("2x2x2x2x2x2", L) for L in range(8, 25, 2)}
+
+
+@pytest.mark.parametrize("s", _structures_upto(64), ids=str)
+def test_label_shifted_sets_are_me(s) -> None:
+    # `enumerate_me_tuples` certifies only the level-1 sets; every later
+    # set is a label shift of one of them and must pass the numeric test too
+    for L in lstar(s).values:
+        if (str(s), L) not in SLOW_STREAMS:
+            sets = list(tgx._all_level_sets(s, L))
+            shifted = sets[sum(levels[0] == 1 for levels in sets):]
+            assert all(tgx._me_flags(s, shifted)), (str(s), L)
+
+
+def test_enumeration_certifies_only_the_level_1_sets(spy) -> None:
+    s = ModeStructure((2, 2, 3, 3))
+    certified = spy(tgx._certify)
+    got = enumerate_me_tuples(s, 6)
+    assert [levels[0] for levels in certified[0][1]] == [1] * 240
+    assert [t.levels for t in got] == list(_me_level_sets(s, 6))
+
+
 def test_enumeration_certifies_in_blocks(monkeypatch) -> None:
     s = ModeStructure((2, 2, 3, 3))
     whole = enumerate_me_tuples(s, 6)

@@ -53,7 +53,6 @@ from .verify import (
     min_avg_ent,
     random_lu_set,
     reduction_purity_report,
-    spectral,
     u2,
 )
 
@@ -94,7 +93,6 @@ __all__ = [
     "random_lu_set",
     "reduction_purity_report",
     "scalar_to_vector",
-    "spectral",
     "u2",
     "validate_example_set",
     "vector_to_scalar",

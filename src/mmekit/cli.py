@@ -82,12 +82,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return t, c
 
 
-@functools.cache
-def _flat_encoder(pad: str):
-    """The stdlib's C encoder, one list item per line at `pad`."""
-    return json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
-
-
 def _int_rows(obj) -> bool:
     """Whether `obj` is a list of non-empty lists or tuples of plain ints,
     which `str` writes as JSON does."""
@@ -107,7 +101,7 @@ def _indented(obj, pad: str) -> str:
         if obj.ndim != 2 or obj.dtype.kind != "f" or not obj.size:
             return _indented(obj.tolist(), pad)
         mags, where = np.unique(np.abs(obj), return_inverse=True)
-        text = _flat_encoder("")(mags.tolist())[1:-1].split(",\n")
+        text = json.dumps(mags.tolist())[1:-1].split(", ")
         signed = np.array(text + ["-" + t for t in text], dtype=object)
         neg = np.signbit(obj) & (obj == obj)  # a NaN prints "NaN" whatever its sign
         cells = signed[where.reshape(obj.shape) + len(mags) * neg].tolist()
@@ -126,7 +120,7 @@ def _indented(obj, pad: str) -> str:
     elif any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
         body = (",\n" + inner).join(_indented(x, inner) for x in obj)
     else:
-        body = _flat_encoder(inner)(obj)[1:-1]
+        body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
     return "[\n" + inner + body + "\n" + pad + "]"
 
 
@@ -397,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Reads a construct output via --state, or an inline dims/tuples/"
             "spectrum spec, not both.  A state file's dims, tuples, spectrum and "
             "lu_seed must rebuild its matrix, and every refusal of the file names it.  "
-            "Emits JSON {min_avg, samples, strategy, argmin}."
+            "Emits JSON {dims, strategy, samples, min_avg, argmin, notes}."
         ),
     )
     p.add_argument("dims", nargs="?", help="inline spec: mode structure")

@@ -2,7 +2,8 @@
 
 Everything is a plain numpy array under the hood; the wrapper types pin
 the mode structure to the data and enforce the physical invariants
-(normalization, Hermiticity, unit trace, positive semidefiniteness).
+(normalization, Hermiticity, unit trace, positive semidefiniteness) as
+they are built, so an instance is valid by existence.
 All target systems have n <= 256 (`modes.MAX_N`), so dense storage is
 used throughout.  rho is built from the checked eigenbasis (`mix`) when
 first read, and every weight is read once, by `_check_weights`, as a
@@ -53,29 +54,27 @@ class PureStateVector:
 
 
 class DensityMatrix:
-    """A density matrix over a mode structure.
+    """A density matrix over a mode structure, valid by existence.
 
-    Validates Hermiticity and unit trace within 1e-12 and positive
-    semidefiniteness with 1e-10 slack.  Pass ``validate=False`` only for
-    matrices known valid by construction.
+    Every instance is checked as it is built: Hermiticity and unit trace
+    within 1e-12, positive semidefiniteness with 1e-10 slack.  The one
+    instance built without this check is the rho of a SpectralState
+    (`verify._MixedOnRead`), whose eigenbasis and weights were checked.
     """
 
-    def __init__(self, structure: ModeStructure, entries, validate: bool = True):
+    def __init__(self, structure: ModeStructure, entries):
         mat = np.asarray(entries, dtype=complex)
         n = structure.n
         if mat.shape != (n, n):
             raise ValueError(f"expected {n}x{n} matrix for {structure}, got {mat.shape}")
-        if validate:
-            if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
-                raise ValueError("density matrix is not Hermitian")
-            tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > ATOL:
-                raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-            evals = np.linalg.eigvalsh(mat)
-            if evals.min() < -PSD_SLACK:
-                raise ValueError(
-                    f"density matrix has negative eigenvalue {evals.min():.3e}"
-                )
+        if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
+            raise ValueError("density matrix is not Hermitian")
+        tr = complex(np.trace(mat))
+        if abs(tr - 1.0) > ATOL:
+            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+        evals = np.linalg.eigvalsh(mat)
+        if evals.min() < -PSD_SLACK:
+            raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
         self.structure = structure
         self.entries = mat
 
@@ -119,11 +118,12 @@ def _check_weights(weights, count: int) -> tuple[float, ...]:
     return weights
 
 
-def mix(state) -> DensityMatrix:
-    """rho = sum_k lambda_k |Phi_k><Phi_k| of a `verify.SpectralState`, read
-    off its `structure`, (R, n) `basis` and `spectrum`, all checked where
-    the state was built.  `SpectralState.matrix()` calls it when rho is
-    first read, so a state that is only sampled is never mixed.  Computed
+def mix(state) -> np.ndarray:
+    """The n x n array rho = sum_k lambda_k |Phi_k><Phi_k| of a
+    `verify.SpectralState`, read off its (R, n) `basis` and `spectrum`,
+    both checked where the state was built.  The DensityMatrix of
+    `SpectralState.matrix()` keeps it as its `entries` when rho is first
+    read, so a state that is only sampled is never mixed.  Computed
     as one BLAS product B B^dagger with B = basis^T diag(sqrt(lambda)),
     C-contiguous; the diagonal's imaginary part is then set to exactly 0.
     The two triangles may differ in the last bit.
@@ -140,7 +140,7 @@ def mix(state) -> DensityMatrix:
     rho = B @ B.conj().T
     np.add(rho, 0.0, out=rho)
     np.fill_diagonal(rho.imag, 0.0)
-    return DensityMatrix(state.structure, rho, validate=False)
+    return rho
 
 
 def mode_reduction_of_pure(v: PureStateVector, m: int) -> np.ndarray:

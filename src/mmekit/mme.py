@@ -64,8 +64,9 @@ from .verify import SpectralState
 # Seeded random greedy orders tried past n = 64 by `search="auto"`, after
 # the natural and the degree order.
 GREEDY_RESTARTS = 2000
-# Tuple sets whose certification `construct` keeps: a job list that
-# rebuilds a few published sets under many spectra and frames hits it.
+# Tuple sets whose certification `construct` and the rank witnesses keep:
+# a job list that rebuilds a few published sets under many spectra and
+# frames hits it.
 CERTIFIED_SETS = 64
 # Row bits (tuples x rows built) the clique search may hold: 1 GiB of
 # rows.  The full read stops once (roots x tuples read) passes it, and a
@@ -114,8 +115,9 @@ def _certified_set(s: ModeStructure, level_sets: tuple) -> tuple[MeTgxTuple, ...
     """The MeTgxTuples of validated level sets of one size, certified in
     one `_certify` block, once no projected level repeats.  Kept per
     (structure, level sets) in a CERTIFIED_SETS-entry LRU cache, so a
-    set built again under another spectrum or frame is not certified
-    again; a refusal is not cached, so it raises on every call."""
+    rank witness or a set built again under another spectrum or frame
+    is not certified again; a refusal is not cached, so it raises on
+    every call."""
     ts = tuple(_certify(s, level_sets))
     conflict = _first_conflict(s, level_sets)
     if conflict is not None:
@@ -457,8 +459,8 @@ def _search_single_L(s, L, greedy, budget, seed) -> MmeRankReport:
     start = budget.used
 
     def report(level_sets, status, tuple_count):
-        return MmeRankReport(s, L, r_tilde, len(level_sets), tuple(_certify(s, level_sets)),
-                             status, budget.used, tuple_count)
+        ts = _certified_set(s, tuple(level_sets))
+        return MmeRankReport(s, L, r_tilde, len(ts), ts, status, budget.used, tuple_count)
 
     try:
         clique = _lex_clique(s, L, cap, budget)

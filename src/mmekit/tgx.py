@@ -11,13 +11,14 @@ smallest level is h, so numpy builds each later block by a shift, and
 sorting puts it back into the DFS's lex order.  Tuples are certified
 numerically through the ent itself, in `_me_flags` blocks of equal
 superpositions: `_certify` for the level-1 sets of enumerate_me_tuples
-(a shift keeps the ent, so their images are not tested again), rank
-witnesses and the eigen-tuples of `mme.construct`, which keeps each set
-it certified (`mme._certified_set`), so a set rebuilt under other
-spectra and frames is certified once per process; a lone MeTgxTuple
-built from raw levels is the one-row case.  A LocalUnitarySet checks
+(a shift keeps the ent, so their images are not tested again), and
+through `mme._certified_set` for rank witnesses and the eigen-tuples of
+`mme.construct`, so a set rebuilt under other spectra and frames is
+certified once per process; a lone MeTgxTuple built from raw levels is
+the one-row case.  A LocalUnitarySet checks
 its unitaries for unitarity with one stacked check per size, and
-dresses stacks of states with one product per mode (`_apply_per_axis`).
+dresses stacks of pure states with one product per mode
+(`_apply_per_axis`); a density matrix is dressed through its ensemble.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from operator import and_
 import numpy as np
 
 from .entcore import _check_L, ent_rows
-from .linalg import BLOCK_AMPLITUDES, DensityMatrix, PureStateVector, _check_isometry
+from .linalg import BLOCK_AMPLITUDES, PureStateVector, _check_isometry
 from .modes import ModeStructure, _check_int, _level_table
 
 # A state is accepted as ME when its ent is within this of 1.  Equal
@@ -363,21 +364,15 @@ def _apply_per_axis(mats, rows: np.ndarray, dims) -> np.ndarray:
     return t.reshape(len(rows), -1)
 
 
-def apply_lu(state, lus: LocalUnitarySet):
-    """Apply a tensor product of per-mode unitaries to a pure state or a
-    density matrix; returns the same kind.  Norm and trace (and the ent)
-    are preserved.  Works mode by mode on the (n_1, ..., n_N) tensor, so
-    the n x n Kronecker product is never formed; the state is the
-    one-row case of the stacked contraction `_apply_per_axis`, which
-    `mme.construct` runs on all its eigenstates at once."""
-    if not isinstance(state, (PureStateVector, DensityMatrix)):
+def apply_lu(state: PureStateVector, lus: LocalUnitarySet) -> PureStateVector:
+    """Apply a tensor product of per-mode unitaries to a pure state; the
+    norm and the ent are preserved.  Works mode by mode on the
+    (n_1, ..., n_N) tensor, so the n x n Kronecker product is never
+    formed; the state is the one-row case of the stacked contraction
+    `_apply_per_axis`, which `mme.construct` runs on all its eigenstates
+    at once (a mixed state is dressed through its eigenbasis there)."""
+    if not isinstance(state, PureStateVector):
         raise TypeError(f"cannot apply local unitaries to {type(state).__name__}")
     s = state.structure
     lus._check_structure(s)
-    us = lus.unitaries
-    if isinstance(state, PureStateVector):
-        return PureStateVector(s, _apply_per_axis(us, state.amplitudes[None], s.dims))
-    # rho -> F rho F^dagger: U_m on row axis m, conj(U_m) on column axis m
-    mats = us + tuple(u.conj() for u in us)
-    out = _apply_per_axis(mats, state.entries.reshape(1, -1), s.dims + s.dims)
-    return DensityMatrix(s, out.reshape(s.n, s.n), validate=False)
+    return PureStateVector(s, _apply_per_axis(lus.unitaries, state.amplitudes[None], s.dims))

@@ -67,9 +67,9 @@ class SpectralState:
     (R, n) array-like, copied once into a read-only complex array and
     checked orthonormal; `eigenstates` wraps its rows when asked.
     `spectrum` is kept as the floats `linalg._check_weights` reads.  The
-    sampler reads only the ensemble, never rho: `matrix()` returns a
-    DensityMatrix whose rho is mixed when first read, from the checked
-    eigenbasis (`linalg.mix`).
+    sampler reads only the ensemble, never rho: `matrix()` returns the
+    DensityMatrix of this ensemble, whose rho is mixed when first read
+    (`linalg.mix`); `as_spectral` takes the other way, rho to ensemble.
     """
 
     structure: ModeStructure
@@ -100,29 +100,21 @@ class SpectralState:
 
     def matrix(self) -> DensityMatrix:
         """rho as a DensityMatrix whose `entries` are mixed (`mix`) when
-        first read and then kept."""
+        first read and then kept; the ensemble was checked here, so the
+        DensityMatrix checks are not run again."""
         return _MixedOnRead(self)
 
 
 class _MixedOnRead(DensityMatrix):
-    """The DensityMatrix of a SpectralState; rho is mixed when first read."""
+    """The DensityMatrix of a SpectralState; rho is mixed when first read.
+    The one DensityMatrix not built by `DensityMatrix.__init__`."""
 
     def __init__(self, state: SpectralState):
         self.structure, self._state = state.structure, state
 
     @cached_property
     def entries(self) -> np.ndarray:
-        return mix(self._state).entries
-
-
-def spectral(rho: DensityMatrix) -> SpectralState:
-    """Eigen-decomposition of a density matrix, eigenvalues descending,
-    zeros (at most ATOL) dropped."""
-    vals, vecs = np.linalg.eigh(rho.entries)
-    order = [k for k in np.argsort(vals)[::-1] if not vals[k] <= ATOL]
-    total = sum(float(vals[k]) for k in order)
-    return SpectralState(rho.structure, tuple(float(vals[k]) / total for k in order),
-                         [vecs[:, k] / np.linalg.norm(vecs[:, k]) for k in order])
+        return mix(self._state)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,23 +291,29 @@ def random_lu_set(s: ModeStructure, seed: int):
 
 
 def as_spectral(state) -> tuple[SpectralState, str]:
-    """Coerce to SpectralState plus a provenance note.
+    """Coerce to SpectralState plus a provenance note; the one way from
+    rho to its ensemble.
 
     A SpectralState, an MmeState included, is returned as it is, with its
-    eigenbasis; a raw DensityMatrix is eigen-decomposed, which leaves the
-    basis arbitrary inside any degenerate eigenspace (noted when it
-    happens).
+    eigenbasis.  A DensityMatrix is eigen-decomposed: eigenvalues
+    descending, zeros (at most ATOL) dropped, the rest renormalized.  That
+    leaves the basis arbitrary inside any degenerate eigenspace, which the
+    note says when it happens.
     """
     if isinstance(state, SpectralState):
         return state, ""
-    if isinstance(state, DensityMatrix):
-        spec = spectral(state)
-        note = ""
-        if len(set(round(w, 12) for w in spec.spectrum)) < spec.rank:
-            note = ("degenerate spectral basis: certificate applies to the "
-                    "eigenbasis chosen by the solver")
-        return spec, note
-    raise TypeError(f"cannot take a spectral view of {type(state).__name__}")
+    if not isinstance(state, DensityMatrix):
+        raise TypeError(f"cannot take a spectral view of {type(state).__name__}")
+    vals, vecs = np.linalg.eigh(state.entries)
+    order = [k for k in np.argsort(vals)[::-1] if not vals[k] <= ATOL]
+    total = sum(float(vals[k]) for k in order)
+    spec = SpectralState(state.structure, tuple(float(vals[k]) / total for k in order),
+                         [vecs[:, k] / np.linalg.norm(vecs[:, k]) for k in order])
+    note = ""
+    if len(set(round(w, 12) for w in spec.spectrum)) < spec.rank:
+        note = ("degenerate spectral basis: certificate applies to the "
+                "eigenbasis chosen by the solver")
+    return spec, note
 
 
 @dataclass(frozen=True)

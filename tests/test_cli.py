@@ -22,7 +22,7 @@ from hypothesis.extra import numpy as hnp
 
 from mmekit import cli, modes, verify
 from mmekit.cli import TABLE_HEADER, build_parser, main
-from mmekit.linalg import DensityMatrix, mix
+from mmekit.linalg import mix
 from mmekit.mme import construct
 from mmekit.modes import ModeStructure
 
@@ -313,8 +313,7 @@ def test_construct_by_the_einsum_oracle_passes_verify(capsys, tmp_path, monkeypa
 
     def einsum_mix(state):
         built.append(state)
-        return DensityMatrix(state.structure, _einsum_mix(state.basis, state.spectrum),
-                             validate=False)
+        return _einsum_mix(state.basis, state.spectrum)
 
     with monkeypatch.context() as patch:
         patch.setattr(verify, "mix", einsum_mix)
@@ -624,6 +623,15 @@ def test_help_names_the_csv_schema(capsys, command) -> None:
         main([command, "--help"])
     assert exc.value.code == 0
     assert f"CSV schema: {','.join(TABLE_HEADER)}" in capsys.readouterr().out
+
+
+def test_verify_help_names_its_payload_keys_in_order(capsys) -> None:
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    keys = re.search(r"Emits JSON \{([^}]*)\}", " ".join(capsys.readouterr().out.split()))
+    _, out, _ = _run(capsys, ["verify", "2^4", "--tuples", "1,16;4,13", "--spectrum",
+                              "0.7,0.3", "--grid", "2,2"])
+    assert keys[1].split(", ") == list(json.loads(out))
 
 
 @pytest.mark.parametrize("argv", [["rank", "2^4"], ["tables", "1"]])

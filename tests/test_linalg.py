@@ -209,7 +209,7 @@ def test_construct_mixes_rho_when_first_read(spy, dims, lu_seed) -> None:
     assert calls == [] and isinstance(rho, DensityMatrix)
     entries = rho.entries
     assert rho.entries is entries and calls == [(state,)]
-    assert np.array_equal(entries, mix(state).entries)
+    assert np.array_equal(entries, mix(state))
 
 
 def test_mix_of_real_states_prints_no_negative_zero() -> None:

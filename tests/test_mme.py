@@ -853,6 +853,20 @@ def test_construct_certifies_a_tuple_set_once(monkeypatch) -> None:
     assert _certified_set.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 3, 3)])
+def test_rank_witness_is_certified_once_with_construct(spy, dims) -> None:
+    # the search reports its witness through construct's cache, so the
+    # witness passed construct's checks and building it certifies nothing
+    s = ModeStructure(dims)
+    _certified_set.cache_clear()
+    certified = spy(tgx._certify)
+    report = max_mme_rank(s, search="exhaustive")
+    R = report.R_MME
+    assert len(certified) == 1 and R == len(report.witness) > 0
+    state, _ = construct(s, [t.levels for t in report.witness], (1 / R,) * R)
+    assert len(certified) == 1 and state.tuples is report.witness
+
+
 def test_construct_reads_each_weight_once_and_wraps_no_row(spy, monkeypatch) -> None:
     # the SpectralState reads the spectrum and rho is built from its checked
     # basis: 2^6 at R 16 reads 16 weights per build and wraps no basis row

@@ -7,6 +7,9 @@ import io
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import mmekit
 
 
@@ -115,13 +118,14 @@ def test_cli_handlers_write_json_only_through_one_writer() -> None:
 
 
 def _qualified_uses(tree: ast.AST, name: str, owner: str = "") -> list[str]:
-    # the qualified name of the def or class around each load of `name`
+    # the qualified name of the def or class around each use of `name`, a
+    # name or a dotted attribute chain
     found = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found += _qualified_uses(node, name, f"{owner}.{node.name}".lstrip("."))
         else:
-            if isinstance(node, ast.Name) and node.id == name:
+            if isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node) == name:
                 found.append(owner)
             found += _qualified_uses(node, name, owner)
     return found
@@ -136,11 +140,48 @@ def test_verify_checks_unitaries_where_they_enter() -> None:
         "SpectralState.__post_init__", "_u2_grid", "decompose", "min_avg_ent.haar_stacks"]
 
 
+# The types that check their arguments where an instance is built, so
+# that every instance is valid by existence.
+CHECKED_TYPES = ("DensityMatrix", "PureStateVector", "SpectralState", "MeTgxTuple",
+                 "LocalUnitarySet", "ModeStructure")
+
+
+def test_checked_types_are_valid_by_existence() -> None:
+    # two builders skip the checks, each on input checked before:
+    # `tgx._certified` wraps certified level sets, and `verify._MixedOnRead`
+    # is the rho of a checked SpectralState; no subclass of a checked type
+    # builds any other way
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted(Path(mmekit.__file__).parent.glob("*.py"))}
+    assert [f"{stem}.{owner}" for stem, tree in trees.items()
+            for owner in _qualified_uses(tree, "object.__new__")] == ["tgx._certified"]
+    classes = [(stem, node) for stem, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    checked, builders = set(CHECKED_TYPES), []
+    for _ in classes:  # a subclass of a subclass is reached on a later pass
+        for stem, node in classes:
+            if node.name not in checked and any(
+                    ast.unparse(base).split(".")[-1] in checked for base in node.bases):
+                checked.add(node.name)
+                builders += [f"{stem}.{node.name}.{fn.name}" for fn in node.body
+                             if isinstance(fn, ast.FunctionDef)
+                             and fn.name in ("__new__", "__init__", "__post_init__")]
+    assert "MmeState" in checked
+    assert builders == ["verify._MixedOnRead.__init__"]
+    # a non-Hermitian 2^4 matrix is refused, and no flag skips the checks
+    s = mmekit.ModeStructure((2,) * 4)
+    bad = mmekit.construct(s, [(1, 16), (4, 13)], (0.5, 0.5))[1].entries.copy()
+    bad[0, 15] = 5.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        mmekit.DensityMatrix(s, bad)
+    with pytest.raises(TypeError):
+        mmekit.DensityMatrix(s, bad, validate=False)
+
+
 # Every cache in the package, as "module.function": its maxsize (None for
 # unbounded) and what bounds its entries.  An unbounded cache grows for
 # the life of the process, so a new one must say why it cannot.
 CACHES = {
-    "cli._flat_encoder": (None, "one encoder per pad, i.e. per JSON nesting depth"),
     "cli.build_parser": (None, "takes no arguments: one parser"),
     "entcore.lstar": (None, "one report per structure used"),
     "mme._certified_set": (64, "tuple sets are unbounded: mme.CERTIFIED_SETS"),

@@ -34,7 +34,6 @@ from mmekit.verify import (
     min_avg_ent,
     random_lu_set,
     reduction_purity_report,
-    spectral,
     u2,
 )
 
@@ -136,7 +135,7 @@ def test_spectral_states_keep_no_buffer_of_the_caller() -> None:
     state = SpectralState(_S22, spectrum, basis)
     family = comparison_family_spectral("mme", spectrum)
     rho = state.matrix()
-    spec = spectral(rho)
+    spec = as_spectral(rho)[0]
     kept = [(x.basis.copy(), x.spectrum) for x in (state, family, spec)]
     basis[:] = 0.0
     spectrum[:] = 0.5
@@ -152,7 +151,7 @@ def test_spectral_round_trip_descending() -> None:
     s = ModeStructure((2, 2))
     e2, e3 = _basis_state(s, 2), _basis_state(s, 3)
     rho = SpectralState(s, (0.3, 0.7), _rows(e2, e3)).matrix()
-    spec = spectral(rho)
+    spec = as_spectral(rho)[0]
     assert spec.spectrum == pytest.approx((0.7, 0.3))
     assert spec.rank == 2
     assert np.allclose(spec.matrix().entries, rho.entries, atol=1e-12)
@@ -161,7 +160,7 @@ def test_spectral_round_trip_descending() -> None:
 
 def test_spectral_drops_zero_eigenvalues() -> None:
     s = ModeStructure((2, 2))
-    spec = spectral(DensityMatrix(s, np.diag([1.0, 0.0, 0.0, 0.0])))
+    spec = as_spectral(DensityMatrix(s, np.diag([1.0, 0.0, 0.0, 0.0])))[0]
     assert spec.rank == 1
     assert spec.spectrum == pytest.approx((1.0,))
 
@@ -191,7 +190,7 @@ def test_decompose_reconstructs_state() -> None:
     s = ModeStructure((2, 3))
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     rho = DensityMatrix(s, (g @ g.conj().T) / np.trace(g @ g.conj().T).real)
-    spec = spectral(rho)
+    spec = as_spectral(rho)[0]
     for i in range(50):
         D = spec.rank + int(rng.integers(0, 3))
         U = haar_unitary(D, rng)

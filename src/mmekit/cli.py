@@ -10,8 +10,10 @@ Subcommands:
   sweep              spectrum sweeps of the comparison families
   validate-examples  certify a published eigen-tuple set
 
-Each handler returns its output text and exit code; `main` writes the
-text to stdout or `--out`.  `tuples`, `rank` and `tables` write JSON or
+Each handler builds its payload from the library's result objects, which
+carry no printed form, and `_json` or `_csv` writes it; the handler
+returns that text and an exit code, and `main` writes the text to stdout
+or `--out`.  `tuples`, `rank` and `tables` write JSON or
 CSV (`--format`); `sweep` writes CSV and the rest JSON.  All output is
 deterministic for a fixed argument list (seeds included), so identical
 invocations are byte-identical.  Exit codes: 0 success,
@@ -165,7 +167,10 @@ TABLE_HEADER = ["n", "dims", "minLstar", "r_tilde", "R_MME", "status", "L_used"]
 
 def cmd_lstar(args) -> tuple[str, int]:
     s = parse_dims(args.dims)
-    return _json(lstar(s).to_json_dict(str(s))), EXIT_OK
+    ls = lstar(s)
+    payload = {"dims": str(s), "Lstar": list(ls.values), "M_star": ls.min_mean,
+               "table": {str(L): v for L, v in sorted(ls.per_L_mean.items())}}
+    return _json(payload), EXIT_OK
 
 
 def cmd_tuples(args) -> tuple[str, int]:
@@ -191,7 +196,11 @@ def cmd_rank(args) -> tuple[str, int]:
     code = EXIT_INCONCLUSIVE if report.status == "inconclusive" else EXIT_OK
     if args.format == "csv":
         return _csv([_rank_row(s, report)], TABLE_HEADER), code
-    return _json(report.to_json_dict()), code
+    payload = {"dims": str(s), "n": s.n, "L_used": report.L_used, "r_tilde": report.r_tilde,
+               "R_MME": report.R_MME, "witness": [list(t.levels) for t in report.witness],
+               "exhaustive": report.exhaustive, "status": report.status,
+               "nodes": report.nodes, "tuple_count": report.tuple_count}
+    return _json(payload), code
 
 
 def _build_state(s: ModeStructure, tuples, spectrum, lu_seed):
@@ -214,7 +223,9 @@ def cmd_construct(args) -> tuple[str, int]:
             "compatible": True,
             "trivial_pure": state.is_trivial,
         },
-        "matrix": rho.to_json_dict(),
+        # the writer encodes the (n, n) float views without a `.tolist()`
+        "matrix": {"dims": str(rho.structure), "re": rho.entries.real,
+                   "im": rho.entries.imag},
     }
     return _json(payload), EXIT_OK
 
@@ -243,8 +254,10 @@ def cmd_verify(args) -> tuple[str, int]:
             if not np.allclose(parts[0] + 1j * parts[1], rho.entries, atol=ATOL, rtol=0.0):
                 raise ValueError("the saved matrix differs from the state its dims, tuples, "
                                  "spectrum and lu_seed build")
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad state file {args.state}: {exc}") from None
+        except (OSError, OverflowError, TypeError, ValueError) as exc:
+            # an OSError's own text repeats the path and its errno
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise ValueError(f"bad state file {args.state}: {reason}") from None
     elif args.dims and args.tuples and args.spectrum:
         state, _ = _build_state(parse_dims(args.dims), _parse_tuples(args.tuples),
                                 _parse_floats(args.spectrum), args.lu_seed)
@@ -322,7 +335,11 @@ def cmd_sweep(args) -> tuple[str, int]:
 def cmd_validate_examples(args) -> tuple[str, int]:
     s = parse_dims(args.dims)
     report = validate_example_set(s, _parse_tuples(args.tuples))
-    return _json(report.to_json_dict()), EXIT_OK
+    payload = {"dims": str(s), "tuples": [list(t) for t in report.level_sets],
+               "me": list(report.me), "compatible": report.set_compatible,
+               "pairwise": [{"i": i, "j": j, "compatible": ok} for i, j, ok in report.pairwise],
+               "all_pass": report.all_pass}
+    return _json(payload), EXIT_OK
 
 
 @functools.cache
@@ -404,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100, metavar="K",
                    help="random strategy: samples per dimension D")
     p.add_argument("--Dmin", type=int, help="random strategy: least D (default rank)")
-    p.add_argument("--Dmax", type=int, help="random strategy: top D (default rank + 2)")
+    p.add_argument("--Dmax", type=int,
+                   help=f"random strategy: top D (default rank + 2, at most {MAX_N + 2})")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_verify)
 

@@ -50,14 +50,6 @@ class LStarSet:
     def min(self) -> int:
         return self.values[0]
 
-    def to_json_dict(self, dims: str) -> dict:
-        return {
-            "dims": dims,
-            "Lstar": list(self.values),
-            "M_star": self.min_mean,
-            "table": {str(L): v for L, v in sorted(self.per_L_mean.items())},
-        }
-
 
 def _mpsrp_numerator(n_m: int, L: int) -> int:
     """L**2 * P_MP(n_m, L), an integer: the floor's exact numerator."""

@@ -78,16 +78,6 @@ class DensityMatrix:
         self.structure = structure
         self.entries = mat
 
-    def to_json_dict(self) -> dict:
-        """Row-major {dims, re, im} form used by the CLI; `re` and `im` are
-        the (n, n) float views of `entries`, which the CLI's writer encodes
-        without a `.tolist()`."""
-        return {
-            "dims": str(self.structure),
-            "re": self.entries.real,
-            "im": self.entries.imag,
-        }
-
 
 def _check_isometry(what: str, A) -> None:
     """Raise unless the columns of A, or of each matrix in a stack A, are

@@ -180,20 +180,6 @@ class MmeRankReport:
         """Whether R_MME is proven maximal, not only a lower bound."""
         return self.status == "complete"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dims": str(self.structure),
-            "n": self.structure.n,
-            "L_used": self.L_used,
-            "r_tilde": self.r_tilde,
-            "R_MME": self.R_MME,
-            "witness": [list(t.levels) for t in self.witness],
-            "exhaustive": self.exhaustive,
-            "status": self.status,
-            "nodes": self.nodes,
-            "tuple_count": self.tuple_count,
-        }
-
 
 class _Budget:
     """Shared node counter; raises when the limit is hit."""
@@ -550,18 +536,6 @@ class ExampleSetReport:
         return all(self.me) and self.set_compatible and all(
             ok for _, _, ok in self.pairwise
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dims": str(self.structure),
-            "tuples": [list(t) for t in self.level_sets],
-            "me": list(self.me),
-            "compatible": self.set_compatible,
-            "pairwise": [
-                {"i": i, "j": j, "compatible": ok} for i, j, ok in self.pairwise
-            ],
-            "all_pass": self.all_pass,
-        }
 
 
 def validate_example_set(s: ModeStructure, tuples) -> ExampleSetReport:

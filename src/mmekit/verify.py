@@ -48,7 +48,7 @@ from .linalg import (
     mix,
     mode_purities,
 )
-from .modes import ModeStructure, _check_int, _check_seed, _level_table
+from .modes import MAX_N, ModeStructure, _check_int, _check_seed, _level_table
 from .tgx import ME_TOL, LocalUnitarySet, _superpositions
 
 P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
@@ -353,6 +353,9 @@ def min_avg_ent(
     rebuilds its unitary alone, and the averages at one D depend neither
     on Dmin and Dmax nor, for its first k, on `samples`.  Grid steps,
     Dmin, Dmax, samples and seed must be integers, seed at least 0.
+    Sizes that could never finish are refused before anything is drawn
+    or built: Dmax above MAX_N + 2, the largest default (rank + 2 at
+    n = MAX_N), and more than MAX_N steps on a grid axis.
 
     The state's cross reductions X (`_cross_reductions`) are computed
     once.  The unitaries are evaluated in stacks of equal D holding at
@@ -388,6 +391,9 @@ def min_avg_ent(
         T, C = _check_int("theta_steps", T), _check_int("chi_steps", C)
         if T < 1 or C < 1:
             raise ValueError("grid needs at least one step per axis")
+        for name, steps in (("theta_steps", T), ("chi_steps", C)):
+            if steps > MAX_N:
+                raise ValueError(f"{name}={steps} is above the limit of {MAX_N} steps")
         theta, chi, Us = _u2_grid(T, C)
         stacks = (Us[a:a + block(2)] for a in range(0, len(Us), block(2)))
     elif strategy == "random":
@@ -398,6 +404,8 @@ def min_avg_ent(
             raise ValueError(f"Dmin={lo} below rank {state.rank}")
         if hi < lo:
             raise ValueError(f"Dmax={hi} below Dmin={lo}")
+        if hi > MAX_N + 2:
+            raise ValueError(f"Dmax={hi} is above the limit D <= {MAX_N + 2}")
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
 

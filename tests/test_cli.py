@@ -45,6 +45,7 @@ def test_lstar_json(capsys) -> None:
     assert d["Lstar"] == [2, 4]
     assert d["M_star"] == 0.0
     assert d["table"]["3"] == pytest.approx(1 / 9)
+    assert set(d["table"]) == {"2", "3", "4"}
 
 
 def test_bad_dims_exit_code(capsys) -> None:
@@ -86,9 +87,23 @@ def test_rank_csv_and_json(capsys) -> None:
     code, out, _ = _run(capsys, ["rank", "2x4"])
     assert code == 0
     d = json.loads(out)
+    assert set(d) == {
+        "dims",
+        "n",
+        "L_used",
+        "r_tilde",
+        "R_MME",
+        "witness",
+        "exhaustive",
+        "status",
+        "nodes",
+        "tuple_count",
+    }
+    assert d["dims"] == "2x4"
+    assert d["n"] == 8
     assert d["R_MME"] == 2
     assert d["status"] == "complete"
-    assert d["witness"] == [[1, 6], [3, 8]]
+    assert d["witness"] == [[1, 6], [3, 8]]  # lex-least maximum clique
 
 
 @pytest.mark.parametrize("argv,row,code", [
@@ -233,6 +248,11 @@ def test_construct_payload_and_out_file(capsys, tmp_path) -> None:
         "compatible": True,
         "trivial_pure": False,
     }
+    # the printed matrix reads back as construct's rho
+    mat = construct(ModeStructure((2, 5)), [(1, 10), (2, 8)], (0.7, 0.3))[1].entries
+    assert d["matrix"]["dims"] == "2x5"
+    back = np.array(d["matrix"]["re"]) + 1j * np.array(d["matrix"]["im"])
+    assert np.allclose(back, mat, atol=0.0)
 
     target = tmp_path / "state.json"
     code, out, _ = _run(
@@ -423,7 +443,8 @@ def _saved_state(level=8) -> dict:
     0.7,0.3, its last saved level replaced by `level`."""
     _, rho = construct(ModeStructure((2, 5)), [(1, 10), (2, 8)], (0.7, 0.3))
     return {"dims": "2x5", "tuples": [[1, 10], [2, level]], "spectrum": [0.7, 0.3],
-            "lu_seed": None, "matrix": rho.to_json_dict()}
+            "lu_seed": None,
+            "matrix": {"dims": "2x5", "re": rho.entries.real, "im": rho.entries.imag}}
 
 
 def _tampered_state() -> dict:
@@ -506,6 +527,10 @@ def _spectrum_not_a_list(saved) -> None:
     saved["spectrum"] = 5
 
 
+def _missing(target: Path) -> None:
+    target.unlink()
+
+
 @pytest.mark.parametrize("edit,message", [
     (None, None),
     (_lu_seed_true, "lu_seed=True is not an integer"),  # once read as lu_seed 1
@@ -522,19 +547,23 @@ def _spectrum_not_a_list(saved) -> None:
     (_weight_past_float, f"spectrum weight={10**400} is not a number"),  # once an OverflowError
     (_tuples_not_a_list, "tuples=5 is not a list of level lists"),  # once "'int' object is
     (_spectrum_not_a_list, "spectrum=5 is not a list of weights"),  # not iterable"
+    (_missing, "No such file or directory"),  # once "[Errno 2] ...: '<path>'"
 ], ids=["unedited", "lu_seed_true", "level_true", "im_three_rows", "weight_true",
         "weights_as_strings", "not_json", "not_an_object", "ragged_re", "text_in_im",
         "not_me", "dims_too_small", "weight_past_float", "tuples_not_a_list",
-        "spectrum_not_a_list"])
+        "spectrum_not_a_list", "missing"])
 def test_verify_state_file_refusals_name_the_field(capsys, tmp_path, edit, message) -> None:
     # one refusal path: each message names the file and holds no numpy or
-    # Python-internal text; a string edit replaces the file's text
+    # Python-internal text; a string edit replaces the file's text, and
+    # `_missing` removes the file
     target = tmp_path / "state.json"
     argv = ["construct", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3",
             "--lu-seed", "1", "--out", str(target)]
     assert _run(capsys, argv) == (0, "", "")
     if isinstance(edit, str):
         target.write_text(edit)
+    elif edit is _missing:
+        edit(target)
     elif edit is not None:
         saved = json.loads(target.read_text())
         edit(saved)
@@ -777,6 +806,12 @@ def test_validate_examples_cli(capsys) -> None:
     assert d["me"] == [True, True]
     assert d["compatible"] is False
 
+    code, out, _ = _run(capsys, ["validate-examples", "2^4", "--tuples", "1,16;2,3"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["me"] == [True, False]
+    assert d["all_pass"] is False
+
 
 def test_output_is_byte_deterministic(capsys, tmp_path) -> None:
     argv = ["rank", "2^4"]
@@ -897,6 +932,32 @@ def test_construct_payload_matches_stdlib_indent(capsys, monkeypatch, dims, lu_s
     assert cli._json(payload) == _stdlib_json(payload)
 
 
+def _key_paths(obj, prefix: str = "") -> list[str]:
+    # every key of every JSON object in `obj`, in order, as a dotted path;
+    # the objects of a list share their list's path, each key listed once
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in [prefix + k, *_key_paths(v, prefix + k + ".")]]
+    if isinstance(obj, list):
+        return list(dict.fromkeys(p for x in obj for p in _key_paths(x, prefix)))
+    return []
+
+
+# each JSON payload's key paths, in order: the CLI is their one owner
+JSON_KEYS = {
+    "lstar": ["dims", "Lstar", "M_star", "table", *(f"table.{L}" for L in range(2, 13))],
+    "tuples": ["dims", "L", "count", "tuples"],
+    "rank": ["dims", "n", "L_used", "r_tilde", "R_MME", "witness", "exhaustive", "status",
+             "nodes", "tuple_count"],
+    "construct": ["dims", "tuples", "spectrum", "lu_seed", "certificate", "certificate.rank",
+                  "certificate.L", "certificate.me_tuples", "certificate.compatible",
+                  "certificate.trivial_pure", "matrix", "matrix.dims", "matrix.re", "matrix.im"],
+    "verify": ["dims", "strategy", "samples", "min_avg", "argmin", "notes"],
+    "tables": TABLE_HEADER,
+    "validate-examples": ["dims", "tuples", "me", "compatible", "pairwise", "pairwise.i",
+                          "pairwise.j", "pairwise.compatible", "all_pass"],
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["lstar", "2x2x3x3"],
     ["tuples", "2x4"],
@@ -910,6 +971,7 @@ def test_json_stdout_round_trips_through_the_stdlib(capsys, argv) -> None:
     code, out, _ = _run(capsys, argv)
     assert code == 0
     assert out == _stdlib_json(json.loads(out))
+    assert _key_paths(json.loads(out)) == JSON_KEYS[argv[0]]
 
 
 def test_internal_error_exit_code(capsys, monkeypatch) -> None:
@@ -1033,6 +1095,12 @@ REFUSALS = [
     ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3",
      "--strategy", "random", "--seed", "-1"],
     ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--seed", "-1"],
+    # sampler sizes that could never finish: a D x D Haar draw per D up to
+    # Dmax, and a grid of T x C unitaries
+    ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3",
+     "--strategy", "random", "--samples", "1", "--Dmax", "100000"],
+    ["verify", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.5,0.5",
+     "--grid", "999999,999999"],
 ]
 
 # refusals of an option's text, which must name the option
@@ -1065,7 +1133,7 @@ def test_refusals_exit_2_without_source_paths(child_env, tmp_path, argv) -> None
     bad_state.write_text(json.dumps(_saved_state(1.5), default=np.ndarray.tolist))
     argv = [a.format(state=state, bad_state=bad_state) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "mmekit.cli", *argv],
-                          capture_output=True, text=True, env=child_env)
+                          capture_output=True, text=True, env=child_env, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "error:" in proc.stderr
     assert ".py:" not in proc.stderr and "Warning" not in proc.stderr

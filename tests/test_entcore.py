@@ -90,14 +90,6 @@ def test_integer_floors_match_the_fraction_oracle_bit_for_bit() -> None:
             L: float(v).hex() for L, v in table.items()}, s
 
 
-def test_lstar_json_shape() -> None:
-    d = lstar(ModeStructure((2, 2, 2))).to_json_dict("2x2x2")
-    assert d["dims"] == "2x2x2"
-    assert d["Lstar"] == [2, 4]
-    assert d["M_star"] == 0.0
-    assert set(d["table"]) == {"2", "3", "4"}
-
-
 def test_lstar_unsupported_structures() -> None:
     for dims in [(2,), (5,), (17,)]:
         with pytest.raises(UnsupportedSystemError):

@@ -107,15 +107,6 @@ def test_density_matrix_validation() -> None:
         DensityMatrix(s, np.eye(3) / 3)  # wrong shape
 
 
-def test_density_matrix_json_round_trip() -> None:
-    s = ModeStructure((2,))
-    mat = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
-    d = DensityMatrix(s, mat).to_json_dict()
-    assert d["dims"] == "2"
-    back = np.array(d["re"]) + 1j * np.array(d["im"])
-    assert np.allclose(back, mat, atol=0.0)
-
-
 def test_mix_spectrum_of_orthonormal_states() -> None:
     s = ModeStructure((2, 2))
     rows = [_basis_state(s, 1).amplitudes, _basis_state(s, 4).amplitudes]

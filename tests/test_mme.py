@@ -435,25 +435,6 @@ def test_rank_L_validation() -> None:
         max_mme_rank(s, search="greedy")
 
 
-def test_report_json_shape() -> None:
-    d = max_mme_rank(ModeStructure((2, 4))).to_json_dict()
-    assert set(d) == {
-        "dims",
-        "n",
-        "L_used",
-        "r_tilde",
-        "R_MME",
-        "witness",
-        "exhaustive",
-        "status",
-        "nodes",
-        "tuple_count",
-    }
-    assert d["dims"] == "2x4"
-    assert d["n"] == 8
-    assert d["witness"] == [[1, 6], [3, 8]]  # lex-least maximum clique
-
-
 def test_tiny_budget_reports_inconclusive() -> None:
     s = ModeStructure((2, 2, 2, 2, 2))
     report = max_mme_rank(s, search="exhaustive", budget_nodes=3)
@@ -1018,9 +999,6 @@ def test_validate_example_set_failure_shapes() -> None:
     not_me = validate_example_set(s, [(1, 16), (2, 3)])
     assert not_me.me == (True, False)
     assert not not_me.all_pass
-    d = not_me.to_json_dict()
-    assert d["me"] == [True, False]
-    assert d["all_pass"] is False
 
 
 VALIDATION_SETS = [

@@ -117,6 +117,17 @@ def test_cli_handlers_write_json_only_through_one_writer() -> None:
     assert found == []
 
 
+def test_cli_owns_every_printed_schema() -> None:
+    # the library's result types carry no printed form: each `cmd_`
+    # handler builds its payload from their fields
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(mmekit.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name == "to_json_dict"]
+    assert found == []
+
+
 def _qualified_uses(tree: ast.AST, name: str, owner: str = "") -> list[str]:
     # the qualified name of the def or class around each use of `name`, a
     # name or a dotted attribute chain

@@ -785,6 +785,29 @@ def test_sampler_counts_are_refused_unless_integers(kwargs, name) -> None:
     assert est.min_avg >= 1 - 1e-9
 
 
+@pytest.mark.parametrize("over,message,at_limit", [
+    ({"strategy": "random", "samples": 1, "Dmax": 100_000},
+     "Dmax=100000 is above the limit D <= 258", {"Dmin": 258, "Dmax": 258}),
+    ({"strategy": "random", "samples": 1, "Dmin": 259, "Dmax": 259},
+     "Dmax=259 is above the limit D <= 258", {"Dmin": 258, "Dmax": 258}),
+    ({"strategy": "grid", "grid": (999_999, 999_999)},
+     "theta_steps=999999 is above the limit of 256 steps", {"grid": (256, 1)}),
+    ({"strategy": "grid", "grid": (20, 257)},
+     "chi_steps=257 is above the limit of 256 steps", {"grid": (1, 256)}),
+], ids=["Dmax_100000", "Dmax_259", "theta_steps", "chi_steps"])
+def test_sampler_sizes_that_never_finish_are_refused(monkeypatch, over, message,
+                                                     at_limit) -> None:
+    # refused before a unitary is drawn or a grid built: D up to MAX_N + 2,
+    # the largest default (rank + 2 at n = MAX_N), and MAX_N steps per axis
+    spec = comparison_family_spectral("mme", (0.7, 0.3))
+    for name in ("_haar_stack", "_u2_grid"):
+        monkeypatch.setattr(verify, name, lambda *args: pytest.fail("drawn or built"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        min_avg_ent(spec, **over)
+    monkeypatch.undo()
+    assert min_avg_ent(spec, **{**over, **at_limit}).min_avg >= 1 - 1e-9
+
+
 def test_comparison_family_validation() -> None:
     with pytest.raises(ValueError):
         comparison_family_spectral("ghz", (0.5, 0.5)).matrix()

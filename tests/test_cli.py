@@ -45,7 +45,6 @@ def test_lstar_json(capsys) -> None:
     assert d["Lstar"] == [2, 4]
     assert d["M_star"] == 0.0
     assert d["table"]["3"] == pytest.approx(1 / 9)
-    assert set(d["table"]) == {"2", "3", "4"}
 
 
 def test_bad_dims_exit_code(capsys) -> None:
@@ -87,23 +86,9 @@ def test_rank_csv_and_json(capsys) -> None:
     code, out, _ = _run(capsys, ["rank", "2x4"])
     assert code == 0
     d = json.loads(out)
-    assert set(d) == {
-        "dims",
-        "n",
-        "L_used",
-        "r_tilde",
-        "R_MME",
-        "witness",
-        "exhaustive",
-        "status",
-        "nodes",
-        "tuple_count",
-    }
-    assert d["dims"] == "2x4"
-    assert d["n"] == 8
     assert d["R_MME"] == 2
     assert d["status"] == "complete"
-    assert d["witness"] == [[1, 6], [3, 8]]  # lex-least maximum clique
+    assert d["witness"] == [[1, 6], [3, 8]]
 
 
 @pytest.mark.parametrize("argv,row,code", [
@@ -248,11 +233,6 @@ def test_construct_payload_and_out_file(capsys, tmp_path) -> None:
         "compatible": True,
         "trivial_pure": False,
     }
-    # the printed matrix reads back as construct's rho
-    mat = construct(ModeStructure((2, 5)), [(1, 10), (2, 8)], (0.7, 0.3))[1].entries
-    assert d["matrix"]["dims"] == "2x5"
-    back = np.array(d["matrix"]["re"]) + 1j * np.array(d["matrix"]["im"])
-    assert np.allclose(back, mat, atol=0.0)
 
     target = tmp_path / "state.json"
     code, out, _ = _run(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -13,6 +14,7 @@ from mmekit.entcore import (
     lstar,
     mpsrp_purity,
 )
+from mmekit import cli
 from mmekit.cli import _structures_upto
 from mmekit.linalg import PureStateVector
 from mmekit.modes import MAX_N, ModeStructure
@@ -88,6 +90,16 @@ def test_integer_floors_match_the_fraction_oracle_bit_for_bit() -> None:
         assert got.min_mean.hex() == float(best).hex(), s
         assert {L: v.hex() for L, v in got.per_L_mean.items()} == {
             L: float(v).hex() for L, v in table.items()}, s
+
+
+def test_lstar_json_shape(capsys) -> None:
+    # the CLI owns the printed form of an LStarSet
+    assert cli.main(["lstar", "2x2x2"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["dims"] == "2x2x2"
+    assert d["Lstar"] == [2, 4]
+    assert d["M_star"] == 0.0
+    assert set(d["table"]) == {"2", "3", "4"}
 
 
 def test_lstar_unsupported_structures() -> None:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mmekit import cli
 from mmekit.cli import _structures_upto
 from mmekit.linalg import (
     ATOL,
@@ -105,6 +106,18 @@ def test_density_matrix_validation() -> None:
         DensityMatrix(s, np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityMatrix(s, np.eye(3) / 3)  # wrong shape
+
+
+def test_density_matrix_json_round_trip(capsys) -> None:
+    # the CLI owns the printed form of a DensityMatrix: construct's matrix
+    # reads back exactly
+    argv = ["construct", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3"]
+    assert cli.main(argv) == 0
+    d = json.loads(capsys.readouterr().out)["matrix"]
+    mat = construct(ModeStructure((2, 5)), [(1, 10), (2, 8)], (0.7, 0.3))[1].entries
+    assert d["dims"] == "2x5"
+    back = np.array(d["re"]) + 1j * np.array(d["im"])
+    assert np.allclose(back, mat, atol=0.0)
 
 
 def test_mix_spectrum_of_orthonormal_states() -> None:

@@ -435,6 +435,27 @@ def test_rank_L_validation() -> None:
         max_mme_rank(s, search="greedy")
 
 
+def test_report_json_shape(capsys) -> None:
+    # the CLI owns the printed form of an MmeRankReport
+    assert cli.main(["rank", "2x4"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert set(d) == {
+        "dims",
+        "n",
+        "L_used",
+        "r_tilde",
+        "R_MME",
+        "witness",
+        "exhaustive",
+        "status",
+        "nodes",
+        "tuple_count",
+    }
+    assert d["dims"] == "2x4"
+    assert d["n"] == 8
+    assert d["witness"] == [[1, 6], [3, 8]]  # lex-least maximum clique
+
+
 def test_tiny_budget_reports_inconclusive() -> None:
     s = ModeStructure((2, 2, 2, 2, 2))
     report = max_mme_rank(s, search="exhaustive", budget_nodes=3)

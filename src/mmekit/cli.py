@@ -322,6 +322,9 @@ def cmd_sweep(args) -> tuple[str, int]:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     kinds = list(COMPARISON_KINDS) if args.family == "all" else [args.family]
     grid = _parse_grid(args.grid)
+    if args.points * grid[0] * grid[1] > MAX_N ** 3:
+        raise ValueError(f"--points {args.points} with --grid {args.grid} is above the limit "
+                         f"of {MAX_N ** 3} unitaries per family")
     rows = []
     for kind in kinds:
         for k in range(args.points):

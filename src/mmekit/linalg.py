@@ -25,7 +25,7 @@ ISOMETRY_TOL = 1e-10
 # Complex entries per call of the batched kernels: member amplitudes in
 # `tgx._me_flags` blocks, member reductions (D times the tensor width of
 # `verify._cross_reductions` a unitary) in `verify.min_avg_ent` stacks and
-# coefficient pairs in `verify._member_purities` row blocks.  Bounds each
+# coefficient pairs in `verify._stack_averages` row blocks.  Bounds each
 # working set at 256 KiB however many states are fed.
 BLOCK_AMPLITUDES = 2**14
 

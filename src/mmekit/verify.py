@@ -203,26 +203,32 @@ def _summing_matrices(s: ModeStructure):
     return diagonal, entries
 
 
-def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray,
-                     kept: np.ndarray) -> np.ndarray:
-    """Mode purities (M, N) of the M members with coefficients c (M, R),
-    read off the cross reductions X of `_cross_reductions`.
+def _stack_averages(state: SpectralState, X: np.ndarray, Us: np.ndarray) -> np.ndarray:
+    """Decomposition-averaged entanglement of each unitary of a stack Us,
+    read off the cross reductions X of `_cross_reductions`; no member
+    amplitude is built.
 
-    The unnormalized reductions are the coefficient pairs c_k conj(c_l)
-    times X, formed in row blocks of k to 2k - 1 members, k =
-    BLOCK_AMPLITUDES // R^2 (all M members if M < 2k), which bounds the
-    working set as the member stacks are.  Each mode's block is
-    normalized by its own trace, the member's squared norm; rows not
-    `kept` divide by 1, so no 0/0 appears.
+    The M = G D members' unnormalized reductions are their coefficient
+    pairs c_k conj(c_l) times X, formed in row blocks of k to 2k - 1
+    members, k = BLOCK_AMPLITUDES // R^2 (all M members if M < 2k), which
+    bounds the working set as the stacks are.  Each mode's block is
+    normalized by its own trace, the member's squared norm; members of
+    weight 0 divide by 1, so no 0/0 appears.  That costs R^2 times the
+    width of X, sum_m n_S^2, per member against about R n to build the
+    member: cheaper at low rank, several times dearer near full rank
+    (ROADMAP, "Measured").  Each average agrees with
+    `decompose(...).average_ent()` to roundoff.
 
     A member's purities do not depend on M or on its row, so how the
-    members fall into stacks moves no bit.  On OpenBLAS 0.3.31 (x86-64,
+    unitaries fall into stacks moves no bit.  On OpenBLAS 0.3.31 (x86-64,
     AVX-512) that held for complex products of at least 2 rows and real
     ones of at least 4 columns: hence no 1-row block (numpy sends it to
     gemv, which rounds differently) unless k = 1, and the summing
     matrices' zero columns, without which 2x8 averages moved.
     """
-    M, R = c.shape
+    s, R = state.structure, state.rank
+    probs, c = _coefficients(state, Us)
+    M, c, kept = probs.size, c.reshape(-1, R), probs.reshape(-1) > 0
     blocks = max(1, M // max(1, BLOCK_AMPLITUDES // (R * R)))
     red = np.empty((M, X.shape[1]), dtype=complex)
     for i in range(blocks):
@@ -231,7 +237,8 @@ def _member_purities(s: ModeStructure, c: np.ndarray, X: np.ndarray,
                   out=red[a:z])
     diagonal, entries = _summing_matrices(s)
     tr = np.where(kept[:, None], (red.real @ diagonal)[:, :s.N], 1.0)
-    return ((red.real ** 2 + red.imag ** 2) @ entries)[:, :s.N] / tr ** 2
+    ents = _ent_of_purities(s, ((red.real ** 2 + red.imag ** 2) @ entries)[:, :s.N] / tr ** 2)
+    return (probs * ents.reshape(probs.shape)).sum(axis=1)
 
 
 def u2(theta: float, chi: float) -> np.ndarray:
@@ -319,15 +326,13 @@ def as_spectral(state) -> tuple[SpectralState, str]:
 @dataclass(frozen=True)
 class EntEstimate:
     """min/argmin of the decomposition-averaged entanglement over the
-    sampled unitaries, with every sampled average in sampling order;
-    `argmin` is None when the certificate passes."""
+    `samples` unitaries evaluated; `argmin` is None when it passes."""
 
     structure: ModeStructure
     strategy: str
     samples: int
     min_avg: float
     argmin: dict | None = None
-    averages: tuple[float, ...] = ()
     notes: str = ""
 
 
@@ -355,7 +360,8 @@ def min_avg_ent(
     Dmin, Dmax, samples and seed must be integers, seed at least 0.
     Sizes that could never finish are refused before anything is drawn
     or built: Dmax above MAX_N + 2, the largest default (rank + 2 at
-    n = MAX_N), and more than MAX_N steps on a grid axis.
+    n = MAX_N), more than MAX_N steps on a grid axis, and more than
+    MAX_N^2 Haar unitaries (samples times the number of D).
 
     The state's cross reductions X (`_cross_reductions`) are computed
     once.  The unitaries are evaluated in stacks of equal D holding at
@@ -366,19 +372,14 @@ def min_avg_ent(
     (`_haar_stack`); its unitaries are bitwise those of successive
     `haar_unitary` calls on that stream.  Each Haar stack is checked for
     unitarity as it is drawn, a grid once, when `_u2_grid` builds it.
-    Each stack's member reductions are its coefficient pairs
-    c_k conj(c_l) times X (`_member_purities`); no member amplitude is
-    built.  That costs R^2 times the width of X, sum_m n_S^2, per member
-    against about R n to build the member: cheaper at low rank, several
-    times dearer near full rank (ROADMAP, "Measured").  Every average
-    agrees with `decompose(...).average_ent()` to roundoff.
+    Of each stack's `_stack_averages` only the running minimum, its first
+    index and the count are kept: memory does not grow with the unitaries.
     An MME candidate passes when min_avg is at least 1 - ME_TOL (the ME
     tolerance), and `argmin` is then None: roundoff names no violator.
     A lower min_avg names its first violating unitary in `argmin`.
     """
     seed = _check_seed(seed)
     state, notes = as_spectral(state)
-    s = state.structure
     X = _cross_reductions(state)
 
     def block(D: int) -> int:
@@ -408,6 +409,9 @@ def min_avg_ent(
             raise ValueError(f"Dmax={hi} is above the limit D <= {MAX_N + 2}")
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
+        if samples * (hi - lo + 1) > MAX_N ** 2:
+            raise ValueError(f"samples={samples} at {hi - lo + 1} values of D is above "
+                             f"the limit of {MAX_N ** 2} unitaries")
 
         def haar_stacks():
             for D in range(lo, hi + 1):
@@ -420,20 +424,20 @@ def min_avg_ent(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    avgs = []
+    best, k, count = math.inf, 0, 0
     for stack in stacks:
-        probs, c = _coefficients(state, stack)
-        ents = _ent_of_purities(s, _member_purities(
-            s, c.reshape(-1, state.rank), X, probs.reshape(-1) > 0))
-        avgs += (probs * ents.reshape(probs.shape)).sum(axis=1).tolist()
-    k = int(np.argmin(avgs))
-    if avgs[k] >= 1.0 - ME_TOL:
+        avgs = _stack_averages(state, X, stack)
+        j = int(np.argmin(avgs))
+        if best == best and not best <= avgs[j]:  # a NaN is kept, as np.argmin keeps it
+            best, k = float(avgs[j]), count + j
+        count += len(avgs)
+    if best >= 1.0 - ME_TOL:
         argmin = None
     elif strategy == "grid":
         argmin = {"theta": float(theta[k // len(chi)]), "chi": float(chi[k % len(chi)])}
     else:
         argmin = {"D": lo + k // samples, "index": k % samples, "seed": seed}
-    return EntEstimate(s, strategy, len(avgs), avgs[k], argmin, tuple(avgs), notes)
+    return EntEstimate(state.structure, strategy, count, best, argmin, notes)
 
 
 @dataclass(frozen=True)

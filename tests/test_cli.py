@@ -585,11 +585,12 @@ def test_rho_is_mixed_only_where_printed_or_compared(capsys, tmp_path, spy) -> N
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("points", ["0", "-3"])
+@pytest.mark.parametrize("points", ["0", "-3", "100000000"])
 def test_sweep_rejects_points_below_one(capsys, points) -> None:
+    # and above MAX_N^3 / 400 at the default grid, which could never finish
     code, out, err = _run(capsys, ["sweep", "--points", points])
     assert (code, out) == (2, "")
-    assert "--points" in err
+    assert "--points" in err and points in err
 
 
 @pytest.mark.parametrize(
@@ -1076,11 +1077,15 @@ REFUSALS = [
      "--strategy", "random", "--seed", "-1"],
     ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--seed", "-1"],
     # sampler sizes that could never finish: a D x D Haar draw per D up to
-    # Dmax, and a grid of T x C unitaries
+    # Dmax, a grid of T x C unitaries, samples Haar unitaries per D and
+    # points grids per family
     ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3",
      "--strategy", "random", "--samples", "1", "--Dmax", "100000"],
     ["verify", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.5,0.5",
      "--grid", "999999,999999"],
+    ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3",
+     "--strategy", "random", "--samples", "100000000"],
+    ["sweep", "--points", "100000000"],
 ]
 
 # refusals of an option's text, which must name the option

@@ -128,6 +128,13 @@ def test_cli_owns_every_printed_schema() -> None:
     assert found == []
 
 
+def test_a_certificate_keeps_no_per_unitary_record() -> None:
+    # `min_avg_ent` streams its minimum: a field holding every average
+    # would grow with the sample count
+    fields = mmekit.verify.EntEstimate.__dataclass_fields__
+    assert list(fields) == ["structure", "strategy", "samples", "min_avg", "argmin", "notes"]
+
+
 def _qualified_uses(tree: ast.AST, name: str, owner: str = "") -> list[str]:
     # the qualified name of the def or class around each use of `name`, a
     # name or a dotted attribute chain

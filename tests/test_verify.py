@@ -5,6 +5,7 @@ import io
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,22 @@ def _certificate(dims: tuple[int, ...]) -> SpectralState:
 def _rows(*states: PureStateVector) -> np.ndarray:
     """The (R, n) basis whose rows are the given states' amplitudes."""
     return np.array([v.amplitudes for v in states])
+
+
+def _with_averages(state, **kwargs):
+    """`min_avg_ent(state, **kwargs)` and every average it evaluated, in
+    sampling order: the arrays `_stack_averages` returned, concatenated."""
+    arrays = []
+    stack_averages = verify._stack_averages
+
+    def spy(*args):
+        arrays.append(stack_averages(*args))
+        return arrays[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "_stack_averages", spy)
+        est = min_avg_ent(state, **kwargs)
+    return est, np.concatenate(arrays).tolist()
 
 
 def test_spectral_state_validation() -> None:
@@ -331,21 +348,23 @@ def test_as_spectral_paths() -> None:
 
 def test_grid_certificate_holds_for_published_states() -> None:
     for dims in CERTIFICATE_STATES:
-        est = min_avg_ent(_certificate(dims), strategy="grid")
+        est, averages = _with_averages(_certificate(dims), strategy="grid")
         assert est.samples == 400
         assert est.min_avg >= 1 - 1e-9
         assert est.argmin is None  # a passing certificate names no violator
-        assert len(est.averages) == 400
-        assert min(est.averages) == est.min_avg
+        assert len(averages) == 400
+        assert min(averages) == est.min_avg
 
 
-def _assert_matches_per_unitary_loop(est, spec, points, argmin_unitary) -> None:
-    """Batched min_avg_ent against one decompose(...).average_ent() per
-    unitary: every average, the sample count and, on a failing state,
-    the argmin point; a passing state names none."""
+def _assert_matches_per_unitary_loop(run, spec, points, argmin_unitary) -> None:
+    """Batched min_avg_ent, as `_with_averages` runs it, against one
+    decompose(...).average_ent() per unitary: every average, the sample
+    count and, on a failing state, the argmin point; a passing state
+    names none."""
+    est, averages = run
     loop = [decompose(spec, U).average_ent() for U in points]
-    assert est.samples == len(loop) == len(est.averages)
-    assert np.abs(np.array(est.averages) - loop).max() <= 1e-12
+    assert est.samples == len(loop) == len(averages)
+    assert np.abs(np.array(averages) - loop).max() <= 1e-12
     assert (est.argmin is None) == (est.min_avg >= 1 - ME_TOL)
     if est.argmin is not None:
         worst = decompose(spec, argmin_unitary(est.argmin)).average_ent()
@@ -356,11 +375,11 @@ def test_batched_grid_matches_per_unitary_loop() -> None:
     for kind in COMPARISON_KINDS:
         for lam1 in (0.5, 0.7):
             spec = comparison_family_spectral(kind, (lam1, 1 - lam1))
-            est = min_avg_ent(spec, strategy="grid", grid=(20, 20))
+            run = _with_averages(spec, strategy="grid", grid=(20, 20))
             points = [u2(math.pi / 2 * i / 20, 2 * math.pi * k / 20)
                       for i in range(20) for k in range(20)]
             _assert_matches_per_unitary_loop(
-                est, spec, points, lambda a: u2(a["theta"], a["chi"])
+                run, spec, points, lambda a: u2(a["theta"], a["chi"])
             )
 
 
@@ -414,19 +433,20 @@ def test_batched_random_matches_per_unitary_loop(monkeypatch, block) -> None:
     failing = comparison_family_spectral("e_spacewise", (0.6, 0.4))
 
     points = [U for D in (4, 5, 6) for U in _haar_stream(5, D, 10)]
-    ests = [min_avg_ent(x, strategy="random", Dmin=4, Dmax=6, samples=10, seed=5)
+    runs = [_with_averages(x, strategy="random", Dmin=4, Dmax=6, samples=10, seed=5)
             for x in (spec, failing)]
-    for est, x in zip(ests, (spec, failing)):
+    for run, x in zip(runs, (spec, failing)):
         _assert_matches_per_unitary_loop(
-            est, x, points, lambda a: _haar_stream(a["seed"], a["D"], a["index"] + 1)[-1]
+            run, x, points, lambda a: _haar_stream(a["seed"], a["D"], a["index"] + 1)[-1]
         )
-    assert ests[1].argmin is not None
+    assert runs[1][0].argmin is not None
     # the same evaluation fed one per-matrix QR at a time is bitwise equal
     monkeypatch.setattr(verify, "_haar_stack",
                         lambda z: np.array([_haar_per_unitary(x) for x in z]))
-    for est, x in zip(ests, (spec, failing)):
-        oracle = min_avg_ent(x, strategy="random", Dmin=4, Dmax=6, samples=10, seed=5)
-        assert oracle.averages == est.averages
+    for (est, averages), x in zip(runs, (spec, failing)):
+        oracle, oracle_averages = _with_averages(x, strategy="random", Dmin=4, Dmax=6,
+                                                 samples=10, seed=5)
+        assert oracle_averages == averages
         assert oracle.argmin == est.argmin and oracle.samples == est.samples
 
     # D = R + 2 unitaries padded with an identity block: the last two
@@ -442,9 +462,9 @@ def test_batched_random_matches_per_unitary_loop(monkeypatch, block) -> None:
         D = x.rank + 2
         points = padded(np.random.default_rng([5, D]).standard_normal((3, 2, D, D)))
         assert decompose(x, points[0]).members[-2:] == (None, None)
-        est = min_avg_ent(x, strategy="random", Dmin=D, Dmax=D, samples=3, seed=5)
-        assert not np.isnan(est.averages).any()
-        _assert_matches_per_unitary_loop(est, x, points, lambda a: points[a["index"]])
+        run = _with_averages(x, strategy="random", Dmin=D, Dmax=D, samples=3, seed=5)
+        assert not np.isnan(run[1]).any()
+        _assert_matches_per_unitary_loop(run, x, points, lambda a: points[a["index"]])
 
 
 def test_random_argmin_rebuilds_from_its_label(monkeypatch) -> None:
@@ -458,11 +478,11 @@ def test_random_argmin_rebuilds_from_its_label(monkeypatch) -> None:
         return coefficients(state, Us)
 
     monkeypatch.setattr(verify, "_coefficients", spy)
-    est = min_avg_ent(failing, strategy="random", seed=3)
+    est, averages = _with_averages(failing, strategy="random", seed=3)
     assert set(est.argmin) == {"D", "index", "seed"} and est.argmin["seed"] == 3
     U = _haar_stream(3, est.argmin["D"], est.argmin["index"] + 1)[-1]
     drawn = [V for stack in stacks for V in stack]
-    assert np.array_equal(U, drawn[est.averages.index(est.min_avg)])
+    assert np.array_equal(U, drawn[averages.index(est.min_avg)])
     # the sampler reads purities off the cross reductions, so to roundoff
     assert decompose(failing, U).average_ent() == pytest.approx(est.min_avg, abs=1e-12)
 
@@ -471,9 +491,9 @@ def test_random_averages_at_one_D_depend_on_no_other_option() -> None:
     failing = comparison_family_spectral("e_spacewise", (0.6, 0.4))
 
     def at_3(Dmin, Dmax, samples):
-        est = min_avg_ent(failing, strategy="random", Dmin=Dmin, Dmax=Dmax,
-                          samples=samples, seed=9)
-        return est.averages[(3 - Dmin) * samples:(4 - Dmin) * samples]
+        _, averages = _with_averages(failing, strategy="random", Dmin=Dmin, Dmax=Dmax,
+                                     samples=samples, seed=9)
+        return averages[(3 - Dmin) * samples:(4 - Dmin) * samples]
 
     full = at_3(2, 5, 40)
     assert len(full) == 40
@@ -580,14 +600,14 @@ def test_grid_in_several_stacks_matches_one_stack(monkeypatch, dims, tuples) -> 
     state, _ = construct(ModeStructure(dims), tuples, (0.7, 0.3))
     sizes = _stack_sizes(monkeypatch)
     monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", 2**40)
-    one = min_avg_ent(state, strategy="grid")
+    _, one = _with_averages(state, strategy="grid")
     assert sizes == [400]
     for block in (2**14, 2**11):  # the default; 17-51 unitaries per stack
         monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", block)
         sizes.clear()
-        est = min_avg_ent(state, strategy="grid")
+        est, averages = _with_averages(state, strategy="grid")
         assert sum(sizes) == 400 and (block == 2**14 or len(sizes) > 2)
-        assert est.averages == one.averages and est.samples == 400
+        assert averages == one and est.samples == 400
         assert est.min_avg >= 1 - ME_TOL and est.argmin is None
 
 
@@ -615,14 +635,14 @@ def test_stack_splits_change_no_bit(monkeypatch, dims, tuples) -> None:
         runs = []
         for x in states:
             sizes.clear()
-            runs.append(min_avg_ent(x, strategy="random", Dmin=R, Dmax=R + 1,
-                                    samples=6, seed=2))
+            runs.append(_with_averages(x, strategy="random", Dmin=R, Dmax=R + 1,
+                                       samples=6, seed=2))
             assert sizes == want
         if block == 2**40:
             ref = runs
-            assert ref[0].argmin is None and ref[1].argmin is not None
-        for est, oracle in zip(runs, ref):
-            assert est.averages == oracle.averages
+            assert ref[0][0].argmin is None and ref[1][0].argmin is not None
+        for (est, averages), (oracle, oracle_averages) in zip(runs, ref):
+            assert averages == oracle_averages
             assert est.samples == oracle.samples == 12
             assert est.argmin == oracle.argmin
 
@@ -696,7 +716,7 @@ def test_certificates_after_the_first_work_out_no_side(dims, monkeypatch) -> Non
     # `_trace_groups` is rebound to a refusal in every module that holds it
     s = ModeStructure(dims)
     spec = _random_spectral(np.random.default_rng(3), s, 2)
-    first = min_avg_ent(spec, grid=(4, 4))
+    _, first = _with_averages(spec, grid=(4, 4))
     original = modes._trace_groups
 
     def refuse(*args):
@@ -709,7 +729,7 @@ def test_certificates_after_the_first_work_out_no_side(dims, monkeypatch) -> Non
                     monkeypatch.setattr(mod, key, refuse)
     with pytest.raises(AssertionError):
         modes._trace_groups(s.dims, (1,))
-    assert min_avg_ent(spec, grid=(4, 4)).averages == first.averages
+    assert _with_averages(spec, grid=(4, 4))[1] == first
     assert min_avg_ent(spec, strategy="random", samples=3).samples == 9
     assert mode_purities(s, [v.amplitudes for v in spec.eigenstates]).shape == (2, s.N)
 
@@ -730,10 +750,10 @@ def test_sampled_averages_match_decompose_at_every_rank(data) -> None:
                   | st.integers(1, s.n), label="rank")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     spec = _random_spectral(np.random.default_rng(seed), s, R)
-    est = min_avg_ent(spec, strategy="random", samples=2, seed=seed)
+    run = _with_averages(spec, strategy="random", samples=2, seed=seed)
     points = [U for D in range(R, R + 3) for U in _haar_stream(seed, D, 2)]
     _assert_matches_per_unitary_loop(
-        est, spec, points, lambda a: points[(a["D"] - R) * 2 + a["index"]]
+        run, spec, points, lambda a: points[(a["D"] - R) * 2 + a["index"]]
     )
 
 
@@ -794,11 +814,15 @@ def test_sampler_counts_are_refused_unless_integers(kwargs, name) -> None:
      "theta_steps=999999 is above the limit of 256 steps", {"grid": (256, 1)}),
     ({"strategy": "grid", "grid": (20, 257)},
      "chi_steps=257 is above the limit of 256 steps", {"grid": (1, 256)}),
-], ids=["Dmax_100000", "Dmax_259", "theta_steps", "chi_steps"])
+    ({"strategy": "random", "samples": 100_000_000},
+     "samples=100000000 at 3 values of D is above the limit of 65536 unitaries",
+     {"samples": 32768, "Dmin": 2, "Dmax": 3}),
+], ids=["Dmax_100000", "Dmax_259", "theta_steps", "chi_steps", "samples"])
 def test_sampler_sizes_that_never_finish_are_refused(monkeypatch, over, message,
                                                      at_limit) -> None:
     # refused before a unitary is drawn or a grid built: D up to MAX_N + 2,
-    # the largest default (rank + 2 at n = MAX_N), and MAX_N steps per axis
+    # the largest default (rank + 2 at n = MAX_N), MAX_N steps per axis,
+    # and MAX_N^2 Haar unitaries, as many as the largest grid
     spec = comparison_family_spectral("mme", (0.7, 0.3))
     for name in ("_haar_stack", "_u2_grid"):
         monkeypatch.setattr(verify, name, lambda *args: pytest.fail("drawn or built"))
@@ -806,6 +830,45 @@ def test_sampler_sizes_that_never_finish_are_refused(monkeypatch, over, message,
         min_avg_ent(spec, **over)
     monkeypatch.undo()
     assert min_avg_ent(spec, **{**over, **at_limit}).min_avg >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("averages", [
+    [0.9, 0.5, 0.7, 0.5, 0.6, 0.5],  # a tie across stacks names the first
+    [0.9, 0.8, 0.7, 0.95, 0.6, 0.99],  # the minimum in the last stack
+    [0.9, 0.5, np.nan, 0.4, np.nan, 0.3],  # the first NaN, which fails
+    [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # a pass names no violator
+])
+def test_streamed_minimum_is_the_argmin_of_every_average(monkeypatch, averages) -> None:
+    # three stacks of two unitaries whose averages a fake hands out in order
+    monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", 2 * 2 * 16)
+    given, sizes = iter(averages), []
+
+    def fake(state, X, Us):
+        sizes.append(len(Us))
+        return np.array([next(given) for _ in Us])
+
+    monkeypatch.setattr(verify, "_stack_averages", fake)
+    est = min_avg_ent(comparison_family_spectral("mme", (0.7, 0.3)), strategy="random",
+                      Dmin=2, Dmax=2, samples=6)
+    k = int(np.argmin(averages))
+    assert sizes == [2, 2, 2] and est.samples == 6
+    assert est.min_avg == averages[k] or (np.isnan(est.min_avg) and np.isnan(averages[k]))
+    assert est.argmin == (None if averages[k] == 1.0 else {"D": 2, "index": k, "seed": 0})
+
+
+def test_certificate_memory_does_not_grow_with_its_samples() -> None:
+    # only the running minimum is kept: 100 times the unitaries move the
+    # peak by the larger stacks alone, where a list of every average
+    # grew it by about 2 MiB
+    spec = comparison_family_spectral("e_spacewise", (0.6, 0.4))
+    min_avg_ent(spec, strategy="random", samples=200)  # the layout caches
+    peaks = []
+    for samples in (200, 20_000):
+        tracemalloc.start()
+        min_avg_ent(spec, strategy="random", samples=samples)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 256 * 1024
 
 
 def test_comparison_family_validation() -> None:

@@ -94,10 +94,10 @@ def _int_rows(obj) -> bool:
 def _indented(obj, pad: str) -> str:
     """`json.dumps(obj, indent=2)` opened at `pad`, byte for byte (string keys),
     with a numpy array standing for its `.tolist()`.  With `indent` the stdlib
-    encodes in pure Python; scalar lists use its C one, and a list of int rows
-    (`_int_rows`, such as the tuples) one `str.join` per row.  A non-empty 2-D float
-    array encodes each distinct magnitude once: a density matrix is close to
-    Hermitian, so most magnitudes repeat, and `float.__repr__` is the cost."""
+    encodes in pure Python; a list of int rows (`_int_rows`, such as the tuples)
+    takes one `str.join` per row, any other list one call per item.  A non-empty
+    2-D float array encodes each distinct magnitude once: a density matrix is close
+    to Hermitian, so most magnitudes repeat, and `float.__repr__` is the cost."""
     inner = pad + "  "
     if isinstance(obj, np.ndarray):
         if obj.ndim != 2 or obj.dtype.kind != "f" or not obj.size:
@@ -119,10 +119,8 @@ def _indented(obj, pad: str) -> str:
     if _int_rows(obj):  # a tuple list: one join per row
         head, sep, tail = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
         body = (",\n" + inner).join(head + sep.join(map(str, r)) + tail for r in obj)
-    elif any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
-        body = (",\n" + inner).join(_indented(x, inner) for x in obj)
     else:
-        body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        body = (",\n" + inner).join(_indented(x, inner) for x in obj)
     return "[\n" + inner + body + "\n" + pad + "]"
 
 

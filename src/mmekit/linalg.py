@@ -22,11 +22,15 @@ from .modes import ModeStructure, _check_modes, _check_real, _level_table, _trac
 ATOL = 1e-12
 PSD_SLACK = 1e-10
 ISOMETRY_TOL = 1e-10
-# Complex entries per call of the batched kernels: member amplitudes in
-# `tgx._me_flags` blocks, member reductions (D times the tensor width of
-# `verify._cross_reductions` a unitary) in `verify.min_avg_ent` stacks and
-# coefficient pairs in `verify._stack_averages` row blocks.  Bounds each
-# working set at 256 KiB however many states are fed.
+# Complex entries (16 bytes each) per call of the batched kernels, however
+# many states are fed: member amplitudes in `tgx._me_flags` blocks, member
+# reductions (D times the tensor width of `verify._cross_reductions` a
+# unitary) in `verify.min_avg_ent` stacks and coefficient pairs in
+# `verify._stack_averages` row blocks.  Amplitude blocks stay within it
+# (n <= MAX_N).  A stack holds one unitary at least, so a unitary whose D
+# times the width passes it is a stack of its own.  A row block holds k to
+# 2k - 1 members of R^2 pairs, k = max(1, BLOCK_AMPLITUDES // R^2): just
+# under twice it, or one member's R^2 pairs when R^2 passes it.
 BLOCK_AMPLITUDES = 2**14
 
 

@@ -138,11 +138,14 @@ def parse_dims(text: str) -> ModeStructure:
     return s
 
 
-def _check_level(s: ModeStructure, level: int) -> int:
-    level = _check_int("level", level)
-    if not 1 <= level <= s.n:
-        raise ValueError(f"level {level} out of range 1..{s.n} for {s}")
-    return level
+def _check_levels(s: ModeStructure, levels) -> tuple[int, ...]:
+    levels = tuple(_check_int("level", x) for x in levels)
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"levels contain duplicates: {levels}")
+    for lvl in levels:
+        if not 1 <= lvl <= s.n:
+            raise ValueError(f"level {lvl} of {levels} out of range 1..{s.n} for {s}")
+    return tuple(sorted(levels))
 
 
 def _check_modes(s: ModeStructure, modes) -> tuple[int, ...]:
@@ -163,7 +166,7 @@ def scalar_to_vector(s: ModeStructure, level: int) -> tuple[int, ...]:
     Mixed radix with mode 1 most significant; labels are 1-based, so
     level 1 maps to the all-ones vector.
     """
-    level = _check_level(s, level)
+    level, = _check_levels(s, (level,))
     rem = level - 1
     labels = []
     for d in reversed(s.dims):

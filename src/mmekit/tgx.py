@@ -14,8 +14,9 @@ superpositions: `_certify` for the level-1 sets of enumerate_me_tuples
 (a shift keeps the ent, so their images are not tested again), and
 through `mme._certified_set` for rank witnesses and the eigen-tuples of
 `mme.construct`, so a set rebuilt under other spectra and frames is
-certified once per process; a lone MeTgxTuple built from raw levels is
-the one-row case.  A LocalUnitarySet checks
+certified once per process; a lone MeTgxTuple built from raw levels,
+which `modes._check_levels` checks, is the one-row case of `_certify`,
+the one place that refuses a set that is not ME.  A LocalUnitarySet checks
 its unitaries for unitarity with one stacked check per size, and
 dresses stacks of pure states with one product per mode
 (`_apply_per_axis`); a density matrix is dressed through its ensemble.
@@ -32,22 +33,12 @@ import numpy as np
 
 from .entcore import _check_L, ent_rows
 from .linalg import BLOCK_AMPLITUDES, PureStateVector, _check_isometry
-from .modes import ModeStructure, _check_int, _level_table
+from .modes import ModeStructure, _check_levels, _level_table
 
 # A state is accepted as ME when its ent is within this of 1.  Equal
 # superpositions have exact-rational reduction purities, so this absorbs
 # only floating-point roundoff.
 ME_TOL = 1e-10
-
-
-def _check_levels(s: ModeStructure, levels) -> tuple[int, ...]:
-    levels = tuple(_check_int("level", x) for x in levels)
-    if len(set(levels)) != len(levels):
-        raise ValueError(f"levels contain duplicates: {levels}")
-    for lvl in levels:
-        if not 1 <= lvl <= s.n:
-            raise ValueError(f"level {lvl} of {levels} out of range 1..{s.n} for {s}")
-    return tuple(sorted(levels))
 
 
 def is_me_tuple(s: ModeStructure, levels) -> bool:
@@ -67,8 +58,7 @@ class MeTgxTuple:
 
     def __init__(self, structure: ModeStructure, levels):
         levels = _check_levels(structure, levels)
-        if not _me_flags(structure, [levels])[0]:
-            raise ValueError(f"{levels} is not an ME TGX tuple of {structure}")
+        _certify(structure, [levels])
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "levels", levels)
 
@@ -81,8 +71,8 @@ class MeTgxTuple:
 
 
 def _tuple_levels(s: ModeStructure, t) -> tuple[int, ...]:
-    """Ascending levels of raw levels (validated) or of an MeTgxTuple,
-    which must belong to `s`."""
+    """Ascending levels of raw levels (checked by `modes._check_levels`)
+    or of an MeTgxTuple, which must belong to `s`."""
     if isinstance(t, MeTgxTuple):
         if t.structure.dims != s.dims:
             raise ValueError(f"tuple {t} belongs to {t.structure}, not {s}")

@@ -210,8 +210,9 @@ def _stack_averages(state: SpectralState, X: np.ndarray, Us: np.ndarray) -> np.n
 
     The M = G D members' unnormalized reductions are their coefficient
     pairs c_k conj(c_l) times X, formed in row blocks of k to 2k - 1
-    members, k = BLOCK_AMPLITUDES // R^2 (all M members if M < 2k), which
-    bounds the working set as the stacks are.  Each mode's block is
+    members, k = max(1, BLOCK_AMPLITUDES // R^2) (all M members if
+    M < 2k): a block holds under 2 BLOCK_AMPLITUDES pairs, or one
+    member's R^2 when R^2 passes BLOCK_AMPLITUDES.  Each mode's block is
     normalized by its own trace, the member's squared norm; members of
     weight 0 divide by 1, so no 0/0 appears.  That costs R^2 times the
     width of X, sum_m n_S^2, per member against about R n to build the
@@ -403,6 +404,9 @@ def min_avg_ent(
         samples = _check_int("samples", samples)
         if lo < state.rank:
             raise ValueError(f"Dmin={lo} below rank {state.rank}")
+        if hi < lo and Dmax is None:
+            raise ValueError(f"Dmax={hi} (the default, rank + 2) below Dmin={lo}; "
+                             f"give Dmax >= {lo}")
         if hi < lo:
             raise ValueError(f"Dmax={hi} below Dmin={lo}")
         if hi > MAX_N + 2:

@@ -1106,6 +1106,8 @@ REFUSAL_MESSAGES = {
         "lu_seed=-1 is negative",
     ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--lu-seed", "-1",
      "--seed", "3"): "lu_seed=-1 is negative",
+    ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--strategy", "random",
+     "--Dmin", "5", "--samples", "2"): "Dmax=4 (the default, rank + 2) below Dmin=5",
 }
 REFUSALS += [list(argv) for argv in [*PARSE_REFUSALS, *REFUSAL_MESSAGES]]
 

@@ -5,12 +5,16 @@ import contextlib
 import importlib
 import io
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mmekit
+
+if sys.version_info >= (3, 11):
+    import tomllib
 
 
 def test_no_imports_inside_functions() -> None:
@@ -56,6 +60,18 @@ def _mk_chains(name: str) -> set[tuple[str, str]]:
             for node in ast.walk(ast.parse((BENCH / name).read_text()))
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
             and isinstance(node.value.value, ast.Name) and node.value.value.id == "mk"}
+
+
+def test_distribution_is_named_mmekit() -> None:
+    # so that `pip show mmekit` and importlib.metadata.version("mmekit")
+    # find an install of this package
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    if sys.version_info >= (3, 11):
+        project = tomllib.loads(text)["project"]
+    else:  # the [project] table's plain `key = "value"` lines
+        table = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        project = dict(re.findall(r'^(\w+) = "([^"]*)"$', table, re.M))
+    assert (project["name"], project["version"]) == ("mmekit", mmekit.__version__)
 
 
 def test_benchmark_entry_points_exist() -> None:
@@ -156,6 +172,47 @@ def test_verify_checks_unitaries_where_they_enter() -> None:
     tree = ast.parse((Path(mmekit.__file__).parent / "verify.py").read_text())
     assert sorted(_qualified_uses(tree, "_check_isometry")) == [
         "SpectralState.__post_init__", "_u2_grid", "decompose", "min_avg_ent.haar_stacks"]
+
+
+def _qualified_nodes(tree: ast.AST, owner: str = ""):
+    # each node with the qualified name of the def or class around it, as
+    # `_qualified_uses` names them
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _qualified_nodes(node, f"{owner}.{node.name}".lstrip("."))
+        else:
+            yield owner, node
+            yield from _qualified_nodes(node, owner)
+
+
+def _package_owners(match) -> list[str]:
+    # "module.owner" of each node of the package that `match` accepts
+    return [f"{path.stem}.{owner}"
+            for path in sorted(Path(mmekit.__file__).parent.glob("*.py"))
+            for owner, node in _qualified_nodes(ast.parse(path.read_text())) if match(node)]
+
+
+def test_one_function_reads_a_raw_level() -> None:
+    # `scalar_to_vector` and the tuple builders share `modes._check_levels`,
+    # so a level is refused with one text wherever it enters
+    assert _package_owners(
+        lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "_check_int"
+        and [ast.unparse(a) for a in node.args[:1]] == ["'level'"]) == ["modes._check_levels"]
+
+
+def test_one_function_refuses_a_set_that_is_not_me() -> None:
+    # `MeTgxTuple.__init__` certifies through `tgx._certify`, the one-row case
+    assert _package_owners(lambda node: isinstance(node, ast.Raise)
+                           and "is not an ME TGX tuple" in ast.unparse(node)) == ["tgx._certify"]
+
+
+def test_cli_joins_json_lists_one_way() -> None:
+    # `_indented` writes each list item itself: no stdlib call with its own
+    # separators prints a second form of the same list
+    calls = _package_owners(
+        lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps"
+        and any(k.arg == "separators" for k in node.keywords))
+    assert [owner for owner in calls if owner.startswith("cli.")] == []
 
 
 # The types that check their arguments where an instance is built, so

@@ -779,6 +779,8 @@ def test_random_strategy_defaults_and_validation() -> None:
         min_avg_ent(spec, strategy="random", Dmin=1)
     with pytest.raises(ValueError):
         min_avg_ent(spec, strategy="random", Dmin=3, Dmax=2)
+    with pytest.raises(ValueError, match=r"^Dmax=4 \(the default, rank \+ 2\) below Dmin=5; "):
+        min_avg_ent(spec, strategy="random", Dmin=5)
     with pytest.raises(ValueError, match="samples"):
         min_avg_ent(spec, strategy="random", samples=0)
     with pytest.raises(ValueError):

@@ -36,7 +36,7 @@ import numpy as np
 from .entcore import lstar
 from .linalg import ATOL
 from .mme import construct, max_mme_rank, validate_example_set
-from .modes import MAX_N, ModeStructure, parse_dims
+from .modes import MAX_N, ModeStructure, _check_int, parse_dims
 from .tgx import enumerate_me_tuples
 from .verify import (
     COMPARISON_KINDS,
@@ -229,6 +229,16 @@ def cmd_construct(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
+    # `--grid` is the grid strategy's one sampling option, the rest the random
+    # strategy's; those given go to `min_avg_ent`, which holds the defaults
+    sampling = {k: v for k, v in (("grid", args.grid), ("samples", args.samples),
+                                  ("Dmin", args.Dmin), ("Dmax", args.Dmax),
+                                  ("seed", args.seed)) if v is not None}
+    for k in sampling:
+        if (k == "grid") != (args.strategy == "grid"):
+            raise ValueError(f"--{k} does not apply to --strategy {args.strategy}")
+    if "grid" in sampling:
+        sampling["grid"] = _parse_grid(sampling["grid"])
     inline = (args.dims, args.tuples, args.spectrum, args.lu_seed)
     if args.state and any(x is not None for x in inline):
         raise ValueError("give --state FILE or an inline spec (dims, --tuples, --spectrum, "
@@ -261,15 +271,7 @@ def cmd_verify(args) -> tuple[str, int]:
                                 _parse_floats(args.spectrum), args.lu_seed)
     else:
         raise ValueError("give --state FILE, or dims with --tuples and --spectrum")
-    estimate = min_avg_ent(
-        state,
-        strategy=args.strategy,
-        grid=_parse_grid(args.grid),
-        Dmin=args.Dmin,
-        Dmax=args.Dmax,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    estimate = min_avg_ent(state, strategy=args.strategy, **sampling)
     payload = {
         "dims": str(estimate.structure),
         "strategy": estimate.strategy,
@@ -286,19 +288,13 @@ def cmd_tables(args) -> tuple[str, int]:
         if args.max_n is not None:
             raise ValueError("table 5 takes --max-N, not --max-n")
         max_N = args.max_N if args.max_N is not None else 6
-        if max_N < 2:
-            raise ValueError(f"--max-N {max_N}: table 5 starts at 2 qubits")
-        if max_N >= MAX_N.bit_length():  # 2^max_N > MAX_N
-            raise ValueError(f"--max-N {max_N}: 2^{max_N} is above the limit n <= {MAX_N}")
+        _check_int("--max-N", max_N, 2, MAX_N.bit_length() - 1)  # 2^max_N <= MAX_N
         structures = [ModeStructure((2,) * N) for N in range(2, max_N + 1)]
     else:
         if args.max_N is not None:
             raise ValueError(f"table {args.which} takes --max-n, not --max-N")
         max_n = args.max_n if args.max_n is not None else (28 if args.which == 1 else 36)
-        if max_n < 4:
-            raise ValueError(f"--max-n {max_n}: the smallest multipartite system has n = 4")
-        if max_n > MAX_N:
-            raise ValueError(f"--max-n {max_n} is above the limit n <= {MAX_N}")
+        _check_int("--max-n", max_n, 4, MAX_N)  # n = 4: the smallest multipartite system
         structures = [s for s in _structures_upto(max_n) if args.which == 1 or s.N >= 3]
     rows = []
     code = EXIT_OK
@@ -316,8 +312,7 @@ def cmd_tables(args) -> tuple[str, int]:
 
 
 def cmd_sweep(args) -> tuple[str, int]:
-    if args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
+    _check_int("--points", args.points, least=1)
     kinds = list(COMPARISON_KINDS) if args.family == "all" else [args.family]
     grid = _parse_grid(args.grid)
     if args.points * grid[0] * grid[1] > MAX_N ** 3:
@@ -418,13 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum")
     p.add_argument("--lu-seed", type=int, dest="lu_seed")
     p.add_argument("--strategy", choices=("grid", "random"), default="grid")
-    p.add_argument("--grid", default="20,20", metavar="T,C")
-    p.add_argument("--samples", type=int, default=100, metavar="K",
-                   help="random strategy: samples per dimension D")
+    p.add_argument("--grid", metavar="T,C",
+                   help=f"grid strategy: theta and chi steps, 1 to {MAX_N} (default 20,20)")
+    p.add_argument("--samples", type=int, metavar="K",
+                   help="random strategy: samples per dimension D (default 100)")
     p.add_argument("--Dmin", type=int, help="random strategy: least D (default rank)")
     p.add_argument("--Dmax", type=int,
                    help=f"random strategy: top D (default rank + 2, at most {MAX_N + 2})")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="random strategy: at least 0 (default 0)")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser(

@@ -63,11 +63,7 @@ def mpsrp_purity(n_m: int, L: int) -> float:
 
     An integer over L**2, so the float is correctly rounded.
     """
-    n_m, L = _check_int("n_m", n_m), _check_int("L", L)
-    if n_m < 2:
-        raise ValueError(f"mode dimension must be >= 2, got {n_m}")
-    if L < 1:
-        raise ValueError(f"level count must be >= 1, got {L}")
+    n_m, L = _check_int("n_m", n_m, least=2), _check_int("L", L, least=1)
     return _mpsrp_numerator(n_m, L) / (L * L)
 
 

@@ -47,7 +47,7 @@ from operator import or_
 import numpy as np
 
 from .entcore import _check_L, lstar
-from .modes import ModeStructure, _check_int, _check_seed, _level_table
+from .modes import ModeStructure, _check_int, _level_table
 from .tgx import (
     LocalUnitarySet,
     MeTgxTuple,
@@ -334,17 +334,18 @@ def max_mme_rank(
     up to n = 64 and greedy orders beyond: GREEDY_RESTARTS seeded orders
     (`seed` acts only there), reported as a lower bound with status
     "greedy", which can miss a quick exact proof (3x3x3x3x3: 21, where
-    "exhaustive" proves 27); past n = 64 prefer "exhaustive".
-    `budget_nodes`, at least 1, caps the search nodes over all L
+    "exhaustive" proves 27); past n = 64 prefer "exhaustive".  `seed`, an
+    integer at least 0, is read even where it does not act.
+    `budget_nodes`, an integer at least 1, caps the search nodes over all L
     (`MmeRankReport.nodes`); once it runs out the L loop stops and the
     best set found so far is reported with status "inconclusive", as it
     is when the graph rows would pass ADJACENCY_BITS (1 GiB).
     """
-    seed = _check_seed(seed)
+    seed = _check_int("seed", seed, least=0)
     if search not in ("auto", "exhaustive"):
         raise ValueError(f"unknown search mode {search!r}")
-    if budget_nodes is not None and _check_int("budget_nodes", budget_nodes) < 1:
-        raise ValueError(f"budget_nodes must be at least 1, got {budget_nodes}")
+    if budget_nodes is not None:
+        _check_int("budget_nodes", budget_nodes, least=1)
     if all_lstar and L is not None:
         raise ValueError(f"give L or all_lstar, not both (L={L})")
     ls = lstar(s)

@@ -21,13 +21,21 @@ import numpy as np
 MAX_N = 256
 
 
-def _check_int(what: str, value) -> int:
-    """`value` as an int, refused unless it is an integer: numpy integers
-    pass, a float (even 6.0) or a bool is a ValueError naming it, not
-    truncated or read as 0/1."""
+def _check_int(what: str, value, least: int | None = None, most: int | None = None) -> int:
+    """`value` as an int, refused unless it is an integer in least..most
+    (None leaves that side open): numpy integers pass, a float (even 6.0)
+    or a bool is a ValueError naming it, not truncated or read as 0/1, and
+    so is a value out of range, "{what}={n} is below {least}" or "... is
+    above {most}".  Every count, size, label and seed (least=0, as numpy's
+    seeding takes) of the package is read here."""
     try:
         if not isinstance(value, bool):
-            return operator.index(value)
+            n = operator.index(value)
+            if least is not None and n < least:
+                raise ValueError(f"{what}={n} is below {least}")
+            if most is not None and n > most:
+                raise ValueError(f"{what}={n} is above {most}")
+            return n
     except TypeError:
         pass
     raise ValueError(f"{what}={value!r} is not an integer")
@@ -43,15 +51,6 @@ def _check_real(what: str, value) -> float:
         except (OverflowError, TypeError, ValueError):
             pass
     raise ValueError(f"{what}={value!r} is not a number")
-
-
-def _check_seed(seed, what: str = "seed") -> int:
-    """`seed` as an int, refused unless it is a non-negative integer, the
-    range numpy's seeding takes; refusals name it `what`."""
-    seed = _check_int(what, seed)
-    if seed < 0:
-        raise ValueError(f"{what}={seed} is negative; seeds must be at least 0")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -78,12 +77,9 @@ class ModeStructure:
     dims: tuple[int, ...]
 
     def __init__(self, dims):
-        dims = tuple(_check_int("mode dimension", d) for d in dims)
+        dims = tuple(_check_int("mode dimension", d, least=2) for d in dims)
         if len(dims) < 1:
             raise ValueError("a mode structure needs at least one mode")
-        for d in dims:
-            if d < 2:
-                raise ValueError(f"mode dimensions must be >= 2, got {d}")
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -124,8 +120,7 @@ def parse_dims(text: str) -> ModeStructure:
             raise ValueError(f"cannot parse mode structure {text!r}") from None
         if b != 2:
             raise ValueError("shorthand base^N is only supported for base 2")
-        if c < 1:
-            raise ValueError("2^N needs N >= 1")
+        c = _check_int("qubit count", c, least=1)
         dims = [2] * min(c, MAX_N.bit_length())  # 2^c > MAX_N from here on
     else:
         try:
@@ -149,14 +144,11 @@ def _check_levels(s: ModeStructure, levels) -> tuple[int, ...]:
 
 
 def _check_modes(s: ModeStructure, modes) -> tuple[int, ...]:
-    modes = tuple(_check_int("mode", m) for m in modes)
+    modes = tuple(_check_int("mode", m, 1, s.N) for m in modes)
     if not modes:
         raise ValueError("mode list must be nonempty")
     if list(modes) != sorted(set(modes)):
         raise ValueError(f"mode list must be strictly ascending, got {modes}")
-    for m in modes:
-        if not 1 <= m <= s.N:
-            raise ValueError(f"mode {m} out of range 1..{s.N}")
     return modes
 
 
@@ -178,14 +170,12 @@ def scalar_to_vector(s: ModeStructure, level: int) -> tuple[int, ...]:
 def vector_to_scalar(s: ModeStructure, labels) -> int:
     """Recombine per-mode labels into the scalar level (inverse of
     scalar_to_vector)."""
-    labels = tuple(_check_int("label", v) for v in labels)
+    labels = tuple(labels)
     if len(labels) != s.N:
         raise ValueError(f"expected {s.N} labels, got {len(labels)}")
     level = 0
     for v, d in zip(labels, s.dims):
-        if not 1 <= v <= d:
-            raise ValueError(f"label {v} out of range 1..{d}")
-        level = level * d + (v - 1)
+        level = level * d + _check_int("label", v, 1, d) - 1
     return level + 1
 
 

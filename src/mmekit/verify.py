@@ -48,7 +48,7 @@ from .linalg import (
     mix,
     mode_purities,
 )
-from .modes import MAX_N, ModeStructure, _check_int, _check_seed, _level_table
+from .modes import MAX_N, ModeStructure, _check_int, _level_table
 from .tgx import ME_TOL, LocalUnitarySet, _superpositions
 
 P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
@@ -281,8 +281,7 @@ def haar_unitary(D: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed D x D unitary: QR of a complex Gaussian, 2 D^2
     draws of `rng`, real parts first, with the R-diagonal phases factored
     out; the one-matrix case of the stacks `min_avg_ent` draws."""
-    if _check_int("D", D) < 1:
-        raise ValueError("D must be positive")
+    D = _check_int("D", D, least=1)
     return _haar_stack(rng.standard_normal((1, 2, D, D)))[0]
 
 
@@ -290,7 +289,7 @@ def random_lu_set(s: ModeStructure, seed: int):
     """Independent Haar local unitaries, one per mode; the per-mode rng
     streams are keyed by (seed, mode) so results do not depend on call
     order.  Modes of one dimension share one `_haar_stack`."""
-    seed, us = _check_seed(seed, "lu_seed"), {}
+    seed, us = _check_int("lu_seed", seed, least=0), {}
     for d in set(s.dims):
         modes = [m for m, dm in enumerate(s.dims, start=1) if dm == d]
         z = [np.random.default_rng([seed, m]).standard_normal((2, d, d)) for m in modes]
@@ -358,11 +357,14 @@ def min_avg_ent(
     `haar_unitary(D, rng)` call on it, so `argmin` {"D", "index", "seed"}
     rebuilds its unitary alone, and the averages at one D depend neither
     on Dmin and Dmax nor, for its first k, on `samples`.  Grid steps,
-    Dmin, Dmax, samples and seed must be integers, seed at least 0.
-    Sizes that could never finish are refused before anything is drawn
-    or built: Dmax above MAX_N + 2, the largest default (rank + 2 at
-    n = MAX_N), more than MAX_N steps on a grid axis, and more than
-    MAX_N^2 Haar unitaries (samples times the number of D).
+    Dmin, Dmax, samples and seed are integers read by `modes._check_int`
+    with their bounds: 1..MAX_N steps per grid axis, samples at least 1,
+    seed at least 0 and a given Dmax at most MAX_N + 2, the largest
+    default (rank + 2 at n = MAX_N).  Dmin below the rank is refused, and
+    so is Dmax below Dmin, whose one text names a default among them as
+    one.  Sizes that could never finish are refused before anything is
+    drawn or built: the step and Dmax bounds, and more than MAX_N^2 Haar
+    unitaries (samples times the number of D).
 
     The state's cross reductions X (`_cross_reductions`) are computed
     once.  The unitaries are evaluated in stacks of equal D holding at
@@ -379,7 +381,7 @@ def min_avg_ent(
     tolerance), and `argmin` is then None: roundoff names no violator.
     A lower min_avg names its first violating unitary in `argmin`.
     """
-    seed = _check_seed(seed)
+    seed = _check_int("seed", seed, least=0)
     state, notes = as_spectral(state)
     X = _cross_reductions(state)
 
@@ -390,29 +392,19 @@ def min_avg_ent(
         if state.rank != 2:
             raise ValueError(f"grid strategy needs rank 2, got rank {state.rank}")
         T, C = grid
-        T, C = _check_int("theta_steps", T), _check_int("chi_steps", C)
-        if T < 1 or C < 1:
-            raise ValueError("grid needs at least one step per axis")
-        for name, steps in (("theta_steps", T), ("chi_steps", C)):
-            if steps > MAX_N:
-                raise ValueError(f"{name}={steps} is above the limit of {MAX_N} steps")
+        T, C = _check_int("theta_steps", T, 1, MAX_N), _check_int("chi_steps", C, 1, MAX_N)
         theta, chi, Us = _u2_grid(T, C)
         stacks = (Us[a:a + block(2)] for a in range(0, len(Us), block(2)))
     elif strategy == "random":
         lo = state.rank if Dmin is None else _check_int("Dmin", Dmin)
-        hi = state.rank + 2 if Dmax is None else _check_int("Dmax", Dmax)
-        samples = _check_int("samples", samples)
+        hi = state.rank + 2 if Dmax is None else _check_int("Dmax", Dmax, most=MAX_N + 2)
+        samples = _check_int("samples", samples, least=1)
         if lo < state.rank:
             raise ValueError(f"Dmin={lo} below rank {state.rank}")
-        if hi < lo and Dmax is None:
-            raise ValueError(f"Dmax={hi} (the default, rank + 2) below Dmin={lo}; "
-                             f"give Dmax >= {lo}")
-        if hi < lo:
-            raise ValueError(f"Dmax={hi} below Dmin={lo}")
-        if hi > MAX_N + 2:
-            raise ValueError(f"Dmax={hi} is above the limit D <= {MAX_N + 2}")
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
+        if hi < lo:  # at most one of them is a default, and the text says which
+            raise ValueError(f"Dmax={hi}{' (the default, rank + 2)' if Dmax is None else ''} "
+                             f"below Dmin={lo}{' (the default, the rank)' if Dmin is None else ''}"
+                             f"; give Dmax >= {lo}")
         if samples * (hi - lo + 1) > MAX_N ** 2:
             raise ValueError(f"samples={samples} at {hi - lo + 1} values of D is above "
                              f"the limit of {MAX_N ** 2} unitaries")

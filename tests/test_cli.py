@@ -403,8 +403,7 @@ def test_verify_refuses_state_file_with_inline_spec(capsys, tmp_path, inline, na
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "--state" in err and named in err
     code, out, _ = _run(capsys, ["verify", "--state", str(target), "--strategy", "random",
-                                 "--samples", "3", "--Dmin", "2", "--Dmax", "3",
-                                 "--seed", "1", "--grid", "4,4"])
+                                 "--samples", "3", "--Dmin", "2", "--Dmax", "3", "--seed", "1"])
     assert code == 0 and json.loads(out)["samples"] == 6
 
 
@@ -562,13 +561,13 @@ def test_verify_state_reads_each_input_once(capsys, tmp_path, spy) -> None:
     argv = ["construct", "2^4", "--tuples", "1,16;4,13;6,11;7,10", "--spectrum",
             "0.1,0.2,0.3,0.4", "--lu-seed", "7", "--out", str(target)]
     assert _run(capsys, argv) == (0, "", "")
-    ints, reals, seeds = spy(modes._check_int), spy(modes._check_real), spy(modes._check_seed)
+    ints, reals = spy(modes._check_int), spy(modes._check_real)
     argv = ["verify", "--state", str(target), "--strategy", "random", "--samples", "2"]
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "") and json.loads(out)["argmin"] is None
-    assert [x for what, x in ints if "level" in what] == [1, 16, 4, 13, 6, 11, 7, 10]
+    assert [x for what, x, *_ in ints if "level" in what] == [1, 16, 4, 13, 6, 11, 7, 10]
     assert reals == [("spectrum weight", w) for w in (0.1, 0.2, 0.3, 0.4)]
-    assert [args for args in seeds if "lu_seed" in args] == [(7, "lu_seed")]
+    assert [args for args in ints if args[0] == "lu_seed"] == [("lu_seed", 7)]
 
 
 def test_rho_is_mixed_only_where_printed_or_compared(capsys, tmp_path, spy) -> None:
@@ -721,10 +720,11 @@ def test_tables_refuse_the_other_tables_size_option(capsys, argv, option) -> Non
                                   ["1", "--max-n", "3"], ["5", "--max-N", "1"],
                                   ["5", "--max-N", "-3"]])
 def test_tables_refuse_sizes_that_admit_no_structure(capsys, argv) -> None:
-    # each printed only the CSV header and exited 0
+    # each printed only the CSV header and exited 0; tables 1 and 3 start
+    # at n = 4, the smallest multipartite system, and table 5 at 2 qubits
     code, out, err = _run(capsys, ["tables", *argv])
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: {argv[1]} {argv[2]}: ")
+    least = {"--max-n": 4, "--max-N": 2}[argv[1]]
+    assert (code, out, err) == (2, "", f"error: {argv[1]}={argv[2]} is below {least}\n")
 
 
 def test_tables_exit_code_covers_dropped_rows(capsys) -> None:
@@ -737,9 +737,10 @@ def test_tables_exit_code_covers_dropped_rows(capsys) -> None:
     "argv", [["1", "--max-n", "257"], ["3", "--max-n", "257"], ["5", "--max-N", "9"]]
 )
 def test_tables_refuse_structures_above_max_n(capsys, argv) -> None:
+    # n <= 256, and 2^8 = 256
     code, out, err = _run(capsys, ["tables", *argv])
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and "256" in err
+    most = {"--max-n": 256, "--max-N": 8}[argv[1]]
+    assert (code, out, err) == (2, "", f"error: {argv[1]}={argv[2]} is above {most}\n")
 
 
 def test_sweep_selfspace_closed_form(capsys) -> None:
@@ -976,8 +977,8 @@ def test_unexpected_exception_exit_code(capsys, monkeypatch) -> None:
     assert "Traceback" not in err
 
 
-# One argv per parser of outside text; verify runs the random strategy
-# with one sample per D, so a grid that parses is checked, not swept.
+# One argv per parser of outside text; a grid that parses is swept on
+# 2^4, at most MAX_N^2 = 65,536 unitaries.
 PARSER_ARGVS = {
     "lstar-dims": lambda text: ["lstar", "--", text],
     "construct-tuples": lambda text: ["construct", "2^4", f"--tuples={text}",
@@ -986,8 +987,7 @@ PARSER_ARGVS = {
                                         f"--spectrum={text}"],
     "validate-tuples": lambda text: ["validate-examples", "2^4", f"--tuples={text}"],
     "verify-grid": lambda text: ["verify", "2^4", "--tuples=1,16;4,13",
-                                 "--spectrum=0.5,0.5", "--strategy=random",
-                                 "--samples=1", f"--grid={text}"],
+                                 "--spectrum=0.5,0.5", f"--grid={text}"],
 }
 
 
@@ -1075,7 +1075,6 @@ REFUSALS = [
     ["rank", "2x2x2x2x3", "--seed", "-5"],
     ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3",
      "--strategy", "random", "--seed", "-1"],
-    ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--seed", "-1"],
     # sampler sizes that could never finish: a D x D Haar draw per D up to
     # Dmax, a grid of T x C unitaries, samples Haar unitaries per D and
     # points grids per family
@@ -1099,15 +1098,31 @@ PARSE_REFUSALS = {
     ("sweep", "--grid", "3,0", "--points", "1"): "--grid",
     ("validate-examples", "2^4", "--tuples", "1,x"): "--tuples",
 }
-# refusals whose message is pinned: a negative --lu-seed is named as
-# lu_seed, never as the --seed beside it
+# refusals whose full message is pinned: a negative --lu-seed is named as
+# lu_seed, never as the --seed beside it; a default D bound is named as
+# one; a sampling option is refused under the strategy that never reads it
 REFUSAL_MESSAGES = {
     ("construct", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--lu-seed", "-1"):
-        "lu_seed=-1 is negative",
+        "lu_seed=-1 is below 0",
     ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--lu-seed", "-1",
-     "--seed", "3"): "lu_seed=-1 is negative",
+     "--strategy", "random", "--seed", "3"): "lu_seed=-1 is below 0",
     ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--strategy", "random",
-     "--Dmin", "5", "--samples", "2"): "Dmax=4 (the default, rank + 2) below Dmin=5",
+     "--Dmin", "5", "--samples", "2"):
+        "Dmax=4 (the default, rank + 2) below Dmin=5; give Dmax >= 5",
+    ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--strategy", "random",
+     "--Dmax", "1"): "Dmax=1 below Dmin=2 (the default, the rank); give Dmax >= 2",
+    ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--seed", "-1"):
+        "--seed does not apply to --strategy grid",
+    ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--samples", "5",
+     "--Dmin", "7", "--seed", "3"): "--samples does not apply to --strategy grid",
+    ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3",
+     "--samples", "100000000"): "--samples does not apply to --strategy grid",
+    ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--Dmin", "2"):
+        "--Dmin does not apply to --strategy grid",
+    ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--strategy", "grid",
+     "--Dmax", "3"): "--Dmax does not apply to --strategy grid",
+    ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--strategy", "random",
+     "--grid", "3,3"): "--grid does not apply to --strategy random",
 }
 REFUSALS += [list(argv) for argv in [*PARSE_REFUSALS, *REFUSAL_MESSAGES]]
 
@@ -1129,4 +1144,4 @@ def test_refusals_exit_2_without_source_paths(child_env, tmp_path, argv) -> None
         assert f"error: {option} {argv[argv.index(option) + 1]!r}: " in proc.stderr
     message = REFUSAL_MESSAGES.get(tuple(argv))
     if message:
-        assert f"error: {message};" in proc.stderr
+        assert proc.stderr == f"error: {message}\n"

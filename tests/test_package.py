@@ -206,6 +206,21 @@ def test_one_function_refuses_a_set_that_is_not_me() -> None:
                            and "is not an ME TGX tuple" in ast.unparse(node)) == ["tgx._certify"]
 
 
+def test_one_function_reads_an_integer_range() -> None:
+    # every count, size, label and seed passes its bounds to
+    # `modes._check_int`, the one text of a value out of range;
+    # `cli._parse_grid` keeps "steps must be positive", which quotes the
+    # --grid text as typed
+    assert not hasattr(importlib.import_module("mmekit.modes"), "_check_seed")
+    assert _package_owners(lambda node: isinstance(node, ast.Raise)
+                           and re.search(r"is (below|above) \{", ast.unparse(node))) \
+        == ["modes._check_int", "modes._check_int"]
+    phrases = ("must be at least", "must be >=", "D must be positive", "seeds must be",
+               "at least one step per axis")
+    assert _package_owners(lambda node: isinstance(node, ast.Raise)
+                           and any(p in ast.unparse(node) for p in phrases)) == []
+
+
 def test_cli_joins_json_lists_one_way() -> None:
     # `_indented` writes each list item itself: no stdlib call with its own
     # separators prints a second form of the same list

@@ -567,11 +567,13 @@ def test_negative_seeds_are_refused_by_name() -> None:
     # numpy's own refusal names no option, and an exhaustive rank search
     # or a grid certificate never reaches its seed
     s = ModeStructure((2, 2, 2, 2, 3))
-    for call in (lambda: max_mme_rank(s, seed=-5),
-                 lambda: random_lu_set(s, -1),
-                 lambda: min_avg_ent(_certificate((2, 5)), strategy="random", seed=-1),
-                 lambda: min_avg_ent(_certificate((2, 5)), seed=-1)):
-        with pytest.raises(ValueError, match=r"seed=-\d is negative"):
+    for call, message in ((lambda: max_mme_rank(s, seed=-5), "seed=-5 is below 0"),
+                          (lambda: random_lu_set(s, -1), "lu_seed=-1 is below 0"),
+                          (lambda: min_avg_ent(_certificate((2, 5)), strategy="random",
+                                               seed=-1), "seed=-1 is below 0"),
+                          (lambda: min_avg_ent(_certificate((2, 5)), seed=-1),
+                           "seed=-1 is below 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 
 
@@ -777,10 +779,14 @@ def test_random_strategy_defaults_and_validation() -> None:
     assert est.min_avg >= 1 - 1e-9
     with pytest.raises(ValueError):
         min_avg_ent(spec, strategy="random", Dmin=1)
-    with pytest.raises(ValueError):
-        min_avg_ent(spec, strategy="random", Dmin=3, Dmax=2)
-    with pytest.raises(ValueError, match=r"^Dmax=4 \(the default, rank \+ 2\) below Dmin=5; "):
-        min_avg_ent(spec, strategy="random", Dmin=5)
+    # one refusal of Dmax below Dmin, which says which value is a default
+    for bounds, message in (({"Dmin": 3, "Dmax": 2}, "Dmax=2 below Dmin=3; give Dmax >= 3"),
+                            ({"Dmin": 5}, "Dmax=4 (the default, rank + 2) below Dmin=5; "
+                                          "give Dmax >= 5"),
+                            ({"Dmax": 1}, "Dmax=1 below Dmin=2 (the default, the rank); "
+                                          "give Dmax >= 2")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            min_avg_ent(spec, strategy="random", **bounds)
     with pytest.raises(ValueError, match="samples"):
         min_avg_ent(spec, strategy="random", samples=0)
     with pytest.raises(ValueError):
@@ -809,13 +815,13 @@ def test_sampler_counts_are_refused_unless_integers(kwargs, name) -> None:
 
 @pytest.mark.parametrize("over,message,at_limit", [
     ({"strategy": "random", "samples": 1, "Dmax": 100_000},
-     "Dmax=100000 is above the limit D <= 258", {"Dmin": 258, "Dmax": 258}),
+     "Dmax=100000 is above 258", {"Dmin": 258, "Dmax": 258}),
     ({"strategy": "random", "samples": 1, "Dmin": 259, "Dmax": 259},
-     "Dmax=259 is above the limit D <= 258", {"Dmin": 258, "Dmax": 258}),
+     "Dmax=259 is above 258", {"Dmin": 258, "Dmax": 258}),
     ({"strategy": "grid", "grid": (999_999, 999_999)},
-     "theta_steps=999999 is above the limit of 256 steps", {"grid": (256, 1)}),
+     "theta_steps=999999 is above 256", {"grid": (256, 1)}),
     ({"strategy": "grid", "grid": (20, 257)},
-     "chi_steps=257 is above the limit of 256 steps", {"grid": (1, 256)}),
+     "chi_steps=257 is above 256", {"grid": (1, 256)}),
     ({"strategy": "random", "samples": 100_000_000},
      "samples=100000000 at 3 values of D is above the limit of 65536 unitaries",
      {"samples": 32768, "Dmin": 2, "Dmax": 3}),
@@ -828,7 +834,7 @@ def test_sampler_sizes_that_never_finish_are_refused(monkeypatch, over, message,
     spec = comparison_family_spectral("mme", (0.7, 0.3))
     for name in ("_haar_stack", "_u2_grid"):
         monkeypatch.setattr(verify, name, lambda *args: pytest.fail("drawn or built"))
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         min_avg_ent(spec, **over)
     monkeypatch.undo()
     assert min_avg_ent(spec, **{**over, **at_limit}).min_avg >= 1 - 1e-9

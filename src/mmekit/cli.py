@@ -417,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"grid strategy: theta and chi steps, 1 to {MAX_N} (default 20,20)")
     p.add_argument("--samples", type=int, metavar="K",
                    help="random strategy: samples per dimension D (default 100)")
-    p.add_argument("--Dmin", type=int, help="random strategy: least D (default rank)")
+    p.add_argument("--Dmin", type=int,
+                   help=f"random strategy: least D (default rank, at most {MAX_N + 2})")
     p.add_argument("--Dmax", type=int,
                    help=f"random strategy: top D (default rank + 2, at most {MAX_N + 2})")
     p.add_argument("--seed", type=int, help="random strategy: at least 0 (default 0)")

@@ -359,8 +359,8 @@ def min_avg_ent(
     on Dmin and Dmax nor, for its first k, on `samples`.  Grid steps,
     Dmin, Dmax, samples and seed are integers read by `modes._check_int`
     with their bounds: 1..MAX_N steps per grid axis, samples at least 1,
-    seed at least 0 and a given Dmax at most MAX_N + 2, the largest
-    default (rank + 2 at n = MAX_N).  Dmin below the rank is refused, and
+    seed at least 0 and a given Dmin or Dmax at most MAX_N + 2, the
+    largest default (rank + 2 at n = MAX_N).  Dmin below the rank is refused, and
     so is Dmax below Dmin, whose one text names a default among them as
     one.  Sizes that could never finish are refused before anything is
     drawn or built: the step and Dmax bounds, and more than MAX_N^2 Haar
@@ -396,8 +396,8 @@ def min_avg_ent(
         theta, chi, Us = _u2_grid(T, C)
         stacks = (Us[a:a + block(2)] for a in range(0, len(Us), block(2)))
     elif strategy == "random":
-        lo = state.rank if Dmin is None else _check_int("Dmin", Dmin)
         hi = state.rank + 2 if Dmax is None else _check_int("Dmax", Dmax, most=MAX_N + 2)
+        lo = state.rank if Dmin is None else _check_int("Dmin", Dmin, most=MAX_N + 2)
         samples = _check_int("samples", samples, least=1)
         if lo < state.rank:
             raise ValueError(f"Dmin={lo} below rank {state.rank}")

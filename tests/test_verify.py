@@ -787,6 +787,9 @@ def test_random_strategy_defaults_and_validation() -> None:
                                           "give Dmax >= 2")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             min_avg_ent(spec, strategy="random", **bounds)
+    # a Dmin that no Dmax could reach is refused by its own bound
+    with pytest.raises(ValueError, match="^Dmin=300 is above 258$"):
+        min_avg_ent(spec, strategy="random", Dmin=300)
     with pytest.raises(ValueError, match="samples"):
         min_avg_ent(spec, strategy="random", samples=0)
     with pytest.raises(ValueError):

@@ -24,9 +24,10 @@ S_m is read off the gathers of `modes._level_table`, the structure's one
 cached layout, as every purity of `linalg.mode_purities` is.
 
 `min_avg_ent` computes X once per state (`_cross_reductions`) and reads
-every member's reductions off it, one product per stack of unitaries;
-no member amplitude is built.  `decompose` builds the members and is the
-reference the sampler is tested against.
+every member's reductions off the Hermitian half (a <= b) of its blocks,
+one product per pass of unitaries of one or more D, R^2 sum_m n_S(n_S +
+1)/2 entries a member; no member amplitude is built.  `decompose` builds
+the members and is the reference the sampler is tested against.
 """
 
 from __future__ import annotations
@@ -193,53 +194,66 @@ def _cross_reductions(state: SpectralState):
 
 @lru_cache(maxsize=None)
 def _summing_matrices(s: ModeStructure):
-    """The 0/1 matrices (diagonal, entries), (sum_m n_S^2, max(N, 4)), that
-    sum each block of a `_cross_reductions` row's diagonal and all its
-    entries into its mode's column; built once per structure, read-only."""
+    """The columns of a `_cross_reductions` row with a <= b in each n_S x
+    n_S block, its Hermitian half, and the matrices (diagonal, entries),
+    (columns, max(N, 4)), that sum each half block into its mode's column:
+    the trace weighs the diagonal 1, the purity the diagonal 1 and each
+    upper entry 2, for its mirror; built once per structure, read-only."""
     n_S = [len(pos) for pos in _level_table(s)[3]]
-    entries = np.repeat(np.eye(s.N, max(s.N, 4)), np.square(n_S), axis=0)
-    diagonal = entries * np.concatenate([np.eye(n).ravel() for n in n_S])[:, None]
-    entries.flags.writeable = diagonal.flags.writeable = False
-    return diagonal, entries
+    half = [np.triu_indices(n) for n in n_S]
+    start = np.cumsum([0] + [n * n for n in n_S])
+    cols = np.concatenate([o + a * n + b for o, n, (a, b) in zip(start, n_S, half)])
+    on_diagonal = np.concatenate([a == b for a, b in half])[:, None]
+    entries = np.repeat(np.eye(s.N, max(s.N, 4)), [len(a) for a, _ in half], axis=0)
+    diagonal, entries = entries * on_diagonal, entries * (2.0 - on_diagonal)
+    cols.flags.writeable = diagonal.flags.writeable = entries.flags.writeable = False
+    return cols, diagonal, entries
 
 
-def _stack_averages(state: SpectralState, X: np.ndarray, Us: np.ndarray) -> np.ndarray:
-    """Decomposition-averaged entanglement of each unitary of a stack Us,
-    read off the cross reductions X of `_cross_reductions`; no member
-    amplitude is built.
+def _stack_averages(state: SpectralState, X: np.ndarray, stacks) -> np.ndarray:
+    """Decomposition-averaged entanglement of each unitary of one pass, a
+    list of stacks that may hold several D, in order, read off the
+    Hermitian half X[:, cols] of the cross reductions (`_cross_reductions`,
+    `_summing_matrices`); no member amplitude is built.
 
-    The M = G D members' unnormalized reductions are their coefficient
-    pairs c_k conj(c_l) times X, formed in row blocks of k to 2k - 1
-    members, k = max(1, BLOCK_AMPLITUDES // R^2) (all M members if
-    M < 2k): a block holds under 2 BLOCK_AMPLITUDES pairs, or one
-    member's R^2 when R^2 passes BLOCK_AMPLITUDES.  Each mode's block is
-    normalized by its own trace, the member's squared norm; members of
-    weight 0 divide by 1, so no 0/0 appears.  That costs R^2 times the
-    width of X, sum_m n_S^2, per member against about R n to build the
-    member: cheaper at low rank, several times dearer near full rank
-    (ROADMAP, "Measured").  Each average agrees with
+    The coefficient rows of the pass's M members are concatenated, and
+    their unnormalized reductions are the pairs c_k conj(c_l) times X,
+    formed in row blocks of k to 2k - 1 members, k = max(1,
+    BLOCK_AMPLITUDES // R^2) (all M members if M < 2k): a block holds
+    under 2 BLOCK_AMPLITUDES pairs, or one member's R^2 when R^2 passes
+    BLOCK_AMPLITUDES.  Each mode's block is normalized by its own trace,
+    the member's squared norm; members of weight 0 divide by 1, so no 0/0
+    appears.  That costs R^2 sum_m n_S(n_S + 1)/2 per member against about
+    R n to build the member: cheaper at low rank, several times dearer
+    near full rank (ROADMAP, "Measured").  The member ents are split back
+    per stack and weighed per unitary.  Each average agrees with
     `decompose(...).average_ent()` to roundoff.
 
     A member's purities do not depend on M or on its row, so how the
-    unitaries fall into stacks moves no bit.  On OpenBLAS 0.3.31 (x86-64,
-    AVX-512) that held for complex products of at least 2 rows and real
-    ones of at least 4 columns: hence no 1-row block (numpy sends it to
-    gemv, which rounds differently) unless k = 1, and the summing
-    matrices' zero columns, without which 2x8 averages moved.
+    unitaries fall into stacks and passes moves no bit.  On OpenBLAS
+    0.3.31 (x86-64, AVX-512) that held for complex products of at least 2
+    rows and real ones of at least 4 columns: hence no 1-row block (numpy
+    sends it to gemv, which rounds differently) unless k = 1, and the
+    summing matrices' zero columns, without which 2x8 averages moved.
     """
     s, R = state.structure, state.rank
-    probs, c = _coefficients(state, Us)
-    M, c, kept = probs.size, c.reshape(-1, R), probs.reshape(-1) > 0
+    drawn = [_coefficients(state, Us) for Us in stacks]
+    c = np.concatenate([c.reshape(-1, R) for _, c in drawn])
+    M, probs = len(c), np.concatenate([p.reshape(-1) for p, _ in drawn])
     blocks = max(1, M // max(1, BLOCK_AMPLITUDES // (R * R)))
     red = np.empty((M, X.shape[1]), dtype=complex)
     for i in range(blocks):
         a, z = i * M // blocks, (i + 1) * M // blocks
         np.matmul((c[a:z, :, None] * c[a:z, None, :].conj()).reshape(z - a, R * R), X,
                   out=red[a:z])
-    diagonal, entries = _summing_matrices(s)
-    tr = np.where(kept[:, None], (red.real @ diagonal)[:, :s.N], 1.0)
+    _, diagonal, entries = _summing_matrices(s)
+    tr = np.where(probs[:, None] > 0, (red.real @ diagonal)[:, :s.N], 1.0)
     ents = _ent_of_purities(s, ((red.real ** 2 + red.imag ** 2) @ entries)[:, :s.N] / tr ** 2)
-    return (probs * ents.reshape(probs.shape)).sum(axis=1)
+    weighed, avgs = probs * ents, []
+    for p, _ in drawn:
+        avgs.append(weighed[:p.size].reshape(p.shape).sum(axis=1))
+        weighed = weighed[p.size:]
+    return np.concatenate(avgs)
 
 
 def u2(theta: float, chi: float) -> np.ndarray:
@@ -367,16 +381,19 @@ def min_avg_ent(
     unitaries (samples times the number of D).
 
     The state's cross reductions X (`_cross_reductions`) are computed
-    once.  The unitaries are evaluated in stacks of equal D holding at
-    most BLOCK_AMPLITUDES member reduction entries, D times the width of
-    X a unitary (one unitary at least); how they fall into stacks moves
-    no bit of any average.  A Haar stack is drawn when it is due, with
-    one Gaussian draw that continues its D's stream and one stacked QR
+    once, and the Hermitian half of their blocks taken once.  The
+    unitaries come in stacks of equal D holding at most BLOCK_AMPLITUDES
+    member reduction entries, D times the full width of X a unitary (one
+    unitary at least).  Consecutive stacks of any D share one
+    `_stack_averages` pass while their entries stay within it; how the
+    unitaries fall into stacks and passes moves no bit of any average.
+    A Haar stack is drawn as its pass is filled, with one Gaussian
+    draw that continues its D's stream and one stacked QR
     (`_haar_stack`); its unitaries are bitwise those of successive
     `haar_unitary` calls on that stream.  Each Haar stack is checked for
     unitarity as it is drawn, a grid once, when `_u2_grid` builds it.
-    Of each stack's `_stack_averages` only the running minimum, its first
-    index and the count are kept: memory does not grow with the unitaries.
+    Of each pass only the running minimum, its first index and the count
+    are kept: memory does not grow with the unitaries.
     An MME candidate passes when min_avg is at least 1 - ME_TOL (the ME
     tolerance), and `argmin` is then None: roundoff names no violator.
     A lower min_avg names its first violating unitary in `argmin`.
@@ -384,9 +401,10 @@ def min_avg_ent(
     seed = _check_int("seed", seed, least=0)
     state, notes = as_spectral(state)
     X = _cross_reductions(state)
+    width, X = X.shape[1], X[:, _summing_matrices(state.structure)[0]]
 
     def block(D: int) -> int:
-        return max(1, BLOCK_AMPLITUDES // (D * X.shape[1]))
+        return max(1, BLOCK_AMPLITUDES // (D * width))
 
     if strategy == "grid":
         if state.rank != 2:
@@ -420,9 +438,18 @@ def min_avg_ent(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
+    def passes():
+        held = []
+        for Us in stacks:
+            if held and width * sum(len(V) * len(V[0]) for V in (*held, Us)) > BLOCK_AMPLITUDES:
+                yield held
+                held = []
+            held.append(Us)
+        yield held
+
     best, k, count = math.inf, 0, 0
-    for stack in stacks:
-        avgs = _stack_averages(state, X, stack)
+    for held in passes():
+        avgs = _stack_averages(state, X, held)
         j = int(np.argmin(avgs))
         if best == best and not best <= avgs[j]:  # a NaN is kept, as np.argmin keeps it
             best, k = float(avgs[j]), count + j

@@ -276,7 +276,7 @@ CACHES = {
     "entcore.lstar": (None, "one report per structure used"),
     "mme._certified_set": (64, "tuple sets are unbounded: mme.CERTIFIED_SETS"),
     "modes._level_table": (None, "one layout per structure used"),
-    "verify._summing_matrices": (None, "two matrices per structure used"),
+    "verify._summing_matrices": (None, "half columns and two weight matrices per structure used"),
     "verify._u2_grid": (8, "grid sizes come from the caller"),
 }
 

@@ -649,6 +649,101 @@ def test_stack_splits_change_no_bit(monkeypatch, dims, tuples) -> None:
             assert est.argmin == oracle.argmin
 
 
+def _pass_Ds(monkeypatch) -> list[list[int]]:
+    """Record the D of every stack in each pass `min_avg_ent` feeds to
+    `_stack_averages`, one list a pass."""
+    passes = []
+    stack_averages = verify._stack_averages
+
+    def spy(state, X, stacks):
+        passes.append([Us.shape[1] for Us in stacks])
+        return stack_averages(state, X, stacks)
+
+    monkeypatch.setattr(verify, "_stack_averages", spy)
+    return passes
+
+
+@pytest.mark.parametrize("dims,tuples,samples,grouped", [
+    ((4, 4, 4, 4), WITNESS_4X4X4X4, 3, [[16, 17, 18]]),
+    ((3, 3, 3, 3), None, 20, [[9, 10], [11]]),  # the witness `max_mme_rank` finds
+    ((2, 8), EXAMPLE_SETS[(2, 8)], 180, [[4, 5], [6]]),
+    ((2, 2, 2, 2), EXAMPLE_SETS[(2, 2, 2, 2)], 8, [[4, 5, 6]]),
+])
+def test_passes_across_D_change_no_bit(monkeypatch, dims, tuples, samples, grouped) -> None:
+    # one pass holds the stacks of two or three D; the reference budget
+    # holds each D's one stack in a pass of its own, with other row blocks
+    s = ModeStructure(dims)
+    tuples = tuples or max_mme_rank(s).witness
+    R = len(tuples)
+    lam = np.arange(1.0, R + 1) / (R * (R + 1) / 2)
+    mme_state, _ = construct(s, tuples, lam, random_lu_set(s, 3))
+    states = [as_spectral(mme_state)[0], _random_spectral(np.random.default_rng(4), s, R)]
+    S = verify._cross_reductions(states[0]).shape[1]  # member reduction entries
+    passes, sizes = _pass_Ds(monkeypatch), _stack_sizes(monkeypatch)
+    runs = {}
+    for block, want in ((verify.BLOCK_AMPLITUDES, grouped),
+                        (samples * (R + 2) * S, [[R], [R + 1], [R + 2]])):
+        monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", block)
+        runs[block] = []
+        for x in states:
+            passes.clear(), sizes.clear()
+            runs[block].append(_with_averages(x, strategy="random", Dmin=R, Dmax=R + 2,
+                                              samples=samples, seed=2))
+            assert passes == want and sizes == [samples] * 3
+    merged, oracle = runs.values()
+    assert oracle[0][0].argmin is None and oracle[1][0].argmin is not None
+    for (est, averages), (want, want_averages) in zip(merged, oracle):
+        assert averages == want_averages
+        assert est.samples == want.samples == 3 * samples
+        assert est.argmin == want.argmin
+
+
+def test_a_certify_haar_certificate_is_one_pass(monkeypatch) -> None:
+    # the benchmark's 2^4 R4 certificate: 8 unitaries at each D = 4..6
+    s = ModeStructure((2, 2, 2, 2))
+    state, _ = construct(s, EXAMPLE_SETS[s.dims], (0.4, 0.3, 0.2, 0.1), random_lu_set(s, 3))
+    passes = _pass_Ds(monkeypatch)
+    est = min_avg_ent(state, strategy="random", samples=8, seed=5)
+    assert passes == [[4, 5, 6]] and est.samples == 24 and est.argmin is None
+
+
+@pytest.mark.parametrize("dims,full,half", [
+    ((2, 8), 8, 6), ((2, 2, 3, 3), 26, 18), ((2, 3, 4), 29, 19), ((3, 3, 3), 27, 18),
+    ((4, 4, 4, 4), 64, 40), ((2,) * 6, 24, 18),
+])
+def test_half_columns_weigh_to_the_whole_block(dims, full, half) -> None:
+    # random Hermitian n_S x n_S blocks: the diagonal and upper entries,
+    # weighed by the summing matrices, give each block's trace and purity
+    s = ModeStructure(dims)
+    cols, diagonal, entries = verify._summing_matrices(s)
+    n_S = [len(pos) for pos in modes._level_table(s)[3]]
+    assert (sum(n * n for n in n_S), len(cols)) == (full, half)
+    assert diagonal.shape == entries.shape == (half, max(s.N, 4))
+    rng = np.random.default_rng(s.n)
+    for _ in range(5):
+        blocks = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in n_S]
+        blocks = [b + b.conj().T for b in blocks]
+        row = np.concatenate([b.ravel() for b in blocks])[cols]
+        tr, purity = row.real @ diagonal, np.abs(row) ** 2 @ entries
+        assert not tr[s.N:].any() and not purity[s.N:].any()
+        for m, b in enumerate(blocks):
+            assert tr[m] == pytest.approx(np.trace(b).real, rel=1e-14, abs=0)
+            assert purity[m] == pytest.approx(np.vdot(b, b).real, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("dims", [(2, 8), (2, 2, 3, 3), (2, 3, 4), (3, 3, 3), (4, 4, 4, 4)])
+def test_half_column_averages_match_decompose(dims) -> None:
+    s = ModeStructure(dims)
+    rng = np.random.default_rng(s.n)
+    for R in (1, 2, 5, 8):
+        spec = _random_spectral(rng, s, R)
+        run = _with_averages(spec, strategy="random", samples=2, seed=R)
+        points = [U for D in range(R, R + 3) for U in _haar_stream(R, D, 2)]
+        _assert_matches_per_unitary_loop(
+            run, spec, points, lambda a: points[(a["D"] - R) * 2 + a["index"]]
+        )
+
+
 def _random_spectral(rng, s: ModeStructure, R: int) -> SpectralState:
     """R random orthonormal eigenstates (the first columns of a Haar
     unitary) with a random positive spectrum."""
@@ -736,20 +831,35 @@ def test_certificates_after_the_first_work_out_no_side(dims, monkeypatch) -> Non
     assert mode_purities(s, [v.amplitudes for v in spec.eigenstates]).shape == (2, s.N)
 
 
+@pytest.mark.parametrize("dims,tuples", PUBLISHED_SETS,
+                         ids=["x".join(map(str, dims)) for dims, _ in PUBLISHED_SETS])
+def test_sampled_averages_of_published_sets_match_decompose(dims, tuples) -> None:
+    s = ModeStructure(dims)
+    R = len(tuples)
+    lam = np.arange(R, 0, -1) / (R * (R + 1) / 2)
+    state, _ = construct(s, tuples, lam, random_lu_set(s, R))
+    run = _with_averages(state, strategy="random", samples=2, seed=s.n)
+    points = [U for D in range(R, R + 3) for U in _haar_stream(s.n, D, 2)]
+    _assert_matches_per_unitary_loop(
+        run, state, points, lambda a: points[(a["D"] - R) * 2 + a["index"]]
+    )
+
+
 @pytest.mark.parametrize("kind", ["e_spacewise", "e_selfspace"])
 def test_cross_blocks_of_non_mme_families_reach_one_half(kind) -> None:
     assert _cross_max(comparison_family_spectral(kind, (0.7, 0.3))) >= 0.5 - 1e-15
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
 @given(st.data())
 def test_sampled_averages_match_decompose_at_every_rank(data) -> None:
     # ranks from 1 to full, with the tensor both smaller (R n_m^2 <= n)
-    # and larger than the eigenbasis
-    s = data.draw(st.sampled_from(list(_structures_upto(36))), label="structure")
-    edge = min(s.n // (d * d) for d in s.dims)
-    R = data.draw(st.sampled_from(sorted({1, max(edge, 1), edge + 1, s.n}))
-                  | st.integers(1, s.n), label="rank")
+    # and larger than the eigenbasis; 4^4, n = 256, up to rank 36
+    s = data.draw(st.sampled_from(list(_structures_upto(36)))
+                  | st.just(ModeStructure((4, 4, 4, 4))), label="structure")
+    edge, top = min(s.n // (d * d) for d in s.dims), min(s.n, 36)
+    R = data.draw(st.sampled_from(sorted({1, max(edge, 1), edge + 1, top}))
+                  | st.integers(1, top), label="rank")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     spec = _random_spectral(np.random.default_rng(seed), s, R)
     run = _with_averages(spec, strategy="random", samples=2, seed=seed)
@@ -850,13 +960,14 @@ def test_sampler_sizes_that_never_finish_are_refused(monkeypatch, over, message,
     [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # a pass names no violator
 ])
 def test_streamed_minimum_is_the_argmin_of_every_average(monkeypatch, averages) -> None:
-    # three stacks of two unitaries whose averages a fake hands out in order
+    # three passes of one stack of two unitaries whose averages a fake
+    # hands out in order
     monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", 2 * 2 * 16)
     given, sizes = iter(averages), []
 
-    def fake(state, X, Us):
-        sizes.append(len(Us))
-        return np.array([next(given) for _ in Us])
+    def fake(state, X, stacks):
+        sizes.extend(len(Us) for Us in stacks)
+        return np.array([next(given) for Us in stacks for _ in Us])
 
     monkeypatch.setattr(verify, "_stack_averages", fake)
     est = min_avg_ent(comparison_family_spectral("mme", (0.7, 0.3)), strategy="random",

@@ -686,7 +686,8 @@ def test_passes_across_D_change_no_bit(monkeypatch, dims, tuples, samples, group
         monkeypatch.setattr(verify, "BLOCK_AMPLITUDES", block)
         runs[block] = []
         for x in states:
-            passes.clear(), sizes.clear()
+            passes.clear()
+            sizes.clear()
             runs[block].append(_with_averages(x, strategy="random", Dmin=R, Dmax=R + 2,
                                               samples=samples, seed=2))
             assert passes == want and sizes == [samples] * 3

@@ -29,7 +29,7 @@ nz = np.argwhere(np.abs(rho.entries) > 1e-12)
 print(f"density matrix: {len(nz)} nonzero entries out of {rho.entries.size}")
 
 spec, _ = as_spectral(state)
-grid = min_avg_ent(spec, strategy="grid", grid=(20, 20))
+grid = min_avg_ent(spec, strategy="grid")
 print(f"\ngrid sweep  ({grid.samples} unitaries): min <E> = {grid.min_avg:.15f}")
 
 rand = min_avg_ent(spec, strategy="random", samples=100)

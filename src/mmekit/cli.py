@@ -40,6 +40,7 @@ from .modes import MAX_N, ModeStructure, _check_int, parse_dims
 from .tgx import enumerate_me_tuples
 from .verify import (
     COMPARISON_KINDS,
+    GRID_STEPS,
     comparison_family_spectral,
     min_avg_ent,
     random_lu_set,
@@ -72,16 +73,6 @@ def _parse_tuples(text: str) -> list[list[int]]:
 
 def _parse_floats(text: str) -> list[float]:
     return _numbers("--spectrum", text, text.split(","), float)
-
-
-def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--grid {text!r}: expected 'T,C'")
-    t, c = _numbers("--grid", text, parts, int)
-    if t < 1 or c < 1:
-        raise ValueError(f"--grid {text!r}: steps must be positive")
-    return t, c
 
 
 def _int_rows(obj) -> bool:
@@ -229,16 +220,12 @@ def cmd_construct(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    # `--grid` is the grid strategy's one sampling option, the rest the random
-    # strategy's; those given go to `min_avg_ent`, which holds the defaults
-    sampling = {k: v for k, v in (("grid", args.grid), ("samples", args.samples),
-                                  ("Dmin", args.Dmin), ("Dmax", args.Dmax),
-                                  ("seed", args.seed)) if v is not None}
-    for k in sampling:
-        if (k == "grid") != (args.strategy == "grid"):
-            raise ValueError(f"--{k} does not apply to --strategy {args.strategy}")
-    if "grid" in sampling:
-        sampling["grid"] = _parse_grid(sampling["grid"])
+    # the random strategy's sampling options; those given go to `min_avg_ent`,
+    # which holds the defaults
+    sampling = {k: v for k, v in (("samples", args.samples), ("Dmin", args.Dmin),
+                                  ("Dmax", args.Dmax), ("seed", args.seed)) if v is not None}
+    if sampling and args.strategy == "grid":
+        raise ValueError(f"--{next(iter(sampling))} does not apply to --strategy grid")
     inline = (args.dims, args.tuples, args.spectrum, args.lu_seed)
     if args.state and any(x is not None for x in inline):
         raise ValueError("give --state FILE or an inline spec (dims, --tuples, --spectrum, "
@@ -294,7 +281,8 @@ def cmd_tables(args) -> tuple[str, int]:
         if args.max_N is not None:
             raise ValueError(f"table {args.which} takes --max-n, not --max-N")
         max_n = args.max_n if args.max_n is not None else (28 if args.which == 1 else 36)
-        _check_int("--max-n", max_n, 4, MAX_N)  # n = 4: the smallest multipartite system
+        # n = 4 is the smallest multipartite system, and 2x2x2 the smallest of table 3
+        _check_int("--max-n", max_n, 8 if args.which == 3 else 4, MAX_N)
         structures = [s for s in _structures_upto(max_n) if args.which == 1 or s.N >= 3]
     rows = []
     code = EXIT_OK
@@ -312,18 +300,15 @@ def cmd_tables(args) -> tuple[str, int]:
 
 
 def cmd_sweep(args) -> tuple[str, int]:
-    _check_int("--points", args.points, least=1)
+    # at most MAX_N^3 unitaries per family, one grid a point
+    _check_int("--points", args.points, 1, MAX_N ** 3 // GRID_STEPS ** 2)
     kinds = list(COMPARISON_KINDS) if args.family == "all" else [args.family]
-    grid = _parse_grid(args.grid)
-    if args.points * grid[0] * grid[1] > MAX_N ** 3:
-        raise ValueError(f"--points {args.points} with --grid {args.grid} is above the limit "
-                         f"of {MAX_N ** 3} unitaries per family")
     rows = []
     for kind in kinds:
         for k in range(args.points):
             lam1 = 0.5 + 0.5 * k / args.points
             state = comparison_family_spectral(kind, (lam1, 1.0 - lam1))
-            est = min_avg_ent(state, strategy="grid", grid=grid)
+            est = min_avg_ent(state, strategy="grid")
             rows.append([kind, repr(lam1), repr(est.min_avg)])
     return _csv(rows, ["family", "lambda1", "min_avg"]), EXIT_OK
 
@@ -412,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuples")
     p.add_argument("--spectrum")
     p.add_argument("--lu-seed", type=int, dest="lu_seed")
-    p.add_argument("--strategy", choices=("grid", "random"), default="grid")
-    p.add_argument("--grid", metavar="T,C",
-                   help=f"grid strategy: theta and chi steps, 1 to {MAX_N} (default 20,20)")
+    p.add_argument("--strategy", choices=("grid", "random"), default="grid",
+                   help=f"grid: the {GRID_STEPS}x{GRID_STEPS} u2 grid, rank 2 only (default); "
+                   "random: Haar unitaries")
     p.add_argument("--samples", type=int, metavar="K",
                    help="random strategy: samples per dimension D (default 100)")
     p.add_argument("--Dmin", type=int,
@@ -437,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("which", type=int, choices=(1, 3, 5))
     p.add_argument("--max-n", type=int, dest="max_n",
-                   help="tables 1/3: largest total dimension, 4 to 256")
+                   help=f"tables 1/3: largest total dimension, 4 (table 3: 8) to {MAX_N}")
     p.add_argument("--max-N", type=int, dest="max_N",
                    help="table 5: largest qubit count, 2 to 8 (default 6)")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -455,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--family", choices=COMPARISON_KINDS + ("all",),
                    default="all")
-    p.add_argument("--points", type=int, default=500)
-    p.add_argument("--grid", default="20,20", metavar="T,C")
+    p.add_argument("--points", type=int, default=500,
+                   help=f"spectra per family, 1 to {MAX_N ** 3 // GRID_STEPS ** 2}")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("validate-examples", parents=[out],

@@ -54,6 +54,7 @@ from .tgx import ME_TOL, LocalUnitarySet, _superpositions
 
 P_FLOOR = 1e-14  # decomposition weights below this are dropped as zero
 PURITY_TOL = 1e-9  # a member reduction this close to its floor is clean
+GRID_STEPS = 20  # theta and chi steps of the one u2 grid: 400 unitaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,15 +265,15 @@ def u2(theta: float, chi: float) -> np.ndarray:
     return np.array([[a, b], [-np.conj(b), np.conj(a)]], dtype=complex)
 
 
-@lru_cache(maxsize=8)
-def _u2_grid(theta_steps: int, chi_steps: int):
-    """Half-open grid over theta in [0, pi/2) and chi in [0, 2 pi): the
-    angles and one theta-major stack, entry i*C + k = u2(theta[i], chi[k]),
-    built and checked for unitarity once, cached read-only.  theta =
-    k pi/2 / T puts pi/4 on the grid when T is even."""
-    theta = np.pi / 2 * np.arange(theta_steps) / theta_steps
-    chi = 2 * np.pi * np.arange(chi_steps) / chi_steps
-    a = np.repeat(np.cos(theta), chi_steps)
+@lru_cache(maxsize=None)
+def _u2_grid():
+    """The one half-open grid over theta in [0, pi/2) and chi in [0, 2 pi):
+    the angles and one theta-major stack, entry i*C + k = u2(theta[i],
+    chi[k]), built and checked for unitarity once per process, read-only.
+    theta = k pi/40 puts pi/4 on the grid."""
+    theta = np.pi / 2 * np.arange(GRID_STEPS) / GRID_STEPS
+    chi = 2 * np.pi * np.arange(GRID_STEPS) / GRID_STEPS
+    a = np.repeat(np.cos(theta), GRID_STEPS)
     b = np.outer(np.sin(theta), np.cos(chi) + 1j * np.sin(chi)).ravel()
     Us = np.stack([a, b, -b.conj(), a], axis=1).reshape(-1, 2, 2)
     _check_isometry("unitary", Us)
@@ -353,7 +354,6 @@ class EntEstimate:
 def min_avg_ent(
     state,
     strategy: str = "grid",
-    grid: tuple[int, int] = (20, 20),
     Dmin: int | None = None,
     Dmax: int | None = None,
     samples: int = 100,
@@ -364,21 +364,21 @@ def min_avg_ent(
     `state` may be a SpectralState (an MmeState is one) or a
     DensityMatrix (eigen-decomposed on the fly).
 
-    strategy "grid": rank must be 2; sweeps the u2 half-open grid.
+    strategy "grid": rank must be 2; sweeps the one u2 grid of
+    `_u2_grid`, GRID_STEPS^2 = 400 unitaries.
     strategy "random": Haar unitaries, `samples` per D from Dmin..Dmax
     (defaults: rank .. rank + 2), drawn from one stream per D,
     `np.random.default_rng([seed, D])`: unitary i of D is the (i+1)-th
     `haar_unitary(D, rng)` call on it, so `argmin` {"D", "index", "seed"}
     rebuilds its unitary alone, and the averages at one D depend neither
-    on Dmin and Dmax nor, for its first k, on `samples`.  Grid steps,
-    Dmin, Dmax, samples and seed are integers read by `modes._check_int`
-    with their bounds: 1..MAX_N steps per grid axis, samples at least 1,
-    seed at least 0 and a given Dmin or Dmax at most MAX_N + 2, the
-    largest default (rank + 2 at n = MAX_N).  Dmin below the rank is refused, and
-    so is Dmax below Dmin, whose one text names a default among them as
-    one.  Sizes that could never finish are refused before anything is
-    drawn or built: the step and Dmax bounds, and more than MAX_N^2 Haar
-    unitaries (samples times the number of D).
+    on Dmin and Dmax nor, for its first k, on `samples`.  Dmin, Dmax,
+    samples and seed are integers read by `modes._check_int` with their
+    bounds: samples at least 1, seed at least 0 and a given Dmin or Dmax
+    at most MAX_N + 2, the largest default (rank + 2 at n = MAX_N).  Dmin
+    below the rank is refused, and so is Dmax below Dmin, whose one text
+    names a default among them as one.  Sizes that could never finish are
+    refused before anything is drawn: the Dmax bound, and more than
+    MAX_N^2 Haar unitaries (samples times the number of D).
 
     The state's cross reductions X (`_cross_reductions`) are computed
     once, and the Hermitian half of their blocks taken once.  The
@@ -391,7 +391,8 @@ def min_avg_ent(
     draw that continues its D's stream and one stacked QR
     (`_haar_stack`); its unitaries are bitwise those of successive
     `haar_unitary` calls on that stream.  Each Haar stack is checked for
-    unitarity as it is drawn, a grid once, when `_u2_grid` builds it.
+    unitarity as it is drawn, the grid once per process, when `_u2_grid`
+    builds it.
     Of each pass only the running minimum, its first index and the count
     are kept: memory does not grow with the unitaries.
     An MME candidate passes when min_avg is at least 1 - ME_TOL (the ME
@@ -409,9 +410,7 @@ def min_avg_ent(
     if strategy == "grid":
         if state.rank != 2:
             raise ValueError(f"grid strategy needs rank 2, got rank {state.rank}")
-        T, C = grid
-        T, C = _check_int("theta_steps", T, 1, MAX_N), _check_int("chi_steps", C, 1, MAX_N)
-        theta, chi, Us = _u2_grid(T, C)
+        theta, chi, Us = _u2_grid()
         stacks = (Us[a:a + block(2)] for a in range(0, len(Us), block(2)))
     elif strategy == "random":
         hi = state.rank + 2 if Dmax is None else _check_int("Dmax", Dmax, most=MAX_N + 2)

@@ -39,6 +39,7 @@ from reference_values import (
     SPACEWISE_GRID_MIN_BALANCED,
     TRI_SURVEY,
 )
+from test_benchmark_pins import checker  # the benchmark's checker, closed forms included
 from test_verify import _with_averages
 
 
@@ -176,12 +177,18 @@ def test_acceptance_family_sweep(capsys) -> None:
     ok = ok and space_at_half[0] == 0.5
     ok = ok and abs(space_at_half[1] - SPACEWISE_GRID_MIN_BALANCED) <= 1e-9
     ok = ok and space_at_half[1] < 0.999
+    # every minimum of the one 20 x 20 grid already sits on its family's
+    # closed form, the benchmark's reference for each row
+    worst = max(abs(v - checker.family_closed_form(kind, lam1))
+                for kind, rows in by_family.items() for lam1, v in rows)
+    ok = ok and worst <= 1e-12
     _report(
         "comparison-family sweep",
         ok,
         f"{sum(len(v) for v in by_family.values())} spectra; "
         f"balanced e_selfspace {self_at_half[1]:.2e}, "
-        f"balanced e_spacewise {space_at_half[1]:.12f}",
+        f"balanced e_spacewise {space_at_half[1]:.12f}, "
+        f"worst distance to the closed forms {worst:.1e}",
     )
 
 

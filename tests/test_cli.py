@@ -547,7 +547,7 @@ def test_verify_state_file_refusals_name_the_field(capsys, tmp_path, edit, messa
         saved = json.loads(target.read_text())
         edit(saved)
         target.write_text(json.dumps(saved))
-    code, out, err = _run(capsys, ["verify", "--state", str(target), "--grid", "3,3"])
+    code, out, err = _run(capsys, ["verify", "--state", str(target)])
     if edit is None:
         assert (code, err) == (0, "")
     else:
@@ -575,21 +575,23 @@ def test_rho_is_mixed_only_where_printed_or_compared(capsys, tmp_path, spy) -> N
     # `construct` mixes it to print it, and `verify --state` to compare it
     calls = spy(mix)
     spec = ["2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3", "--lu-seed", "1"]
-    code, out, err = _run(capsys, ["verify", *spec, "--grid", "3,3"])
+    code, out, err = _run(capsys, ["verify", *spec])
     assert (code, err, calls) == (0, "", [])
     target = tmp_path / "state.json"
     assert _run(capsys, ["construct", *spec, "--out", str(target)]) == (0, "", "")
     assert len(calls) == 1
-    assert _run(capsys, ["verify", "--state", str(target), "--grid", "3,3"]) == (0, out, "")
+    assert _run(capsys, ["verify", "--state", str(target)]) == (0, out, "")
     assert len(calls) == 2
 
 
 @pytest.mark.parametrize("points", ["0", "-3", "100000000"])
 def test_sweep_rejects_points_below_one(capsys, points) -> None:
-    # and above MAX_N^3 / 400 at the default grid, which could never finish
+    # and above MAX_N^3 / 400 on the 400-point grid, which could never finish
     code, out, err = _run(capsys, ["sweep", "--points", points])
     assert (code, out) == (2, "")
     assert "--points" in err and points in err
+    if points == "100000000":
+        assert err == "error: --points=100000000 is above 41943\n"
 
 
 @pytest.mark.parametrize(
@@ -639,7 +641,7 @@ def test_verify_help_names_its_payload_keys_in_order(capsys) -> None:
         main(["verify", "--help"])
     keys = re.search(r"Emits JSON \{([^}]*)\}", " ".join(capsys.readouterr().out.split()))
     _, out, _ = _run(capsys, ["verify", "2^4", "--tuples", "1,16;4,13", "--spectrum",
-                              "0.7,0.3", "--grid", "2,2"])
+                              "0.7,0.3"])
     assert keys[1].split(", ") == list(json.loads(out))
 
 
@@ -718,12 +720,13 @@ def test_tables_refuse_the_other_tables_size_option(capsys, argv, option) -> Non
 
 @pytest.mark.parametrize("argv", [["1", "--max-n", "0"], ["3", "--max-n", "-7"],
                                   ["1", "--max-n", "3"], ["5", "--max-N", "1"],
-                                  ["5", "--max-N", "-3"]])
+                                  ["5", "--max-N", "-3"], ["3", "--max-n", "7"]])
 def test_tables_refuse_sizes_that_admit_no_structure(capsys, argv) -> None:
-    # each printed only the CSV header and exited 0; tables 1 and 3 start
-    # at n = 4, the smallest multipartite system, and table 5 at 2 qubits
+    # each printed only the CSV header and exited 0; table 1 starts at
+    # n = 4, the smallest multipartite system, table 3 at 2x2x2 (n = 8),
+    # its smallest structure, and table 5 at 2 qubits
     code, out, err = _run(capsys, ["tables", *argv])
-    least = {"--max-n": 4, "--max-N": 2}[argv[1]]
+    least = {"1": 4, "3": 8, "5": 2}[argv[0]]
     assert (code, out, err) == (2, "", f"error: {argv[1]}={argv[2]} is below {least}\n")
 
 
@@ -752,8 +755,6 @@ def test_sweep_selfspace_closed_form(capsys) -> None:
             "e_selfspace",
             "--points",
             "4",
-            "--grid",
-            "8,8",
         ],
     )
     assert code == 0
@@ -945,7 +946,7 @@ JSON_KEYS = {
     ["tuples", "2x4"],
     ["rank", "2^4"],
     ["construct", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3", "--lu-seed", "5"],
-    ["verify", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3", "--grid", "3,3"],
+    ["verify", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3"],
     ["tables", "5", "--max-N", "4", "--format", "json"],
     ["validate-examples", "2^4", "--tuples", "1,16;4,13;6,11;7,10"],
 ], ids=lambda argv: argv[0])
@@ -977,8 +978,7 @@ def test_unexpected_exception_exit_code(capsys, monkeypatch) -> None:
     assert "Traceback" not in err
 
 
-# One argv per parser of outside text; a grid that parses is swept on
-# 2^4, at most MAX_N^2 = 65,536 unitaries.
+# One argv per parser of outside text.
 PARSER_ARGVS = {
     "lstar-dims": lambda text: ["lstar", "--", text],
     "construct-tuples": lambda text: ["construct", "2^4", f"--tuples={text}",
@@ -986,8 +986,6 @@ PARSER_ARGVS = {
     "construct-spectrum": lambda text: ["construct", "2^4", "--tuples=1,16;4,13",
                                         f"--spectrum={text}"],
     "validate-tuples": lambda text: ["validate-examples", "2^4", f"--tuples={text}"],
-    "verify-grid": lambda text: ["verify", "2^4", "--tuples=1,16;4,13",
-                                 "--spectrum=0.5,0.5", f"--grid={text}"],
 }
 
 
@@ -1076,12 +1074,9 @@ REFUSALS = [
     ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3",
      "--strategy", "random", "--seed", "-1"],
     # sampler sizes that could never finish: a D x D Haar draw per D up to
-    # Dmax, a grid of T x C unitaries, samples Haar unitaries per D and
-    # points grids per family
+    # Dmax, samples Haar unitaries per D and points grids per family
     ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3",
      "--strategy", "random", "--samples", "1", "--Dmax", "100000"],
-    ["verify", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.5,0.5",
-     "--grid", "999999,999999"],
     ["verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3",
      "--strategy", "random", "--samples", "100000000"],
     ["sweep", "--points", "100000000"],
@@ -1091,11 +1086,6 @@ REFUSALS = [
 PARSE_REFUSALS = {
     ("construct", "2^4", "--tuples", "1.5,16;4,13", "--spectrum", "0.7,0.3"): "--tuples",
     ("construct", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,x"): "--spectrum",
-    ("verify", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3",
-     "--grid", "a,3"): "--grid",
-    ("verify", "2^4", "--tuples", "1,16;4,13", "--spectrum", "0.7,0.3",
-     "--grid", "0,3"): "--grid",
-    ("sweep", "--grid", "3,0", "--points", "1"): "--grid",
     ("validate-examples", "2^4", "--tuples", "1,x"): "--tuples",
 }
 # refusals whose full message is pinned: a negative --lu-seed is named as
@@ -1121,8 +1111,6 @@ REFUSAL_MESSAGES = {
         "--Dmin does not apply to --strategy grid",
     ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--strategy", "grid",
      "--Dmax", "3"): "--Dmax does not apply to --strategy grid",
-    ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--strategy", "random",
-     "--grid", "3,3"): "--grid does not apply to --strategy random",
 }
 REFUSALS += [list(argv) for argv in [*PARSE_REFUSALS, *REFUSAL_MESSAGES]]
 

@@ -208,9 +208,7 @@ def test_one_function_refuses_a_set_that_is_not_me() -> None:
 
 def test_one_function_reads_an_integer_range() -> None:
     # every count, size, label and seed passes its bounds to
-    # `modes._check_int`, the one text of a value out of range;
-    # `cli._parse_grid` keeps "steps must be positive", which quotes the
-    # --grid text as typed
+    # `modes._check_int`, the one text of a value out of range
     assert not hasattr(importlib.import_module("mmekit.modes"), "_check_seed")
     assert _package_owners(lambda node: isinstance(node, ast.Raise)
                            and re.search(r"is (below|above) \{", ast.unparse(node))) \
@@ -277,7 +275,7 @@ CACHES = {
     "mme._certified_set": (64, "tuple sets are unbounded: mme.CERTIFIED_SETS"),
     "modes._level_table": (None, "one layout per structure used"),
     "verify._summing_matrices": (None, "half columns and two weight matrices per structure used"),
-    "verify._u2_grid": (8, "grid sizes come from the caller"),
+    "verify._u2_grid": (None, "takes no arguments: one grid"),
 }
 
 

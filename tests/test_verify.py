@@ -264,7 +264,7 @@ def test_u2_values() -> None:
 
 
 def test_u2_grid_shape_and_coverage() -> None:
-    thetas, chis, stack = verify._u2_grid(20, 20)
+    thetas, chis, stack = verify._u2_grid()
     assert stack.shape == (400, 2, 2)
     for i in range(20):
         for k in range(20):
@@ -272,22 +272,15 @@ def test_u2_grid_shape_and_coverage() -> None:
             assert (thetas[i], chis[k]) == (theta, chi)
             # theta-major, each entry exactly the scalar u2 of its angles
             assert np.array_equal(stack[i * 20 + k], u2(theta, chi))
-    assert math.pi / 4 in thetas  # even theta_steps lands exactly on pi/4
+    assert math.pi / 4 in thetas  # theta = k pi/40 lands exactly on pi/4
     assert 0.0 in thetas and 0.0 in chis
     assert max(thetas) < math.pi / 2
     assert max(chis) < 2 * math.pi
-    # one cached grid, keyed on the checked ints, shared read-only
-    assert verify._u2_grid(np.int64(20), 20)[2] is stack
+    # one cached grid, shared read-only
+    assert verify._u2_grid()[2] is stack
     for array in (thetas, chis, stack):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    spec = comparison_family_spectral("mme", (0.7, 0.3))
-    with pytest.raises(ValueError, match="theta_steps=20.0 is not an integer"):
-        min_avg_ent(spec, strategy="grid", grid=(20.0, 20))
-    with pytest.raises(ValueError):
-        min_avg_ent(spec, strategy="grid", grid=(0, 20))
-    with pytest.raises(ValueError):
-        min_avg_ent(spec, strategy="grid", grid=(20, 0))
 
 
 def test_haar_unitary_deterministic_and_unitary() -> None:
@@ -375,7 +368,7 @@ def test_batched_grid_matches_per_unitary_loop() -> None:
     for kind in COMPARISON_KINDS:
         for lam1 in (0.5, 0.7):
             spec = comparison_family_spectral(kind, (lam1, 1 - lam1))
-            run = _with_averages(spec, strategy="grid", grid=(20, 20))
+            run = _with_averages(spec, strategy="grid")
             points = [u2(math.pi / 2 * i / 20, 2 * math.pi * k / 20)
                       for i in range(20) for k in range(20)]
             _assert_matches_per_unitary_loop(
@@ -535,9 +528,8 @@ def test_grid_is_checked_once_per_steps(monkeypatch) -> None:
         min_avg_ent(comparison_family_spectral(kind, (0.7, 0.3)), strategy="grid")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["sweep", "--points", "2"]) == 0
-        assert main(["sweep", "--points", "2", "--grid", "4,5"]) == 0
-    # the other checks are of each family's eigenstates
-    assert [A.shape for what, A in checked if what == "unitary"] == [(400, 2, 2), (20, 2, 2)]
+    # once per process; the other checks are of each family's eigenstates
+    assert [A.shape for what, A in checked if what == "unitary"] == [(400, 2, 2)]
 
 
 def test_random_certificate_checks_every_haar_stack(monkeypatch) -> None:
@@ -814,7 +806,7 @@ def test_certificates_after_the_first_work_out_no_side(dims, monkeypatch) -> Non
     # `_trace_groups` is rebound to a refusal in every module that holds it
     s = ModeStructure(dims)
     spec = _random_spectral(np.random.default_rng(3), s, 2)
-    _, first = _with_averages(spec, grid=(4, 4))
+    _, first = _with_averages(spec)
     original = modes._trace_groups
 
     def refuse(*args):
@@ -827,7 +819,7 @@ def test_certificates_after_the_first_work_out_no_side(dims, monkeypatch) -> Non
                     monkeypatch.setattr(mod, key, refuse)
     with pytest.raises(AssertionError):
         modes._trace_groups(s.dims, (1,))
-    assert _with_averages(spec, grid=(4, 4))[1] == first
+    assert _with_averages(spec)[1] == first
     assert min_avg_ent(spec, strategy="random", samples=3).samples == 9
     assert mode_purities(s, [v.amplitudes for v in spec.eigenstates]).shape == (2, s.N)
 
@@ -912,8 +904,8 @@ def test_random_strategy_defaults_and_validation() -> None:
     ({"strategy": "random", "Dmin": 2, "Dmax": 3.9}, "Dmax=3.9"),
     ({"strategy": "random", "samples": 2.5}, "samples=2.5"),
     ({"strategy": "random", "samples": 2, "seed": 1.0}, "seed=1.0"),
-    ({"strategy": "grid", "grid": (20.5, 20)}, "theta_steps=20.5"),
-    ({"strategy": "grid", "grid": (20, 20.0)}, "chi_steps=20.0"),
+    ({"strategy": "random", "samples": 3.0}, "samples=3.0"),  # a whole float is not cut
+    ({"strategy": "random", "Dmin": 2.0}, "Dmin=2.0"),
     ({"strategy": "random", "samples": True}, "samples=True"),  # not 1 sample per D
     ({"strategy": "random", "samples": 2, "seed": False}, "seed=False"),  # not seed 0
 ])
@@ -921,8 +913,7 @@ def test_sampler_counts_are_refused_unless_integers(kwargs, name) -> None:
     spec = comparison_family_spectral("mme", (0.7, 0.3))
     with pytest.raises(ValueError, match=f"{name} is not an integer"):
         min_avg_ent(spec, **kwargs)
-    ints = {k: (tuple(map(np.int64, v)) if k == "grid" else np.int64(round(v)))
-            for k, v in kwargs.items() if k != "strategy"}
+    ints = {k: np.int64(round(v)) for k, v in kwargs.items() if k != "strategy"}
     est = min_avg_ent(spec, strategy=kwargs["strategy"], **ints)
     assert est.min_avg >= 1 - 1e-9
 
@@ -932,22 +923,16 @@ def test_sampler_counts_are_refused_unless_integers(kwargs, name) -> None:
      "Dmax=100000 is above 258", {"Dmin": 258, "Dmax": 258}),
     ({"strategy": "random", "samples": 1, "Dmin": 259, "Dmax": 259},
      "Dmax=259 is above 258", {"Dmin": 258, "Dmax": 258}),
-    ({"strategy": "grid", "grid": (999_999, 999_999)},
-     "theta_steps=999999 is above 256", {"grid": (256, 1)}),
-    ({"strategy": "grid", "grid": (20, 257)},
-     "chi_steps=257 is above 256", {"grid": (1, 256)}),
     ({"strategy": "random", "samples": 100_000_000},
      "samples=100000000 at 3 values of D is above the limit of 65536 unitaries",
      {"samples": 32768, "Dmin": 2, "Dmax": 3}),
-], ids=["Dmax_100000", "Dmax_259", "theta_steps", "chi_steps", "samples"])
+], ids=["Dmax_100000", "Dmax_259", "samples"])
 def test_sampler_sizes_that_never_finish_are_refused(monkeypatch, over, message,
                                                      at_limit) -> None:
-    # refused before a unitary is drawn or a grid built: D up to MAX_N + 2,
-    # the largest default (rank + 2 at n = MAX_N), MAX_N steps per axis,
-    # and MAX_N^2 Haar unitaries, as many as the largest grid
+    # refused before a unitary is drawn: D up to MAX_N + 2, the largest
+    # default (rank + 2 at n = MAX_N), and MAX_N^2 Haar unitaries
     spec = comparison_family_spectral("mme", (0.7, 0.3))
-    for name in ("_haar_stack", "_u2_grid"):
-        monkeypatch.setattr(verify, name, lambda *args: pytest.fail("drawn or built"))
+    monkeypatch.setattr(verify, "_haar_stack", lambda *args: pytest.fail("drawn"))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         min_avg_ent(spec, **over)
     monkeypatch.undo()

@@ -220,12 +220,6 @@ def cmd_construct(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    # the random strategy's sampling options; those given go to `min_avg_ent`,
-    # which holds the defaults
-    sampling = {k: v for k, v in (("samples", args.samples), ("Dmin", args.Dmin),
-                                  ("Dmax", args.Dmax), ("seed", args.seed)) if v is not None}
-    if sampling and args.strategy == "grid":
-        raise ValueError(f"--{next(iter(sampling))} does not apply to --strategy grid")
     inline = (args.dims, args.tuples, args.spectrum, args.lu_seed)
     if args.state and any(x is not None for x in inline):
         raise ValueError("give --state FILE or an inline spec (dims, --tuples, --spectrum, "
@@ -258,7 +252,8 @@ def cmd_verify(args) -> tuple[str, int]:
                                 _parse_floats(args.spectrum), args.lu_seed)
     else:
         raise ValueError("give --state FILE, or dims with --tuples and --spectrum")
-    estimate = min_avg_ent(state, strategy=args.strategy, **sampling)
+    estimate = min_avg_ent(state, strategy=args.strategy, Dmin=args.Dmin, Dmax=args.Dmax,
+                           samples=args.samples, seed=args.seed)
     payload = {
         "dims": str(estimate.structure),
         "strategy": estimate.strategy,
@@ -401,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"grid: the {GRID_STEPS}x{GRID_STEPS} u2 grid, rank 2 only (default); "
                    "random: Haar unitaries")
     p.add_argument("--samples", type=int, metavar="K",
-                   help="random strategy: samples per dimension D (default 100)")
+                   help=f"random strategy: samples per dimension D (default 100), at most "
+                   f"{MAX_N}^4 units of work in all, {MAX_N}^2 or more a unitary (README)")
     p.add_argument("--Dmin", type=int,
                    help=f"random strategy: least D (default rank, at most {MAX_N + 2})")
     p.add_argument("--Dmax", type=int,

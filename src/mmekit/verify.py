@@ -356,75 +356,80 @@ def min_avg_ent(
     strategy: str = "grid",
     Dmin: int | None = None,
     Dmax: int | None = None,
-    samples: int = 100,
-    seed: int = 0,
+    samples: int | None = None,
+    seed: int | None = None,
 ) -> EntEstimate:
     """Minimize the decomposition-averaged entanglement over unitaries.
 
     `state` may be a SpectralState (an MmeState is one) or a
     DensityMatrix (eigen-decomposed on the fly).
 
-    strategy "grid": rank must be 2; sweeps the one u2 grid of
-    `_u2_grid`, GRID_STEPS^2 = 400 unitaries.
-    strategy "random": Haar unitaries, `samples` per D from Dmin..Dmax
-    (defaults: rank .. rank + 2), drawn from one stream per D,
-    `np.random.default_rng([seed, D])`: unitary i of D is the (i+1)-th
-    `haar_unitary(D, rng)` call on it, so `argmin` {"D", "index", "seed"}
-    rebuilds its unitary alone, and the averages at one D depend neither
-    on Dmin and Dmax nor, for its first k, on `samples`.  Dmin, Dmax,
-    samples and seed are integers read by `modes._check_int` with their
-    bounds: samples at least 1, seed at least 0 and a given Dmin or Dmax
-    at most MAX_N + 2, the largest default (rank + 2 at n = MAX_N).  Dmin
-    below the rank is refused, and so is Dmax below Dmin, whose one text
-    names a default among them as one.  Sizes that could never finish are
-    refused before anything is drawn: the Dmax bound, and more than
-    MAX_N^2 Haar unitaries (samples times the number of D).
+    strategy "grid": rank 2 only, and none of Dmin, Dmax, samples, seed;
+    sweeps the one u2 grid of `_u2_grid`, GRID_STEPS^2 = 400 unitaries.
+    strategy "random": Haar unitaries, `samples` (default 100) per D from
+    Dmin..Dmax (defaults: rank .. rank + 2), drawn from one stream per D,
+    `np.random.default_rng([seed, D])`, seed 0 by default: unitary i of D
+    is the (i+1)-th `haar_unitary(D, rng)` call on it, so `argmin` {"D",
+    "index", "seed"} rebuilds its unitary alone, and the averages at one D
+    depend neither on Dmin and Dmax nor, for its first k, on `samples`.
+    Dmin, Dmax, samples and seed are integers read by `modes._check_int`
+    with their bounds: samples at least 1, seed at least 0 and a given Dmin
+    or Dmax at most MAX_N + 2, the largest default (rank + 2 at n = MAX_N),
+    and a given Dmin at least the rank.  Dmax below Dmin is refused with
+    one text that names a default among them as one.  Sizes that could never finish
+    are refused before anything is drawn: the Dmax bound, and more than
+    MAX_N^4 units of work, samples times the sum over D of max(MAX_N^2,
+    D (R^2 c + D^2)), a unitary's pass product over the c columns of the
+    Hermitian half and its QR: a cheap state keeps MAX_N^2 unitaries.
 
-    The state's cross reductions X (`_cross_reductions`) are computed
-    once, and the Hermitian half of their blocks taken once.  The
-    unitaries come in stacks of equal D holding at most BLOCK_AMPLITUDES
-    member reduction entries, D times the full width of X a unitary (one
-    unitary at least).  Consecutive stacks of any D share one
-    `_stack_averages` pass while their entries stay within it; how the
-    unitaries fall into stacks and passes moves no bit of any average.
-    A Haar stack is drawn as its pass is filled, with one Gaussian
-    draw that continues its D's stream and one stacked QR
-    (`_haar_stack`); its unitaries are bitwise those of successive
-    `haar_unitary` calls on that stream.  Each Haar stack is checked for
-    unitarity as it is drawn, the grid once per process, when `_u2_grid`
-    builds it.
-    Of each pass only the running minimum, its first index and the count
-    are kept: memory does not grow with the unitaries.
+    X (`_cross_reductions`) and the Hermitian half of its blocks are taken
+    once.  The unitaries come in stacks of equal D holding at most
+    BLOCK_AMPLITUDES member reduction entries, D times the full width of X
+    a unitary (one unitary at least), and consecutive stacks of any D share
+    one `_stack_averages` pass while their entries stay within it; how the
+    unitaries fall into stacks and passes moves no bit of any average.  A
+    Haar stack is drawn as its pass is filled: one Gaussian draw that
+    continues its D's stream and one stacked QR (`_haar_stack`), bitwise
+    the unitaries of successive `haar_unitary` calls on that stream, each
+    checked for unitarity as drawn; the grid is checked once per process,
+    when `_u2_grid` builds it.  Of each pass only the running minimum, its
+    first index and the count are kept: memory does not grow with the
+    unitaries.
     An MME candidate passes when min_avg is at least 1 - ME_TOL (the ME
     tolerance), and `argmin` is then None: roundoff names no violator.
     A lower min_avg names its first violating unitary in `argmin`.
     """
-    seed = _check_int("seed", seed, least=0)
+    if strategy not in ("grid", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    for k, v in {"samples": samples, "Dmin": Dmin, "Dmax": Dmax, "seed": seed}.items():
+        if strategy == "grid" and v is not None:
+            raise ValueError(f"{k} does not apply to strategy 'grid'")
+    seed = 0 if seed is None else _check_int("seed", seed, least=0)
     state, notes = as_spectral(state)
     X = _cross_reductions(state)
-    width, X = X.shape[1], X[:, _summing_matrices(state.structure)[0]]
+    R, width, X = state.rank, X.shape[1], X[:, _summing_matrices(state.structure)[0]]
 
     def block(D: int) -> int:
         return max(1, BLOCK_AMPLITUDES // (D * width))
 
     if strategy == "grid":
-        if state.rank != 2:
-            raise ValueError(f"grid strategy needs rank 2, got rank {state.rank}")
+        if R != 2:
+            raise ValueError(f"grid strategy needs rank 2, got rank {R}")
         theta, chi, Us = _u2_grid()
         stacks = (Us[a:a + block(2)] for a in range(0, len(Us), block(2)))
-    elif strategy == "random":
-        hi = state.rank + 2 if Dmax is None else _check_int("Dmax", Dmax, most=MAX_N + 2)
-        lo = state.rank if Dmin is None else _check_int("Dmin", Dmin, most=MAX_N + 2)
-        samples = _check_int("samples", samples, least=1)
-        if lo < state.rank:
-            raise ValueError(f"Dmin={lo} below rank {state.rank}")
+    else:
+        hi = R + 2 if Dmax is None else _check_int("Dmax", Dmax, most=MAX_N + 2)
+        lo = R if Dmin is None else _check_int("Dmin", Dmin, least=R, most=MAX_N + 2)
+        samples = 100 if samples is None else _check_int("samples", samples, least=1)
         if hi < lo:  # at most one of them is a default, and the text says which
             raise ValueError(f"Dmax={hi}{' (the default, rank + 2)' if Dmax is None else ''} "
                              f"below Dmin={lo}{' (the default, the rank)' if Dmin is None else ''}"
                              f"; give Dmax >= {lo}")
-        if samples * (hi - lo + 1) > MAX_N ** 2:
-            raise ValueError(f"samples={samples} at {hi - lo + 1} values of D is above "
-                             f"the limit of {MAX_N ** 2} unitaries")
+        work = samples * sum(max(MAX_N ** 2, D * (R * R * X.shape[1] + D * D))
+                             for D in range(lo, hi + 1))
+        if work > MAX_N ** 4:
+            raise ValueError(f"samples={samples} at D={lo}..{hi} is {work} units of work, "
+                             f"above the limit of {MAX_N ** 4}")
 
         def haar_stacks():
             for D in range(lo, hi + 1):
@@ -434,8 +439,6 @@ def min_avg_ent(
                     _check_isometry("unitary", Us)
                     yield Us
         stacks = haar_stacks()
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     def passes():
         held = []

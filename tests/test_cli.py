@@ -1090,7 +1090,8 @@ PARSE_REFUSALS = {
 }
 # refusals whose full message is pinned: a negative --lu-seed is named as
 # lu_seed, never as the --seed beside it; a default D bound is named as
-# one; a sampling option is refused under the strategy that never reads it
+# one; a sampling option is refused under the strategy that never reads it,
+# with the library's own text
 REFUSAL_MESSAGES = {
     ("construct", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--lu-seed", "-1"):
         "lu_seed=-1 is below 0",
@@ -1102,15 +1103,15 @@ REFUSAL_MESSAGES = {
     ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--strategy", "random",
      "--Dmax", "1"): "Dmax=1 below Dmin=2 (the default, the rank); give Dmax >= 2",
     ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--seed", "-1"):
-        "--seed does not apply to --strategy grid",
+        "seed does not apply to strategy 'grid'",
     ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--samples", "5",
-     "--Dmin", "7", "--seed", "3"): "--samples does not apply to --strategy grid",
+     "--Dmin", "7", "--seed", "3"): "samples does not apply to strategy 'grid'",
     ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3",
-     "--samples", "100000000"): "--samples does not apply to --strategy grid",
+     "--samples", "100000000"): "samples does not apply to strategy 'grid'",
     ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--Dmin", "2"):
-        "--Dmin does not apply to --strategy grid",
+        "Dmin does not apply to strategy 'grid'",
     ("verify", "2x5", "--tuples", "1,10;2,8", "--spectrum", "0.7,0.3", "--strategy", "grid",
-     "--Dmax", "3"): "--Dmax does not apply to --strategy grid",
+     "--Dmax", "3"): "Dmax does not apply to strategy 'grid'",
 }
 REFUSALS += [list(argv) for argv in [*PARSE_REFUSALS, *REFUSAL_MESSAGES]]
 

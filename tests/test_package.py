@@ -219,6 +219,19 @@ def test_one_function_reads_an_integer_range() -> None:
                            and any(p in ast.unparse(node) for p in phrases)) == []
 
 
+def test_one_function_refuses_the_samplers_options() -> None:
+    # `min_avg_ent` reads and refuses the random strategy's options, and the
+    # CLI passes them on unread; the strategy is checked before any of them
+    assert _package_owners(lambda node: isinstance(node, ast.Raise)
+                           and "does not apply" in ast.unparse(node)) == ["verify.min_avg_ent"]
+    spec = mmekit.comparison_family_spectral("mme", (0.7, 0.3))
+    for name, value in (("samples", 5), ("Dmin", 2), ("Dmax", 3), ("seed", 0)):
+        with pytest.raises(ValueError, match=f"^{name} does not apply to strategy 'grid'$"):
+            mmekit.min_avg_ent(spec, strategy="grid", **{name: value})
+    with pytest.raises(ValueError, match="^unknown strategy 'annealed'$"):
+        mmekit.min_avg_ent(spec, strategy="annealed", seed=-1)
+
+
 def test_cli_joins_json_lists_one_way() -> None:
     # `_indented` writes each list item itself: no stdlib call with its own
     # separators prints a second form of the same list

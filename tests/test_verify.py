@@ -557,14 +557,14 @@ def test_random_certificate_checks_every_haar_stack(monkeypatch) -> None:
 
 def test_negative_seeds_are_refused_by_name() -> None:
     # numpy's own refusal names no option, and an exhaustive rank search
-    # or a grid certificate never reaches its seed
+    # never reaches its seed; the grid, which never reads one, refuses it
     s = ModeStructure((2, 2, 2, 2, 3))
     for call, message in ((lambda: max_mme_rank(s, seed=-5), "seed=-5 is below 0"),
                           (lambda: random_lu_set(s, -1), "lu_seed=-1 is below 0"),
                           (lambda: min_avg_ent(_certificate((2, 5)), strategy="random",
                                                seed=-1), "seed=-1 is below 0"),
                           (lambda: min_avg_ent(_certificate((2, 5)), seed=-1),
-                           "seed=-1 is below 0")):
+                           "seed does not apply to strategy 'grid'")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 
@@ -918,24 +918,43 @@ def test_sampler_counts_are_refused_unless_integers(kwargs, name) -> None:
     assert est.min_avg >= 1 - 1e-9
 
 
-@pytest.mark.parametrize("over,message,at_limit", [
-    ({"strategy": "random", "samples": 1, "Dmax": 100_000},
+def _flat_witness_2_8() -> SpectralState:
+    # the exhaustive 2^8 rank-64 witness at a flat spectrum, about 47 ms a
+    # Haar unitary at D = 258
+    s = ModeStructure((2,) * 8)
+    tuples = max_mme_rank(s, search="exhaustive").witness
+    return construct(s, tuples, (1 / len(tuples),) * len(tuples))[0]
+
+
+@pytest.mark.parametrize("build,over,message,at_limit", [
+    (None, {"strategy": "random", "samples": 1, "Dmax": 100_000},
      "Dmax=100000 is above 258", {"Dmin": 258, "Dmax": 258}),
-    ({"strategy": "random", "samples": 1, "Dmin": 259, "Dmax": 259},
+    (None, {"strategy": "random", "samples": 1, "Dmin": 259, "Dmax": 259},
      "Dmax=259 is above 258", {"Dmin": 258, "Dmax": 258}),
-    ({"strategy": "random", "samples": 100_000_000},
-     "samples=100000000 at 3 values of D is above the limit of 65536 unitaries",
+    (None, {"strategy": "random", "samples": 100_000_000},
+     "samples=100000000 at D=2..4 is 19660800000000 units of work, "
+     "above the limit of 4294967296",
      {"samples": 32768, "Dmin": 2, "Dmax": 3}),
-], ids=["Dmax_100000", "Dmax_259", "samples"])
-def test_sampler_sizes_that_never_finish_are_refused(monkeypatch, over, message,
+    (_flat_witness_2_8, {"strategy": "random", "samples": 65536, "Dmin": 258, "Dmax": 258},
+     "samples=65536 at D=258..258 is 2787635625984 units of work, "
+     "above the limit of 4294967296",
+     {"samples": 100}),
+], ids=["Dmax_100000", "Dmax_259", "samples", "2^8_R64_D258"])
+def test_sampler_sizes_that_never_finish_are_refused(monkeypatch, build, over, message,
                                                      at_limit) -> None:
     # refused before a unitary is drawn: D up to MAX_N + 2, the largest
-    # default (rank + 2 at n = MAX_N), and MAX_N^2 Haar unitaries
-    spec = comparison_family_spectral("mme", (0.7, 0.3))
+    # default (rank + 2 at n = MAX_N), and MAX_N^4 units of work, at least
+    # MAX_N^2 a unitary, so that a cheap state keeps MAX_N^2 unitaries
+    spec = build() if build else comparison_family_spectral("mme", (0.7, 0.3))
     monkeypatch.setattr(verify, "_haar_stack", lambda *args: pytest.fail("drawn"))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         min_avg_ent(spec, **over)
     monkeypatch.undo()
+    if build:  # the largest accepted request, about 5 s, with the draw and its averages faked
+        monkeypatch.setattr(verify, "_haar_stack",
+                            lambda z: np.broadcast_to(np.eye(z.shape[-1]), z[:, 0].shape))
+        monkeypatch.setattr(verify, "_stack_averages",
+                            lambda state, X, stacks: np.ones(sum(map(len, stacks))))
     assert min_avg_ent(spec, **{**over, **at_limit}).min_avg >= 1 - 1e-9
 
 

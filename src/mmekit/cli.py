@@ -396,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"grid: the {GRID_STEPS}x{GRID_STEPS} u2 grid, rank 2 only (default); "
                    "random: Haar unitaries")
     p.add_argument("--samples", type=int, metavar="K",
-                   help=f"random strategy: samples per dimension D (default 100), at most "
-                   f"{MAX_N}^4 units of work in all, {MAX_N}^2 or more a unitary (README)")
+                   help="random strategy: samples per dimension D (default 100), at most "
+                   f"{MAX_N}^4 units of work in all, {MAX_N}^2 or more a unitary (see README)")
     p.add_argument("--Dmin", type=int,
                    help=f"random strategy: least D (default rank, at most {MAX_N + 2})")
     p.add_argument("--Dmax", type=int,
